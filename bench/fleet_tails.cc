@@ -1,22 +1,21 @@
 /**
  * @file
  * Fleet-wide adaptation-time tails per §3.3 slot policy, profiling
- * host-pool size, repository-sharing mode and profiling work routing.
+ * host-pool size and repository-sharing mode.
  *
  * A 100-service mixed fleet (KeyValue + SPECweb + RUBiS round-robin,
  * heterogeneous SLOs and profiling-slot durations) is swept under
  * each slot scheduler — FIFO, shortest-job-first, SLO-debt-first,
  * adaptive — for each host-pool size M in {1, 2, 4, 8}, across three
- * models:
+ * variants. Every variant routes signature collections and tuner
+ * experiments through the profiling work queue:
  *
- *  - `-legacy` (private + shared): PR 4's fleet — only signature
- *    collections queue for the pool, tuner experiments run off-pool.
- *  - `-wq` (private + shared): the profiling work queue — tuner
- *    experiments are pool work, and under sharing same-class
- *    signature collections coalesce into one slot and queued tuner
- *    items answered by a peer's repository write are cancelled.
- *  - `-wq -shared -jit`: the work-queue model with de-synchronized
- *    change arrival (deterministic per-member offsets within 45 min).
+ *  - `private`: per-controller repositories.
+ *  - `shared`: one cross-service repository — same-class signature
+ *    collections coalesce into one slot and queued tuner items
+ *    answered by a peer's repository write are cancelled.
+ *  - `shared-jit`: the shared fleet with de-synchronized change
+ *    arrival (deterministic per-member offsets within 45 min).
  *
  * Tabulated per cell: p50/p95/max of pool queue delay and end-to-end
  * adaptation time, the aggregate repository hit rate, reused entries,
@@ -24,22 +23,15 @@
  * vs collections coalesced away vs tuner items cancelled by reuse).
  * The hosts-vs-p95 knee — the smallest M past which doubling the
  * pool no longer buys a meaningful p95 cut — is located per policy
- * for every model, answering the ROADMAP question PR 4 left open:
- * once tuner runs are pool work and signature collections can be
- * shared, does cross-service reuse finally shrink slot demand and
+ * for every variant: does cross-service reuse shrink slot demand and
  * move the knee?
  *
  * Guarded claims (exit nonzero on failure):
  *  - determinism: byte-identical CSV digests at 1/4/8 runner threads
  *    (1/4 in --smoke);
- *  - shared hit rate strictly above private at every cell, in both
- *    work modes;
- *  - work-queue shared slot demand strictly below work-queue private
- *    at every cell (coalescing + cancellation actually shrink
- *    demand);
- *  - legacy/work-queue parity: with the §3.6 path quiesced
- *    (interference detection off) and private repositories, the two
- *    routings produce identical summaries — the rebase is faithful.
+ *  - shared hit rate strictly above private at every cell;
+ *  - shared slot demand strictly below private at every cell
+ *    (coalescing + cancellation actually shrink demand).
  *
  * `--smoke` runs a 10-service fleet with M in {1, 2} at 1 vs 4
  * threads — small enough for CI on every push. `--csv <path>` writes
@@ -57,8 +49,8 @@
  * rows (spans observe, never schedule).
  *
  * `--huge` switches to the scale gate instead of the model sweep:
- * mixed fleets of N in {1k, 10k} services (batched fleet sampler,
- * series recording off, shared repository + work-queue routing) are
+ * mixed fleets of N in {1k, 10k} services (series recording off,
+ * shared repository) are
  * run through every slot policy, reporting events/s, wall time and
  * peak RSS next to the hosts-vs-p95 knee, and emitting a
  * BENCH_fleet.json machine digest (read by
@@ -94,7 +86,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 /** Scenario name for one cell of the sweep. @p variant is the
- *  trailing "-<sharing>[-<workmode>][-jit]" tag. */
+ *  trailing "-<sharing>[-jit]" tag. */
 std::string
 scenarioFor(int services, int hosts, const std::string &variant)
 {
@@ -103,11 +95,7 @@ scenarioFor(int services, int hosts, const std::string &variant)
 }
 
 /** The swept model variants, in presentation order. */
-const char *kVariants[] = {
-    "private-legacy", "shared-legacy",    // PR 4 baseline
-    "private-wq", "shared-wq",           // the work-queue model
-    "shared-wq-jit",                     // + jittered arrival
-};
+const char *kVariants[] = {"private", "shared", "shared-jit"};
 
 /** (variant, policy) -> hosts-ascending rows of the sweep. */
 using Progressions =
@@ -180,9 +168,8 @@ struct HugeCell
     FleetExperiment::FleetSummary summary;
 };
 
-/** Build, learn and run one huge-fleet cell (batched sampling, series
- *  recording off, shared repository, work-queue routing — the
- *  scale-relevant configuration). */
+/** Build, learn and run one huge-fleet cell (series recording off,
+ *  shared repository — the scale-relevant configuration). */
 HugeCell
 runHugeCell(int services, int hosts, const std::string &policy,
             int learnThreads)
@@ -197,7 +184,6 @@ runHugeCell(int services, int hosts, const std::string &policy,
     builder.slotPolicy(slotPolicyFromName(policy))
         .profilingHosts(hosts)
         .shareRepository(RepositorySharing::Shared)
-        .profilingWorkMode(ProfilingWorkMode::WorkQueue)
         .recordSeries(false);
     for (int i = 0; i < services; ++i)
         builder.add(kCycle[i % 3]);
@@ -301,8 +287,8 @@ runHugeGate(bool smoke, std::string jsonPath)
                         std::thread::hardware_concurrency())));
 
     printBanner(std::cout, std::string(smoke ? "[smoke] " : "")
-                + "Fleet scale gate (mixed fleets, batched sampler, "
-                "series off, shared repo + work queue, 2 days)");
+                + "Fleet scale gate (mixed fleets, series off, "
+                "shared repo, 2 days)");
 
     std::vector<HugeCell> cells;
     for (const auto &[services, hostCounts] : plan)
@@ -470,14 +456,14 @@ runFleetCellTraced(const SweepCell &cell, obs::TraceRecorder *trace)
     return stack->experiment->summary();
 }
 
-/** The tracing digest-parity gate: one representative shared/wq cell
+/** The tracing digest-parity gate: one representative shared cell
  *  run with a recorder attached vs without must produce byte-identical
  *  sweep rows — spans observe, never schedule. */
 bool
 runTraceParityGate(bool smoke)
 {
-    const SweepCell cell{smoke ? "fleet-mixed-10-h2-shared-wq"
-                               : "fleet-mixed-100-h4-shared-wq",
+    const SweepCell cell{smoke ? "fleet-mixed-10-h2-shared"
+                               : "fleet-mixed-100-h4-shared",
                          "fifo", 42};
     std::string csv[2];
     for (int traced = 0; traced < 2; ++traced) {
@@ -561,28 +547,6 @@ writeObservabilityDumps(const std::string &traceOut,
     }
 }
 
-/** Numeric equality of two summaries — the legacy/work-queue parity
- *  check (workMode and scenario naming excluded by construction). */
-bool
-summariesMatch(const FleetExperiment::FleetSummary &a,
-               const FleetExperiment::FleetSummary &b)
-{
-    return a.adaptations == b.adaptations
-        && a.signatureSlots == b.signatureSlots
-        && a.tunerSlots == b.tunerSlots
-        && a.coalescedSignatures == b.coalescedSignatures
-        && a.repoLookups == b.repoLookups
-        && a.repoHits == b.repoHits
-        && a.queueDelayP50Sec == b.queueDelayP50Sec
-        && a.queueDelayP95Sec == b.queueDelayP95Sec
-        && a.queueDelayP999Sec == b.queueDelayP999Sec
-        && a.queueDelayMaxSec == b.queueDelayMaxSec
-        && a.adaptationP50Sec == b.adaptationP50Sec
-        && a.adaptationP95Sec == b.adaptationP95Sec
-        && a.adaptationP999Sec == b.adaptationP999Sec
-        && a.adaptationMaxSec == b.adaptationMaxSec;
-}
-
 } // namespace
 
 int
@@ -639,12 +603,11 @@ main(int argc, char **argv)
                 + "Fleet adaptation-time tails ("
                 + std::to_string(services) + " services, "
                 "KeyValue+SPECweb+RUBiS, M profiling hosts, "
-                "legacy vs work-queue, shared vs private repository)");
+                "shared vs private repository)");
 
     // One cell per (variant x pool size x slot policy); identical
     // fleet, identical traces — only the repository composition, the
-    // profiling work routing, the host count and the grant order
-    // differ.
+    // arrival jitter, the host count and the grant order differ.
     std::vector<std::string> scenarios;
     for (const char *variant : kVariants)
         for (int hosts : hostCounts)
@@ -716,17 +679,16 @@ main(int argc, char **argv)
     table.printText(std::cout);
 
     // ----------------------------------------------------------------
-    // Per-item-type slot demand under the work-queue model: where
-    // did the pool's time go, and how much demand did sharing
-    // coalesce or cancel away?
+    // Per-item-type slot demand: where did the pool's time go, and
+    // how much demand did sharing coalesce or cancel away?
     // ----------------------------------------------------------------
-    std::cout << "\nper-item-type slot demand (work-queue cells; "
-              << "slots = signature + tuner):\n";
+    std::cout << "\nper-item-type slot demand "
+              << "(slots = signature + tuner):\n";
     Table demand({"variant", "policy", "hosts", "sig_slots",
                   "tuner_slots", "coalesced", "tuner_cancelled",
                   "tuner_adopted", "slots_total"});
     bool sharedDemandBelowPrivate = true;
-    for (const char *variant : {"private-wq", "shared-wq"}) {
+    for (const char *variant : {"private", "shared"}) {
         for (const auto &policyName : slotPolicyNames()) {
             for (const FleetCellResult *row :
                  byMode[{variant, policyName}]) {
@@ -745,8 +707,8 @@ main(int argc, char **argv)
     }
     demand.printText(std::cout);
     for (const auto &policyName : slotPolicyNames()) {
-        const auto &priv = byMode[{"private-wq", policyName}];
-        const auto &shared = byMode[{"shared-wq", policyName}];
+        const auto &priv = byMode[{"private", policyName}];
+        const auto &shared = byMode[{"shared", policyName}];
         for (std::size_t i = 0; i < priv.size(); ++i) {
             const auto &p = priv[i]->summary;
             const auto &sh = shared[i]->summary;
@@ -762,19 +724,16 @@ main(int argc, char **argv)
 
     // ----------------------------------------------------------------
     // The hosts-vs-p95 knee per variant and policy — the headline:
-    // does the work-queue model finally move it?
+    // does sharing move it?
     // ----------------------------------------------------------------
     constexpr double kMarginalSecPerHost = 60.0;
     std::cout << "\nhosts-vs-p95 knee (smallest M whose doubling "
               << "buys < " << Table::num(kMarginalSecPerHost, 0)
               << " s of p95 per added host):\n";
-    Table knees({"policy", "legacy-private", "legacy-shared",
-                 "wq-private", "wq-shared", "wq-shared-jit"});
+    Table knees({"policy", "private", "shared", "shared-jit"});
     for (const auto &policyName : slotPolicyNames()) {
         std::vector<std::string> row{policyName};
-        for (const char *variant :
-             {"private-legacy", "shared-legacy", "private-wq",
-              "shared-wq", "shared-wq-jit"}) {
+        for (const char *variant : kVariants) {
             const auto &progression = byMode[{variant, policyName}];
             const auto &first = progression.front()->summary;
             row.push_back(
@@ -786,87 +745,34 @@ main(int argc, char **argv)
     }
     knees.printText(std::cout);
     std::cout << "(synchronized vs jittered arrival side by side: "
-              << "compare wq-shared with wq-shared-jit)\n";
+              << "compare shared with shared-jit)\n";
 
     // ----------------------------------------------------------------
-    // Shared-vs-private hit rate, both work modes.
+    // Shared-vs-private hit rate.
     // ----------------------------------------------------------------
     bool sharedBeatsPrivate = true;
     std::cout << "\naggregate repository hit rate, shared vs private "
               << "(every cell must beat the baseline):\n";
-    for (const char *mode : {"legacy", "wq"}) {
-        const std::string priv = std::string("private-") + mode;
-        const std::string shared = std::string("shared-") + mode;
-        for (const auto &policyName : slotPolicyNames()) {
-            std::cout << "  " << mode << "/" << policyName << ":";
-            const auto &privRows = byMode[{priv, policyName}];
-            const auto &sharedRows = byMode[{shared, policyName}];
-            for (std::size_t i = 0; i < privRows.size(); ++i) {
-                const auto &p = privRows[i]->summary;
-                const auto &sh = sharedRows[i]->summary;
-                const bool beats = sh.repoHitRate > p.repoHitRate;
-                sharedBeatsPrivate = sharedBeatsPrivate && beats;
-                std::cout << "  M=" << p.hosts << " "
-                          << Table::num(100.0 * sh.repoHitRate, 2)
-                          << "% vs "
-                          << Table::num(100.0 * p.repoHitRate, 2)
-                          << "%"
-                          << (beats ? "" : " ** NOT ABOVE BASELINE **");
-            }
-            std::cout << "  ("
-                      << sharedRows.back()->summary.repoReusedEntries
-                      << " tuner runs avoided at M="
-                      << sharedRows.back()->summary.hosts << ")\n";
+    for (const auto &policyName : slotPolicyNames()) {
+        std::cout << "  " << policyName << ":";
+        const auto &privRows = byMode[{"private", policyName}];
+        const auto &sharedRows = byMode[{"shared", policyName}];
+        for (std::size_t i = 0; i < privRows.size(); ++i) {
+            const auto &p = privRows[i]->summary;
+            const auto &sh = sharedRows[i]->summary;
+            const bool beats = sh.repoHitRate > p.repoHitRate;
+            sharedBeatsPrivate = sharedBeatsPrivate && beats;
+            std::cout << "  M=" << p.hosts << " "
+                      << Table::num(100.0 * sh.repoHitRate, 2)
+                      << "% vs "
+                      << Table::num(100.0 * p.repoHitRate, 2)
+                      << "%"
+                      << (beats ? "" : " ** NOT ABOVE BASELINE **");
         }
-    }
-
-    // ----------------------------------------------------------------
-    // Legacy/work-queue parity: with the §3.6 path quiesced
-    // (interference detection off) and private repositories, the
-    // work-queue routing has nothing to do differently — the rebase
-    // must be faithful to the bit.
-    // ----------------------------------------------------------------
-    bool parityHolds = true;
-    {
-        const std::vector<std::string> parityPolicies =
-            smoke ? slotPolicyNames()
-                  : std::vector<std::string>{"fifo", "adaptive"};
-        const std::vector<int> parityHosts =
-            smoke ? hostCounts : std::vector<int>{1, 4};
-        const auto quiesced = [services](const std::string &policy,
-                                         int hosts,
-                                         ProfilingWorkMode mode) {
-            ScenarioOptions options;
-            options.seed = 42;
-            options.days = 2;
-            options.interferenceDetection = false;
-            auto stack = makeMixedFleet(
-                services, options, slotPolicyFromName(policy), hosts,
-                RepositorySharing::Private, mode);
-            stack->learnAll();
-            stack->experiment->run();
-            return stack->experiment->summary();
-        };
-        for (const auto &policyName : parityPolicies) {
-            for (int hosts : parityHosts) {
-                const auto legacy = quiesced(
-                    policyName, hosts, ProfilingWorkMode::Legacy);
-                const auto wq = quiesced(
-                    policyName, hosts, ProfilingWorkMode::WorkQueue);
-                if (!summariesMatch(legacy, wq)) {
-                    parityHolds = false;
-                    std::cout << "** legacy/wq parity BROKEN at "
-                              << policyName << " M=" << hosts
-                              << " **\n";
-                }
-            }
-        }
-        std::cout << "\nlegacy vs work-queue parity (interference "
-                  << "detection off, private repos, "
-                  << parityPolicies.size() * parityHosts.size()
-                  << " cells): "
-                  << (parityHolds ? "IDENTICAL" : "BROKEN — BUG")
-                  << "\n";
+        std::cout << "  ("
+                  << sharedRows.back()->summary.repoReusedEntries
+                  << " tuner runs avoided at M="
+                  << sharedRows.back()->summary.hosts << ")\n";
     }
 
     const bool traceParity = runTraceParityGate(smoke);
@@ -884,8 +790,7 @@ main(int argc, char **argv)
               << "\n"
               << "shared hit rate strictly above private baseline: "
               << (sharedBeatsPrivate ? "YES" : "NO — BUG") << "\n"
-              << "work-queue shared slot demand strictly below "
-              << "private: "
+              << "shared slot demand strictly below private: "
               << (sharedDemandBelowPrivate ? "YES" : "NO — BUG")
               << "\n\n";
 
@@ -896,7 +801,7 @@ main(int argc, char **argv)
         printBanner(std::cout,
                     "Event-queue throughput (100-actor fleet)");
         auto stack = makeFleetScenario(
-            scenarioFor(services, 4, "shared-wq"), 42,
+            scenarioFor(services, 4, "shared"), 42,
             SlotPolicy::Adaptive);
         stack->learnAll();
         const auto runStart = std::chrono::steady_clock::now();
@@ -909,12 +814,11 @@ main(int argc, char **argv)
                          static_cast<double>(events) / runSec / 1e6, 2)
                   << " M events/s (simulated horizon: 2 days x "
                   << services << " services, 4 profiling hosts, "
-                  "shared repository, work-queue routing)\n";
+                  "shared repository)\n";
     }
 
     return digestsMatch && sharedBeatsPrivate
-               && sharedDemandBelowPrivate && parityHolds
-               && traceParity
+               && sharedDemandBelowPrivate && traceParity
         ? 0
         : 1;
 }

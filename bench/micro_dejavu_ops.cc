@@ -15,7 +15,7 @@
 #include "common/stats.hh"
 #include "obs/trace.hh"
 #include "core/clustering_engine.hh"
-#include "core/repository.hh"
+#include "core/shared_repository.hh"
 #include "counters/monitor.hh"
 #include "ml/decision_tree.hh"
 #include "ml/feature_selection.hh"
@@ -89,7 +89,9 @@ BENCHMARK(BM_Classification);
 void
 BM_RepositoryLookup(benchmark::State &state)
 {
-    Repository repo;
+    // The path a controller runs: a handle on its (unshared) cache.
+    SharedRepository shared;
+    RepositoryHandle repo = shared.attach(ServiceKind::KeyValue);
     for (int c = 0; c < 8; ++c)
         for (int b = 0; b < 4; ++b)
             repo.store({c, b}, {c + 1, InstanceType::Large});

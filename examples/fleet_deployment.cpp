@@ -26,11 +26,11 @@
  *     *reuse* axis: later same-kind members reuse allocations their
  *     peers already tuned, lifting the fleet-wide hit rate and
  *     skipping tuner runs;
- *  4. under the profiling work-queue routing (`-wq`): tuner
- *     experiments become pool work, same-class signature collections
- *     of one hourly burst coalesce into a single slot whose result
- *     fans out to every subscriber, and jittered change arrival
- *     spreads the burst — the levers that shrink slot demand itself.
+ *  4. with the shared repository, synchronized vs jittered change
+ *     arrival: tuner experiments are pool work, same-class signature
+ *     collections of one hourly burst coalesce into a single slot
+ *     whose result fans out to every subscriber, and jitter spreads
+ *     the burst — the levers that shrink slot demand itself.
  */
 
 #include <cstdio>
@@ -114,19 +114,17 @@ main()
                     summary.adaptationP95Sec);
     }
     std::printf("\n== sharing the repository across the fleet ==\n\n");
-    std::printf("%9s %13s %13s %12s %8s %10s\n", "sharing",
-                "repo_lookups", "repo_hit_%", "cross_hits",
-                "reused", "would_hit");
+    std::printf("%9s %13s %13s %12s %8s\n", "sharing",
+                "repo_lookups", "repo_hit_%", "cross_hits", "reused");
     std::unique_ptr<FleetStack> sharedStack;  // kept for the CSV peek
     for (const RepositorySharing sharing :
-         {RepositorySharing::Private, RepositorySharing::Isolated,
-          RepositorySharing::Shared}) {
+         {RepositorySharing::Private, RepositorySharing::Shared}) {
         auto stack = makeMixedFleet(kServices, options,
                                     SlotPolicy::Adaptive, 1, sharing);
         stack->learnAll();
         stack->experiment->run();
         const auto summary = stack->experiment->summary();
-        std::printf("%9s %13llu %13.2f %12llu %8llu %10llu\n",
+        std::printf("%9s %13llu %13.2f %12llu %8llu\n",
                     summary.sharing.c_str(),
                     static_cast<unsigned long long>(
                         summary.repoLookups),
@@ -134,44 +132,28 @@ main()
                     static_cast<unsigned long long>(
                         summary.repoCrossHits),
                     static_cast<unsigned long long>(
-                        summary.repoReusedEntries),
-                    static_cast<unsigned long long>(
-                        summary.repoWouldHaveHits));
+                        summary.repoReusedEntries));
         if (sharing == RepositorySharing::Shared)
             sharedStack = std::move(stack);
     }
-    std::printf("\n(isolated = private behavior + write-through "
-                "shadow counting of what\n sharing would have served "
-                "— the A/B instrument; shared = live reuse:\n "
-                "cross_hits are reads served from a peer's entry, "
-                "reused counts distinct\n points — tuner runs the "
-                "fleet skipped)\n\n");
+    std::printf("\n(shared = live reuse: cross_hits are reads served "
+                "from a peer's entry,\n reused counts distinct points "
+                "— tuner runs the fleet skipped)\n\n");
 
     std::printf("== the profiling work queue "
                 "(shared repository, adaptive policy) ==\n\n");
-    std::printf("%-12s %10s %11s %9s %11s %13s\n", "routing",
+    std::printf("%-12s %10s %11s %9s %11s %13s\n", "arrival",
                 "sig_slots", "tuner_slots", "coalesced",
                 "queue_p95_s", "adapt_p95_s");
-    struct WorkRun
-    {
-        const char *label;
-        ProfilingWorkMode mode;
-        SimTime jitter;
-    };
-    for (const WorkRun &run :
-         {WorkRun{"legacy", ProfilingWorkMode::Legacy, 0},
-          WorkRun{"wq", ProfilingWorkMode::WorkQueue, 0},
-          WorkRun{"wq+jitter", ProfilingWorkMode::WorkQueue,
-                  minutes(45)}}) {
+    for (const SimTime jitter : {SimTime{0}, minutes(45)}) {
         auto stack = makeMixedFleet(kServices, options,
                                     SlotPolicy::Adaptive, 1,
-                                    RepositorySharing::Shared,
-                                    run.mode, run.jitter);
+                                    RepositorySharing::Shared, jitter);
         stack->learnAll();
         stack->experiment->run();
         const auto summary = stack->experiment->summary();
         std::printf("%-12s %10llu %11llu %9llu %11.1f %13.1f\n",
-                    run.label,
+                    jitter > 0 ? "jittered" : "synchronized",
                     static_cast<unsigned long long>(
                         summary.signatureSlots),
                     static_cast<unsigned long long>(

@@ -254,8 +254,8 @@ class DejaVuController
      * @name Deferred tuning (profiling work-queue integration)
      *
      * By default a §3.6 cache miss runs the tuner inline, off the
-     * §3.3 pool. A fleet that models tuner experiments as pool work
-     * installs a deferral: instead of tuning, the controller records
+     * §3.3 pool. DejaVuFleet, which models tuner experiments as pool
+     * work, installs a deferral: instead of tuning, the controller records
      * the pending experiment (class, bucket, workload, floored
      * search space), deploys the do-no-harm full-capacity stop-gap
      * and hands (classId, bucket, worst-case duration estimate) to

@@ -1,87 +1,10 @@
 #include "core/repository.hh"
 
-#include <algorithm>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace dejavu {
-
-void
-Repository::store(const RepositoryKey &key,
-                  const ResourceAllocation &allocation)
-{
-    _entries[key] = allocation;
-    ++_stats.stores;
-}
-
-std::optional<ResourceAllocation>
-Repository::lookup(const RepositoryKey &key)
-{
-    ++_stats.lookups;
-    auto it = _entries.find(key);
-    if (it == _entries.end()) {
-        ++_stats.misses;
-        return std::nullopt;
-    }
-    ++_stats.hits;
-    return it->second;
-}
-
-std::optional<ResourceAllocation>
-Repository::peek(const RepositoryKey &key) const
-{
-    auto it = _entries.find(key);
-    if (it == _entries.end())
-        return std::nullopt;
-    return it->second;
-}
-
-bool
-Repository::contains(const RepositoryKey &key) const
-{
-    return _entries.find(key) != _entries.end();
-}
-
-double
-Repository::hitRate() const
-{
-    if (_stats.lookups == 0)
-        return 0.0;
-    return static_cast<double>(_stats.hits) / _stats.lookups;
-}
-
-std::vector<RepositoryKey>
-Repository::keys() const
-{
-    std::vector<RepositoryKey> out;
-    out.reserve(_entries.size());
-    // lint-allow(unordered-iteration): collected then sorted below
-    for (const auto &[key, _] : _entries)
-        out.push_back(key);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-void
-Repository::clear()
-{
-    _entries.clear();
-}
-
-void
-Repository::save(std::ostream &out) const
-{
-    out << "class,bucket,instances,type\n";
-    for (const RepositoryKey &key : keys()) {
-        const ResourceAllocation &alloc = _entries.at(key);
-        out << key.classId << ',' << key.interferenceBucket << ','
-            << alloc.instances << ',' << instanceSpec(alloc.type).name
-            << '\n';
-    }
-}
 
 std::vector<std::string>
 splitRepositoryCsv(const std::string &line)
@@ -113,53 +36,6 @@ parseRepositoryCells(const std::vector<std::string> &fields,
     } catch (const std::exception &) {
         fatal("repository line ", lineNo, ": unparsable: ", line);
     }
-}
-
-Repository
-Repository::load(std::istream &in)
-{
-    Repository repo;
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        if (line.empty() || line[0] == '#' ||
-            line.rfind("class,", 0) == 0)
-            continue;
-        const std::vector<std::string> fields =
-            splitRepositoryCsv(line);
-        if (fields.size() != 4)
-            fatal("repository line ", lineNo, ": expected "
-                  "'class,bucket,instances,type', got: ", line);
-        const auto [key, alloc] =
-            parseRepositoryCells(fields, 0, lineNo, line);
-        // A duplicate (class,bucket) row means the file was
-        // corrupted or hand-merged badly; silently letting the last
-        // row win would hide it.
-        if (repo._entries.count(key))
-            fatal("repository line ", lineNo,
-                  ": duplicate entry for (", key.classId, ",",
-                  key.interferenceBucket, "): ", line);
-        repo._entries[key] = alloc;
-    }
-    return repo;
-}
-
-std::string
-Repository::toString() const
-{
-    std::ostringstream os;
-    os << "repository{";
-    bool first = true;
-    for (const RepositoryKey &key : keys()) {
-        if (!first)
-            os << ", ";
-        first = false;
-        os << "(c" << key.classId << ",i" << key.interferenceBucket
-           << ")->" << _entries.at(key).toString();
-    }
-    os << "}";
-    return os.str();
 }
 
 } // namespace dejavu

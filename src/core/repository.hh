@@ -1,20 +1,16 @@
 /**
  * @file
- * The DejaVu cache: the workload-signature repository (§3.4, §3.6)
- * mapping (workload class, interference bucket) to the preferred
- * resource allocation, with hit/miss accounting. "Like any other
- * cache, DejaVu is most useful when its cached allocations can be
- * repeatedly reused."
+ * Value types of the DejaVu cache (§3.4, §3.6), which maps (workload
+ * class, interference bucket) to the preferred resource allocation:
+ * the key, its hash, the hit/miss counters and the CSV row grammar.
+ * The cache itself is SharedRepository (core/shared_repository.hh).
  */
 
 #ifndef DEJAVU_CORE_REPOSITORY_HH
 #define DEJAVU_CORE_REPOSITORY_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,9 +65,7 @@ std::vector<std::string> splitRepositoryCsv(const std::string &line);
 
 /**
  * Parse the trailing class,bucket,instances,type cells of one
- * repository CSV row — the grammar Repository::load and
- * SharedRepository::load share, kept in one place so the two
- * loaders cannot diverge. @p offset is the index of the class cell
+ * repository CSV row. @p offset is the index of the class cell
  * within @p fields (0 for the legacy 4-column form, 1 after a kind
  * column). fatal() with @p lineNo context on unparsable or
  * out-of-range cells.
@@ -80,59 +74,14 @@ std::pair<RepositoryKey, ResourceAllocation> parseRepositoryCells(
     const std::vector<std::string> &fields, std::size_t offset,
     std::size_t lineNo, const std::string &line);
 
-/**
- * Allocation cache with hit statistics.
- */
-class Repository
+/** Hit/miss/store counters of one repository attachment (or their
+ *  fleet-wide sum; see RepositoryHandle::stats()). */
+struct RepositoryStats
 {
-  public:
-    struct Stats
-    {
-        std::uint64_t lookups = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t stores = 0;
-    };
-
-    /** Store (or overwrite) the preferred allocation for a key. */
-    void store(const RepositoryKey &key,
-               const ResourceAllocation &allocation);
-
-    /** Cache lookup; counts hit/miss. */
-    std::optional<ResourceAllocation> lookup(const RepositoryKey &key);
-
-    /** Non-counting inspection (for tests and reporting). */
-    std::optional<ResourceAllocation> peek(const RepositoryKey &key) const;
-
-    bool contains(const RepositoryKey &key) const;
-
-    std::size_t entries() const { return _entries.size(); }
-    const Stats &stats() const { return _stats; }
-    double hitRate() const;
-
-    /** All keys currently cached, sorted (the backing table is
-     *  unordered; sorting keeps reports and persistence stable). */
-    std::vector<RepositoryKey> keys() const;
-
-    /** Drop everything (re-clustering invalidates the cache). */
-    void clear();
-
-    std::string toString() const;
-
-    /** @name Persistence (CSV: classId,bucket,instances,type) @{ */
-    /** Serialize all entries; statistics are not persisted. */
-    void save(std::ostream &out) const;
-
-    /** Load entries from a stream produced by save(). fatal() on
-     *  malformed input and on duplicate (class,bucket) rows.
-     *  Replaces current entries; stats reset. */
-    static Repository load(std::istream &in);
-    /** @} */
-
-  private:
-    std::unordered_map<RepositoryKey, ResourceAllocation,
-                       RepositoryKeyHash> _entries;
-    Stats _stats;
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t stores = 0;
 };
 
 } // namespace dejavu

@@ -17,8 +17,6 @@ repositorySharingName(RepositorySharing sharing)
         return "private";
       case RepositorySharing::Shared:
         return "shared";
-      case RepositorySharing::Isolated:
-        return "isolated";
     }
     fatal("unknown repository sharing mode: ",
           static_cast<int>(sharing));
@@ -31,10 +29,8 @@ repositorySharingFromName(const std::string &name)
         return RepositorySharing::Private;
     if (name == "shared")
         return RepositorySharing::Shared;
-    if (name == "isolated")
-        return RepositorySharing::Isolated;
     fatal("unknown repository sharing mode: ", name,
-          " (use private|shared|isolated)");
+          " (use private|shared)");
 }
 
 // ---------------------------------------------------------------------
@@ -139,7 +135,7 @@ RepositoryHandle::clear()
     _repo->handleClear(_id);
 }
 
-Repository::Stats
+RepositoryStats
 RepositoryHandle::stats() const
 {
     if (!attached())
@@ -164,19 +160,10 @@ RepositoryHandle::reusedEntries() const
     return _repo->attachmentReusedEntries(_id);
 }
 
-std::uint64_t
-RepositoryHandle::wouldHaveHit() const
-{
-    if (!attached())
-        unattached("wouldHaveHit");
-    return _repo->attachment(_id).wouldHaveHits.load(
-        std::memory_order_relaxed);
-}
-
 double
 RepositoryHandle::hitRate() const
 {
-    const Repository::Stats s = stats();
+    const RepositoryStats s = stats();
     if (s.lookups == 0)
         return 0.0;
     return static_cast<double>(s.hits) / s.lookups;
@@ -205,8 +192,7 @@ RepositoryHandle::toString() const
 // SharedRepository
 // ---------------------------------------------------------------------
 
-SharedRepository::SharedRepository(Mode mode, int shards)
-    : _mode(mode)
+SharedRepository::SharedRepository(int shards)
 {
     DEJAVU_ASSERT(shards >= 1, "shared repository needs >= 1 shard, "
                   "got ", shards);
@@ -216,7 +202,6 @@ SharedRepository::SharedRepository(Mode mode, int shards)
 }
 
 SharedRepository::SharedRepository(SharedRepository &&other) noexcept
-    : _mode(other._mode)
 {
     // Lock both registries: the source against concurrent readers,
     // the (freshly constructed) destination to satisfy the analysis.
@@ -231,12 +216,6 @@ SharedRepository::SharedRepository(SharedRepository &&other) noexcept
     _attachments = std::move(other._attachments);
     _live = other._live;
     other._live = 0;
-}
-
-const char *
-SharedRepository::modeName() const
-{
-    return _mode == Mode::Shared ? "shared" : "isolated";
 }
 
 SharedRepository::Shard &
@@ -340,11 +319,11 @@ SharedRepository::totalAttachments() const
     return static_cast<int>(_attachments.size());
 }
 
-Repository::Stats
+RepositoryStats
 SharedRepository::attachmentStats(int id) const
 {
     const Attachment &a = attachment(id);
-    Repository::Stats s;
+    RepositoryStats s;
     s.lookups = a.lookups.load(std::memory_order_relaxed);
     s.hits = a.hits.load(std::memory_order_relaxed);
     s.misses = a.misses.load(std::memory_order_relaxed);
@@ -368,19 +347,10 @@ SharedRepository::handleStore(int id, const RepositoryKey &key,
     DEJAVU_ASSERT(a.live.load(std::memory_order_relaxed),
                   "store through a detached attachment");
     a.stores.fetch_add(1, std::memory_order_relaxed);
-    // The kind-level table is written in both modes: it is the shared
-    // truth in Shared mode and the write-through shadow (counting
-    // what sharing would have served) in the isolated A/B mode.
     Shard &s = shardOf(a.kind, key);
-    {
-        MutexLock lock(s.mu);
-        s.byKind[a.kind][key] = Entry{allocation, id};
-        s.generation.fetch_add(1, std::memory_order_release);
-    }
-    if (_mode == Mode::WriteThroughIsolated) {
-        MutexLock lock(a.mu);
-        a.isolated[key] = Entry{allocation, id};
-    }
+    MutexLock lock(s.mu);
+    s.byKind[a.kind][key] = Entry{allocation, id};
+    s.generation.fetch_add(1, std::memory_order_release);
 }
 
 std::optional<ResourceAllocation>
@@ -393,14 +363,7 @@ SharedRepository::handleLookup(int id, const RepositoryKey &key)
 
     std::optional<ResourceAllocation> result;
     int writer = -1;
-    if (_mode == Mode::WriteThroughIsolated) {
-        MutexLock lock(a.mu);
-        const auto it = a.isolated.find(key);
-        if (it != a.isolated.end()) {
-            result = it->second.allocation;
-            writer = it->second.writer;
-        }
-    } else {
+    {
         Shard &s = shardOf(a.kind, key);
         MutexLock lock(s.mu);
         const auto kt = s.byKind.find(a.kind);
@@ -415,16 +378,6 @@ SharedRepository::handleLookup(int id, const RepositoryKey &key)
 
     if (!result) {
         a.misses.fetch_add(1, std::memory_order_relaxed);
-        if (_mode == Mode::WriteThroughIsolated) {
-            // The A/B counterfactual: would the kind-shared table
-            // have served this miss?
-            Shard &s = shardOf(a.kind, key);
-            MutexLock lock(s.mu);
-            const auto kt = s.byKind.find(a.kind);
-            if (kt != s.byKind.end() && kt->second.count(key))
-                a.wouldHaveHits.fetch_add(
-                    1, std::memory_order_relaxed);
-        }
         return std::nullopt;
     }
 
@@ -440,15 +393,7 @@ SharedRepository::handleLookup(int id, const RepositoryKey &key)
 std::optional<ResourceAllocation>
 SharedRepository::handlePeek(int id, const RepositoryKey &key) const
 {
-    const Attachment &a = attachment(id);
-    if (_mode == Mode::WriteThroughIsolated) {
-        MutexLock lock(a.mu);
-        const auto it = a.isolated.find(key);
-        if (it == a.isolated.end())
-            return std::nullopt;
-        return it->second.allocation;
-    }
-    return peek(a.kind, key);
+    return peek(attachment(id).kind, key);
 }
 
 void
@@ -457,10 +402,6 @@ SharedRepository::handleClear(int id)
     Attachment &a = attachment(id);
     DEJAVU_ASSERT(a.live.load(std::memory_order_relaxed),
                   "clear through a detached attachment");
-    {
-        MutexLock lock(a.mu);
-        a.isolated.clear();
-    }
     // Only this attachment's writes are invalidated: a peer's tuned
     // allocations are still valid for the peer (and for reuse).
     for (const auto &shardPtr : _shards) {
@@ -487,40 +428,20 @@ SharedRepository::handleClear(int id)
 std::size_t
 SharedRepository::handleEntries(int id) const
 {
-    const Attachment &a = attachment(id);
-    if (_mode == Mode::WriteThroughIsolated) {
-        MutexLock lock(a.mu);
-        return a.isolated.size();
-    }
-    return entries(a.kind);
+    return entries(attachment(id).kind);
 }
 
 std::vector<RepositoryKey>
 SharedRepository::handleKeys(int id) const
 {
-    const Attachment &a = attachment(id);
-    std::vector<RepositoryKey> out;
-    if (_mode == Mode::WriteThroughIsolated) {
-        MutexLock lock(a.mu);
-        out.reserve(a.isolated.size());
-        // lint-allow(unordered-iteration): collected then sorted below
-        for (const auto &[key, entry] : a.isolated)
-            out.push_back(key);
-    } else {
-        for (const RepositorySnapshot::Entry &e :
-             collectKind(a.kind))
-            out.push_back(e.key);
-        return out;  // collectKind already sorts
-    }
-    std::sort(out.begin(), out.end());
-    return out;
+    return keys(attachment(id).kind);
 }
 
-Repository::Stats
+RepositoryStats
 SharedRepository::aggregateStats() const
 {
     MutexLock lock(_amu);
-    Repository::Stats total;
+    RepositoryStats total;
     for (const Attachment &a : _attachments) {
         total.lookups += a.lookups.load(std::memory_order_relaxed);
         total.hits += a.hits.load(std::memory_order_relaxed);
@@ -554,20 +475,10 @@ SharedRepository::aggregateReusedEntries() const
     return total;
 }
 
-std::uint64_t
-SharedRepository::aggregateWouldHaveHits() const
-{
-    MutexLock lock(_amu);
-    std::uint64_t total = 0;
-    for (const Attachment &a : _attachments)
-        total += a.wouldHaveHits.load(std::memory_order_relaxed);
-    return total;
-}
-
 double
 SharedRepository::hitRate() const
 {
-    const Repository::Stats total = aggregateStats();
+    const RepositoryStats total = aggregateStats();
     if (total.lookups == 0)
         return 0.0;
     return static_cast<double>(total.hits) / total.lookups;
@@ -673,7 +584,7 @@ std::string
 SharedRepository::toString() const
 {
     std::ostringstream os;
-    os << "shared-repository[" << modeName() << "]{";
+    os << "shared-repository{";
     bool firstKind = true;
     for (const ServiceKind kind : collectKinds()) {
         if (!firstKind)
@@ -711,10 +622,10 @@ SharedRepository::save(std::ostream &out) const
 }
 
 SharedRepository
-SharedRepository::load(std::istream &in, Mode mode,
+SharedRepository::load(std::istream &in, Mode /*mode*/,
                        ServiceKind legacyKind, int shards)
 {
-    SharedRepository repo(mode, shards);
+    SharedRepository repo(shards);
     std::string line;
     std::size_t lineNo = 0;
     while (std::getline(in, line)) {
@@ -730,9 +641,7 @@ SharedRepository::load(std::istream &in, Mode mode,
                   "'kind,class,bucket,instances,type' (or the legacy "
                   "4-column form), got: ", line);
         // Legacy per-controller CSVs predate the kind column; their
-        // rows are filed under the caller's legacyKind. The trailing
-        // cells share Repository::load's grammar (one parser, so the
-        // loaders cannot diverge).
+        // rows are filed under the caller's legacyKind.
         const ServiceKind kind = fields.size() == 5
             ? serviceKindFromName(fields[0])
             : legacyKind;

@@ -17,16 +17,8 @@
  * Controllers do not own the cache; they hold a RepositoryHandle —
  * an attachment carrying the kind namespace plus per-attachment
  * hit/miss/store statistics (the aggregate across attachments is the
- * fleet-wide number benches report). Two modes:
- *
- *  - Shared: lookups see every attachment's writes within the kind
- *    namespace — the cross-service reuse hypothesis, live.
- *  - WriteThroughIsolated: lookups see only the attachment's own
- *    writes (behavior identical to today's private repositories), but
- *    stores also write through to the kind-level table and misses
- *    probe it, counting how often sharing *would* have hit — the A/B
- *    instrument for comparing against private repos without changing
- *    a single decision.
+ * fleet-wide number benches report). Lookups see every attachment's
+ * writes within the kind namespace — cross-service reuse, live.
  *
  * Thread safety: internally synchronized, and since the serving PR
  * *sharded*. The kind-level tables are striped over N shards (one
@@ -71,20 +63,15 @@ namespace dejavu {
 
 class SharedRepository;
 
-/**
- * How a fleet composes its members' repositories — the A/B axis the
- * shared-repository experiments sweep.
- */
+/** How a fleet composes its members' repositories. */
 enum class RepositorySharing
 {
     Private,  ///< Each controller owns its repository (the baseline).
     Shared,   ///< One SharedRepository, kind-namespaced live reuse.
-    Isolated, ///< One SharedRepository in write-through isolation:
-              ///< private behavior, shared-counterfactual stats.
 };
 
-/** Stable name ("private" | "shared" | "isolated") for scenario
- *  names and sweep digests. */
+/** Stable name ("private" | "shared") for scenario names and sweep
+ *  digests. */
 const char *repositorySharingName(RepositorySharing sharing);
 
 /** Parse a name produced by repositorySharingName(); fatal()
@@ -192,7 +179,7 @@ class RepositoryHandle
 
     /** This attachment's statistics (a snapshot: returned by value
      *  so readers never alias concurrently mutated counters). */
-    Repository::Stats stats() const;
+    RepositoryStats stats() const;
 
     /** Hits served from entries written by *another* attachment —
      *  reads the shared table answered on a peer's behalf. Repeated
@@ -204,10 +191,6 @@ class RepositoryHandle
      *  allocations it never had to produce itself, i.e. tuner runs
      *  avoided (a repeated read of the same key counts once). */
     std::uint64_t reusedEntries() const;
-
-    /** WriteThroughIsolated only: misses that the kind-level table
-     *  could have served — what sharing would have bought. */
-    std::uint64_t wouldHaveHit() const;
 
     double hitRate() const;
 
@@ -229,18 +212,14 @@ class RepositoryHandle
 class SharedRepository
 {
   public:
+    /** Selects nothing: kind-namespace sharing is the only mode. Kept
+     *  as load()'s parameter for callers written against it. */
     enum class Mode
     {
-        /** Kind-namespace sharing: all attachments of one kind read
-         *  and write one table. */
         Shared,
-        /** Private views with write-through shadow accounting (the
-         *  A/B baseline against today's per-controller repos). */
-        WriteThroughIsolated,
     };
 
     /**
-     * @param mode   Sharing semantics (see Mode).
      * @param shards Lock stripes for the kind-level tables. 1 (the
      *   default) reproduces the pre-serving single-lock behavior and
      *   is right for sim-side use, where accesses are uncontended;
@@ -249,7 +228,7 @@ class SharedRepository
      *   contents, save() bytes and snapshot() views are identical
      *   for every shard count.
      */
-    explicit SharedRepository(Mode mode = Mode::Shared, int shards = 1);
+    explicit SharedRepository(int shards = 1);
 
     /** Move is for factory returns (load()) only: it locks @p other,
      *  so it is safe against concurrent readers of the source, but
@@ -259,11 +238,6 @@ class SharedRepository
     SharedRepository(const SharedRepository &) = delete;
     SharedRepository &operator=(const SharedRepository &) = delete;
     SharedRepository &operator=(SharedRepository &&) = delete;
-
-    Mode mode() const { return _mode; }
-
-    /** Human-readable mode name ("shared" | "isolated"). */
-    const char *modeName() const;
 
     /** Lock stripes backing the kind-level tables. */
     int shards() const { return static_cast<int>(_shards.size()); }
@@ -304,16 +278,13 @@ class SharedRepository
     int totalAttachments() const;
 
     /** Sum of all attachments' statistics — the fleet-wide numbers. */
-    Repository::Stats aggregateStats() const;
+    RepositoryStats aggregateStats() const;
 
     /** Fleet-wide cross-attachment hits (peer-served reads). */
     std::uint64_t aggregateCrossHits() const;
 
     /** Fleet-wide distinct reused entries (tuner runs avoided). */
     std::uint64_t aggregateReusedEntries() const;
-
-    /** WriteThroughIsolated only: fleet-wide would-have-hit count. */
-    std::uint64_t aggregateWouldHaveHits() const;
 
     /** Aggregate hit rate over every attachment's lookups. */
     double hitRate() const;
@@ -328,7 +299,7 @@ class SharedRepository
     /** Kind-level keys, sorted. */
     std::vector<RepositoryKey> keys(ServiceKind kind) const;
 
-    /** Non-counting kind-level inspection (ignores isolation). */
+    /** Non-counting kind-level inspection. */
     std::optional<ResourceAllocation> peek(ServiceKind kind,
                                            const RepositoryKey &key) const;
 
@@ -346,7 +317,7 @@ class SharedRepository
      * type), filing those rows under @p legacyKind. fatal() on
      * malformed input and on duplicate (kind,class,bucket) rows.
      * Loaded entries have no writer: every attachment's hit on them
-     * counts as a cross hit.
+     * counts as a cross hit. @p mode selects nothing (see Mode).
      */
     static SharedRepository load(std::istream &in,
                                  Mode mode = Mode::Shared,
@@ -383,8 +354,8 @@ class SharedRepository
 
     /**
      * Per-attachment state. The counters are atomics (the handle hot
-     * path updates them without any lock); the reused-key set and the
-     * isolated view are colder and take the attachment's own mutex.
+     * path updates them without any lock); the colder reused-key set
+     * takes the attachment's own mutex.
      * Attachments are never destroyed (detach only marks them dead),
      * so references handed out by attachment() stay valid for the
      * repository's lifetime.
@@ -399,13 +370,11 @@ class SharedRepository
         std::atomic<std::uint64_t> misses{0};
         std::atomic<std::uint64_t> stores{0};
         std::atomic<std::uint64_t> crossHits{0};
-        std::atomic<std::uint64_t> wouldHaveHits{0};
         mutable Mutex mu;
         /** Keys ever served to this attachment from a peer's write
          *  (size() == reusedEntries()). */
         std::unordered_set<RepositoryKey, RepositoryKeyHash> reused
             GUARDED_BY(mu);
-        Table isolated GUARDED_BY(mu);  ///< WriteThroughIsolated only.
     };
 
     /** @name Handle back-ends (id-checked) @{ */
@@ -418,7 +387,7 @@ class SharedRepository
     void handleClear(int id);
     std::size_t handleEntries(int id) const;
     std::vector<RepositoryKey> handleKeys(int id) const;
-    Repository::Stats attachmentStats(int id) const;
+    RepositoryStats attachmentStats(int id) const;
     std::uint64_t attachmentReusedEntries(int id) const;
     /** @} */
 
@@ -439,7 +408,6 @@ class SharedRepository
     /** Kinds with entries, ascending, merged across shards. */
     std::vector<ServiceKind> collectKinds() const;
 
-    Mode _mode;
     /** The lock stripes; sized at construction, never resized (so
      *  shardOf needs no lock). unique_ptr keeps Shard's mutex and
      *  atomic pinned while the vector itself stays movable. */

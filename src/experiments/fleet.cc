@@ -7,30 +7,14 @@
 
 namespace dejavu {
 
-namespace {
-
-/** Legacy mode never batches or cancels — the options are normalized
- *  once so every later check is a plain field read. */
-ProfilingWorkOptions
-normalized(ProfilingWorkOptions options)
-{
-    if (options.mode == ProfilingWorkMode::Legacy) {
-        options.coalesceSignatures = false;
-        options.cancelOnReuse = false;
-    }
-    return options;
-}
-
-} // namespace
-
 DejaVuFleet::DejaVuFleet(
     Simulation &sim, SimTime profilingSlot,
     std::unique_ptr<ProfilingSlotScheduler> scheduler,
-    int profilingHosts, ProfilingWorkOptions workOptions)
+    int profilingHosts, bool sharedRepository)
     : Actor(sim, "dejavu-fleet"), _defaultSlot(profilingSlot),
-      _options(normalized(workOptions)),
+      _sharedRepository(sharedRepository),
       _workQueue(sim, std::move(scheduler), profilingHosts,
-                 _options.coalesceSignatures)
+                 sharedRepository)
 {
     DEJAVU_ASSERT(_defaultSlot > 0, "slot duration must be positive");
     // Slot policies see each waiting item's owner debt as of *now*,
@@ -57,13 +41,12 @@ DejaVuFleet::addService(const std::string &name, Service &service,
     _members.push_back({name, &service, &controller,
                         profilingSlot > 0 ? profilingSlot : _defaultSlot,
                         0.0, false});
-    // Work-queue mode: the controller's §3.6 tuner sequences become
-    // pool work instead of running inline off-pool.
-    if (_options.mode == ProfilingWorkMode::WorkQueue)
-        controller.setTuningDeferral(
-            [this, idx](int classId, int bucket, SimTime estimate) {
-                submitTunerWork(idx, classId, bucket, estimate);
-            });
+    // The controller's §3.6 tuner sequences become pool work instead
+    // of running inline off-pool.
+    controller.setTuningDeferral(
+        [this, idx](int classId, int bucket, SimTime estimate) {
+            submitTunerWork(idx, classId, bucket, estimate);
+        });
 }
 
 void
@@ -144,9 +127,9 @@ DejaVuFleet::requestAdaptation(const std::string &name,
     item.sloDebt = member.sloDebt;
     item.key.serviceKind = member.service->kind();
     // The reuse key is only worth computing when batching can use
-    // it: the class prediction is RNG-free (noise-free expected
-    // signature), so legacy runs stay byte-identical to PR 4.
-    if (_options.coalesceSignatures) {
+    // it (the class prediction is RNG-free: a noise-free expected
+    // signature).
+    if (_sharedRepository) {
         item.key.classId = member.controller->predictClass(workload);
         item.key.bucket = member.controller->interferenceBucket();
     }
@@ -241,7 +224,7 @@ DejaVuFleet::runTunerGrant(std::size_t memberIdx,
     // the occupancy reported to the pool is zero. A peer whose
     // experiments are still *running* does not count: its result is
     // stored at its slot end, so the probe here cannot see it.
-    if (_options.cancelOnReuse) {
+    if (_sharedRepository) {
         if (auto adopted = member.controller->adoptPeerTuning()) {
             ++_tunerAdopted;
             entry.peerServed = true;
@@ -274,7 +257,7 @@ DejaVuFleet::runTunerGrant(std::size_t memberIdx,
     // event after runPendingTuning(), so at slot end the store
     // fires first, then this sweep, then the queue's release
     // re-dispatches.
-    if (_options.cancelOnReuse && key.shareable())
+    if (_sharedRepository && key.shareable())
         at(saturatingAdd(grant.startedAt, occupancy), [this, key] {
             _workQueue.cancelWhere(
                 [key](const WorkItem &other) {

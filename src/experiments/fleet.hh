@@ -13,13 +13,10 @@
  * signature collection triggered by a workload change, or a §3.6
  * tuner experiment sequence a controller deferred — is a typed
  * WorkItem submitted to the ProfilingWorkQueue, and the slot
- * scheduler arbitrates the whole demand. ProfilingWorkOptions selects
- * the behavior A/B: Legacy routes only signature work through the
- * pool (tuner experiments run inline, off-pool — byte-identical to
- * the pre-work-queue fleet), WorkQueue makes tuner runs pool work and
- * may additionally coalesce same-class signature collections and
- * cancel queued tuner items a peer's repository write already
- * answered.
+ * scheduler arbitrates the whole demand. When the members share one
+ * repository the fleet also coalesces same-class signature
+ * collections and cancels queued tuner items a peer's repository
+ * write already answered.
  *
  * The fleet is an Actor on the shared simulation: profiling-slot
  * starts are ordinary tracked events, so a fleet interleaves with any
@@ -42,26 +39,6 @@
 #include "sim/actor.hh"
 
 namespace dejavu {
-
-/**
- * How a fleet routes profiling work through the §3.3 pool — the
- * `-legacy` / `-wq` experiment axis.
- */
-struct ProfilingWorkOptions
-{
-    ProfilingWorkMode mode = ProfilingWorkMode::Legacy;
-    /** WorkQueue mode only: batch same-(kind, class, bucket)
-     *  signature collections into one slot. Callers should enable
-     *  this only under repository sharing — fan-out across services
-     *  is sound exactly when class ids are compatible by
-     *  construction (same kind, same trace family). */
-    bool coalesceSignatures = false;
-    /** WorkQueue mode only: when a tuner run finishes, cancel queued
-     *  same-key tuner items and serve their owners from the
-     *  repository instead. Requires a shared repository to have any
-     *  effect. */
-    bool cancelOnReuse = false;
-};
 
 /**
  * A fleet of services managed by one DejaVu installation.
@@ -102,21 +79,25 @@ class DejaVuFleet : public Actor
         std::function<void(const CompletedAdaptation &)>;
 
     /** @p scheduler defaults to FIFO when null; @p profilingHosts is
-     *  the size M of the profiling host pool (>= 1); @p workOptions
-     *  selects the legacy vs work-queue routing (see
-     *  ProfilingWorkOptions). */
+     *  the size M of the profiling host pool (>= 1).
+     *  @p sharedRepository tells the fleet its members share one
+     *  repository, so peers can serve each other: it batches
+     *  same-(kind, class, bucket) signature collections into one slot
+     *  (sound because same-kind class ids are compatible by
+     *  construction) and, when a tuner run finishes, cancels queued
+     *  same-key tuner items and serves their owners from the
+     *  repository instead. */
     explicit DejaVuFleet(
         Simulation &sim, SimTime profilingSlot = seconds(10),
         std::unique_ptr<ProfilingSlotScheduler> scheduler = nullptr,
-        int profilingHosts = 1,
-        ProfilingWorkOptions workOptions = {});
+        int profilingHosts = 1, bool sharedRepository = false);
 
     /**
      * Register a service with its controller (must be learned before
      * the first adaptation request). @p profilingSlot is this member's
-     * host occupancy per adaptation; 0 means the fleet default. In
-     * WorkQueue mode this also installs the controller's tuning
-     * deferral, so its §3.6 tuner sequences queue for the pool.
+     * host occupancy per adaptation; 0 means the fleet default. This
+     * also installs the controller's tuning deferral, so its §3.6
+     * tuner sequences queue for the pool.
      */
     void addService(const std::string &name, Service &service,
                     DejaVuController &controller,
@@ -217,11 +198,6 @@ class DejaVuFleet : public Actor
     /** The underlying work queue (per-item-kind stats, states). */
     const ProfilingWorkQueue &workQueue() const { return _workQueue; }
 
-    /** The routing options this fleet runs under (normalized:
-     *  Legacy mode forces coalescing/cancellation off). */
-    const ProfilingWorkOptions &workOptions() const
-    { return _options; }
-
     /** Current SLO debt of a member (violating samples since its last
      *  granted slot). */
     double sloDebt(const std::string &name) const;
@@ -259,7 +235,7 @@ class DejaVuFleet : public Actor
                           WorkCancelReason reason);
 
     SimTime _defaultSlot;
-    ProfilingWorkOptions _options;
+    bool _sharedRepository;
     ProfilingWorkQueue _workQueue;
     std::vector<Member> _members;
     std::unordered_map<std::string, std::size_t> _memberIndex;

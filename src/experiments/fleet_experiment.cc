@@ -25,30 +25,14 @@ sameSlo(const Slo &a, const Slo &b)
 
 FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
                                  SlotPolicy policy, int profilingHosts,
-                                 RepositorySharing sharing,
-                                 ProfilingWorkMode workMode,
-                                 SamplingMode sampling)
+                                 RepositorySharing sharing)
     : _sim(sim),
       _fleet(sim, profilingSlot, makeSlotScheduler(policy),
-             profilingHosts,
-             // Coalescing and reuse-driven cancellation only make
-             // sense when peers can actually serve each other:
-             // same-kind class ids are compatible by construction
-             // under live sharing, and only a shared repository can
-             // answer a peer's queued tuner item.
-             ProfilingWorkOptions{
-                 workMode,
-                 workMode == ProfilingWorkMode::WorkQueue
-                     && sharing == RepositorySharing::Shared,
-                 workMode == ProfilingWorkMode::WorkQueue
-                     && sharing == RepositorySharing::Shared}),
-      _sharing(sharing), _sampling(sampling)
+             profilingHosts, sharing == RepositorySharing::Shared),
+      _sharing(sharing)
 {
-    if (_sharing != RepositorySharing::Private)
-        _sharedRepo = std::make_unique<SharedRepository>(
-            _sharing == RepositorySharing::Shared
-                ? SharedRepository::Mode::Shared
-                : SharedRepository::Mode::WriteThroughIsolated);
+    if (_sharing == RepositorySharing::Shared)
+        _sharedRepo = std::make_unique<SharedRepository>();
     // Charge every completed adaptation — including its host-pool
     // queueing delay (§3.3) — to the service that requested it. The
     // fleet's name-to-index map is authoritative (members register in
@@ -100,22 +84,18 @@ FleetExperiment::addService(const std::string &name, Service &service,
         // Entries carry no SLO, so two same-kind members with
         // different SLOs would silently serve each other allocations
         // tuned for the wrong objective — reject the composition
-        // loudly instead. Isolated mode is exempt: its decisions
-        // stay private (it exists precisely to *measure* whether
-        // sharing a questionable composition would have helped).
-        if (_sharing == RepositorySharing::Shared) {
-            const ServiceKind kind = service.kind();
-            const auto it = _kindSlo.find(kind);
-            if (it == _kindSlo.end())
-                _kindSlo.emplace(kind, config.slo);
-            else if (!sameSlo(it->second, config.slo))
-                fatal("fleet member '", name, "': repository sharing "
-                      "requires one SLO per service kind, but ",
-                      serviceKindName(kind), " is already registered "
-                      "with ", it->second.toString(), " and '", name,
-                      "' wants ", config.slo.toString(), "; align "
-                      "the SLOs or use private repositories");
-        }
+        // loudly instead.
+        const ServiceKind kind = service.kind();
+        const auto it = _kindSlo.find(kind);
+        if (it == _kindSlo.end())
+            _kindSlo.emplace(kind, config.slo);
+        else if (!sameSlo(it->second, config.slo))
+            fatal("fleet member '", name, "': repository sharing "
+                  "requires one SLO per service kind, but ",
+                  serviceKindName(kind), " is already registered "
+                  "with ", it->second.toString(), " and '", name,
+                  "' wants ", config.slo.toString(), "; align "
+                  "the SLOs or use private repositories");
         controller.attachRepository(*_sharedRepo, name);
     }
 
@@ -132,17 +112,14 @@ FleetExperiment::run()
     DEJAVU_ASSERT(!_ran, "fleet experiment already ran");
     _ran = true;
 
-    // Actors per member: driver + recorder (+ probe under PerProbe),
-    // plus the fleet-level sampler. Pre-size the registry once.
-    const bool batched = _sampling == SamplingMode::Batched;
-    _sim.reserveActors(_members.size() * (batched ? 2 : 3) + 1);
+    // Actors per member: driver + recorder, plus the fleet-level
+    // sampler. Pre-size the registry once.
+    _sim.reserveActors(_members.size() * 2 + 1);
     // All members' plot series land in one chunked arena (five
     // streams per member, claimed in registration order).
     _series.reserveStreams(_members.size() * 5);
-    if (batched) {
-        _sampler = std::make_unique<FleetSampler>(_sim);
-        _sampler->reserveServices(_members.size());
-    }
+    _sampler = std::make_unique<FleetSampler>(_sim);
+    _sampler->reserveServices(_members.size());
 
     SimTime horizon = 0;
     for (auto &memberPtr : _members) {
@@ -162,22 +139,12 @@ FleetExperiment::run()
                                 m.arrivalOffset},
             "trace:" + m.name);
         // The sample source registers its chain listener on the
-        // driver *first* (before the adaptation and recorder
-        // listeners below), matching the legacy construction order so
-        // both sampling modes fire identical event sequences.
-        if (batched) {
-            m.feed = &_sampler->registerService(
-                service, *m.driver,
-                MonitorProbe::Config{m.config.monitorPeriod,
-                                     m.config.postChangeProbe});
-        } else {
-            m.probe = std::make_unique<MonitorProbe>(
-                _sim, service, *m.driver,
-                MonitorProbe::Config{m.config.monitorPeriod,
-                                     m.config.postChangeProbe},
-                "probe:" + m.name);
-            m.feed = m.probe.get();
-        }
+        // driver *first*, before the adaptation and recorder
+        // listeners below.
+        m.feed = &_sampler->registerService(
+            service, *m.driver,
+            MonitorProbe::Config{m.config.monitorPeriod,
+                                 m.config.postChangeProbe});
 
         // Reuse-window workload changes route through the profiling
         // host pool rather than straight to the controller.
@@ -248,7 +215,6 @@ FleetExperiment::summary() const
     FleetSummary s;
     s.policy = _fleet.scheduler().name();
     s.sharing = repositorySharingName(_sharing);
-    s.workMode = profilingWorkModeName(_fleet.workOptions().mode);
     s.services = services();
     s.hosts = _fleet.profilingHosts();
     const ProfilingWorkQueue::Stats &work = _fleet.workQueue().stats();
@@ -272,7 +238,6 @@ FleetExperiment::summary() const
         s.repoHits += handle.stats().hits;
         s.repoCrossHits += handle.crossHits();
         s.repoReusedEntries += handle.reusedEntries();
-        s.repoWouldHaveHits += handle.wouldHaveHit();
     }
     if (s.repoLookups > 0)
         s.repoHitRate =

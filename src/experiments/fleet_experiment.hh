@@ -16,8 +16,8 @@
  * pool sizes (the hosts-vs-p95 knee).
  *
  * The experiment also owns the repository-sharing axis: under
- * RepositorySharing::Shared (or ::Isolated) it holds one
- * SharedRepository and attaches every registered controller, so the
+ * RepositorySharing::Shared it holds one SharedRepository and
+ * attaches every registered controller, so the
  * fleet-wide hit rate, cross-service hits (tuner runs avoided) and
  * the shared-vs-private comparison come out of the same summary().
  */
@@ -55,13 +55,11 @@ class FleetExperiment
     };
 
     /** Fleet-wide adaptation-time tails under one slot policy,
-     *  host-pool size, repository-sharing mode and profiling work
-     *  mode. */
+     *  host-pool size and repository-sharing mode. */
     struct FleetSummary
     {
         std::string policy;             ///< Slot scheduler name.
         std::string sharing;            ///< Repository-sharing mode.
-        std::string workMode;           ///< "legacy" | "wq".
         int services = 0;               ///< Fleet size N.
         int hosts = 0;                  ///< Profiling-pool size M.
         std::uint64_t adaptations = 0;  ///< Completed fleet-wide.
@@ -92,8 +90,6 @@ class FleetExperiment
          *  off the §3.3 host pool (each member's own profiler
          *  sandbox), so sharing cuts tuning work, not slot demand. */
         std::uint64_t repoReusedEntries = 0;
-        /** Isolated mode only: misses sharing would have served. */
-        std::uint64_t repoWouldHaveHits = 0;
         double repoHitRate = 0.0;
         /** @} */
         /** @name Host-loss fault injection @{ */
@@ -118,27 +114,17 @@ class FleetExperiment
 
     /** @p policy selects how waiting adaptation requests are granted
      *  profiling hosts; @p profilingHosts is the pool size M;
-     *  @p sharing composes member repositories (Shared/Isolated make
-     *  the experiment own one SharedRepository that every controller
-     *  registered through addService() is attached to); @p workMode
-     *  selects the profiling routing — Legacy reproduces the
-     *  pre-work-queue fleet byte-for-byte, WorkQueue makes tuner
-     *  experiments pool work and (under Shared) coalesces same-class
-     *  signature collections and cancels reuse-answered tuner
-     *  items; @p sampling selects the monitor sampling engine —
-     *  Batched (default) drains all due members from one fleet-level
-     *  sampler event per instant, PerProbe keeps the legacy
-     *  one-MonitorProbe-per-service actors (byte-identical digests
-     *  either way). */
+     *  @p sharing composes member repositories (Shared makes the
+     *  experiment own one SharedRepository that every controller
+     *  registered through addService() is attached to, and lets the
+     *  fleet coalesce same-class signature collections and cancel
+     *  reuse-answered tuner items). */
     FleetExperiment(Simulation &sim,
                     SimTime profilingSlot = seconds(10),
                     SlotPolicy policy = SlotPolicy::Fifo,
                     int profilingHosts = 1,
                     RepositorySharing sharing =
-                        RepositorySharing::Private,
-                    ProfilingWorkMode workMode =
-                        ProfilingWorkMode::Legacy,
-                    SamplingMode sampling = SamplingMode::Batched);
+                        RepositorySharing::Private);
 
     /**
      * Register a hosted service. The controller must have completed
@@ -180,14 +166,7 @@ class FleetExperiment
     /** The repository-sharing mode this fleet runs under. */
     RepositorySharing sharing() const { return _sharing; }
 
-    /** The profiling work mode this fleet runs under. */
-    ProfilingWorkMode workMode() const
-    { return _fleet.workOptions().mode; }
-
-    /** The monitor sampling engine this fleet runs under. */
-    SamplingMode samplingMode() const { return _sampling; }
-
-    /** The batched sampler; null before run() or in PerProbe mode. */
+    /** The fleet-level monitor sampler; null before run(). */
     const FleetSampler *sampler() const { return _sampler.get(); }
 
     /** The fleet-shared repository; null in Private mode. */
@@ -206,9 +185,7 @@ class FleetExperiment
         ProvisioningExperiment::Config config;
         SimTime arrivalOffset = 0;  ///< Jittered trace-hour offset.
         std::unique_ptr<TraceDriver> driver;
-        std::unique_ptr<MonitorProbe> probe;  ///< PerProbe mode only.
-        /** This member's sample source: the probe (PerProbe) or its
-         *  fleet-sampler feed (Batched); set during run(). */
+        /** This member's fleet-sampler feed; set during run(). */
         SampleFeed *feed = nullptr;
         std::unique_ptr<MetricsRecorder> recorder;
         RunningStats adaptationSec;
@@ -220,12 +197,11 @@ class FleetExperiment
     Simulation &_sim;
     DejaVuFleet _fleet;
     RepositorySharing _sharing;
-    SamplingMode _sampling;
     /** Shared backing store for every member recorder's plot series
      *  (five streams per member, in registration order). */
     SeriesArena _series;
-    std::unique_ptr<FleetSampler> _sampler;  ///< Batched mode only.
-    /** Owned when sharing != Private; every controller registered
+    std::unique_ptr<FleetSampler> _sampler;
+    /** Owned under Shared sharing; every controller registered
      *  through addService() is attached to it. Callers must keep the
      *  experiment alive as long as those controllers' handles are
      *  used (FleetStack does). */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <sstream>
 #include <thread>
 
@@ -80,8 +81,8 @@ makeFleetScenario(const std::string &scenario, std::uint64_t seed,
                   SlotPolicy policy, int days)
 {
     const char *kShape =
-        "'fleet-<mix>-<N>[-h<M>][-<sharing>][-<workmode>]"
-        "[-<sampling>][-jit][+interference][+daemons][+hostloss]' "
+        "'fleet-<mix>-<N>[-h<M>][-private|-shared][-jit]"
+        "[+interference][+daemons][+hostloss]' "
         "with <mix> one of cassandra|mixed|ycsb";
     const std::string prefix = "fleet-";
     if (scenario.compare(0, prefix.size(), prefix) != 0)
@@ -130,33 +131,10 @@ makeFleetScenario(const std::string &scenario, std::uint64_t seed,
     // across kDefaultJitterSpread (see FleetBuilder::arrivalJitter).
     const bool jittered = stripSuffix("-jit");
 
-    // Optional trailing "-probes" / "-batched" selects the monitor
-    // sampling engine (default batched — the fleet-level sampler;
-    // "-probes" restores the legacy per-service MonitorProbe actors,
-    // byte-identical digests either way).
-    SamplingMode sampling = SamplingMode::Batched;
-    for (const char *name : {"probes", "batched"}) {
-        if (stripSuffix(std::string("-") + name)) {
-            sampling = samplingModeFromName(name);
-            break;
-        }
-    }
-
-    // Optional trailing "-wq" / "-legacy" selects the profiling work
-    // routing (default legacy — the pre-work-queue behavior).
-    ProfilingWorkMode workMode = ProfilingWorkMode::Legacy;
-    for (const char *name : {"wq", "legacy"}) {
-        if (stripSuffix(std::string("-") + name)) {
-            workMode = profilingWorkModeFromName(name);
-            break;
-        }
-    }
-
-    // Optional trailing "-shared" / "-private" / "-isolated" selects
-    // the repository composition (default private — today's
-    // per-controller repositories).
+    // Optional trailing "-shared" / "-private" selects the repository
+    // composition (default private — per-controller repositories).
     RepositorySharing sharing = RepositorySharing::Private;
-    for (const char *name : {"shared", "private", "isolated"}) {
+    for (const char *name : {"shared", "private"}) {
         if (stripSuffix(std::string("-") + name)) {
             sharing = repositorySharingFromName(name);
             break;
@@ -196,6 +174,12 @@ makeFleetScenario(const std::string &scenario, std::uint64_t seed,
     if (dash == std::string::npos || dash + 1 >= rest.size())
         fatal("fleet scenario name must be ", kShape, ", got: ",
               scenario);
+    // Every known '-' suffix is stripped by now, so the last token is
+    // the fleet size; a word there is an unknown (or retired) suffix.
+    // Fail with the full grammar rather than "bad fleet size".
+    if (!std::isdigit(static_cast<unsigned char>(rest[dash + 1])))
+        fatal("unknown '-", rest.substr(dash + 1), "' suffix in fleet "
+              "scenario name: ", scenario, "; the shape is ", kShape);
     const std::string mix = rest.substr(0, dash);
     const int services =
         parseCount(rest.substr(dash + 1), "fleet size");
@@ -212,14 +196,13 @@ makeFleetScenario(const std::string &scenario, std::uint64_t seed,
 
     if (mix == "cassandra")
         return makeCassandraFleet(services, options, seconds(10),
-                                  policy, hosts, sharing, workMode,
-                                  jitter, sampling);
+                                  policy, hosts, sharing, jitter);
     if (mix == "mixed")
         return makeMixedFleet(services, options, policy, hosts,
-                              sharing, workMode, jitter, sampling);
+                              sharing, jitter);
     if (mix == "ycsb")
         return makeYcsbFleet(services, options, policy, hosts,
-                             sharing, workMode, jitter, sampling);
+                             sharing, jitter);
     fatal("unknown fleet mix: ", mix,
           " (use cassandra|mixed|ycsb; the scenario shape is ",
           kShape, ")");
@@ -253,8 +236,9 @@ fleetSweepCsv(const std::vector<FleetCellResult> &results)
            << s.hosts << ',' << s.sharing << ','
            << s.adaptations << ',' << s.repoLookups << ','
            << Table::num(100.0 * s.repoHitRate, 3) << ','
-           << s.repoCrossHits << ',' << s.repoReusedEntries << ','
-           << s.repoWouldHaveHits << ','
+           // repo_would_hit (always 0) and work_mode (always wq)
+           // keep the column layout committed digests pin.
+           << s.repoCrossHits << ',' << s.repoReusedEntries << ",0,"
            << Table::num(s.queueDelayP50Sec, 3) << ','
            << Table::num(s.queueDelayP95Sec, 3) << ','
            << Table::num(s.queueDelayP999Sec, 3) << ','
@@ -263,7 +247,7 @@ fleetSweepCsv(const std::vector<FleetCellResult> &results)
            << Table::num(s.adaptationP95Sec, 3) << ','
            << Table::num(s.adaptationP999Sec, 3) << ','
            << Table::num(s.adaptationMaxSec, 3) << ','
-           << s.workMode << ',' << s.signatureSlots << ','
+           << "wq," << s.signatureSlots << ','
            << s.tunerSlots << ',' << s.coalescedSignatures << ','
            << s.tunerCancelled << ',' << s.tunerAdopted << '\n';
     }

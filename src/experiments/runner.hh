@@ -154,25 +154,24 @@ constexpr SimTime kDefaultJitterSpread = minutes(45);
 
 /**
  * One fleet sweep cell: scenario
- * "fleet-<mix>-<N>[-h<M>][-<sharing>][-<workmode>][-jit]
+ * "fleet-<mix>-<N>[-h<M>][-private|-shared][-jit]
  * [+interference][+daemons][+hostloss]" where <mix> is "cassandra"
  * (homogeneous key-value stores), "mixed" (KeyValue + SPECweb +
  * RUBiS round-robin) or "ycsb" (key-value stores cycling the four
  * core YCSB workloads A/B/C/D), <N> is the service count, the
  * optional "-h<M>" suffix sizes the profiling host pool (default 1),
- * the optional "-shared" / "-private" / "-isolated" selects the
- * repository composition (default private), the optional "-wq" /
- * "-legacy" selects the profiling work routing (default legacy;
- * "-wq" makes tuner experiments pool work and — under "-shared" —
- * coalesces same-class signature collections and cancels
- * reuse-answered tuner items), the optional "-jit" de-synchronizes
- * change arrival by kDefaultJitterSpread, and the trailing "+"
- * suffixes (any order) switch on fault/pressure schedules:
- * "+interference" injects §4.3 co-located tenant pressure into every
- * member, "+daemons" runs a BASK-style background dedup/scan daemon
- * on every member's cluster, "+hostloss" arms the deterministic
- * profiling-host kill/restore schedule (e.g.
- * "fleet-ycsb-100+daemons+hostloss"); an unrecognized suffix is
+ * the optional "-shared" / "-private" selects the repository
+ * composition (default private; "-shared" also coalesces same-class
+ * signature collections and cancels reuse-answered tuner items), the
+ * optional "-jit" de-synchronizes change arrival by
+ * kDefaultJitterSpread, and the trailing "+" suffixes (any order)
+ * switch on fault/pressure schedules: "+interference" injects §4.3
+ * co-located tenant pressure into every member, "+daemons" runs a
+ * BASK-style background dedup/scan daemon on every member's cluster,
+ * "+hostloss" arms the deterministic profiling-host kill/restore
+ * schedule (e.g. "fleet-ycsb-100+daemons+hostloss"). Every fleet
+ * routes signature collections and §3.6 tuner experiments through
+ * the profiling work queue. An unrecognized '-' or '+' suffix is
  * fatal with the full grammar. The cell's policy names the §3.3
  * slot scheduler ("fifo" | "sjf" | "slo-debt" | "adaptive").
  * Runs 2 trace days (1 learning + 1 reuse) so 100-service cells stay
@@ -188,7 +187,9 @@ std::unique_ptr<FleetStack> makeFleetScenario(
     SlotPolicy policy, int days = 2);
 
 /** Render fleet-cell summaries as CSV — a byte-comparable digest of
- *  a fleet sweep at any thread count. */
+ *  a fleet sweep at any thread count. The repo_would_hit (always 0)
+ *  and work_mode (always "wq") columns are kept so digests stay
+ *  comparable with older sweeps. */
 std::string fleetSweepCsv(const std::vector<FleetCellResult> &results);
 
 /** Autopilot's hour-of-day schedule, tuned on day-1 workloads —

@@ -5,28 +5,6 @@
 
 namespace dejavu {
 
-const char *
-samplingModeName(SamplingMode mode)
-{
-    switch (mode) {
-      case SamplingMode::Batched:
-        return "batched";
-      case SamplingMode::PerProbe:
-        return "probes";
-    }
-    fatal("unreachable sampling mode");
-}
-
-SamplingMode
-samplingModeFromName(const std::string &name)
-{
-    if (name == "batched")
-        return SamplingMode::Batched;
-    if (name == "probes")
-        return SamplingMode::PerProbe;
-    fatal("unknown sampling mode: ", name, " (use batched|probes)");
-}
-
 FleetSampler::FleetSampler(Simulation &sim, std::string name)
     : Actor(sim, std::move(name))
 {
@@ -133,7 +111,7 @@ FleetSampler::fireDue()
     std::vector<std::uint32_t> due = std::move(it->second);
     _buckets.erase(it);
 
-    // Drain in append order == legacy insertion-sequence order. The
+    // Drain in append order == per-probe insertion order. The
     // _draining guard batches the re-arms' event maintenance into one
     // armNext() after the loop (listeners never append to *this*
     // instant: chain starts come from Driver-band events, which fire

@@ -13,20 +13,20 @@
  *
  * Equivalence with the per-probe path is exact, not approximate:
  *  - bucket appends happen inside the same triggering events (driver
- *    changes, previous ticks) that would have scheduled the legacy
- *    one-shot, so append order equals legacy insertion-sequence order
- *    and draining in append order reproduces the legacy intra-instant
+ *    changes, previous ticks) that would have scheduled the per-probe
+ *    one-shot, so append order equals per-probe insertion order and
+ *    draining in append order reproduces the per-probe intra-instant
  *    firing order;
  *  - the drain event is Probe band, so cross-band ordering at an
  *    instant (Normal deployments first, samples next, Driver changes
  *    last) is unchanged — including the zero post-change-probe case,
  *    where a chain start scheduled from a Driver event at instant T
  *    fires its sample at T before the remaining same-instant Driver
- *    events, exactly as the legacy `after(0, ...)` did;
+ *    events, exactly as MonitorProbe's `after(0, ...)` does;
  *  - per-member chain state (chainEnd, hour, jittered start offsets)
  *    carries over verbatim.
- * The fleet digests are therefore byte-identical across the two modes
- * (tested at 100 services and 1/4/8 runner threads).
+ * A fleet therefore samples exactly as one MonitorProbe per service
+ * would (test_fleet_sampler checks it against MonitorProbe directly).
  */
 
 #ifndef DEJAVU_EXPERIMENTS_SAMPLER_HH
@@ -41,16 +41,6 @@
 #include "experiments/actors.hh"
 
 namespace dejavu {
-
-/** How a fleet samples its members' production metrics. */
-enum class SamplingMode : std::uint8_t
-{
-    Batched = 0,   ///< One fleet-level sampler event per due instant.
-    PerProbe = 1,  ///< Legacy: one MonitorProbe actor per service.
-};
-
-const char *samplingModeName(SamplingMode mode);
-SamplingMode samplingModeFromName(const std::string &name);
 
 /**
  * One sampling engine for a whole fleet: members register once and
@@ -136,7 +126,7 @@ class FleetSampler : public Actor
     std::vector<MemberState> _state;
     std::vector<std::vector<SampleFeed::SampleListener>> _listeners;
     std::deque<MemberFeed> _feeds;  ///< Stable addresses for callers.
-    /** Due instant -> member indices in legacy insertion order. */
+    /** Due instant -> member indices in per-probe insertion order. */
     std::map<SimTime, std::vector<std::uint32_t>> _buckets;
     std::vector<std::vector<std::uint32_t>> _bucketPool;
     EventId _event = kInvalidEvent;

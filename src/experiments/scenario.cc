@@ -316,20 +316,6 @@ FleetBuilder::shareRepository(RepositorySharing sharing)
 }
 
 FleetBuilder &
-FleetBuilder::profilingWorkMode(ProfilingWorkMode mode)
-{
-    _workMode = mode;
-    return *this;
-}
-
-FleetBuilder &
-FleetBuilder::samplingMode(SamplingMode mode)
-{
-    _sampling = mode;
-    return *this;
-}
-
-FleetBuilder &
 FleetBuilder::recordSeries(bool record)
 {
     _recordSeries = record;
@@ -374,8 +360,6 @@ FleetBuilder::build() const
     // canonical centroid ordering, which only holds when the members
     // learn comparable workload distributions (per-member noise via
     // seed offsets is fine; messenger-vs-hotmail shapes are not).
-    // Isolated mode is exempt — it measures, rather than assumes,
-    // that sharing a composition would help.
     if (_sharing == RepositorySharing::Shared) {
         std::map<ServiceKind, std::pair<std::string, std::size_t>>
             kindTrace;  // kind -> (trace family, first member index)
@@ -393,7 +377,7 @@ FleetBuilder::build() const
                       " member #", it->second.second, " uses '",
                       it->second.first, "' and member #", i,
                       " uses '", trace, "'; align the traces or use "
-                      "private/isolated repositories");
+                      "private repositories");
         }
     }
     auto stack = std::make_unique<FleetStack>();
@@ -401,7 +385,7 @@ FleetBuilder::build() const
     Simulation &sim = *stack->sim;
     stack->experiment = std::make_unique<FleetExperiment>(
         sim, _defaultSlot > 0 ? _defaultSlot : seconds(10), _policy,
-        _profilingHosts, _sharing, _workMode, _sampling);
+        _profilingHosts, _sharing);
 
     // Pre-size everything that scales with N before the member loop:
     // the stack's member table, the event kernel (drivers + sampler
@@ -573,8 +557,7 @@ std::unique_ptr<FleetStack>
 makeCassandraFleet(int services, const ScenarioOptions &options,
                    SimTime profilingSlot, SlotPolicy policy,
                    int profilingHosts, RepositorySharing sharing,
-                   ProfilingWorkMode workMode,
-                   SimTime arrivalJitterSpread, SamplingMode sampling)
+                   SimTime arrivalJitterSpread)
 {
     DEJAVU_ASSERT(services >= 1, "fleet needs at least one service");
     FleetBuilder builder(options);
@@ -582,8 +565,6 @@ makeCassandraFleet(int services, const ScenarioOptions &options,
         .slotPolicy(policy)
         .profilingHosts(profilingHosts)
         .shareRepository(sharing)
-        .profilingWorkMode(workMode)
-        .samplingMode(sampling)
         .add(ServiceKind::KeyValue, services);
     if (arrivalJitterSpread > 0)
         builder.arrivalJitter(options.seed, arrivalJitterSpread);
@@ -593,8 +574,7 @@ makeCassandraFleet(int services, const ScenarioOptions &options,
 std::unique_ptr<FleetStack>
 makeMixedFleet(int services, const ScenarioOptions &options,
                SlotPolicy policy, int profilingHosts,
-               RepositorySharing sharing, ProfilingWorkMode workMode,
-               SimTime arrivalJitterSpread, SamplingMode sampling)
+               RepositorySharing sharing, SimTime arrivalJitterSpread)
 {
     DEJAVU_ASSERT(services >= 1, "fleet needs at least one service");
     static constexpr ServiceKind kCycle[] = {
@@ -604,8 +584,6 @@ makeMixedFleet(int services, const ScenarioOptions &options,
     builder.slotPolicy(policy);
     builder.profilingHosts(profilingHosts);
     builder.shareRepository(sharing);
-    builder.profilingWorkMode(workMode);
-    builder.samplingMode(sampling);
     if (arrivalJitterSpread > 0)
         builder.arrivalJitter(options.seed, arrivalJitterSpread);
     for (int i = 0; i < services; ++i)
@@ -616,8 +594,7 @@ makeMixedFleet(int services, const ScenarioOptions &options,
 std::unique_ptr<FleetStack>
 makeYcsbFleet(int services, const ScenarioOptions &options,
               SlotPolicy policy, int profilingHosts,
-              RepositorySharing sharing, ProfilingWorkMode workMode,
-              SimTime arrivalJitterSpread, SamplingMode sampling)
+              RepositorySharing sharing, SimTime arrivalJitterSpread)
 {
     DEJAVU_ASSERT(services >= 1, "fleet needs at least one service");
     // The four core YCSB workloads, cycled in catalog order: A
@@ -628,8 +605,6 @@ makeYcsbFleet(int services, const ScenarioOptions &options,
     builder.slotPolicy(policy);
     builder.profilingHosts(profilingHosts);
     builder.shareRepository(sharing);
-    builder.profilingWorkMode(workMode);
-    builder.samplingMode(sampling);
     if (arrivalJitterSpread > 0)
         builder.arrivalJitter(options.seed, arrivalJitterSpread);
     for (int i = 0; i < services; ++i) {

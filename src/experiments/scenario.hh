@@ -211,17 +211,9 @@ class FleetBuilder
      *  single dedicated machine). */
     FleetBuilder &profilingHosts(int hosts);
 
-    /** Profiling work routing (default Legacy — the pre-work-queue
-     *  behavior, byte-identical to PR 4). WorkQueue models tuner
-     *  experiments as §3.3 pool work and, combined with
-     *  shareRepository(Shared), coalesces same-class signature
-     *  collections and cancels reuse-answered queued tuner items. */
-    FleetBuilder &profilingWorkMode(ProfilingWorkMode mode);
-
-    /** Monitor sampling engine (default Batched — one fleet-level
-     *  sampler event per due instant; PerProbe restores the legacy
-     *  one-probe-actor-per-service path, byte-identical digests). */
-    FleetBuilder &samplingMode(SamplingMode mode);
+    /** Selects nothing: tuner experiments are always §3.3 pool work
+     *  (see ProfilingWorkMode). */
+    FleetBuilder &profilingWorkMode(ProfilingWorkMode) { return *this; }
 
     /** Keep per-tick plot series (default true). Huge-fleet sweeps
      *  turn this off so peak RSS stops scaling with tick count; the
@@ -244,12 +236,11 @@ class FleetBuilder
      * members to one fleet-wide SharedRepository with per-kind
      * namespaces — a mixed KeyValue+SPECweb+RUBiS fleet gets one
      * shared table per kind, so allocations tuned by one member are
-     * reused by every compatible peer; Isolated keeps private
-     * behavior but counts what sharing would have served (the A/B
-     * instrument). Live sharing requires same-kind members to agree
-     * on SLO and trace family (build()/addService() are fatal
-     * otherwise); Isolated accepts any composition — that is what
-     * it measures.
+     * reused by every compatible peer, same-class signature
+     * collections coalesce into one slot and reuse-answered queued
+     * tuner items are cancelled. Sharing requires same-kind members
+     * to agree on SLO and trace family (build()/addService() are
+     * fatal otherwise).
      */
     FleetBuilder &shareRepository(RepositorySharing sharing);
 
@@ -271,8 +262,6 @@ class FleetBuilder
     SimTime _defaultSlot = 0;
     int _profilingHosts = 1;
     RepositorySharing _sharing = RepositorySharing::Private;
-    ProfilingWorkMode _workMode = ProfilingWorkMode::Legacy;
-    SamplingMode _sampling = SamplingMode::Batched;
     bool _recordSeries = true;
     std::uint64_t _jitterSeed = 0;
     SimTime _jitterSpread = 0;
@@ -289,9 +278,7 @@ std::unique_ptr<FleetStack> makeCassandraFleet(
     SlotPolicy policy = SlotPolicy::Fifo,
     int profilingHosts = 1,
     RepositorySharing sharing = RepositorySharing::Private,
-    ProfilingWorkMode workMode = ProfilingWorkMode::Legacy,
-    SimTime arrivalJitterSpread = 0,
-    SamplingMode sampling = SamplingMode::Batched);
+    SimTime arrivalJitterSpread = 0);
 
 /**
  * Mixed fleet: @p services members cycling through KeyValue, SPECweb
@@ -304,9 +291,7 @@ std::unique_ptr<FleetStack> makeMixedFleet(
     SlotPolicy policy = SlotPolicy::Fifo,
     int profilingHosts = 1,
     RepositorySharing sharing = RepositorySharing::Private,
-    ProfilingWorkMode workMode = ProfilingWorkMode::Legacy,
-    SimTime arrivalJitterSpread = 0,
-    SamplingMode sampling = SamplingMode::Batched);
+    SimTime arrivalJitterSpread = 0);
 
 /**
  * YCSB-style fleet: @p services key-value stores cycling through the
@@ -321,9 +306,7 @@ std::unique_ptr<FleetStack> makeYcsbFleet(
     SlotPolicy policy = SlotPolicy::Fifo,
     int profilingHosts = 1,
     RepositorySharing sharing = RepositorySharing::Private,
-    ProfilingWorkMode workMode = ProfilingWorkMode::Legacy,
-    SimTime arrivalJitterSpread = 0,
-    SamplingMode sampling = SamplingMode::Batched);
+    SimTime arrivalJitterSpread = 0);
 
 } // namespace dejavu
 

@@ -53,26 +53,4 @@ workCancelReasonName(WorkCancelReason reason)
     fatal("unknown cancel reason");
 }
 
-const char *
-profilingWorkModeName(ProfilingWorkMode mode)
-{
-    switch (mode) {
-      case ProfilingWorkMode::Legacy:
-        return "legacy";
-      case ProfilingWorkMode::WorkQueue:
-        return "wq";
-    }
-    fatal("unknown profiling work mode");
-}
-
-ProfilingWorkMode
-profilingWorkModeFromName(const std::string &name)
-{
-    if (name == "legacy")
-        return ProfilingWorkMode::Legacy;
-    if (name == "wq")
-        return ProfilingWorkMode::WorkQueue;
-    fatal("unknown profiling work mode: ", name, " (use legacy|wq)");
-}
-
 } // namespace dejavu

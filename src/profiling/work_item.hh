@@ -127,27 +127,14 @@ enum class WorkCancelReason
 const char *workCancelReasonName(WorkCancelReason reason);
 
 /**
- * How a fleet routes its profiling work — the A/B axis of this PR's
- * experiments (`-legacy` vs `-wq` scenario suffixes).
+ * Selects nothing: every fleet routes signature collections and §3.6
+ * tuner experiments through the profiling work queue. Kept for
+ * FleetBuilder::profilingWorkMode() callers written against it.
  */
 enum class ProfilingWorkMode
 {
-    /** PR 4 behavior: signature collections queue for the pool,
-     *  tuner experiments run off-pool on each member's own profiler
-     *  sandbox, nothing coalesces. */
-    Legacy,
-    /** Tuner experiments are pool work too, same-key signature
-     *  collections may coalesce, and repository reuse may cancel
-     *  queued tuner items. */
     WorkQueue,
 };
-
-/** Stable name ("legacy" | "wq") for scenario names and digests. */
-const char *profilingWorkModeName(ProfilingWorkMode mode);
-
-/** Parse a name produced by profilingWorkModeName(); fatal()
- *  otherwise. */
-ProfilingWorkMode profilingWorkModeFromName(const std::string &name);
 
 } // namespace dejavu
 

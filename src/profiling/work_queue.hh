@@ -29,9 +29,7 @@
  *  - Dynamic occupancy: a Tuner item's true duration is only known
  *    after its linear search stops, so its run callback returns the
  *    actual occupancy and the host is released then. Signature items
- *    keep the legacy fixed-duration release (scheduled at grant time,
- *    preserving the exact event order of the pre-work-queue fleet —
- *    legacy-mode runs are byte-identical to PR 4).
+ *    keep a fixed-duration release, scheduled at grant time.
  */
 
 #ifndef DEJAVU_PROFILING_WORK_QUEUE_HH

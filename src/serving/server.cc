@@ -180,21 +180,24 @@ void
 ServingServer::handleBye(const WireFrame &request)
 {
     const std::optional<ByeMsg> msg = decodeBye(request);
-    Session *session = msg ? sessionFor(msg->sessionId) : nullptr;
-    if (!session) {
+    if (!msg || !closeSession(msg->sessionId))
         _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
+}
+
+bool
+ServingServer::closeSession(std::uint32_t id)
+{
+    Session *session = sessionFor(id);
     // Flip live exactly once even if a confused client sends two
-    // Byes — the admission slot must be released exactly once.
+    // Byes, or a Bye races its connection's end — the admission slot
+    // must be released exactly once.
     bool expected = true;
-    if (session->live.compare_exchange_strong(expected, false)) {
-        _gate.release();
-        _metrics.sessionsClosed.fetch_add(1,
-                                          std::memory_order_relaxed);
-    } else {
-        _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (!session || !session->live.compare_exchange_strong(expected,
+                                                           false))
+        return false;
+    _gate.release();
+    _metrics.sessionsClosed.fetch_add(1, std::memory_order_relaxed);
+    return true;
 }
 
 // Returns a pointer past _smu: deque elements never relocate and

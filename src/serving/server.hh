@@ -105,6 +105,15 @@ class ServingServer
     bool serve(const WireFrame &request, std::uint64_t arrivalNanos,
                WireFrame &reply);
 
+    /**
+     * Close session @p id and release its admission slot, exactly
+     * once: false (and nothing counted) when the id is unknown or the
+     * session is already closed. Bye frames end here; so do the
+     * sessions a transport's connection still holds when it drops
+     * without sending Bye.
+     */
+    bool closeSession(std::uint32_t id);
+
     SharedRepository &repository() { return _repo; }
     const Config &config() const { return _config; }
     Metrics &metrics() { return _metrics; }

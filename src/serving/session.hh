@@ -3,8 +3,8 @@
  * One dejavud session: the per-client state the serving hot path
  * reads and the answerSample() kernel that drives it.
  *
- * A session is created by a Hello and lives until Bye (or daemon
- * shutdown). Concurrency contract: a session is driven by exactly
+ * A session is created by a Hello and lives until Bye, the end of the
+ * socket connection that opened it, or daemon shutdown. Concurrency contract: a session is driven by exactly
  * one connection at a time — the transports guarantee it (the bus
  * hands one Connection per client; the socket front-end runs one
  * thread per fd) — so the mutable fields below are *externally
@@ -51,7 +51,8 @@ struct Session
     ResourceAllocation fallback;
     /** @} */
 
-    /** Cleared by Bye; a dead session answers nothing. */
+    /** Cleared once by ServingServer::closeSession(); a dead session
+     *  answers nothing. */
     std::atomic<bool> live{true};
 
     /** @name Externally synchronized (single driving connection) @{ */

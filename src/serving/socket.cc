@@ -1,5 +1,6 @@
 #include "serving/socket.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -120,6 +121,9 @@ SocketServer::serveConnection(int fd)
     FrameReader reader;
     std::uint8_t buffer[4096];
     std::vector<std::uint8_t> outBytes;
+    // Sessions this connection opened and has not said Bye for; the
+    // connection releases them when it ends, however it ends.
+    std::vector<std::uint32_t> sessions;
     for (;;) {
         const ssize_t n = ::read(fd, buffer, sizeof buffer);
         if (n <= 0)
@@ -134,10 +138,23 @@ SocketServer::serveConnection(int fd)
         }
         bool ok = true;
         while (std::optional<WireFrame> frame = reader.next()) {
+            if (frameType(*frame) == MsgType::Bye) {
+                if (const std::optional<ByeMsg> bye = decodeBye(*frame))
+                    sessions.erase(std::remove(sessions.begin(),
+                                               sessions.end(),
+                                               bye->sessionId),
+                                   sessions.end());
+            }
             const std::optional<WireFrame> reply =
                 _core.serve(*frame, monotonicNanos());
             if (!reply)
                 continue;
+            if (frameType(*reply) == MsgType::HelloAck) {
+                const std::optional<HelloAckMsg> ack =
+                    decodeHelloAck(*reply);
+                if (ack && ack->accepted())
+                    sessions.push_back(ack->sessionId);
+            }
             outBytes.clear();
             appendFramed(outBytes, *reply);
             if (!writeAll(fd, outBytes.data(), outBytes.size())) {
@@ -148,6 +165,16 @@ SocketServer::serveConnection(int fd)
         if (!ok)
             break;
     }
+    for (const std::uint32_t id : sessions)
+        _core.closeSession(id);
+    // Forget the fd before closing it: once closed, its number can be
+    // reused by an unrelated descriptor that stop() must not shut down.
+    {
+        MutexLock lock(_mu);
+        _clientFds.erase(
+            std::remove(_clientFds.begin(), _clientFds.end(), fd),
+            _clientFds.end());
+    }
     ::close(fd);
 }
 
@@ -156,15 +183,16 @@ SocketServer::stop()
 {
     if (_stopping.exchange(true, std::memory_order_acq_rel))
         return;
-    if (_listenFd >= 0) {
-        // Unblock accept(): shutdown first (portable wake-up), then
-        // close.
+    // Unblock accept() (shutdown is the portable wake-up) and join
+    // the accept thread before closing: it reads _listenFd until then.
+    if (_listenFd >= 0)
         ::shutdown(_listenFd, SHUT_RDWR);
+    if (_acceptThread.joinable())
+        _acceptThread.join();
+    if (_listenFd >= 0) {
         ::close(_listenFd);
         _listenFd = -1;
     }
-    if (_acceptThread.joinable())
-        _acceptThread.join();
     std::vector<std::thread> workers;
     {
         MutexLock lock(_mu);

@@ -10,9 +10,10 @@
  * connection *is* a session's driving thread.
  *
  * Failure semantics (docs/SERVING.md): a framing error poisons only
- * that connection (it is dropped; the daemon keeps serving); client
- * disconnect without Bye leaks that session's admission slot until
- * restart — well-behaved clients send Bye. On platforms without
+ * that connection (it is dropped; the daemon keeps serving); when a
+ * connection ends — EOF, error or stop() — every session it opened
+ * and did not say Bye for is closed, releasing its admission slot.
+ * On platforms without
  * AF_UNIX the class still compiles; start() returns false and logs,
  * so callers gate on it (the bench and tests skip socket cells).
  */

@@ -1,17 +1,13 @@
 /**
  * @file
  * Tests for the deployment-oriented extensions: the multi-service
- * fleet with a shared profiling host (Figure 2 / §3.3 isolation),
- * the energy model (§1's consolidation argument), and repository
- * persistence.
+ * fleet with a shared profiling host (Figure 2 / §3.3 isolation)
+ * and the energy model (§1's consolidation argument).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/controller.hh"
-#include "core/repository.hh"
 #include "counters/profiler.hh"
 #include "experiments/fleet.hh"
 #include "profiling/work_queue.hh"
@@ -76,48 +72,6 @@ TEST(EnergyMeter, ConsolidationSavesEnergy)
         model.watts({3, InstanceType::Large}, 0.8);
     const double sprawled = model.watts({10, InstanceType::Large}, 0.24);
     EXPECT_LT(consolidated, sprawled);
-}
-
-// --------------------------------------------------------------------
-// Repository persistence.
-// --------------------------------------------------------------------
-
-TEST(RepositoryPersistence, RoundTrip)
-{
-    Repository repo;
-    repo.store({0, 0}, {3, InstanceType::Large});
-    repo.store({0, 2}, {6, InstanceType::Large});
-    repo.store({1, 0}, {10, InstanceType::XLarge});
-    std::stringstream buffer;
-    repo.save(buffer);
-    Repository loaded = Repository::load(buffer);
-    EXPECT_EQ(loaded.entries(), 3u);
-    EXPECT_EQ(loaded.peek({0, 2})->instances, 6);
-    EXPECT_EQ(loaded.peek({1, 0})->type, InstanceType::XLarge);
-}
-
-TEST(RepositoryPersistence, LoadSkipsHeaderAndComments)
-{
-    std::istringstream in(
-        "class,bucket,instances,type\n"
-        "# cached allocations\n"
-        "2,1,4,m1.large\n");
-    Repository repo = Repository::load(in);
-    EXPECT_EQ(repo.entries(), 1u);
-    EXPECT_EQ(repo.peek({2, 1})->instances, 4);
-}
-
-TEST(RepositoryPersistenceDeath, RejectsMalformed)
-{
-    std::istringstream bad("1,2,3\n");
-    EXPECT_EXIT(Repository::load(bad), ::testing::ExitedWithCode(1),
-                "expected");
-    std::istringstream nan("a,b,c,m1.large\n");
-    EXPECT_EXIT(Repository::load(nan), ::testing::ExitedWithCode(1),
-                "unparsable");
-    std::istringstream range("0,0,-2,m1.large\n");
-    EXPECT_EXIT(Repository::load(range), ::testing::ExitedWithCode(1),
-                "out-of-range");
 }
 
 // --------------------------------------------------------------------

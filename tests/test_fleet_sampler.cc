@@ -199,65 +199,22 @@ TEST_F(SamplerTest, JitteredOffsetsKeepFullSamplingDensity)
 
 using SamplerIntegration = QuietLogs;
 
-TEST_F(SamplerIntegration, BatchedDigestsMatchLegacyAt100Services)
-{
-    // The ISSUE acceptance bar: at 100 services the batched sampler's
-    // fleet digest must be byte-identical to the legacy per-probe
-    // path — modulo the scenario-name column — and stay byte-identical
-    // across 1, 4 and 8 runner threads.
-    const auto cells = ExperimentRunner::grid(
-        {"fleet-mixed-100-h4", "fleet-mixed-100-h4-probes"},
-        {"fifo"}, {42});
-
-    auto digestAt = [&](int threads) {
-        const auto summaries =
-            ExperimentRunner(ExperimentRunner::Config(threads))
-                .sweepInto(cells, runFleetCell);
-        std::vector<FleetCellResult> rows;
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            rows.push_back({cells[i], summaries[i]});
-        return fleetSweepCsv(rows);
-    };
-
-    const std::string digest1 = digestAt(1);
-    EXPECT_EQ(digest1, digestAt(4));
-    EXPECT_EQ(digest1, digestAt(8));
-
-    // Row tails (everything after the scenario name) must match:
-    // the two modes produce the same adaptations, tails and repo
-    // statistics down to the last digit.
-    auto tailOf = [&](const std::string &scenario) {
-        const std::string prefix = scenario + ",";
-        const auto at = digest1.find("\n" + prefix);
-        EXPECT_NE(at, std::string::npos) << scenario;
-        const auto begin = at + 1 + prefix.size();
-        return digest1.substr(begin,
-                              digest1.find('\n', begin) - begin);
-    };
-    const std::string batched = tailOf("fleet-mixed-100-h4");
-    const std::string legacy = tailOf("fleet-mixed-100-h4-probes");
-    EXPECT_FALSE(batched.empty());
-    EXPECT_EQ(batched, legacy);
-}
-
 TEST_F(SamplerIntegration, ParallelLearningBitIdentical)
 {
     // learnAll(threads) must be bit-identical at any thread count,
     // including the hardest composition: a shared repository (whose
-    // probe/tuner/store half is order-sensitive) under the work-queue
-    // routing. The member-local prepares run on the pool; the shared
+    // probe/tuner/store half is order-sensitive). The member-local prepares run on the pool; the shared
     // half replays sequentially in member order.
     auto digestFor = [&](int threads) {
         ScenarioOptions opt;
         opt.seed = 42;
         opt.days = 2;
         auto stack = makeMixedFleet(6, opt, SlotPolicy::Fifo, 2,
-                                    RepositorySharing::Shared,
-                                    ProfilingWorkMode::WorkQueue);
+                                    RepositorySharing::Shared);
         stack->learnAll(threads);
         stack->experiment->run();
         std::vector<FleetCellResult> rows;
-        rows.push_back({{"fleet-mixed-6-shared-wq", "fifo", 42},
+        rows.push_back({{"fleet-mixed-6-shared", "fifo", 42},
                         stack->experiment->summary()});
         return fleetSweepCsv(rows);
     };

@@ -603,7 +603,7 @@ TEST(MetricsRegistry, ConcurrentUpdatesAndScrapes)
 TEST(TraceDeterminism, FleetDigestIdenticalTracedVsNot)
 {
     setLogLevel(LogLevel::Silent);
-    const SweepCell cell{"fleet-mixed-100-h4-shared-wq", "fifo", 42};
+    const SweepCell cell{"fleet-mixed-100-h4-shared", "fifo", 42};
     std::string csv[2];
     for (int traced = 0; traced < 2; ++traced) {
         obs::TraceRecorder recorder;

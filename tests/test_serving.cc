@@ -13,8 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -26,9 +30,15 @@
 #include "serving/bootstrap.hh"
 #include "serving/client.hh"
 #include "serving/server.hh"
+#include "serving/socket.hh"
 #include "serving/transport.hh"
 #include "serving/wire.hh"
 #include "sim/cluster.hh"
+
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 namespace dejavu {
 namespace {
@@ -633,6 +643,158 @@ TEST(ServingProxy, BucketTransitionsForwardToAttachedSession)
     EXPECT_EQ(w.bootstrap->server->metrics().bucketUpdates.load(),
               before + 2);
     client.bye();
+}
+
+// ================== socket transport ==================
+
+/** A fresh server on the shared learned world (own metrics and
+ *  admission gate). */
+std::unique_ptr<ServingServer>
+freshServer(int maxSessions)
+{
+    ServingWorld &w = world();
+    ServingServer::Config config;
+    config.budgetNanos = ServingServer::kNoBudget;
+    config.maxSessions = maxSessions;
+    auto server = std::make_unique<ServingServer>(*w.bootstrap->repo,
+                                                  config);
+    for (auto &member : w.bootstrap->stack->members)
+        server->registerModel(member->service->kind(),
+                              member->controller->servingModel());
+    return server;
+}
+
+std::string
+testSocketPath(const char *name)
+{
+    return ::testing::TempDir() + "dejavu-" + name + "-"
+        + std::to_string(::getpid()) + ".sock";
+}
+
+/** Poll @p cond for up to ~5 s (socket workers run asynchronously). */
+template <typename Cond>
+bool
+eventually(Cond cond)
+{
+    for (int i = 0; i < 5000 && !cond(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return cond();
+}
+
+/** Open descriptors of this process whose socket is bound to
+ *  @p path — the server side of accepted connections. */
+std::vector<int>
+acceptedFds(const std::string &path)
+{
+    std::vector<int> fds;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        const int fd = std::stoi(entry.path().filename().string());
+        sockaddr_un addr{};
+        socklen_t len = sizeof addr;
+        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&addr),
+                          &len) == 0
+            && addr.sun_family == AF_UNIX
+            && len > offsetof(sockaddr_un, sun_path)
+            && path == addr.sun_path)
+            fds.push_back(fd);
+    }
+    return fds;
+}
+
+bool
+fdOpen(int fd)
+{
+    return ::fcntl(fd, F_GETFD) != -1;
+}
+
+TEST(ServingSocket, StopLeavesRecycledDescriptorNumbersAlone)
+{
+    // A worker closes its connection's fd when the client leaves; the
+    // number can then be reused by an unrelated descriptor, which
+    // stop() must not shut down.
+    if (!std::filesystem::exists("/proc/self/fd"))
+        GTEST_SKIP() << "needs /proc/self/fd";
+    ServingWorld &w = world();
+    auto server = freshServer(4);
+    const std::string path = testSocketPath("recycle");
+    SocketServer socket(*server, path);
+    ASSERT_TRUE(socket.start());
+
+    const std::vector<int> listening = acceptedFds(path);
+    int accepted = -1;
+    {
+        SocketClient transport(path);
+        ASSERT_TRUE(transport.connected());
+        ServingClient client(transport);
+        ASSERT_TRUE(client.hello(w.kinds[0], w.fallbacks[0], "gone"));
+        for (int fd : acceptedFds(path))
+            if (std::find(listening.begin(), listening.end(), fd)
+                == listening.end())
+                accepted = fd;
+        ASSERT_GE(accepted, 0);
+        client.bye();
+    }
+    ASSERT_TRUE(eventually([&] { return !fdOpen(accepted); }));
+
+    // An unrelated socketpair now owns the worker's old fd number
+    // (socketpair() may already have picked it for either end).
+    int pair[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+    if (pair[1] == accepted)
+        std::swap(pair[0], pair[1]);
+    if (pair[0] != accepted) {
+        ASSERT_EQ(::dup2(pair[0], accepted), accepted);
+        ::close(pair[0]);
+    }
+
+    socket.stop();
+    const char byte = 'x';
+    EXPECT_EQ(::send(pair[1], &byte, 1, MSG_NOSIGNAL), 1);
+    char got = 0;
+    EXPECT_EQ(::recv(accepted, &got, 1, MSG_DONTWAIT), 1);
+    EXPECT_EQ(got, byte);
+    ::close(accepted);
+    ::close(pair[1]);
+}
+
+TEST(ServingSocket, DisconnectWithoutByeReleasesSessions)
+{
+    // Clients that say Hello and then drop the connection without Bye
+    // must not keep their admission slots: the connection closes the
+    // sessions it still holds, counting no wire errors.
+    ServingWorld &w = world();
+    constexpr int kMaxSessions = 2;
+    auto server = freshServer(kMaxSessions);
+    const std::string path = testSocketPath("byeless");
+    SocketServer socket(*server, path);
+    ASSERT_TRUE(socket.start());
+    const auto openSessions = [&] {
+        return server->metrics().sessionsOpened.load()
+            - server->metrics().sessionsClosed.load();
+    };
+
+    SocketClient liveTransport(path);
+    ServingClient live(liveTransport);
+    ASSERT_TRUE(live.hello(w.kinds[0], w.fallbacks[0], "live"));
+    for (int i = 0; i < 4 * kMaxSessions; ++i) {
+        SocketClient transport(path);
+        ServingClient client(transport);
+        // Admitted every time: the previous dropped client's slot
+        // came back.
+        ASSERT_TRUE(client.hello(w.kinds[1], w.fallbacks[1], "drop"))
+            << "iteration " << i;
+        EXPECT_EQ(openSessions(), 2u);
+        transport.close();
+        ASSERT_TRUE(eventually([&] { return openSessions() == 1u; }))
+            << "iteration " << i;
+    }
+    live.bye();
+    EXPECT_TRUE(eventually([&] { return openSessions() == 0u; }));
+    socket.stop();
+    EXPECT_EQ(server->metrics().sessionsOpened.load(),
+              static_cast<std::uint64_t>(1 + 4 * kMaxSessions));
+    EXPECT_EQ(server->metrics().wireErrors.load(), 0u);
 }
 
 } // namespace

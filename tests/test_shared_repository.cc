@@ -123,36 +123,12 @@ TEST(SharedRepository, ConcurrentAttachmentsKeepIndependentStats)
     EXPECT_EQ(h1.crossHits(), 1u);
     EXPECT_EQ(h2.stats().misses, 1u);
 
-    const Repository::Stats total = repo.aggregateStats();
+    const RepositoryStats total = repo.aggregateStats();
     EXPECT_EQ(total.lookups, 4u);
     EXPECT_EQ(total.hits, 2u);
     EXPECT_EQ(total.misses, 2u);
     EXPECT_EQ(total.stores, 2u);
     EXPECT_DOUBLE_EQ(repo.hitRate(), 0.5);
-}
-
-TEST(SharedRepository, WriteThroughIsolationMatchesPrivateBehavior)
-{
-    // The A/B mode: lookups behave exactly like private
-    // repositories (peer writes are invisible) while the shadow
-    // kind table counts what sharing would have served.
-    SharedRepository repo(SharedRepository::Mode::WriteThroughIsolated);
-    RepositoryHandle a = repo.attach(ServiceKind::KeyValue, "svc-A");
-    RepositoryHandle b = repo.attach(ServiceKind::KeyValue, "svc-B");
-
-    a.store({0, 0}, kFourLarge);
-    EXPECT_FALSE(b.lookup({0, 0}).has_value());  // private behavior
-    EXPECT_EQ(b.wouldHaveHit(), 1u);             // ...sharing counted
-    EXPECT_FALSE(b.lookup({5, 0}).has_value());
-    EXPECT_EQ(b.wouldHaveHit(), 1u);  // nobody has (5,0): no claim
-
-    b.store({0, 0}, kSixLarge);
-    EXPECT_EQ(*b.lookup({0, 0}), kSixLarge);
-    EXPECT_EQ(*a.lookup({0, 0}), kFourLarge);  // A's view unchanged
-    EXPECT_EQ(b.crossHits(), 0u);
-    EXPECT_EQ(repo.aggregateWouldHaveHits(), 1u);
-    EXPECT_EQ(a.entries(), 1u);
-    EXPECT_EQ(b.entries(), 1u);
 }
 
 TEST(SharedRepository, ClearDropsOnlyOwnWrites)
@@ -284,7 +260,7 @@ TEST(SharedRepository, KeysSortedAndToString)
     EXPECT_EQ(keys[2], (RepositoryKey{2, 0}));
 
     const std::string s = repo.toString();
-    EXPECT_NE(s.find("shared-repository[shared]"), std::string::npos);
+    EXPECT_NE(s.find("shared-repository{"), std::string::npos);
     EXPECT_NE(s.find("keyvalue"), std::string::npos);
     EXPECT_NE(h.toString().find("repository[keyvalue]"),
               std::string::npos);
@@ -347,7 +323,7 @@ TEST(SharedRepository, ConcurrentStoresAndLookupsAggregateExactly)
         }
     });
 
-    const Repository::Stats total = repo.aggregateStats();
+    const RepositoryStats total = repo.aggregateStats();
     EXPECT_EQ(total.stores, kHandles * kPerHandle);
     EXPECT_EQ(total.lookups, kHandles * kPerHandle);
     EXPECT_EQ(total.hits, kHandles * kPerHandle);
@@ -411,8 +387,8 @@ TEST(SharedRepository, ShardCountInvisibleToContentsAndSaveBytes)
     // the two must be indistinguishable except for lock contention.
     // Same stores into 1- and 8-shard repositories: identical
     // entries, identical peek() answers, identical save() bytes.
-    SharedRepository one(SharedRepository::Mode::Shared, 1);
-    SharedRepository eight(SharedRepository::Mode::Shared, 8);
+    SharedRepository one(1);
+    SharedRepository eight(8);
     EXPECT_EQ(one.shards(), 1);
     EXPECT_EQ(eight.shards(), 8);
 
@@ -452,7 +428,7 @@ TEST(SharedRepository, ShardCountInvisibleToContentsAndSaveBytes)
 
 TEST(SharedRepository, VersionAdvancesOnEveryStoreAndClear)
 {
-    SharedRepository repo(SharedRepository::Mode::Shared, 4);
+    SharedRepository repo(4);
     const std::uint64_t v0 = repo.version();
     RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "svc");
     h.store({0, 0}, kFourLarge);
@@ -467,7 +443,7 @@ TEST(SharedRepository, VersionAdvancesOnEveryStoreAndClear)
 
 TEST(SharedRepository, SnapshotIsFrozenSortedAndVersioned)
 {
-    SharedRepository repo(SharedRepository::Mode::Shared, 8);
+    SharedRepository repo(8);
     RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "svc");
     for (int c = 0; c < 30; ++c)
         h.store({c, c % 3}, kFourLarge);
@@ -509,7 +485,7 @@ TEST(SharedRepository, ConcurrentShardedStoresWithSnapshotReaders)
     constexpr std::size_t kWorkers = 8;
     constexpr int kPerWriter = 60;
 
-    SharedRepository repo(SharedRepository::Mode::Shared, 8);
+    SharedRepository repo(8);
     std::vector<RepositoryHandle> handles(kWorkers);
     for (std::size_t h = 0; h < kWorkers; ++h)
         handles[h] = repo.attach(ServiceKind::KeyValue,
@@ -544,8 +520,9 @@ TEST(SharedRepository, SharingModeNamesRoundTrip)
                  "private");
     EXPECT_EQ(repositorySharingFromName("shared"),
               RepositorySharing::Shared);
-    EXPECT_EQ(repositorySharingFromName("isolated"),
-              RepositorySharing::Isolated);
+    EXPECT_EXIT((void)repositorySharingFromName("isolated"),
+                ::testing::ExitedWithCode(1),
+                "unknown repository sharing mode: isolated");
     EXPECT_EQ(
         repositorySharingFromName(
             repositorySharingName(RepositorySharing::Shared)),
