@@ -17,12 +17,14 @@
 #include "core/clustering_engine.hh"
 #include "core/shared_repository.hh"
 #include "counters/monitor.hh"
+#include "experiments/actors.hh"
 #include "ml/decision_tree.hh"
 #include "ml/feature_selection.hh"
 #include "ml/kmeans.hh"
 #include "services/keyvalue_service.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
+#include "workload/trace_library.hh"
 
 namespace dejavu {
 namespace {
@@ -158,6 +160,31 @@ BM_FullLearningPipeline(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullLearningPipeline);
+
+/**
+ * The pile a fleet member actually clusters: learnAll profiles 24
+ * hourly workloads trialsPerWorkload = 3 times each, so identifyClasses
+ * sees 72 samples, and its O(n^2) silhouette term is 9x the 24-sample
+ * case above.
+ */
+void
+BM_FullLearningPipelineFleetPile(benchmark::State &state)
+{
+    auto &f = fixture();
+    const LoadTrace trace = makeMessengerTrace();
+    std::vector<MetricSample> samples;
+    for (int h = 0; h < 24; ++h) {
+        const Workload w =
+            TraceDriver::workloadFor(f.service, trace, 36000.0, h);
+        for (int t = 0; t < 3; ++t)
+            samples.push_back(f.monitor.collect(w));
+    }
+    for (auto _ : state) {
+        ClusteringEngine engine(Rng(9));
+        benchmark::DoNotOptimize(engine.identifyClasses(samples));
+    }
+}
+BENCHMARK(BM_FullLearningPipelineFleetPile);
 
 /**
  * Event-queue hot path at fleet scale: N actors each running a

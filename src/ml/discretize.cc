@@ -66,8 +66,13 @@ jointEntropy(const std::vector<int> &a, const std::vector<int> &b)
 double
 symmetricUncertainty(const std::vector<int> &a, const std::vector<int> &b)
 {
-    const double ha = entropy(a);
-    const double hb = entropy(b);
+    return symmetricUncertainty(a, entropy(a), b, entropy(b));
+}
+
+double
+symmetricUncertainty(const std::vector<int> &a, double ha,
+                     const std::vector<int> &b, double hb)
+{
     if (ha + hb < 1e-12)
         return 0.0;  // both constant: no information either way
     const double gain = ha + hb - jointEntropy(a, b);

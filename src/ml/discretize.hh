@@ -33,6 +33,11 @@ double jointEntropy(const std::vector<int> &a, const std::vector<int> &b);
 double symmetricUncertainty(const std::vector<int> &a,
                             const std::vector<int> &b);
 
+/** Same, given the precomputed entropies @p ha = H(a), @p hb = H(b):
+ *  callers scoring many pairs compute each entropy once. */
+double symmetricUncertainty(const std::vector<int> &a, double ha,
+                            const std::vector<int> &b, double hb);
+
 } // namespace dejavu
 
 #endif // DEJAVU_ML_DISCRETIZE_HH

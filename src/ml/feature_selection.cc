@@ -27,35 +27,43 @@ CfsSubsetSelector::prepare(const Dataset &data) const
     DEJAVU_ASSERT(data.numClasses() >= 2,
                   "feature selection needs >= 2 classes");
     Prepared prep;
-    const int na = data.numAttributes();
-    prep.columns.reserve(static_cast<std::size_t>(na));
-    for (int a = 0; a < na; ++a)
-        prep.columns.push_back(
-            discretizeEqualWidth(data.column(a), _config.bins));
-    prep.klass = data.labels();
+    const auto na = static_cast<std::size_t>(data.numAttributes());
+    prep.columns.reserve(na);
+    prep.entropies.reserve(na);
+    for (std::size_t a = 0; a < na; ++a) {
+        prep.columns.push_back(discretizeEqualWidth(
+            data.column(static_cast<int>(a)), _config.bins));
+        prep.entropies.push_back(entropy(prep.columns.back()));
+    }
+    const std::vector<int> klass = data.labels();
+    const double classEntropy = entropy(klass);
 
-    prep.rcf.resize(static_cast<std::size_t>(na));
-    for (int a = 0; a < na; ++a)
-        prep.rcf[static_cast<std::size_t>(a)] = symmetricUncertainty(
-            prep.columns[static_cast<std::size_t>(a)], prep.klass);
+    prep.rcf.resize(na);
+    for (std::size_t a = 0; a < na; ++a)
+        prep.rcf[a] = symmetricUncertainty(
+            prep.columns[a], prep.entropies[a], klass, classEntropy);
+    return prep;
+}
 
-    // Pairwise feature-feature correlations, computed lazily would be
-    // cheaper; datasets here are small (dozens of attributes) so the
-    // full matrix keeps the code simple.
-    prep.rff.assign(static_cast<std::size_t>(na),
-                    std::vector<double>(static_cast<std::size_t>(na), 0.0));
-    for (int a = 0; a < na; ++a) {
-        for (int b = a + 1; b < na; ++b) {
+void
+CfsSubsetSelector::scorePairs(Prepared &prep,
+                              const std::vector<bool> &among)
+{
+    const std::size_t na = prep.columns.size();
+    prep.rff.reset(na, na);
+    for (std::size_t a = 0; a < na; ++a) {
+        if (!among[a])
+            continue;
+        for (std::size_t b = a + 1; b < na; ++b) {
+            if (!among[b])
+                continue;
             const double su = symmetricUncertainty(
-                prep.columns[static_cast<std::size_t>(a)],
-                prep.columns[static_cast<std::size_t>(b)]);
-            prep.rff[static_cast<std::size_t>(a)]
-                    [static_cast<std::size_t>(b)] = su;
-            prep.rff[static_cast<std::size_t>(b)]
-                    [static_cast<std::size_t>(a)] = su;
+                prep.columns[a], prep.entropies[a], prep.columns[b],
+                prep.entropies[b]);
+            prep.rff.row(a)[b] = su;
+            prep.rff.row(b)[a] = su;
         }
     }
-    return prep;
 }
 
 double
@@ -71,8 +79,8 @@ CfsSubsetSelector::meritOf(const Prepared &prep,
     double sumRff = 0.0;
     for (std::size_t i = 0; i < subset.size(); ++i)
         for (std::size_t j = i + 1; j < subset.size(); ++j)
-            sumRff += prep.rff[static_cast<std::size_t>(subset[i])]
-                             [static_cast<std::size_t>(subset[j])];
+            sumRff += prep.rff.at(static_cast<std::size_t>(subset[i]),
+                                  static_cast<std::size_t>(subset[j]));
     const double meanRcf = sumRcf / k;
     const double meanRff =
         subset.size() > 1 ? sumRff / (k * (k - 1.0) / 2.0) : 0.0;
@@ -84,7 +92,9 @@ double
 CfsSubsetSelector::merit(const Dataset &data,
                          const std::vector<int> &subset)
 {
-    return meritOf(prepare(data), subset);
+    Prepared prep = prepare(data);
+    scorePairs(prep, std::vector<bool>(prep.columns.size(), true));
+    return meritOf(prep, subset);
 }
 
 std::vector<double>
@@ -96,7 +106,7 @@ CfsSubsetSelector::classCorrelations(const Dataset &data)
 std::vector<int>
 CfsSubsetSelector::select(const Dataset &data)
 {
-    const Prepared prep = prepare(data);
+    Prepared prep = prepare(data);
     const int na = data.numAttributes();
 
     std::vector<int> selected;
@@ -120,6 +130,8 @@ CfsSubsetSelector::select(const Dataset &data)
             - prep.rcf.begin());
         eligible[static_cast<std::size_t>(best)] = true;
     }
+    // The search below only ever reads pairs of eligible attributes.
+    scorePairs(prep, eligible);
 
     // Greedy stepwise forward search: add the attribute yielding the
     // largest merit until no attribute improves it.

@@ -22,6 +22,7 @@
 
 #include <vector>
 
+#include "common/arena.hh"
 #include "ml/dataset.hh"
 
 namespace dejavu {
@@ -66,16 +67,22 @@ class CfsSubsetSelector
   private:
     Config _config;
 
-    /** Discretized columns + class, cached per select() call. */
+    /** Discretized columns and their scores, built per call. */
     struct Prepared
     {
         std::vector<std::vector<int>> columns;
-        std::vector<int> klass;
-        std::vector<double> rcf;            ///< feature-class SU.
-        std::vector<std::vector<double>> rff; ///< pairwise SU.
+        std::vector<double> entropies;  ///< H of each column.
+        std::vector<double> rcf;        ///< feature-class SU.
+        /** Pairwise SU (na x na) from scorePairs(): zero except for
+         *  the pairs it was asked to score. */
+        FlatMatrix rff;
     };
 
+    /** Discretize every attribute and score it against the class. */
     Prepared prepare(const Dataset &data) const;
+    /** Build rff, scoring every pair of attributes flagged in
+     *  @p among. */
+    static void scorePairs(Prepared &prep, const std::vector<bool> &among);
     static double meritOf(const Prepared &prep,
                           const std::vector<int> &subset);
 };

@@ -8,6 +8,92 @@
 
 namespace dejavu {
 
+namespace {
+
+/**
+ * Mean silhouette coefficient of an assignment, reading the distance
+ * between instances i and j from @p distance(i, j). Both callers
+ * supply the same operands in the same order, so they agree to the
+ * last bit.
+ */
+template <typename Distance>
+double
+silhouetteOf(int n, const std::vector<int> &assignment, int k,
+             Distance &&distance)
+{
+    DEJAVU_ASSERT(static_cast<int>(assignment.size()) == n,
+                  "assignment size mismatch");
+    if (k < 2 || n < 3)
+        return 0.0;
+
+    std::vector<int> counts(static_cast<std::size_t>(k), 0);
+    for (int c : assignment)
+        ++counts[static_cast<std::size_t>(c)];
+
+    double total = 0.0;
+    int contributors = 0;
+    std::vector<double> meanDist(static_cast<std::size_t>(k));
+    for (int i = 0; i < n; ++i) {
+        const int ci = assignment[static_cast<std::size_t>(i)];
+        if (counts[static_cast<std::size_t>(ci)] <= 1) {
+            // Singleton clusters contribute silhouette 0 by convention.
+            ++contributors;
+            continue;
+        }
+        // Mean distance to own cluster (a) and nearest other (b).
+        std::fill(meanDist.begin(), meanDist.end(), 0.0);
+        for (int j = 0; j < n; ++j) {
+            if (j == i)
+                continue;
+            meanDist[static_cast<std::size_t>(
+                assignment[static_cast<std::size_t>(j)])] +=
+                distance(i, j);
+        }
+        double a = 0.0;
+        double b = std::numeric_limits<double>::max();
+        for (int c = 0; c < k; ++c) {
+            const int cnt = counts[static_cast<std::size_t>(c)];
+            if (c == ci) {
+                a = meanDist[static_cast<std::size_t>(c)] / (cnt - 1);
+            } else if (cnt > 0) {
+                b = std::min(
+                    b, meanDist[static_cast<std::size_t>(c)] / cnt);
+            }
+        }
+        const double denom = std::max(a, b);
+        if (denom > 1e-300)
+            total += (b - a) / denom;
+        ++contributors;
+    }
+    return contributors ? total / contributors : 0.0;
+}
+
+/**
+ * All pairwise Euclidean distances, n x n. A squared difference does
+ * not depend on operand order, so each pair is computed once and
+ * mirrored.
+ */
+FlatMatrix
+distanceMatrix(const Dataset &data)
+{
+    const auto n = static_cast<std::size_t>(data.size());
+    FlatMatrix distances;
+    distances.reset(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double *row = distances.row(i);
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const double d = std::sqrt(KMeans::squaredDistance(
+                data.instance(static_cast<int>(i)),
+                data.instance(static_cast<int>(j))));
+            row[j] = d;
+            distances.row(j)[i] = d;
+        }
+    }
+    return distances;
+}
+
+} // namespace
+
 KMeans::KMeans(Rng rng)
     : KMeans(rng, Config())
 {
@@ -158,7 +244,6 @@ KMeans::runOnce(const Dataset &data, int k)
             result.medoids[static_cast<std::size_t>(c)] = i;
         }
     }
-    result.silhouette = meanSilhouette(data, result.assignment, k);
     return result;
 }
 
@@ -166,6 +251,12 @@ Clustering
 KMeans::run(const Dataset &data, int k)
 {
     DEJAVU_ASSERT(!data.empty(), "cannot cluster an empty dataset");
+    return bestOf(data, k, distanceMatrix(data));
+}
+
+Clustering
+KMeans::bestOf(const Dataset &data, int k, const FlatMatrix &distances)
+{
     DEJAVU_ASSERT(k >= 1 && k <= data.size(),
                   "k=", k, " out of range for n=", data.size());
     Clustering best;
@@ -177,6 +268,12 @@ KMeans::run(const Dataset &data, int k)
             best = std::move(c);
         }
     }
+    best.silhouette = silhouetteOf(
+        data.size(), best.assignment, k,
+        [&distances](int i, int j) {
+            return distances.at(static_cast<std::size_t>(i),
+                                static_cast<std::size_t>(j));
+        });
     return best;
 }
 
@@ -187,6 +284,9 @@ KMeans::runAuto(const Dataset &data)
     const int kMin = _config.autoKMin;
     const int kMax = std::min(_config.autoKMax, data.size() - 1);
     DEJAVU_ASSERT(kMax >= kMin, "k range empty for n=", data.size());
+    // Every candidate k scores its winner against the same pairwise
+    // distances; built once here, freed on return.
+    const FlatMatrix distances = distanceMatrix(data);
 
     if (_config.criterion == AutoKCriterion::ExplainedVariance) {
         // Total within-cluster scatter at k=1 (variance * n).
@@ -203,11 +303,11 @@ KMeans::runAuto(const Dataset &data)
         for (int i = 0; i < data.size(); ++i)
             total += squaredDistance(data.instance(i), mean);
         if (total <= 1e-300)
-            return run(data, kMin);  // all points identical
+            return bestOf(data, kMin, distances);  // all points identical
 
         Clustering last;
         for (int k = kMin; k <= kMax; ++k) {
-            last = run(data, k);
+            last = bestOf(data, k, distances);
             const double explained = 1.0 - last.inertia / total;
             if (explained >= _config.varianceExplained)
                 return last;
@@ -218,7 +318,7 @@ KMeans::runAuto(const Dataset &data)
     Clustering best;
     double bestScore = -2.0;
     for (int k = kMin; k <= kMax; ++k) {
-        Clustering c = run(data, k);
+        Clustering c = bestOf(data, k, distances);
         // Prefer smaller k on (near-)ties: every extra class costs a
         // tuning run, so demand a real silhouette gain to grow k.
         const double score = c.silhouette - 0.003 * k;
@@ -234,52 +334,10 @@ double
 KMeans::meanSilhouette(const Dataset &data,
                        const std::vector<int> &assignment, int k)
 {
-    const int n = data.size();
-    DEJAVU_ASSERT(static_cast<int>(assignment.size()) == n,
-                  "assignment size mismatch");
-    if (k < 2 || n < 3)
-        return 0.0;
-
-    std::vector<int> counts(static_cast<std::size_t>(k), 0);
-    for (int c : assignment)
-        ++counts[static_cast<std::size_t>(c)];
-
-    double total = 0.0;
-    int contributors = 0;
-    for (int i = 0; i < n; ++i) {
-        const int ci = assignment[static_cast<std::size_t>(i)];
-        if (counts[static_cast<std::size_t>(ci)] <= 1) {
-            // Singleton clusters contribute silhouette 0 by convention.
-            ++contributors;
-            continue;
-        }
-        // Mean distance to own cluster (a) and nearest other (b).
-        std::vector<double> meanDist(static_cast<std::size_t>(k), 0.0);
-        for (int j = 0; j < n; ++j) {
-            if (j == i)
-                continue;
-            const double d = std::sqrt(
-                squaredDistance(data.instance(i), data.instance(j)));
-            meanDist[static_cast<std::size_t>(
-                assignment[static_cast<std::size_t>(j)])] += d;
-        }
-        double a = 0.0;
-        double b = std::numeric_limits<double>::max();
-        for (int c = 0; c < k; ++c) {
-            const int cnt = counts[static_cast<std::size_t>(c)];
-            if (c == ci) {
-                a = meanDist[static_cast<std::size_t>(c)] / (cnt - 1);
-            } else if (cnt > 0) {
-                b = std::min(
-                    b, meanDist[static_cast<std::size_t>(c)] / cnt);
-            }
-        }
-        const double denom = std::max(a, b);
-        if (denom > 1e-300)
-            total += (b - a) / denom;
-        ++contributors;
-    }
-    return contributors ? total / contributors : 0.0;
+    return silhouetteOf(data.size(), assignment, k, [&data](int i, int j) {
+        return std::sqrt(
+            squaredDistance(data.instance(i), data.instance(j)));
+    });
 }
 
 } // namespace dejavu

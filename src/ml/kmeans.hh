@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "common/arena.hh"
 #include "common/random.hh"
 #include "ml/dataset.hh"
 
@@ -67,13 +68,15 @@ class KMeans
     explicit KMeans(Rng rng);
     KMeans(Rng rng, Config config);
 
-    /** Cluster into exactly @p k clusters. */
+    /** Cluster into exactly @p k clusters: the lowest-inertia of
+     *  Config::restarts runs, with its silhouette. */
     Clustering run(const Dataset &data, int k);
 
     /**
      * Cluster with automatic k: maximizes mean silhouette over
      * [autoKMin, min(autoKMax, n-1)], preferring smaller k on ties
-     * (fewer workload classes = fewer tuning runs, §3.4).
+     * (fewer workload classes = fewer tuning runs, §3.4). Every k
+     * reads its silhouette from one pairwise-distance matrix.
      */
     Clustering runAuto(const Dataset &data);
 
@@ -85,7 +88,9 @@ class KMeans
     static double squaredDistance(const std::vector<double> &a,
                                   const double *b);
 
-    /** Mean silhouette coefficient of an assignment. */
+    /** Mean silhouette coefficient of an assignment, computing each
+     *  distance afresh; run() and runAuto() read the same distances
+     *  from a matrix and match it bit for bit. */
     static double meanSilhouette(const Dataset &data,
                                  const std::vector<int> &assignment,
                                  int k);
@@ -95,6 +100,9 @@ class KMeans
     Config _config;
 
     Clustering runOnce(const Dataset &data, int k);
+    /** run() over precomputed pairwise @p distances (n x n). */
+    Clustering bestOf(const Dataset &data, int k,
+                      const FlatMatrix &distances);
     std::vector<std::vector<double>> seedPlusPlus(const Dataset &data,
                                                   int k);
 };

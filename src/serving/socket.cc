@@ -17,6 +17,22 @@
 namespace dejavu {
 namespace serving {
 
+std::size_t
+SocketServer::openConnections() const
+{
+    MutexLock lock(_mu);
+    return static_cast<std::size_t>(std::count_if(
+        _connections.begin(), _connections.end(),
+        [](const Connection &c) { return c.fd >= 0; }));
+}
+
+std::size_t
+SocketServer::workerThreads() const
+{
+    MutexLock lock(_mu);
+    return _connections.size();
+}
+
 #ifdef DEJAVU_HAVE_UNIX_SOCKETS
 
 namespace {
@@ -104,14 +120,29 @@ SocketServer::acceptLoop()
                 return;
             continue;  // Transient accept error; keep listening.
         }
-        MutexLock lock(_mu);
-        if (_stopping.load(std::memory_order_acquire)) {
-            ::close(fd);
-            return;
+        // Reap the workers of connections that have ended since the
+        // last accept; they are returning, so the joins are short.
+        std::vector<std::thread> finished;
+        {
+            MutexLock lock(_mu);
+            if (_stopping.load(std::memory_order_acquire)) {
+                ::close(fd);
+                return;
+            }
+            std::vector<Connection> open;
+            open.reserve(_connections.size() + 1);
+            for (Connection &c : _connections) {
+                if (c.fd < 0)
+                    finished.push_back(std::move(c.worker));
+                else
+                    open.push_back(std::move(c));
+            }
+            open.push_back(Connection{
+                std::thread([this, fd] { serveConnection(fd); }), fd});
+            _connections.swap(open);
         }
-        _clientFds.push_back(fd);
-        _workers.emplace_back(
-            [this, fd] { serveConnection(fd); });
+        for (std::thread &worker : finished)
+            worker.join();
     }
 }
 
@@ -169,11 +200,15 @@ SocketServer::serveConnection(int fd)
         _core.closeSession(id);
     // Forget the fd before closing it: once closed, its number can be
     // reused by an unrelated descriptor that stop() must not shut down.
+    // Open fds are distinct, so the first match is this connection.
     {
         MutexLock lock(_mu);
-        _clientFds.erase(
-            std::remove(_clientFds.begin(), _clientFds.end(), fd),
-            _clientFds.end());
+        for (Connection &c : _connections) {
+            if (c.fd == fd) {
+                c.fd = -1;
+                break;
+            }
+        }
     }
     ::close(fd);
 }
@@ -193,17 +228,17 @@ SocketServer::stop()
         ::close(_listenFd);
         _listenFd = -1;
     }
-    std::vector<std::thread> workers;
+    std::vector<Connection> connections;
     {
         MutexLock lock(_mu);
-        workers.swap(_workers);
+        connections.swap(_connections);
         // Unblock worker read()s.
-        for (int fd : _clientFds)
-            ::shutdown(fd, SHUT_RDWR);
-        _clientFds.clear();
+        for (const Connection &c : connections)
+            if (c.fd >= 0)
+                ::shutdown(c.fd, SHUT_RDWR);
     }
-    for (std::thread &worker : workers)
-        worker.join();
+    for (Connection &c : connections)
+        c.worker.join();
     ::unlink(_path.c_str());
 }
 

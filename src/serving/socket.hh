@@ -13,6 +13,9 @@
  * that connection (it is dropped; the daemon keeps serving); when a
  * connection ends — EOF, error or stop() — every session it opened
  * and did not say Bye for is closed, releasing its admission slot.
+ * Its worker thread is joined when the next connection arrives, so a
+ * long-lived daemon does not keep one thread per connection it ever
+ * served.
  * On platforms without
  * AF_UNIX the class still compiles; start() returns false and logs,
  * so callers gate on it (the bench and tests skip socket cells).
@@ -57,7 +60,23 @@ class SocketServer
 
     const std::string &path() const { return _path; }
 
+    /** Connections accepted and not yet ended. */
+    std::size_t openConnections() const;
+
+    /** Worker threads not yet joined: one per open connection, plus
+     *  those of connections that ended since the last accept. */
+    std::size_t workerThreads() const;
+
   private:
+    /** One accepted connection and the worker serving it. */
+    struct Connection
+    {
+        std::thread worker;
+        /** The connection's fd; -1 once the worker has let go of it
+         *  and is returning, ready to be joined. */
+        int fd = -1;
+    };
+
     void acceptLoop();
     void serveConnection(int fd);
 
@@ -67,9 +86,8 @@ class SocketServer
     std::atomic<bool> _stopping{false};
     std::thread _acceptThread;
 
-    Mutex _mu;
-    std::vector<std::thread> _workers GUARDED_BY(_mu);
-    std::vector<int> _clientFds GUARDED_BY(_mu);
+    mutable Mutex _mu;
+    std::vector<Connection> _connections GUARDED_BY(_mu);
 };
 
 /**

@@ -34,6 +34,99 @@ syntheticDataset(int n, std::uint64_t seed)
     return d;
 }
 
+/** Wider dataset: two signals, three noisy views of them, a sum,
+ *  and eight noise attributes that fail the eligibility filter. */
+Dataset
+widerDataset(int n, std::uint64_t seed)
+{
+    Dataset d({"signal0", "signal1", "view0", "view1", "view01",
+               "sum", "noise0", "noise1", "noise2", "noise3", "noise4",
+               "noise5", "noise6", "noise7"});
+    Rng rng(seed);
+    for (int i = 0; i < n; ++i) {
+        const double s0 = rng.uniform(-1.0, 1.0);
+        const double s1 = rng.uniform(-1.0, 1.0);
+        const int label = (s0 > 0 ? 1 : 0) + (s1 > 0 ? 2 : 0);
+        std::vector<double> x = {s0,
+                                 s1,
+                                 s0 + 0.3 * rng.gaussian(),
+                                 s1 + 0.3 * rng.gaussian(),
+                                 s0 - s1 + 0.2 * rng.gaussian(),
+                                 s0 + s1};
+        for (int k = 0; k < 8; ++k)
+            x.push_back(rng.gaussian());
+        d.add(std::move(x), label);
+    }
+    return d;
+}
+
+/** Greedy stepwise forward search over the public merit() and
+ *  classCorrelations(), written out independently of select(). */
+std::vector<int>
+referenceSelect(const Dataset &d, const CfsSubsetSelector::Config &cfg)
+{
+    CfsSubsetSelector selector(cfg);
+    const std::vector<double> rcf = selector.classCorrelations(d);
+    std::vector<int> eligible;
+    for (int a = 0; a < d.numAttributes(); ++a)
+        if (rcf[static_cast<std::size_t>(a)] >= cfg.minClassCorrelation)
+            eligible.push_back(a);
+    if (eligible.empty())
+        eligible.push_back(static_cast<int>(
+            std::max_element(rcf.begin(), rcf.end()) - rcf.begin()));
+
+    std::vector<int> selected;
+    double bestMerit = 0.0;
+    while (static_cast<int>(selected.size()) < cfg.maxFeatures) {
+        int bestAttr = -1;
+        double bestCandidate = bestMerit + cfg.minImprovement;
+        for (int a : eligible) {
+            if (std::count(selected.begin(), selected.end(), a))
+                continue;
+            selected.push_back(a);
+            const double m = selector.merit(d, selected);
+            selected.pop_back();
+            if (m > bestCandidate) {
+                bestCandidate = m;
+                bestAttr = a;
+            }
+        }
+        if (bestAttr < 0)
+            break;
+        selected.push_back(bestAttr);
+        bestMerit = bestCandidate;
+    }
+    std::sort(selected.begin(), selected.end());
+    return selected;
+}
+
+TEST(Cfs, SelectMatchesReferenceSearchOverPublicMerit)
+{
+    // select() scores feature pairs among eligible attributes only;
+    // its answer must still be the full-matrix greedy search's.
+    for (std::uint64_t seed : {29u, 31u, 37u, 41u}) {
+        for (int maxFeatures : {2, 12}) {
+            for (double minClass : {0.1, 0.25}) {
+                const Dataset d = widerDataset(160, seed);
+                CfsSubsetSelector::Config cfg;
+                cfg.maxFeatures = maxFeatures;
+                cfg.minClassCorrelation = minClass;
+                CfsSubsetSelector selector(cfg);
+                const std::vector<double> rcf =
+                    selector.classCorrelations(d);
+                const auto eligible = std::count_if(
+                    rcf.begin(), rcf.end(),
+                    [&](double r) { return r >= minClass; });
+                ASSERT_GE(eligible, 3) << "seed " << seed;
+                ASSERT_LT(eligible, d.numAttributes()) << "seed " << seed;
+                EXPECT_EQ(selector.select(d), referenceSelect(d, cfg))
+                    << "seed " << seed << " maxFeatures " << maxFeatures
+                    << " minClassCorrelation " << minClass;
+            }
+        }
+    }
+}
+
 TEST(Cfs, SelectsInformativeFeatures)
 {
     const Dataset d = syntheticDataset(400, 3);

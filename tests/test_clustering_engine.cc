@@ -8,14 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "core/clustering_engine.hh"
 #include "counters/counter_model.hh"
 #include "counters/monitor.hh"
+#include "experiments/actors.hh"
 #include "services/keyvalue_service.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
+#include "workload/trace_library.hh"
 
 namespace dejavu {
 namespace {
@@ -137,6 +141,73 @@ TEST_F(ClusteringEngineTest, DeterministicGivenSeed)
     EXPECT_EQ(ra.clustering.k, rb.clustering.k);
     EXPECT_EQ(ra.clustering.assignment, rb.clustering.assignment);
     EXPECT_EQ(ra.schema.indices(), rb.schema.indices());
+}
+
+/** Hex-float text: two doubles print alike iff they are the same
+ *  bits. */
+std::string
+hexFloat(double v)
+{
+    char buffer[64];
+    std::snprintf(buffer, sizeof buffer, "%a", v);
+    return buffer;
+}
+
+TEST_F(ClusteringEngineTest, GoldenLearningPile)
+{
+    // One fleet member's learning pile: 24 hourly workloads of a
+    // diurnal trace, each profiled trialsPerWorkload = 3 times. The
+    // pinned class count, schema, assignment, medoids, silhouette and
+    // centroids (as hex floats) are this pile's learning outcome, so
+    // a change that moves one bit of learning fails here.
+    const LoadTrace trace = makeMessengerTrace();
+    std::vector<MetricSample> samples;
+    for (int h = 0; h < 24; ++h) {
+        const Workload w =
+            TraceDriver::workloadFor(service, trace, 36000.0, h);
+        for (int t = 0; t < 3; ++t)
+            samples.push_back(monitor.collect(w));
+    }
+    ClusteringEngine engine(Rng(42));
+    const auto result = engine.identifyClasses(samples);
+    const Clustering &c = result.clustering;
+
+    EXPECT_EQ(c.k, 3);
+    EXPECT_EQ(result.schema.indices(),
+              (std::vector<int>{0, 3, 4, 8, 10, 14, 17, 18, 19, 50}));
+    // Hours 0-9 -> class 2, 10-17 -> 1, 18-21 -> 0, 22-23 -> 1.
+    EXPECT_EQ(c.assignment, (std::vector<int>{
+        2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+        2, 2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+        1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}));
+    EXPECT_EQ(c.medoids, (std::vector<int>{64, 42, 20}));
+    EXPECT_EQ(hexFloat(c.silhouette), "0x1.6b404dde2a2dfp-1");
+    std::vector<std::string> centroids;
+    for (const auto &row : c.centroids)
+        for (double v : row)
+            centroids.push_back(hexFloat(v));
+    EXPECT_EQ(centroids, (std::vector<std::string>{
+        // class 0
+        "-0x1.447dd77c3e88bp+0", "0x1.d537bccf710ddp+0",
+        "0x1.9af49510250ep+0", "0x1.bd804f3c4e8ap+0",
+        "0x1.c9f8e565524e3p+0", "0x1.b7234f23846c8p+0",
+        "0x1.b2aad149d4638p+0", "0x1.bc4c5c8513e99p+0",
+        "0x1.be351e2c60bd4p+0", "0x1.bcef937c58a05p+0",
+        // class 1
+        "-0x1.2eb4ee13afbf7p-1", "0x1.7c04d700d4103p-3",
+        "0x1.85032baad0b2cp-2", "0x1.08109956e72f4p-2",
+        "0x1.c5e157db80d32p-3", "0x1.1d5d183cb55c6p-2",
+        "0x1.38e6cd63284afp-2", "0x1.05ec5463d5fc1p-2",
+        "0x1.fe26d4155f06bp-3", "0x1.1e58fdabf81e1p-2",
+        // class 2
+        "0x1.192666d524164p+0", "-0x1.d660ffffc2a94p-1",
+        "-0x1.05a2a0245c989p+0", "-0x1.e86ef2754c05ep-1",
+        "-0x1.dfd90d7b220dap-1", "-0x1.edfdfea12b04cp-1",
+        "-0x1.f82f41530adb4p-1", "-0x1.e6667435faea9p-1",
+        "-0x1.e481005c0b8bfp-1", "-0x1.f31f5b3976293p-1"}));
 }
 
 TEST_F(ClusteringEngineTest, RejectsTooFewSamples)

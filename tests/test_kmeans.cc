@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/random.hh"
 #include "ml/kmeans.hh"
@@ -24,6 +25,28 @@ blobs(int perCluster, std::uint64_t seed)
         for (int i = 0; i < perCluster; ++i)
             d.add({centers[c][0] + 0.3 * rng.gaussian(),
                    centers[c][1] + 0.3 * rng.gaussian()});
+    return d;
+}
+
+/** The shape one fleet member clusters: 72 samples (24 hourly
+ *  workloads x 3 trials) over 54 metrics. Four load levels move the
+ *  first 20 metrics; the rest are noise. */
+Dataset
+learningPile(std::uint64_t seed)
+{
+    std::vector<std::string> names;
+    for (int a = 0; a < 54; ++a)
+        names.push_back("m" + std::to_string(a));
+    Dataset d(names);
+    Rng rng(seed);
+    for (int i = 0; i < 72; ++i) {
+        const int level = (i / 3) % 4;
+        std::vector<double> x;
+        for (int a = 0; a < 54; ++a)
+            x.push_back((a < 20 ? 1.5 * level * (1 + a % 3) : 0.0)
+                        + rng.gaussian());
+        d.add(std::move(x));
+    }
     return d;
 }
 
@@ -129,6 +152,50 @@ TEST(KMeans, HandlesDuplicatePoints)
     const Clustering c = km.run(d, 2);
     EXPECT_EQ(c.k, 2);
     EXPECT_NEAR(c.inertia, 0.0, 1e-12);
+}
+
+TEST(KMeans, RunSilhouetteIsTheReferenceBitForBit)
+{
+    // run() reads its winner's silhouette from a distance matrix;
+    // it must equal the from-scratch reference exactly, not nearly.
+    for (const Dataset &d : {blobs(25, 7), learningPile(41)}) {
+        KMeans km(Rng(9));
+        for (int k = 2; k <= 5; ++k) {
+            const Clustering c = km.run(d, k);
+            EXPECT_GT(c.silhouette, 0.0) << "k=" << k;
+            EXPECT_EQ(c.silhouette,
+                      KMeans::meanSilhouette(d, c.assignment, c.k))
+                << "k=" << k;
+        }
+    }
+}
+
+TEST(KMeans, AutoKSilhouetteIsTheReferenceBitForBit)
+{
+    // runAuto() shares one distance matrix across every k; the
+    // silhouette it reports must be the reference's, bit for bit,
+    // under both criteria.
+    const std::vector<Dataset> piles = {blobs(25, 11), blobs(25, 15),
+                                        blobs(20, 31), learningPile(41),
+                                        learningPile(43)};
+    for (const AutoKCriterion criterion :
+         {AutoKCriterion::Silhouette,
+          AutoKCriterion::ExplainedVariance}) {
+        for (std::size_t p = 0; p < piles.size(); ++p) {
+            const Dataset &d = piles[p];
+            KMeans::Config cfg;
+            cfg.autoKMin = 3;
+            cfg.autoKMax = 6;
+            cfg.criterion = criterion;
+            KMeans km(Rng(45), cfg);
+            const Clustering r = km.runAuto(d);
+            EXPECT_GT(r.silhouette, 0.0) << "pile " << p;
+            EXPECT_EQ(r.silhouette,
+                      KMeans::meanSilhouette(d, r.assignment, r.k))
+                << "pile " << p << " criterion "
+                << static_cast<int>(criterion);
+        }
+    }
 }
 
 TEST(KMeans, SquaredDistance)

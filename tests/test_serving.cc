@@ -797,5 +797,44 @@ TEST(ServingSocket, DisconnectWithoutByeReleasesSessions)
     EXPECT_EQ(server->metrics().wireErrors.load(), 0u);
 }
 
+TEST(ServingSocket, FinishedWorkersAreReaped)
+{
+    // Each connection gets its own worker thread. Once the connection
+    // ends, the worker must be joined (at the next accept), not held
+    // for the daemon's lifetime. Exited threads vanish from
+    // /proc/self/task even when nobody joins them, so the server's
+    // own count is the observable.
+    ServingWorld &w = world();
+    auto server = freshServer(4);
+    const std::string path = testSocketPath("reap");
+    SocketServer socket(*server, path);
+    ASSERT_TRUE(socket.start());
+
+    constexpr int kConnections = 64;
+    for (int i = 0; i < kConnections; ++i) {
+        SocketClient transport(path);
+        ServingClient client(transport);
+        ASSERT_TRUE(client.hello(w.kinds[0], w.fallbacks[0], "brief"))
+            << "iteration " << i;
+        client.bye();
+        transport.close();
+        ASSERT_TRUE(eventually([&] {
+            return socket.openConnections() == 0;
+        })) << "iteration " << i;
+    }
+
+    // One more connection: its accept reaps every finished worker,
+    // and its Hello round trip proves the accept has happened.
+    SocketClient transport(path);
+    ServingClient client(transport);
+    ASSERT_TRUE(client.hello(w.kinds[0], w.fallbacks[0], "last"));
+    EXPECT_EQ(socket.openConnections(), 1u);
+    EXPECT_LE(socket.workerThreads(), socket.openConnections());
+    client.bye();
+    transport.close();
+    socket.stop();
+    EXPECT_EQ(socket.workerThreads(), 0u);
+}
+
 } // namespace
 } // namespace dejavu
