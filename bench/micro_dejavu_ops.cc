@@ -11,6 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "obs/trace.hh"
@@ -22,6 +24,9 @@
 #include "ml/feature_selection.hh"
 #include "ml/kmeans.hh"
 #include "services/keyvalue_service.hh"
+#include "services/rubis_service.hh"
+#include "services/specweb_service.hh"
+#include "services/ycsb_service.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
 #include "workload/trace_library.hh"
@@ -185,6 +190,53 @@ BM_FullLearningPipelineFleetPile(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullLearningPipelineFleetPile);
+
+/**
+ * One production monitor sample — Service::sample(), which the fleet
+ * sampler calls once per member per simulated minute — per service
+ * kind: /0 KeyValue, /1 SPECweb, /2 RUBiS, /3 YCSB. Each runs on a
+ * default 10-VM cluster with four warm instances at utilization ~0.6.
+ * The loop reuses one service, so its cluster stays in cache; in a
+ * fleet drain it usually does not.
+ */
+void
+BM_ServiceSample(benchmark::State &state)
+{
+    EventQueue queue;
+    Cluster cluster(queue, {});
+    cluster.setActiveInstances(4);
+    queue.runUntil(minutes(1));
+    std::unique_ptr<Service> service;
+    RequestMix mix;
+    switch (state.range(0)) {
+      case 0:
+        service = std::make_unique<KeyValueService>(queue, cluster,
+                                                    Rng(3));
+        mix = cassandraUpdateHeavy();
+        break;
+      case 1:
+        service = std::make_unique<SpecWebService>(queue, cluster,
+                                                   Rng(3));
+        mix = specwebSupport();
+        break;
+      case 2:
+        service = std::make_unique<RubisService>(queue, cluster, Rng(3));
+        mix = rubisBidding();
+        break;
+      default:
+        service = std::make_unique<YcsbService>(queue, cluster, Rng(3));
+        mix = ycsbUpdateHeavy();
+        break;
+    }
+    service->setWorkload({mix, 1000.0});
+    service->setWorkload({mix, 1000.0 * 0.6 / service->utilization()});
+    state.SetLabel(service->name());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(service->sample());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServiceSample)->DenseRange(0, 3);
 
 /**
  * Event-queue hot path at fleet scale: N actors each running a

@@ -87,20 +87,16 @@ Service::meanLatencyMs() const
                                     utilization(), _perfParams);
 }
 
-double
-Service::qosPercent() const
-{
-    return PerfModel::qosPercent(utilization());
-}
-
 Service::PerfSample
 Service::sample()
 {
     PerfSample s;
     s.offeredRate = offeredRate();
-    s.utilization = utilization();
-    const double latency = meanLatencyMs();
-    const double qos = qosPercent();
+    s.utilization =
+        PerfModel::utilization(s.offeredRate, effectiveCapacity());
+    const double latency = PerfModel::meanLatencyMs(
+        baseLatencyMs(_workload.mix), s.utilization, _perfParams);
+    const double qos = qosPercentAt(s.utilization);
     s.meanLatencyMs = std::max(
         0.1, latency * (1.0 + _measurementNoise * _rng.gaussian()));
     s.qosPercent = std::clamp(

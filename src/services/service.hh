@@ -84,6 +84,9 @@ class Service
     virtual double baseLatencyMs(const RequestMix &mix) const = 0;
     /** Capacity multiplier during reconfiguration transients. */
     virtual double transientFactor() const { return 1.0; }
+    /** QoS percentage at utilization @p rho (default knee 0.82). */
+    virtual double qosPercentAt(double rho) const
+    { return PerfModel::qosPercent(rho); }
     /** Called by the harness right after the cluster was reconfigured. */
     virtual void onReconfigure() {}
     /**
@@ -102,8 +105,13 @@ class Service
     double effectiveCapacity() const;
     double utilization() const;
     double meanLatencyMs() const;
-    virtual double qosPercent() const;
-    /** Stochastic observation (advances the service's RNG). */
+    double qosPercent() const { return qosPercentAt(utilization()); }
+    /**
+     * Stochastic observation (advances the service's RNG). Evaluates
+     * the operating point (rate, capacity, utilization) once and
+     * derives latency and QoS from it; the noiseless parts equal the
+     * observables above bit for bit.
+     */
     PerfSample sample();
     /** @} */
 

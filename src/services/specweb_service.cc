@@ -40,9 +40,9 @@ SpecWebService::baseLatencyMs(const RequestMix &mix) const
 }
 
 double
-SpecWebService::qosPercent() const
+SpecWebService::qosPercentAt(double rho) const
 {
-    return PerfModel::qosPercent(utilization(), _config.qosKnee);
+    return PerfModel::qosPercent(rho, _config.qosKnee);
 }
 
 } // namespace dejavu

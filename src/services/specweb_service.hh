@@ -46,7 +46,7 @@ class SpecWebService : public Service
 
     double capacityPerEcu(const RequestMix &mix) const override;
     double baseLatencyMs(const RequestMix &mix) const override;
-    double qosPercent() const override;
+    double qosPercentAt(double rho) const override;
 
     /** Scale-up profiling replays both instance types (§4.2), so the
      *  proxy occupies the shared host longer than a scale-out store. */

@@ -42,14 +42,6 @@ putI32(WireFrame &out, std::int32_t v)
     put32(out, static_cast<std::uint32_t>(v));
 }
 
-void
-putF64(WireFrame &out, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    put64(out, bits);
-}
-
 // --- decode helpers: bounds-checked cursor -------------------------
 
 struct Cursor

@@ -12,9 +12,11 @@ Cluster::Cluster(EventQueue &queue, Config config)
 {
     DEJAVU_ASSERT(_config.maxInstances >= 1, "cluster needs >= 1 VM");
     _vms.reserve(_config.maxInstances);
-    for (int i = 0; i < _config.maxInstances; ++i)
+    for (int i = 0; i < _config.maxInstances; ++i) {
         _vms.emplace_back(static_cast<std::uint32_t>(i),
                           _config.initialType, _config.vmTiming);
+        _vms.back().notifyCapacityChanges(&_unitsStale);
+    }
     // The scale-up experiments may deploy XLarge later; remember the
     // largest type seen so maxAllocation() reflects true full capacity.
     _vms.front().start(queue, _config.preCreated);
@@ -94,10 +96,14 @@ Cluster::runningInstances() const
 double
 Cluster::effectiveComputeUnits() const
 {
-    double total = 0.0;
-    for (const auto &vm : _vms)
-        total += vm.spec().computeUnits * vm.effectiveCapacityFactor();
-    return total;
+    if (_unitsStale) {
+        double total = 0.0;
+        for (const auto &vm : _vms)
+            total += vm.spec().computeUnits * vm.effectiveCapacityFactor();
+        _units = total;
+        _unitsStale = false;
+    }
+    return _units;
 }
 
 double

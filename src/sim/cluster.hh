@@ -37,6 +37,11 @@ class Cluster
 
     Cluster(EventQueue &queue, Config config);
 
+    /** Pinned in place: every VM holds a pointer into its cluster,
+     *  and their scheduled lifecycle events point at the VMs. */
+    Cluster(const Cluster &) = delete;
+    Cluster &operator=(const Cluster &) = delete;
+
     /** @name Scaling actions @{ */
     /**
      * Deploy an allocation: adjust active instance count and/or type.
@@ -63,7 +68,11 @@ class Cluster
     /**
      * Aggregate effective compute units across running VMs, i.e.
      * Σ ECU(type) * (1 - interference). This is what the service
-     * models consume.
+     * models consume, once per monitor sample. The sum is cached:
+     * every VM write that can move a term marks it stale, and a
+     * stale sum is recomputed over the whole pool in pool order —
+     * never patched one term at a time, which would reorder the
+     * floating-point additions.
      */
     double effectiveComputeUnits() const;
 
@@ -95,6 +104,10 @@ class Cluster
     ResourceAllocation _target;
     InstanceType _maxType;
     BillingMeter _billing;
+    /** Last effectiveComputeUnits() sum, valid while !_unitsStale;
+     *  the VMs set _unitsStale (see Vm::notifyCapacityChanges). */
+    mutable double _units = 0.0;
+    mutable bool _unitsStale = true;
 
     void rebill();
 };

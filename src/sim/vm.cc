@@ -38,6 +38,7 @@ Vm::setType(InstanceType type)
                   "VM ", _id, " must be stopped to change type, is ",
                   vmStateName(_state));
     _type = type;
+    markCapacityChanged();
 }
 
 void
@@ -47,24 +48,24 @@ Vm::start(EventQueue &queue, bool preCreated)
         return;
     const std::uint64_t generation = ++_startGeneration;
     if (preCreated) {
-        _state = VmState::Warming;
+        setState(VmState::Warming);
         queue.scheduleAfter(_timing.warmUp, [this, generation, &queue] {
             if (generation != _startGeneration)
                 return;  // Stopped (and possibly restarted) meanwhile.
-            _state = VmState::Running;
+            setState(VmState::Running);
             _runningSince = queue.now();
         });
     } else {
-        _state = VmState::Booting;
+        setState(VmState::Booting);
         const SimTime boot = _timing.coldBoot;
         queue.scheduleAfter(boot, [this, generation, &queue] {
             if (generation != _startGeneration)
                 return;
-            _state = VmState::Warming;
+            setState(VmState::Warming);
             queue.scheduleAfter(_timing.warmUp, [this, generation, &queue] {
                 if (generation != _startGeneration)
                     return;
-                _state = VmState::Running;
+                setState(VmState::Running);
                 _runningSince = queue.now();
             });
         });
@@ -75,8 +76,15 @@ void
 Vm::stop(EventQueue &)
 {
     ++_startGeneration;  // invalidate any in-flight start completion
-    _state = VmState::Stopped;
+    setState(VmState::Stopped);
     _runningSince = -1;
+}
+
+void
+Vm::setState(VmState state)
+{
+    _state = state;
+    markCapacityChanged();
 }
 
 void
@@ -85,6 +93,7 @@ Vm::setInterference(double fraction)
     DEJAVU_ASSERT(fraction >= 0.0 && fraction <= 0.95,
                   "interference fraction out of range: ", fraction);
     _interference = fraction;
+    markCapacityChanged();
 }
 
 void
@@ -93,6 +102,7 @@ Vm::setDaemonTheft(double fraction)
     DEJAVU_ASSERT(fraction >= 0.0 && fraction <= 0.95,
                   "daemon theft fraction out of range: ", fraction);
     _daemonTheft = fraction;
+    markCapacityChanged();
 }
 
 double

@@ -103,6 +103,13 @@ class Vm
     /** Total accumulated running time (for billing sanity checks). */
     SimTime runningSince() const { return _runningSince; }
 
+    /**
+     * Have every later change to what effectiveCapacityFactor() or
+     * spec() reports set @p *flag (the owning cluster's "capacity
+     * sum is stale" bit).
+     */
+    void notifyCapacityChanges(bool *flag) { _capacityChanged = flag; }
+
   private:
     std::uint32_t _id;
     InstanceType _type;
@@ -112,6 +119,14 @@ class Vm
     double _daemonTheft = 0.0;
     SimTime _runningSince = -1;
     std::uint64_t _startGeneration = 0;  ///< Invalidates in-flight starts.
+    bool *_capacityChanged = nullptr;
+
+    void setState(VmState state);
+    void markCapacityChanged()
+    {
+        if (_capacityChanged)
+            *_capacityChanged = true;
+    }
 };
 
 } // namespace dejavu

@@ -10,10 +10,12 @@
 #include <iostream>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/logging.hh"
+#include "experiments/runner.hh"
 #include "experiments/scenario.hh"
 
 namespace dejavu {
@@ -674,6 +676,63 @@ TEST_F(FleetExperimentTest, ServicesKeepIndependentAllocations)
         if (first[i].value != second[i].value)
             ++differingTicks;
     EXPECT_GT(differingTicks, 0);
+}
+
+// --------------------------------------------------------------------
+// Golden run outcomes: two small seed-42 fleets pinned to the sweep
+// CSV row, the executed event count, and the exact (hex-float) member
+// means of SLO violation and savings. Any change to what the run
+// phase computes — sampling, capacity, control — moves one of them.
+// --------------------------------------------------------------------
+
+std::string
+goldenRunDigest(const std::string &scenario)
+{
+    auto stack = makeFleetScenario(scenario, 42,
+                                   SlotPolicy::ShortestJobFirst);
+    stack->learnAll();
+    stack->startInjectors();
+    const auto results = stack->experiment->run();
+    double sloViolationPct = 0.0;
+    double savingsPct = 0.0;
+    for (const auto &r : results) {
+        sloViolationPct += 100.0 * r.result.sloViolationFraction;
+        savingsPct += r.result.savingsPercent;
+    }
+    sloViolationPct /= static_cast<double>(results.size());
+    savingsPct /= static_cast<double>(results.size());
+    const std::vector<FleetCellResult> rows{
+        {SweepCell{scenario, "sjf", 42}, stack->experiment->summary()}};
+    const std::string csv = fleetSweepCsv(rows);
+    char means[128];
+    std::snprintf(means, sizeof means,
+                  "events,%llu\nslo_violation_pct,%a\nsavings_pct,%a\n",
+                  static_cast<unsigned long long>(
+                      stack->sim->queue().executed()),
+                  sloViolationPct, savingsPct);
+    return csv.substr(csv.find('\n') + 1) + means;
+}
+
+TEST_F(FleetExperimentTest, GoldenRunMixedSharedFleet)
+{
+    EXPECT_EQ(goldenRunDigest("fleet-mixed-12-h2-shared"),
+              "fleet-mixed-12-h2-shared,sjf,42,12,2,shared,288,324,"
+              "97.222,243,27,0,20.000,40.000,57.130,60.000,30.050,"
+              "50.050,67.180,70.050,wq,165,0,123,0,0\n"
+              "events,4327\n"
+              "slo_violation_pct,0x1.20e38e38e38e3p+2\n"
+              "savings_pct,0x1.52c93bcbea419p+5\n");
+}
+
+TEST_F(FleetExperimentTest, GoldenRunYcsbFleetWithFaults)
+{
+    EXPECT_EQ(goldenRunDigest("fleet-ycsb-8-h2+daemons+hostloss"),
+              "fleet-ycsb-8-h2+daemons+hostloss,sjf,42,8,2,private,222,"
+              "375,84.533,0,0,0,15.000,75.000,586.740,600.000,40.050,"
+              "360.000,946.740,960.000,wq,192,30,0,0,0\n"
+              "events,5257\n"
+              "slo_violation_pct,0x1.b91c71c71c71dp+2\n"
+              "savings_pct,0x1.9ea18a0ce512bp+5\n");
 }
 
 } // namespace

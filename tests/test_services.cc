@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "services/keyvalue_service.hh"
 #include "services/perf_model.hh"
+#include "services/rubis_service.hh"
 #include "services/slo.hh"
 #include "services/specweb_service.hh"
+#include "services/ycsb_service.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
 
@@ -223,6 +227,111 @@ TEST_F(SpecWebServiceTest, KindDiscriminators)
     EXPECT_EQ(service.kind(), ServiceKind::SpecWeb);
     KeyValueService kv(queue, cluster, Rng(1));
     EXPECT_EQ(kv.kind(), ServiceKind::KeyValue);
+}
+
+// --------------------------------------------------------------------
+// sample() evaluates its operating point once; with latency noise off
+// it reports the noiseless observables exactly (EXPECT_EQ, not
+// DOUBLE_EQ). The QoS channel keeps its own fixed noise.
+// --------------------------------------------------------------------
+
+void
+expectSampleMatchesObservables(Service &service)
+{
+    service.setMeasurementNoise(0.0);
+    const double rate = service.offeredRate();
+    const double rho = service.utilization();
+    const double latency = std::max(0.1, service.meanLatencyMs());
+    const Service::PerfSample s = service.sample();
+    EXPECT_EQ(s.offeredRate, rate) << service.name();
+    EXPECT_EQ(s.utilization, rho) << service.name();
+    EXPECT_EQ(s.meanLatencyMs, latency) << service.name();
+}
+
+/** Four warm instances, one of them disturbed by both channels. */
+void
+warmDisturbedCluster(EventQueue &queue, Cluster &cluster)
+{
+    cluster.setActiveInstances(4);
+    queue.runUntil(queue.now() + minutes(1));
+    cluster.vm(1).setInterference(0.15);
+    cluster.vm(1).setDaemonTheft(0.1);
+}
+
+TEST(ServiceSample, KeyValueMatchesObservables)
+{
+    EventQueue queue;
+    Cluster cluster(queue, {});
+    KeyValueService service(queue, cluster, Rng(11));
+    warmDisturbedCluster(queue, cluster);
+    service.setWorkload({cassandraUpdateHeavy(), 9000.0});
+    expectSampleMatchesObservables(service);
+    cluster.setActiveInstances(6);  // mid-rebalance transient
+    service.onReconfigure();
+    queue.runUntil(queue.now() + minutes(3));
+    ASSERT_TRUE(service.rebalancing());
+    expectSampleMatchesObservables(service);
+}
+
+TEST(ServiceSample, SpecWebMatchesObservables)
+{
+    EventQueue queue;
+    Cluster cluster(queue, {});
+    SpecWebService service(queue, cluster, Rng(12));
+    warmDisturbedCluster(queue, cluster);
+    service.setWorkload({specwebSupport(), 4000.0});
+    expectSampleMatchesObservables(service);
+    service.setWorkload({specwebSupport(), 60000.0});  // past the knee
+    expectSampleMatchesObservables(service);
+}
+
+TEST(ServiceSample, RubisMatchesObservables)
+{
+    EventQueue queue;
+    Cluster cluster(queue, {});
+    RubisService service(queue, cluster, Rng(13));
+    warmDisturbedCluster(queue, cluster);
+    service.setWorkload({rubisBidding(), 1500.0});
+    expectSampleMatchesObservables(service);
+    service.setWorkload({rubisBrowsing(), 9000.0});
+    expectSampleMatchesObservables(service);
+}
+
+TEST(ServiceSample, YcsbMatchesObservables)
+{
+    EventQueue queue;
+    Cluster cluster(queue, {});
+    YcsbService service(queue, cluster, Rng(14));
+    warmDisturbedCluster(queue, cluster);
+    service.setWorkload({ycsbUpdateHeavy(), 9000.0});
+    expectSampleMatchesObservables(service);
+    cluster.setActiveInstances(6);  // mid cache warm-up transient
+    service.onReconfigure();
+    queue.runUntil(queue.now() + minutes(1));
+    ASSERT_TRUE(service.warmingUp());
+    expectSampleMatchesObservables(service);
+}
+
+TEST(ServiceSample, SpecWebQosUsesItsKnee)
+{
+    EventQueue queue;
+    Cluster cluster(queue, {});
+    SpecWebService::Config config;
+    config.qosKnee = 0.7;  // away from PerfModel's default 0.82
+    SpecWebService service(queue, cluster, Rng(15), config);
+    cluster.setActiveInstances(10);
+    queue.runUntil(minutes(1));
+    // Aim for rho ~0.85: past both knees, short of the 50% floor.
+    service.setWorkload({specwebSupport(), 10000.0});
+    const double clients = 10000.0 * 0.85 / service.utilization();
+    service.setWorkload({specwebSupport(), clients});
+    ASSERT_GT(service.utilization(), 0.83);
+    ASSERT_LT(service.utilization(), 0.9);
+    EXPECT_EQ(service.qosPercent(),
+              PerfModel::qosPercent(service.utilization(),
+                                    service.config().qosKnee));
+    EXPECT_LT(service.qosPercent(),
+              PerfModel::qosPercent(service.utilization()));
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -718,6 +719,15 @@ TEST(ServingSocket, StopLeavesRecycledDescriptorNumbersAlone)
     ServingWorld &w = world();
     auto server = freshServer(4);
     const std::string path = testSocketPath("recycle");
+    // The listener's accept() reserves the lowest free descriptor
+    // number before it blocks, and dup2 onto a reserved number fails
+    // with EBUSY for as long as that accept() waits. Should the
+    // listener come back to accept() only after the worker closed its
+    // fd, it would reserve that very number. A free number below it
+    // (this hole, opened before the listener and closed while the
+    // connection is still open) is the one it reserves instead.
+    const int hole = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(hole, 0);
     SocketServer socket(*server, path);
     ASSERT_TRUE(socket.start());
 
@@ -732,7 +742,8 @@ TEST(ServingSocket, StopLeavesRecycledDescriptorNumbersAlone)
             if (std::find(listening.begin(), listening.end(), fd)
                 == listening.end())
                 accepted = fd;
-        ASSERT_GE(accepted, 0);
+        ASSERT_GT(accepted, hole);
+        ::close(hole);
         client.bye();
     }
     ASSERT_TRUE(eventually([&] { return !fdOpen(accepted); }));
@@ -744,7 +755,10 @@ TEST(ServingSocket, StopLeavesRecycledDescriptorNumbersAlone)
     if (pair[1] == accepted)
         std::swap(pair[0], pair[1]);
     if (pair[0] != accepted) {
-        ASSERT_EQ(::dup2(pair[0], accepted), accepted);
+        const int dup = ::dup2(pair[0], accepted);
+        const int error = errno;
+        ASSERT_EQ(dup, accepted) << "dup2 failed: errno " << error
+                                 << " (" << std::strerror(error) << ")";
         ::close(pair[0]);
     }
 
