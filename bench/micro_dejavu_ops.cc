@@ -27,6 +27,7 @@
 #include "services/rubis_service.hh"
 #include "services/specweb_service.hh"
 #include "services/ycsb_service.hh"
+#include "serving/wire.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
 #include "workload/trace_library.hh"
@@ -109,6 +110,51 @@ BM_RepositoryLookup(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RepositoryLookup);
+
+/** One monitor signature: the values a dejavud Sample frame carries
+ *  (54 doubles). */
+std::vector<double>
+wireSampleValues()
+{
+    return fixture().monitor.collect({cassandraUpdateHeavy(), 9000.0})
+        .values;
+}
+
+/** The client's half of the sample codec: one Sample frame per
+ *  iteration into a reused scratch frame, as ServingClient::decide
+ *  does per lookup. */
+void
+BM_WireEncodeSample(benchmark::State &state)
+{
+    const std::vector<double> values = wireSampleValues();
+    serving::WireFrame frame;
+    std::uint32_t seq = 0;
+    for (auto _ : state) {
+        serving::encodeSampleInto(frame, 7, seq++, values);
+        benchmark::DoNotOptimize(frame.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_WireEncodeSample);
+
+/** The server's half: decode that frame into a reused SampleMsg, as
+ *  ServingServer::serve does per lookup. */
+void
+BM_WireDecodeSample(benchmark::State &state)
+{
+    serving::WireFrame frame;
+    serving::encodeSampleInto(frame, 7, 0, wireSampleValues());
+    serving::SampleMsg msg;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(serving::decodeSampleInto(frame, msg));
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(
+        state.iterations() * static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_WireDecodeSample);
 
 void
 BM_KMeansAutoK(benchmark::State &state)

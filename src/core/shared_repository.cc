@@ -40,14 +40,24 @@ repositorySharingFromName(const std::string &name)
 std::optional<ResourceAllocation>
 RepositorySnapshot::find(const RepositoryKey &key) const
 {
+    if (!_table)
+        return std::nullopt;
+    const std::vector<Entry> &entries = *_table;
     const auto it = std::lower_bound(
-        _entries.begin(), _entries.end(), key,
+        entries.begin(), entries.end(), key,
         [](const Entry &e, const RepositoryKey &k) {
             return e.key < k;
         });
-    if (it == _entries.end() || !(it->key == key))
+    if (it == entries.end() || !(it->key == key))
         return std::nullopt;
     return it->allocation;
+}
+
+const std::vector<RepositorySnapshot::Entry> &
+RepositorySnapshot::all() const
+{
+    static const std::vector<Entry> kNoEntries;
+    return _table ? *_table : kNoEntries;
 }
 
 // ---------------------------------------------------------------------
@@ -245,14 +255,21 @@ SharedRepository::version() const
 RepositorySnapshot
 SharedRepository::snapshot(ServiceKind kind) const
 {
-    RepositorySnapshot snap;
-    snap._kind = kind;
     // Version first: a store racing the collection below can make
     // this snapshot look stale immediately (forcing a refresh), but
     // never silently current.
-    snap._version = version();
-    snap._entries = collectKind(kind);
-    return snap;
+    const std::uint64_t current = version();
+    MutexLock lock(_snapshotMu);
+    RepositorySnapshot &kept = _snapshots[kind];
+    // A kept table at least this new holds every write up to
+    // `current`; a racing caller may already have published it.
+    if (kept._table && kept._version >= current)
+        return kept;
+    kept._kind = kind;
+    kept._version = current;
+    kept._table = std::make_shared<const std::vector<
+        RepositorySnapshot::Entry>>(collectKind(kind));
+    return kept;
 }
 
 RepositoryHandle

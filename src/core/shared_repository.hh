@@ -27,10 +27,11 @@
  * another; per-attachment statistics are lock-free atomics, so the
  * handle hot path takes exactly one shard lock. On top of the locked
  * path sits an RCU-style read surface: version() is a monotone
- * store/clear counter and snapshot() materializes an immutable
- * sorted view of one kind's table, which readers (the dejavud
- * sessions) consult lock-free and refresh only when version() moves —
- * lookups never block behind stores. The clang CI job verifies the
+ * store/clear counter and snapshot() hands out an immutable sorted
+ * table of one kind's entries, one table per kind and version shared
+ * by every reader. Readers (the dejavud sessions) consult it
+ * lock-free and refresh only when version() moves — lookups never
+ * block behind stores. The clang CI job verifies the
  * lock discipline statically (`-Wthread-safety -Werror`) and the
  * TSan CI leg exercises it dynamically. Determinism note: locking
  * makes concurrent access *safe*, not *ordered* — callers that
@@ -82,13 +83,17 @@ RepositorySharing repositorySharingFromName(const std::string &name);
  * An immutable, sorted view of one kind's table at a repository
  * version — the RCU-style epoch read path the serving layer runs on.
  *
- * A snapshot is a plain value: find() is a lock-free binary search
- * over entries frozen at snapshot() time, so a session answering
- * allocation lookups never touches a mutex and never blocks behind a
- * store. Readers detect staleness by comparing version() against
+ * A snapshot is a cheap value: a version plus a shared pointer to a
+ * table that SharedRepository::snapshot() built once for that kind
+ * and version and hands to every caller, so many sessions reading
+ * one kind hold one table between them. find() is a lock-free binary
+ * search over the frozen table, so a session answering allocation
+ * lookups never touches a mutex and never blocks behind a store.
+ * Readers detect staleness by comparing version() against
  * SharedRepository::version() and re-snapshot when it moved; a stale
  * snapshot is never *wrong*, only old (it serves the allocations
- * that were current when it was taken).
+ * that were current when it was taken). A default-constructed
+ * snapshot has no table and finds nothing.
  */
 class RepositorySnapshot
 {
@@ -109,22 +114,25 @@ class RepositorySnapshot
      *  taken; compare against the live value to detect staleness. */
     std::uint64_t version() const { return _version; }
 
-    std::size_t entries() const { return _entries.size(); }
-    bool empty() const { return _entries.empty(); }
+    std::size_t entries() const { return _table ? _table->size() : 0; }
+    bool empty() const { return entries() == 0; }
 
     /** Lock-free lookup: binary search over the frozen entries. */
     std::optional<ResourceAllocation> find(const RepositoryKey &key)
         const;
 
-    /** The frozen entries, sorted by key (for iteration/reports). */
-    const std::vector<Entry> &all() const { return _entries; }
+    /** The frozen entries, sorted by key (for iteration/reports);
+     *  the same object for every snapshot of one kind and version. */
+    const std::vector<Entry> &all() const;
 
   private:
     friend class SharedRepository;
 
     ServiceKind _kind = ServiceKind::Generic;
     std::uint64_t _version = 0;
-    std::vector<Entry> _entries;
+    /** Published by SharedRepository::snapshot() and never modified
+     *  after; null only in a default-constructed snapshot. */
+    std::shared_ptr<const std::vector<Entry>> _table;
 };
 
 /**
@@ -233,7 +241,8 @@ class SharedRepository
     /** Move is for factory returns (load()) only: it locks @p other,
      *  so it is safe against concurrent readers of the source, but
      *  handles into @p other are NOT retargeted — move before
-     *  attaching. */
+     *  attaching. The kept snapshots are not moved: the destination
+     *  starts with none and collects on its first snapshot(). */
     SharedRepository(SharedRepository &&other) noexcept;
     SharedRepository(const SharedRepository &) = delete;
     SharedRepository &operator=(const SharedRepository &) = delete;
@@ -251,12 +260,23 @@ class SharedRepository
     std::uint64_t version() const;
 
     /**
-     * Freeze one kind's table into an immutable sorted view (see
-     * RepositorySnapshot). Takes each shard lock once, briefly;
-     * the returned value is then read without any locking. The
-     * recorded version is captured *before* collection, so a write
-     * that races the collection at worst makes the snapshot look
-     * stale immediately — never silently current.
+     * The immutable sorted view of one kind's table (see
+     * RepositorySnapshot). The repository keeps the latest snapshot
+     * per kind and returns it while it is current; only when
+     * version() has moved past it does a call collect the kind once
+     * (each shard lock taken briefly), publish the new table and
+     * return it. Every caller of one kind and version therefore
+     * shares one table. Invariants:
+     *  - A snapshot's version is read *before* its entries are
+     *    collected, so a write that races the collection at worst
+     *    makes the snapshot look stale immediately — a snapshot is
+     *    never silently current.
+     *  - A published table is never modified; a newer version gets a
+     *    new table.
+     *  - A reader's old table stays valid for as long as the reader
+     *    holds its snapshot, however many versions have passed.
+     * Readers call this only when version() has moved; the lookups
+     * themselves (RepositorySnapshot::find) take no lock.
      */
     RepositorySnapshot snapshot(ServiceKind kind) const;
 
@@ -418,6 +438,12 @@ class SharedRepository
     /** A deque so attach() never relocates live attachments. */
     mutable std::deque<Attachment> _attachments GUARDED_BY(_amu);
     int _live GUARDED_BY(_amu) = 0;
+    /** Guards the kept snapshots. Taken only by snapshot(), which
+     *  may take shard locks under it (never the other way around). */
+    mutable Mutex _snapshotMu;
+    /** The latest snapshot handed out per kind. */
+    mutable std::map<ServiceKind, RepositorySnapshot> _snapshots
+        GUARDED_BY(_snapshotMu);
 };
 
 } // namespace dejavu

@@ -133,9 +133,8 @@ Service::hypotheticalQosPercent(const Workload &workload,
                                 const ResourceAllocation &allocation,
                                 double interference) const
 {
-    const double rho =
-        hypotheticalUtilization(workload, allocation, interference);
-    return PerfModel::qosPercent(rho);
+    return qosPercentAt(
+        hypotheticalUtilization(workload, allocation, interference));
 }
 
 } // namespace dejavu

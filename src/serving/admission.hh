@@ -4,12 +4,12 @@
  * bounds how many sessions the daemon will carry at once.
  *
  * The gate protects the latency budget, not memory: every admitted
- * session costs a snapshot cache plus classifier scratch, and an
- * unbounded session count would eventually push p99 past the budget
- * for everyone. Rejection is cheap and explicit — the Hello gets
- * HelloAckMsg::kRejected and the client falls back to its local
- * full-capacity policy, exactly as if the daemon were down
- * (docs/SERVING.md, "daemon unreachable" row).
+ * session costs a handle on its kind's shared snapshot plus
+ * classifier scratch, and an unbounded session count would
+ * eventually push p99 past the budget for everyone. Rejection is
+ * cheap and explicit — the Hello gets HelloAckMsg::kRejected and the
+ * client falls back to its local full-capacity policy, exactly as if
+ * the daemon were down (docs/SERVING.md, "daemon unreachable" row).
  *
  * Implementation: one CAS loop on an atomic count. No mutex — the
  * gate sits on the session-open path, which socket front-ends hit

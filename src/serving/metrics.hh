@@ -60,8 +60,10 @@ struct Metrics
     /** Answers that blew the latency budget → full capacity. */
     obs::Counter &budgetBreaches =
         registry.counter("serving.budget_breaches");
-    /** Snapshot rebuilds (a store/clear moved the repository
-     *  version). */
+    /** Session snapshot refreshes: a session saw the repository
+     *  version move (a store or clear) and picked up its kind's
+     *  shared table, which the repository collects once per kind
+     *  and version, not once per refresh. */
     obs::Counter &snapshotRefreshes =
         registry.counter("serving.snapshot_refreshes");
     /** Interference-bucket updates received from proxies. */

@@ -99,13 +99,19 @@ ServingServer::handleHello(const WireFrame &request, WireFrame &reply)
     {
         MutexLock lock(_smu);
         const std::uint32_t id =
-            static_cast<std::uint32_t>(_sessions.size());
-        _sessions.emplace_back();
-        Session &session = _sessions.back();
-        session.id = id;
-        session.kind = msg->kind;
-        session.owner = msg->owner;
-        session.fallback = msg->fallback;
+            _opened.load(std::memory_order_relaxed);
+        const auto [chunk, offset] = slotOf(id);
+        if (!_sessions[chunk])
+            _sessions[chunk] =
+                std::make_unique<std::unique_ptr<Session>[]>(
+                    std::size_t{kFirstChunk} << chunk);
+        auto session = std::make_unique<Session>();
+        session->id = id;
+        session->kind = msg->kind;
+        session->owner = msg->owner;
+        session->fallback = msg->fallback;
+        _sessions[chunk][offset] = std::move(session);
+        _opened.store(id + 1, std::memory_order_release);
         ack.sessionId = id;
     }
     _metrics.sessionsOpened.fetch_add(1, std::memory_order_relaxed);
@@ -200,29 +206,35 @@ ServingServer::closeSession(std::uint32_t id)
     return true;
 }
 
-// Returns a pointer past _smu: deque elements never relocate and
-// sessions are never destroyed before the server, so the reference
-// outlives the lock; per-session mutable state is the driving
-// connection's alone (session.hh). The analysis cannot see that
-// contract, hence the opt-out.
+std::pair<std::size_t, std::size_t>
+ServingServer::slotOf(std::uint32_t id)
+{
+    // Chunk c starts at id kFirstChunk * (2^c - 1), so
+    // c = floor(log2(id / kFirstChunk + 1)).
+    const unsigned long long v = id / kFirstChunk + 1ull;
+    const auto chunk = static_cast<std::size_t>(63 - __builtin_clzll(v));
+    return {chunk,
+            id - std::size_t{kFirstChunk} * ((std::size_t{1} << chunk) - 1)};
+}
+
+// Per-session mutable state is the driving connection's alone
+// (session.hh); see _sessions for why the slot read needs no lock.
 Session *
 ServingServer::sessionFor(std::uint32_t id) const
-    NO_THREAD_SAFETY_ANALYSIS
 {
-    MutexLock lock(_smu);
-    if (id >= _sessions.size())
+    if (id >= _opened.load(std::memory_order_acquire))
         return nullptr;
-    Session &session = _sessions[id];
-    if (!session.live.load(std::memory_order_acquire))
+    const auto [chunk, offset] = slotOf(id);
+    Session *session = _sessions[chunk][offset].get();
+    if (!session->live.load(std::memory_order_acquire))
         return nullptr;
-    return &session;
+    return session;
 }
 
 int
 ServingServer::totalSessions() const
 {
-    MutexLock lock(_smu);
-    return static_cast<int>(_sessions.size());
+    return static_cast<int>(_opened.load(std::memory_order_acquire));
 }
 
 } // namespace serving

@@ -30,9 +30,11 @@
 #define DEJAVU_SERVING_SERVER_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/thread_annotations.hh"
 #include "core/shared_repository.hh"
@@ -142,8 +144,18 @@ class ServingServer
     void handleBye(const WireFrame &request);
 
     /** The live session for @p id, or nullptr (bad id / dead
-     *  session — counted as a wire error by callers). */
+     *  session — counted as a wire error by callers). Takes no
+     *  lock: it runs on every Sample, from every transport thread. */
     Session *sessionFor(std::uint32_t id) const;
+
+    /** Index slots in the first chunk; chunk c holds
+     *  kFirstChunk << c, so kIndexChunks chunks cover every 32-bit
+     *  session id. */
+    static constexpr std::uint32_t kFirstChunk = 1024;
+    static constexpr std::size_t kIndexChunks = 23;
+
+    /** (chunk, offset) of session @p id in _sessions. */
+    static std::pair<std::size_t, std::size_t> slotOf(std::uint32_t id);
 
     SharedRepository &_repo;
     Config _config;
@@ -158,11 +170,24 @@ class ServingServer
                static_cast<std::size_t>(ServiceKind::Ycsb) + 1>
         _models{};
 
-    /** Guards the session registry spine only — per-session state
-     *  is externally synchronized (session.hh). A deque so sessions
-     *  never relocate: references escape the lock by design. */
-    mutable Mutex _smu;
-    mutable std::deque<Session> _sessions GUARDED_BY(_smu);
+    /** Serializes session creation (Hello) and the index writes it
+     *  makes. Per-session state is externally synchronized
+     *  (session.hh). */
+    Mutex _smu;
+    /**
+     * The sessions by id, in chunks that never move, so sessionFor
+     * reads without a lock. handleHello creates a session and fills
+     * its slot (allocating the chunk) under _smu, then publishes the
+     * id by storing _opened with release order; sessionFor loads
+     * _opened with acquire order, so every slot below it is fully
+     * written. Slots are never cleared and sessions live as long as
+     * the server, so a returned pointer stays valid.
+     */
+    std::array<std::unique_ptr<std::unique_ptr<Session>[]>,
+               kIndexChunks>
+        _sessions;
+    /** Sessions ever opened: ids [0, _opened) are published. */
+    std::atomic<std::uint32_t> _opened{0};
 };
 
 } // namespace serving

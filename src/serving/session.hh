@@ -60,8 +60,9 @@ struct Session
      *  answers reset it exactly as DejaVuController::setBucket
      *  does). */
     int bucket = 0;
-    /** Cached immutable view of this kind's repository table;
-     *  refreshed when SharedRepository::version() moves. */
+    /** This kind's immutable repository table, shared with every
+     *  other session of the kind; refreshed when
+     *  SharedRepository::version() moves. */
     RepositorySnapshot snapshot;
     /** Classifier scratch (the PR-6 no-allocation classify path). */
     std::vector<double> scratch;

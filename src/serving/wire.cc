@@ -7,6 +7,54 @@ namespace serving {
 
 namespace {
 
+// --- little-endian words ------------------------------------------
+//
+// Byte stores and loads at constant offsets with constant shifts: the
+// result is the same on any host byte order, and gcc and clang merge
+// each helper into a single word move on little-endian hosts. (A
+// shift loop over a variable offset is not merged, and every byte
+// store through it may alias the caller's source array.) `inline`
+// matters: gcc -O2 sizes a helper before merging its bytes, and
+// without the keyword it calls loadLe64 out of line per value.
+
+inline void
+storeLe32(std::uint8_t *p, std::uint32_t v)
+{
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+inline void
+storeLe64(std::uint8_t *p, std::uint64_t v)
+{
+    p[0] = static_cast<std::uint8_t>(v);
+    p[1] = static_cast<std::uint8_t>(v >> 8);
+    p[2] = static_cast<std::uint8_t>(v >> 16);
+    p[3] = static_cast<std::uint8_t>(v >> 24);
+    p[4] = static_cast<std::uint8_t>(v >> 32);
+    p[5] = static_cast<std::uint8_t>(v >> 40);
+    p[6] = static_cast<std::uint8_t>(v >> 48);
+    p[7] = static_cast<std::uint8_t>(v >> 56);
+}
+
+inline std::uint32_t
+loadLe32(const std::uint8_t *p)
+{
+    return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8)
+        | (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+}
+
+inline std::uint64_t
+loadLe64(const std::uint8_t *p)
+{
+    return std::uint64_t{p[0]} | (std::uint64_t{p[1]} << 8)
+        | (std::uint64_t{p[2]} << 16) | (std::uint64_t{p[3]} << 24)
+        | (std::uint64_t{p[4]} << 32) | (std::uint64_t{p[5]} << 40)
+        | (std::uint64_t{p[6]} << 48) | (std::uint64_t{p[7]} << 56);
+}
+
 // --- encode helpers: explicit little-endian byte writes ------------
 
 void
@@ -26,13 +74,6 @@ void
 put32(WireFrame &out, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-put64(WireFrame &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
         out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
@@ -83,9 +124,7 @@ struct Cursor
             ok = false;
             return 0;
         }
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t{p[i]} << (8 * i);
+        const std::uint32_t v = loadLe32(p);
         p += 4;
         left -= 4;
         return v;
@@ -97,9 +136,7 @@ struct Cursor
             ok = false;
             return 0;
         }
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t{p[i]} << (8 * i);
+        const std::uint64_t v = loadLe64(p);
         p += 8;
         left -= 8;
         return v;
@@ -213,25 +250,24 @@ void
 encodeSampleInto(WireFrame &out, std::uint32_t sessionId,
                  std::uint32_t seq, const std::vector<double> &values)
 {
-    // Bulk raw-pointer writes: a sample carries ~54 doubles and the
-    // lookup loop runs millions of frames a second — per-byte
-    // push_back would dominate the whole serve cost.
+    // Raw-pointer word writes into a frame sized once: a sample
+    // carries ~54 doubles and the lookup loop runs millions of frames
+    // a second, so per-byte push_back or per-byte shift loops would
+    // dominate the whole serve cost.
     const std::size_t n = std::min<std::size_t>(values.size(), 0xffff);
     out.resize(1 + 4 + 4 + 2 + 8 * n);
     std::uint8_t *p = out.data();
-    *p++ = static_cast<std::uint8_t>(MsgType::Sample);
-    for (int i = 0; i < 4; ++i)
-        *p++ = static_cast<std::uint8_t>(sessionId >> (8 * i));
-    for (int i = 0; i < 4; ++i)
-        *p++ = static_cast<std::uint8_t>(seq >> (8 * i));
-    *p++ = static_cast<std::uint8_t>(n);
-    *p++ = static_cast<std::uint8_t>(n >> 8);
-    for (std::size_t i = 0; i < n; ++i) {
+    p[0] = static_cast<std::uint8_t>(MsgType::Sample);
+    storeLe32(p + 1, sessionId);
+    storeLe32(p + 5, seq);
+    p[9] = static_cast<std::uint8_t>(n);
+    p[10] = static_cast<std::uint8_t>(n >> 8);
+    p += 11;
+    const double *v = values.data();
+    for (std::size_t i = 0; i < n; ++i, p += 8) {
         std::uint64_t bits;
-        std::memcpy(&bits, &values[i], sizeof bits);
-        for (int b = 0; b < 8; ++b)
-            p[b] = static_cast<std::uint8_t>(bits >> (8 * b));
-        p += 8;
+        std::memcpy(&bits, v + i, sizeof bits);
+        storeLe64(p, bits);
     }
 }
 
@@ -256,16 +292,14 @@ decodeSampleInto(const WireFrame &frame, SampleMsg &msg)
     if (!c.ok || c.left != std::size_t{n} * 8)
         return false;
     // Bounds are fully established above; decode the payload with
-    // raw-pointer reads (same hot-path rationale as
+    // raw-pointer word reads (same hot-path rationale as
     // encodeSampleInto).
     msg.values.resize(n);
     const std::uint8_t *p = c.p;
-    for (std::uint16_t i = 0; i < n; ++i) {
-        std::uint64_t bits = 0;
-        for (int b = 0; b < 8; ++b)
-            bits |= std::uint64_t{p[b]} << (8 * b);
-        std::memcpy(&msg.values[i], &bits, sizeof bits);
-        p += 8;
+    double *v = msg.values.data();
+    for (std::size_t i = 0; i < n; ++i, p += 8) {
+        const std::uint64_t bits = loadLe64(p);
+        std::memcpy(v + i, &bits, sizeof bits);
     }
     return true;
 }
@@ -282,17 +316,21 @@ decodeSample(const WireFrame &frame)
 void
 encodeAnswerInto(WireFrame &out, const AnswerMsg &msg)
 {
-    out.clear();
-    put8(out, static_cast<std::uint8_t>(MsgType::Answer));
-    put32(out, msg.sessionId);
-    put32(out, msg.seq);
-    put8(out, msg.kind);
-    put8(out, msg.flags);
-    putI32(out, msg.classId);
-    put64(out, msg.certaintyBits);
-    putI32(out, msg.bucketUsed);
-    putI32(out, msg.allocation.instances);
-    put8(out, static_cast<std::uint8_t>(msg.allocation.type));
+    // Fixed 32-byte layout, written at constant offsets into a frame
+    // sized once (the hot-path twin of decodeAnswer's field order).
+    out.resize(32);
+    std::uint8_t *p = out.data();
+    p[0] = static_cast<std::uint8_t>(MsgType::Answer);
+    storeLe32(p + 1, msg.sessionId);
+    storeLe32(p + 5, msg.seq);
+    p[9] = msg.kind;
+    p[10] = msg.flags;
+    storeLe32(p + 11, static_cast<std::uint32_t>(msg.classId));
+    storeLe64(p + 15, msg.certaintyBits);
+    storeLe32(p + 23, static_cast<std::uint32_t>(msg.bucketUsed));
+    storeLe32(p + 27,
+              static_cast<std::uint32_t>(msg.allocation.instances));
+    p[31] = static_cast<std::uint8_t>(msg.allocation.type);
 }
 
 WireFrame
@@ -405,9 +443,7 @@ FrameReader::next()
     if (avail < 4)
         return std::nullopt;
     const std::uint8_t *p = _buffer.data() + _consumed;
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= std::uint32_t{p[i]} << (8 * i);
+    const std::uint32_t len = loadLe32(p);
     if (len > kMaxFrameBytes) {
         _error = true;  // Stream framing cannot recover; drop peer.
         return std::nullopt;

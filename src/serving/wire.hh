@@ -177,7 +177,7 @@ void encodeSampleInto(WireFrame &out, std::uint32_t sessionId,
 /** Decode a Sample into @p msg, reusing msg.values capacity.
  *  @return false (msg unspecified) on malformed input. */
 bool decodeSampleInto(const WireFrame &frame, SampleMsg &msg);
-/** Encode an Answer into @p out (cleared first, capacity kept). */
+/** Encode an Answer into @p out (overwritten, capacity kept). */
 void encodeAnswerInto(WireFrame &out, const AnswerMsg &msg);
 /** @} */
 

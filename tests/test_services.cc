@@ -332,6 +332,18 @@ TEST(ServiceSample, SpecWebQosUsesItsKnee)
                                     service.config().qosKnee));
     EXPECT_LT(service.qosPercent(),
               PerfModel::qosPercent(service.utilization()));
+
+    // The sandbox evaluation the tuner and the profiler read goes
+    // through the same knee.
+    const Workload workload = service.workload();
+    const ResourceAllocation allocation{10, cluster.target().type};
+    const double rho =
+        service.hypotheticalUtilization(workload, allocation);
+    ASSERT_GT(rho, 0.7);
+    EXPECT_EQ(service.hypotheticalQosPercent(workload, allocation),
+              PerfModel::qosPercent(rho, service.config().qosKnee));
+    EXPECT_LT(service.hypotheticalQosPercent(workload, allocation),
+              PerfModel::qosPercent(rho));
 }
 
 } // namespace

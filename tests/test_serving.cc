@@ -162,6 +162,74 @@ TEST(ServingWire, ScratchVariantsMatchAllocatingForms)
     EXPECT_EQ(answerScratch, encodeAnswer(answer));
 }
 
+TEST(ServingWire, SampleAndAnswerBytesArePinned)
+{
+    // Literal frames: the round-trip tests above would pass a codec
+    // that changed the byte order on both sides, these would not.
+    // Every multi-byte field has distinct bytes, so a swapped or
+    // shifted byte shows up.
+    const auto doubleOf = [](std::uint64_t bits) {
+        double v;
+        std::memcpy(&v, &bits, sizeof v);
+        return v;
+    };
+    SampleMsg sample;
+    sample.sessionId = 0x12345678;
+    sample.seq = 0x9abcdef0;
+    sample.values = {-0.0,
+                     doubleOf(0x000fedcba9876543ull),  // Denormal.
+                     doubleOf(0x7ffabcdef0123456ull),  // NaN payload.
+                     doubleOf(0x0123456789abcdefull)};
+    const WireFrame sampleBytes = {
+        0x03,                                            // type
+        0x78, 0x56, 0x34, 0x12,                          // session
+        0xf0, 0xde, 0xbc, 0x9a,                          // seq
+        0x04, 0x00,                                      // count
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+        0x43, 0x65, 0x87, 0xa9, 0xcb, 0xed, 0x0f, 0x00,
+        0x56, 0x34, 0x12, 0xf0, 0xde, 0xbc, 0xfa, 0x7f,
+        0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01};
+    EXPECT_EQ(encodeSample(sample), sampleBytes);
+    SampleMsg decoded;
+    ASSERT_TRUE(decodeSampleInto(sampleBytes, decoded));
+    EXPECT_EQ(encodeSample(decoded), sampleBytes);
+
+    AnswerMsg answer;
+    answer.sessionId = 0x12345678;
+    answer.seq = 0x9abcdef0;
+    answer.kind = 2;
+    answer.flags = AnswerMsg::kBudgetBreached;
+    answer.classId = -2;
+    answer.certaintyBits = 0xfff8123456789abcull;  // NaN payload.
+    answer.bucketUsed = 0x0a0b0c0d;
+    answer.allocation = {0x01020304, InstanceType::XLarge};
+    const WireFrame answerBytes = {
+        0x04,                                            // type
+        0x78, 0x56, 0x34, 0x12,                          // session
+        0xf0, 0xde, 0xbc, 0x9a,                          // seq
+        0x02,                                            // kind
+        0x01,                                            // flags
+        0xfe, 0xff, 0xff, 0xff,                          // class
+        0xbc, 0x9a, 0x78, 0x56, 0x34, 0x12, 0xf8, 0xff,  // certainty
+        0x0d, 0x0c, 0x0b, 0x0a,                          // bucket
+        0x04, 0x03, 0x02, 0x01,                          // instances
+        0x02};                                           // type
+    EXPECT_EQ(encodeAnswer(answer), answerBytes);
+    WireFrame scratch(64, 0xcc);
+    encodeAnswerInto(scratch, answer);
+    EXPECT_EQ(scratch, answerBytes);
+    const std::optional<AnswerMsg> back = decodeAnswer(answerBytes);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(encodeAnswer(*back), answerBytes);
+
+    // The stream form prefixes the payload length, little-endian.
+    std::vector<std::uint8_t> stream;
+    appendFramed(stream, answerBytes);
+    ASSERT_EQ(stream.size(), 4 + answerBytes.size());
+    EXPECT_EQ(WireFrame(stream.begin(), stream.begin() + 4),
+              (WireFrame{0x20, 0x00, 0x00, 0x00}));
+}
+
 TEST(ServingWire, DecodersRejectMalformedFrames)
 {
     EXPECT_FALSE(frameType({}).has_value());
@@ -535,6 +603,50 @@ TEST(ServingServer, AdmissionGateRejectsThenReadmitsAfterBye)
     second.bye();
     EXPECT_EQ(server.metrics().sessionsOpened.load(), 2u);
     EXPECT_EQ(server.metrics().sessionsClosed.load(), 2u);
+}
+
+TEST(ServingServer, SessionIdsResolveAcrossIndexChunks)
+{
+    // The session index grows in chunks of 1024, 2048, 4096, ...
+    // slots; ids on both sides of each boundary must resolve to their
+    // own session, and ids past the last Hello or already closed must
+    // not.
+    ServingWorld &w = world();
+    ServingServer::Config config;
+    config.budgetNanos = ServingServer::kNoBudget;
+    ServingServer server(*w.bootstrap->repo, config);
+    for (auto &member : w.bootstrap->stack->members)
+        server.registerModel(member->service->kind(),
+                             member->controller->servingModel());
+
+    constexpr std::uint32_t kSessions = 3100;
+    std::vector<ServingClient> clients;
+    clients.reserve(kSessions);
+    for (std::uint32_t i = 0; i < kSessions; ++i) {
+        clients.emplace_back(server);
+        ASSERT_TRUE(clients.back().hello(w.kinds[0], w.fallbacks[0],
+                                         "chunked"));
+        ASSERT_EQ(clients.back().sessionId(), i);
+    }
+    EXPECT_EQ(server.totalSessions(), static_cast<int>(kSessions));
+    for (const std::uint32_t id : {0u, 1023u, 1024u, 3071u, 3072u,
+                                   kSessions - 1}) {
+        const AnswerMsg answer =
+            clients[id].decide(w.samples[0][0].values);
+        EXPECT_EQ(answer.sessionId, id);
+        EXPECT_TRUE(digestOf(answer) == w.simDigests[0][0])
+            << "session " << id;
+    }
+    EXPECT_EQ(server.metrics().wireErrors.load(), 0u);
+
+    clients[1024].bye();
+    const std::uint64_t errors = server.metrics().wireErrors.load();
+    EXPECT_FALSE(
+        server.serve(encodeSample({1024, 0, {1.0}}), 0).has_value());
+    EXPECT_FALSE(
+        server.serve(encodeSample({kSessions, 0, {1.0}}), 0)
+            .has_value());
+    EXPECT_EQ(server.metrics().wireErrors.load(), errors + 2);
 }
 
 TEST(ServingServer, MalformedFramesAreCountedNeverFatal)

@@ -474,6 +474,25 @@ TEST(SharedRepository, SnapshotIsFrozenSortedAndVersioned)
     EXPECT_TRUE(
         repo.snapshot(ServiceKind::KeyValue).find({99, 0})
             .has_value());
+
+    // With no store in between, every caller gets the same table.
+    const RepositorySnapshot a = repo.snapshot(ServiceKind::KeyValue);
+    const RepositorySnapshot b = repo.snapshot(ServiceKind::KeyValue);
+    EXPECT_EQ(&a.all(), &b.all());
+
+    // Overwriting a key publishes a new table; the old one, still
+    // held, keeps the old allocation.
+    h.store({7, 1}, kSixLarge);
+    EXPECT_EQ(a.find({7, 1}), kFourLarge);
+    const RepositorySnapshot c = repo.snapshot(ServiceKind::KeyValue);
+    EXPECT_NE(&c.all(), &a.all());
+    EXPECT_EQ(c.find({7, 1}), kSixLarge);
+
+    // No table at all: finds nothing, like an empty one.
+    const RepositorySnapshot none;
+    EXPECT_FALSE(none.find({7, 1}).has_value());
+    EXPECT_TRUE(none.empty());
+    EXPECT_TRUE(none.all().empty());
 }
 
 TEST(SharedRepository, ConcurrentShardedStoresWithSnapshotReaders)
