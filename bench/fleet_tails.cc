@@ -50,13 +50,12 @@
  *
  * `--huge` switches to the scale gate instead of the model sweep:
  * mixed fleets of N in {1k, 10k} services (series recording off,
- * shared repository) are
- * run through every slot policy, reporting events/s, wall time and
- * peak RSS next to the hosts-vs-p95 knee, and emitting a
- * BENCH_fleet.json machine digest (read by
- * tools/check_bench_regression.py in CI). `--huge --smoke` shrinks N
- * to {100, 1k} for per-push CI. `--json <path>` overrides the digest
- * location.
+ * shared repository) are run through every slot policy, reporting
+ * events/s, wall time and each cell's own peak RSS next to the
+ * hosts-vs-p95 knee, and emitting a BENCH_fleet.json machine digest
+ * (read by tools/check_bench_regression.py in CI). `--huge --smoke`
+ * shrinks N to {100, 1k} for per-push CI. `--json <path>` overrides
+ * the digest location.
  */
 
 #include <chrono>
@@ -164,7 +163,9 @@ struct HugeCell
     double learnSec = 0.0;          ///< Learning-phase wall clock.
     double runSec = 0.0;            ///< run() wall clock.
     double eventsPerSec = 0.0;      ///< events / runSec.
-    std::uint64_t rssBytes = 0;     ///< Process peak RSS after run.
+    /** Peak RSS from just before the cell was built to after its run
+     *  (process-wide where /proc/self/clear_refs is unavailable). */
+    std::uint64_t rssBytes = 0;
     FleetExperiment::FleetSummary summary;
 };
 
@@ -177,6 +178,7 @@ runHugeCell(int services, int hosts, const std::string &policy,
     static const ServiceKind kCycle[] = {
         ServiceKind::KeyValue, ServiceKind::SpecWeb,
         ServiceKind::Rubis};
+    resetPeakRss();
     ScenarioOptions options;
     options.seed = 42;
     options.days = 2;
@@ -340,6 +342,7 @@ runHugeGate(bool smoke, std::string jsonPath)
         // The timed run that feeds the JSON digest (runFleetCell does
         // not expose event counts or RSS).
         HugeCell cell;
+        resetPeakRss();
         const auto learnStart = std::chrono::steady_clock::now();
         auto stack =
             makeFleetScenario(confScenario, 42, SlotPolicy::Fifo);

@@ -139,6 +139,13 @@ main()
         std::vector<MiniStack> stacks;
         stacks.reserve(static_cast<std::size_t>(n));
         DejaVuFleet fleet(sim, seconds(10));
+        SimTime lastAdaptation = 0;
+        fleet.addListener(
+            [&lastAdaptation](
+                const DejaVuFleet::CompletedAdaptation &entry) {
+                lastAdaptation = std::max(lastAdaptation,
+                                          entry.totalAdaptation());
+            });
         for (int s = 0; s < n; ++s) {
             MiniStack stack;
             stack.cluster = std::make_unique<Cluster>(
@@ -170,10 +177,6 @@ main()
             fleet.requestAdaptation("svc" + std::to_string(s), change);
         sim.runUntil(hours(1));
 
-        SimTime lastAdaptation = 0;
-        for (const auto &entry : fleet.log())
-            lastAdaptation = std::max(lastAdaptation,
-                                      entry.totalAdaptation());
         fleetTable.addRow({
             std::to_string(n),
             Table::num(toSeconds(fleet.maxQueueDelay()), 0),

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -166,6 +169,12 @@ TimeWeightedValue::integralSeconds(SimTime now) const
 std::uint64_t
 peakRssBytes()
 {
+    // VmHWM honours resetPeakRss(); ru_maxrss never goes down.
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.compare(0, 6, "VmHWM:") == 0)
+            return std::strtoull(line.c_str() + 6, nullptr, 10) * 1024;
 #if defined(__unix__) || defined(__APPLE__)
     struct rusage usage;
     if (getrusage(RUSAGE_SELF, &usage) != 0)
@@ -180,6 +189,15 @@ peakRssBytes()
 #else
     return 0;  // No getrusage on this platform.
 #endif
+}
+
+bool
+resetPeakRss()
+{
+    std::ofstream clearRefs("/proc/self/clear_refs");
+    clearRefs << "5";
+    clearRefs.flush();
+    return static_cast<bool>(clearRefs);
 }
 
 std::uint64_t

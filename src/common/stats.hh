@@ -113,12 +113,23 @@ class TimeWeightedValue
 };
 
 /**
- * Peak resident set size of this process, in bytes (getrusage-based;
- * returns 0 on platforms without it). The scale benches report this
- * next to events/s so memory regressions show up in the same table as
- * throughput regressions.
+ * Peak resident set size of this process, in bytes: VmHWM from
+ * /proc/self/status where /proc exists (so resetPeakRss() applies),
+ * getrusage's process-lifetime maximum otherwise, and 0 on platforms
+ * with neither. The scale benches report this next to events/s so
+ * memory regressions show up in the same table as throughput
+ * regressions.
  */
 std::uint64_t peakRssBytes();
+
+/**
+ * Restart the peak-RSS high-water mark at the current RSS (writes 5
+ * to /proc/self/clear_refs), so the next peakRssBytes() covers only
+ * what ran in between — one bench cell, not every cell so far.
+ * @return false where /proc is unavailable (the peak then stays the
+ *         process-lifetime maximum).
+ */
+bool resetPeakRss();
 
 /**
  * Monotonic host time in nanoseconds (CLOCK_MONOTONIC; an arbitrary

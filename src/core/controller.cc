@@ -105,9 +105,9 @@ DejaVuController::prepareLearning(
     // Identify signature schema + workload classes.
     ClusteringEngine engine(_rng.fork(), _config.clustering);
     ClusteringEngine::Result res = engine.identifyClasses(samples);
-    _schema = res.schema;
-    _standardizer = res.standardizer;
-    _clustering = res.clustering;
+    _schema = std::move(res.schema);
+    _standardizer = std::move(res.standardizer);
+    _clustering = std::move(res.clustering);
 
     // Train the runtime classifier on the labeled clusters.
     ClassifierEngine::Config ccfg;
@@ -152,10 +152,14 @@ DejaVuController::prepareLearning(
     // per-change classify/novelty path.
     _centroidRows.assign(_clustering.centroids);
 
+    // Hand learnPrepared() only what it reads: a fleet prepares every
+    // member before finalising any, so the labeled signature dataset
+    // must die with `res` here.
     PreparedLearning prepared;
     prepared.workloads = workloads;
-    prepared.clusters = std::move(res);
     prepared.sampleWorkload = std::move(sampleWorkload);
+    prepared.representatives = std::move(res.representatives);
+    prepared.members = std::move(res.members);
     prepared.samples = static_cast<int>(samples.size());
     _prepared = std::move(prepared);
 }
@@ -167,7 +171,6 @@ DejaVuController::learnPrepared()
                   "learnPrepared without prepareLearning");
     const PreparedLearning prepared = std::move(*_prepared);
     _prepared.reset();
-    const ClusteringEngine::Result &res = prepared.clusters;
     const std::vector<Workload> &workloads = prepared.workloads;
     const std::vector<int> &sampleWorkload = prepared.sampleWorkload;
 
@@ -194,12 +197,14 @@ DejaVuController::learnPrepared()
                    reused->toString());
             continue;
         }
-        int sampleIdx = res.representatives[static_cast<std::size_t>(c)];
+        int sampleIdx =
+            prepared.representatives[static_cast<std::size_t>(c)];
         DEJAVU_ASSERT(sampleIdx >= 0, "cluster ", c, " empty");
         if (_config.representativeRule ==
             RepresentativeRule::MostDemanding) {
             double mostClients = -1.0;
-            for (int m : res.members[static_cast<std::size_t>(c)]) {
+            for (int m :
+                 prepared.members[static_cast<std::size_t>(c)]) {
                 const Workload &wm = workloads[
                     static_cast<std::size_t>(sampleWorkload[
                         static_cast<std::size_t>(m)])];

@@ -407,12 +407,17 @@ class DejaVuController
     /** Bucket-transition subscriber; see attachProxy(). */
     DejaVuProxy *_proxy = nullptr;
 
-    /** State handed from prepareLearning() to learnPrepared(). */
+    /** State handed from prepareLearning() to learnPrepared(): only
+     *  what the representative choice reads. A fleet holds one per
+     *  member between its prepare and finalise. */
     struct PreparedLearning
     {
         std::vector<Workload> workloads;
-        ClusteringEngine::Result clusters;
         std::vector<int> sampleWorkload;  ///< Sample -> workload idx.
+        /** Per class, its medoid sample (ClusteringEngine::Result). */
+        std::vector<int> representatives;
+        /** Per class, its member sample indices. */
+        std::vector<std::vector<int>> members;
         int samples = 0;
     };
     std::optional<PreparedLearning> _prepared;

@@ -1,6 +1,7 @@
 #include "experiments/actors.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "sim/simulation.hh"
@@ -219,7 +220,7 @@ MetricsRecorder::onTick(int hour, const Service::PerfSample &s)
 
     if (hour >= _config.reuseStartHour) {
         ++_reuseTicks;
-        _reuseLatency.add(s.meanLatencyMs);
+        _reuseLatencySum += s.meanLatencyMs;
         _reuseQos.add(s.qosPercent);
         if (!_config.slo.satisfied(s.meanLatencyMs, s.qosPercent))
             ++_violations;
@@ -244,8 +245,18 @@ MetricsRecorder::finish() const
     }
     result.sloViolationFraction = _reuseTicks
         ? static_cast<double>(_violations) / _reuseTicks : 0.0;
-    result.meanLatencyMs = _reuseLatency.mean();
-    result.p95LatencyMs = _reuseLatency.quantile(0.95);
+    result.meanLatencyMs = _reuseTicks
+        ? _reuseLatencySum / static_cast<double>(_reuseTicks) : 0.0;
+    if (_config.recordSeries) {
+        PercentileSampler reuseLatency;
+        for (auto it = result.latencyMs.end()
+                 - static_cast<std::ptrdiff_t>(_reuseTicks);
+             it != result.latencyMs.end(); ++it)
+            reuseLatency.add(it->value);
+        result.p95LatencyMs = reuseLatency.quantile(0.95);
+    } else {
+        result.p95LatencyMs = std::numeric_limits<double>::quiet_NaN();
+    }
     result.meanQosPercent = _reuseQos.mean();
 
     const double totalCost = _frozen

@@ -184,8 +184,9 @@ class MetricsRecorder : public Actor
         int reuseStartHour = 24;
         Slo slo = Slo::latency(60.0);
         /** When false, only the reuse-window aggregates are kept (no
-         *  per-tick series) — a 10k-service fleet's series would
-         *  otherwise dominate peak RSS. */
+         *  per-tick series, and so no p95 latency) — a 10k-service
+         *  fleet's series would otherwise dominate peak RSS. The
+         *  recorder's memory is then constant in simulated time. */
         bool recordSeries = true;
     };
 
@@ -210,7 +211,10 @@ class MetricsRecorder : public Actor
     /** Aggregate everything recorded so far (reuse window only) into
      *  a result; series are copied out. Cost/energy integrals stop at
      *  this recorder's own horizon even if the simulation (e.g. a
-     *  fleet with a longer-running member) advanced further. */
+     *  fleet with a longer-running member) advanced further. The
+     *  reuse-window p95 latency is read from the latency series, so
+     *  it is NaN when series are off. Calling it again returns the
+     *  same result. */
     ExperimentResult finish() const;
 
   protected:
@@ -239,9 +243,13 @@ class MetricsRecorder : public Actor
     SeriesArena _ownArena;           ///< Used when no shared arena.
     SeriesArena *_arena;             ///< Where the series land.
     SeriesArena::StreamId _streams[kNumSeries] = {};
-    PercentileSampler _reuseLatency;
+    /** Reuse-window latencies summed in tick order; finish()
+     *  divides by _reuseTicks for the mean. */
+    double _reuseLatencySum = 0.0;
     RunningStats _reuseQos;
     std::size_t _violations = 0;
+    /** Ticks in the reuse window. Hours only grow, so these are the
+     *  last _reuseTicks points of every series. */
     std::size_t _reuseTicks = 0;
 
     EnergyModel _energyModel;

@@ -54,6 +54,8 @@ struct ExperimentResult
     /** @name Reuse-window aggregates @{ */
     double sloViolationFraction = 0.0;
     double meanLatencyMs = 0.0;
+    /** Read from the latency series: NaN when the run recorded none
+     *  (Config::recordSeries off, as in large fleets). */
     double p95LatencyMs = 0.0;
     double meanQosPercent = 0.0;
     double costDollars = 0.0;       ///< Accrued over the reuse window.
@@ -93,8 +95,9 @@ class ProvisioningExperiment
         /** Allocation deployed during the learning day. */
         ResourceAllocation learningAllocation{10, InstanceType::Large};
         /** Keep the per-tick plot series (latency/QoS/instances/...).
-         *  Huge-fleet sweeps turn this off: aggregates survive, peak
-         *  RSS stops scaling with tick count. */
+         *  Huge-fleet sweeps turn this off: aggregates survive except
+         *  p95LatencyMs (NaN), and peak RSS stops scaling with tick
+         *  count. */
         bool recordSeries = true;
     };
 

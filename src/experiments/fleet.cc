@@ -84,11 +84,10 @@ DejaVuFleet::memberIndex(const std::string &name) const
 }
 
 void
-DejaVuFleet::complete(CompletedAdaptation entry)
+DejaVuFleet::complete(const CompletedAdaptation &done)
 {
-    _log.push_back(std::move(entry));
+    _maxQueueDelay = std::max(_maxQueueDelay, done.queueDelay());
     DEJAVU_TRACE(if (_trace) {
-        const CompletedAdaptation &done = _log.back();
         const char *name = "adapt.hit";
         if (done.peerServed)
             name = "adapt.peer";
@@ -108,7 +107,7 @@ DejaVuFleet::complete(CompletedAdaptation entry)
                 : obs::TraceRecorder::kNoArg);
     });
     for (const auto &listener : _listeners)
-        listener(_log.back());
+        listener(done);
 }
 
 void
@@ -151,7 +150,7 @@ DejaVuFleet::requestAdaptation(const std::string &name,
             // adaptation time (signature collection etc.) is
             // measured from that point.
             entry.decision = m.controller->onWorkloadChange(workload);
-            complete(std::move(entry));
+            complete(entry);
             return grant.item->duration;
         });
 }
@@ -232,7 +231,7 @@ DejaVuFleet::runTunerGrant(std::size_t memberIdx,
             entry.decision = *adopted;
             DEJAVU_TRACE(if (_trace) _trace->instant(
                 memberLane(memberIdx), "repo.adopt", now()));
-            complete(std::move(entry));
+            complete(entry);
             return 0;
         }
     }
@@ -248,7 +247,7 @@ DejaVuFleet::runTunerGrant(std::size_t memberIdx,
     DEJAVU_TRACE(if (_trace) _trace->instant(
         memberLane(memberIdx), "repo.store",
         saturatingAdd(grant.startedAt, occupancy)));
-    complete(std::move(entry));
+    complete(entry);
     // Reuse-driven cancellation: once the experiments finish (slot
     // end — the result is stored then, not before), the allocation
     // answers every still-queued same-key tuner item — cancel them
@@ -288,7 +287,7 @@ DejaVuFleet::onTunerCancelled(std::size_t memberIdx,
             entry.kind = WorkKind::Tuner;
             entry.peerServed = true;
             entry.decision = *decision;
-            complete(std::move(entry));
+            complete(entry);
             return;
         }
         // The entry vanished between the peer's store and this
@@ -308,15 +307,6 @@ double
 DejaVuFleet::sloDebt(const std::string &name) const
 {
     return _members[memberIndex(name)].sloDebt;
-}
-
-SimTime
-DejaVuFleet::maxQueueDelay() const
-{
-    SimTime worst = 0;
-    for (const auto &entry : _log)
-        worst = std::max(worst, entry.queueDelay());
-    return worst;
 }
 
 } // namespace dejavu

@@ -46,7 +46,8 @@ namespace dejavu {
 class DejaVuFleet : public Actor
 {
   public:
-    /** One completed adaptation, for auditing/aggregation. */
+    /** One completed adaptation, handed to listeners (the fleet keeps
+     *  none: a long run's records would grow without bound). */
     struct CompletedAdaptation
     {
         std::string service;
@@ -74,7 +75,8 @@ class DejaVuFleet : public Actor
         { return queueDelay() + decision.adaptationTime; }
     };
 
-    /** Notified after each adaptation completes (in grant order). */
+    /** Notified after each adaptation completes (in grant order); the
+     *  record is only valid during the call. */
     using AdaptationListener =
         std::function<void(const CompletedAdaptation &)>;
 
@@ -106,9 +108,9 @@ class DejaVuFleet : public Actor
     /**
      * A workload change arrived for @p name: submit a signature-
      * collection work item to the pool queue and run the controller
-     * when the scheduler grants it a slot. The decision lands in
-     * log() once processed (advance the simulation past the slot
-     * start). Ignored for detached members.
+     * when the scheduler grants it a slot. Listeners see the decision
+     * once processed (advance the simulation past the slot start).
+     * Ignored for detached members.
      */
     void requestAdaptation(const std::string &name,
                            const Workload &workload);
@@ -117,8 +119,8 @@ class DejaVuFleet : public Actor
      * Remove @p name from profiling service: every queued or
      * granted-but-not-started work item it owns is cancelled (no
      * implicit slot-hold survives the member), and later
-     * requestAdaptation() calls for it are ignored. The member's
-     * completed history stays in log(). Idempotent.
+     * requestAdaptation() calls for it are ignored. Adaptations it
+     * already completed were reported to listeners. Idempotent.
      */
     void detachService(const std::string &name);
 
@@ -166,9 +168,6 @@ class DejaVuFleet : public Actor
      *  single name-to-index map fleet-level aggregators share. */
     std::size_t memberIndex(const std::string &name) const;
 
-    /** Completed adaptations in grant order. */
-    const std::vector<CompletedAdaptation> &log() const { return _log; }
-
     /** The slot policy deciding grants. */
     const ProfilingSlotScheduler &scheduler() const
     { return _workQueue.scheduler(); }
@@ -203,7 +202,7 @@ class DejaVuFleet : public Actor
     double sloDebt(const std::string &name) const;
 
     /** Largest queueing delay any adaptation has paid so far. */
-    SimTime maxQueueDelay() const;
+    SimTime maxQueueDelay() const { return _maxQueueDelay; }
 
   private:
     struct Member
@@ -216,8 +215,9 @@ class DejaVuFleet : public Actor
         bool detached = false;
     };
 
-    /** Record + broadcast one completed adaptation. */
-    void complete(CompletedAdaptation entry);
+    /** Fold one completed adaptation into the running max, trace it
+     *  and broadcast it. */
+    void complete(const CompletedAdaptation &done);
 
     /** Lazily created `svc/<name>` trace lane for one member. */
     obs::LaneId memberLane(std::size_t idx);
@@ -240,7 +240,7 @@ class DejaVuFleet : public Actor
     std::vector<Member> _members;
     std::unordered_map<std::string, std::size_t> _memberIndex;
     std::uint64_t _tunerAdopted = 0;
-    std::vector<CompletedAdaptation> _log;
+    SimTime _maxQueueDelay = 0;
     std::vector<AdaptationListener> _listeners;
     obs::TraceRecorder *_trace = nullptr;
     std::vector<obs::LaneId> _memberLanes;

@@ -34,17 +34,21 @@ FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
     if (_sharing == RepositorySharing::Shared)
         _sharedRepo = std::make_unique<SharedRepository>();
     // Charge every completed adaptation — including its host-pool
-    // queueing delay (§3.3) — to the service that requested it. The
-    // fleet's name-to-index map is authoritative (members register in
+    // queueing delay (§3.3) — to the service that requested it, and
+    // keep its two times for the fleet-wide tails. The fleet's
+    // name-to-index map is authoritative (members register in
     // lockstep), and memberIndex() is fatal on a miss: an unknown
     // name here is a wiring bug, not a condition to skip.
     _fleet.addListener(
         [this](const DejaVuFleet::CompletedAdaptation &entry) {
             Member &member =
                 *_members[_fleet.memberIndex(entry.service)];
-            member.adaptationSec.add(
-                toSeconds(entry.totalAdaptation()));
-            member.queueDelaySec.add(toSeconds(entry.queueDelay()));
+            const double queueSec = toSeconds(entry.queueDelay());
+            const double totalSec = toSeconds(entry.totalAdaptation());
+            _queueDelaySec.add(queueSec);
+            _adaptationSec.add(totalSec);
+            member.adaptationSec.add(totalSec);
+            member.queueDelaySec.add(queueSec);
             ++member.adaptations;
             member.maxQueueDelay = std::max(member.maxQueueDelay,
                                             entry.queueDelay());
@@ -242,22 +246,17 @@ FleetExperiment::summary() const
     if (s.repoLookups > 0)
         s.repoHitRate =
             static_cast<double>(s.repoHits) / s.repoLookups;
-    PercentileSampler queueDelay, total;
-    for (const auto &entry : _fleet.log()) {
-        queueDelay.add(toSeconds(entry.queueDelay()));
-        total.add(toSeconds(entry.totalAdaptation()));
-    }
-    s.adaptations = queueDelay.count();
+    s.adaptations = _queueDelaySec.count();
     if (s.adaptations == 0)
         return s;
-    s.queueDelayP50Sec = queueDelay.quantile(0.50);
-    s.queueDelayP95Sec = queueDelay.quantile(0.95);
-    s.queueDelayP999Sec = queueDelay.quantile(0.999);
-    s.queueDelayMaxSec = queueDelay.quantile(1.0);
-    s.adaptationP50Sec = total.quantile(0.50);
-    s.adaptationP95Sec = total.quantile(0.95);
-    s.adaptationP999Sec = total.quantile(0.999);
-    s.adaptationMaxSec = total.quantile(1.0);
+    s.queueDelayP50Sec = _queueDelaySec.quantile(0.50);
+    s.queueDelayP95Sec = _queueDelaySec.quantile(0.95);
+    s.queueDelayP999Sec = _queueDelaySec.quantile(0.999);
+    s.queueDelayMaxSec = _queueDelaySec.quantile(1.0);
+    s.adaptationP50Sec = _adaptationSec.quantile(0.50);
+    s.adaptationP95Sec = _adaptationSec.quantile(0.95);
+    s.adaptationP999Sec = _adaptationSec.quantile(0.999);
+    s.adaptationMaxSec = _adaptationSec.quantile(1.0);
     return s;
 }
 

@@ -156,7 +156,7 @@ class FleetExperiment
      */
     void detachService(const std::string &name);
 
-    /** The underlying fleet actor (host pool, slot log, debt). */
+    /** The underlying fleet actor (host pool, slot scheduling, debt). */
     DejaVuFleet &fleet() { return _fleet; }
     const DejaVuFleet &fleet() const { return _fleet; }
 
@@ -200,6 +200,10 @@ class FleetExperiment
     /** Shared backing store for every member recorder's plot series
      *  (five streams per member, in registration order). */
     SeriesArena _series;
+    /** Every completed adaptation's queue delay and total time, in
+     *  seconds (16 B per adaptation): the fleet-wide tails. */
+    PercentileSampler _queueDelaySec;
+    PercentileSampler _adaptationSec;
     std::unique_ptr<FleetSampler> _sampler;
     /** Owned under Shared sharing; every controller registered
      *  through addService() is attached to it. Callers must keep the

@@ -72,14 +72,18 @@ FleetSampler::detachMember(std::uint32_t index)
 void
 FleetSampler::enqueue(std::uint32_t index, SimTime t)
 {
-    auto it = _buckets.find(t);
-    if (it == _buckets.end()) {
-        std::vector<std::uint32_t> bucket;
-        if (!_bucketPool.empty()) {
-            bucket = std::move(_bucketPool.back());
-            _bucketPool.pop_back();
+    auto it = _lastBucket;
+    if (it == _buckets.end() || it->first != t) {
+        it = _buckets.find(t);
+        if (it == _buckets.end()) {
+            std::vector<std::uint32_t> bucket;
+            if (!_bucketPool.empty()) {
+                bucket = std::move(_bucketPool.back());
+                _bucketPool.pop_back();
+            }
+            it = _buckets.emplace(t, std::move(bucket)).first;
         }
-        it = _buckets.emplace(t, std::move(bucket)).first;
+        _lastBucket = it;
     }
     it->second.push_back(index);
     if (!_draining)
@@ -109,6 +113,8 @@ FleetSampler::fireDue()
     DEJAVU_ASSERT(it != _buckets.end() && it->first == now(),
                   "sampler fired with no due bucket");
     std::vector<std::uint32_t> due = std::move(it->second);
+    if (_lastBucket == it)
+        _lastBucket = _buckets.end();
     _buckets.erase(it);
 
     // Drain in append order == per-probe insertion order. The

@@ -113,7 +113,9 @@ class FleetSampler : public Actor
     void detachMember(std::uint32_t index);
 
     /** Append @p index to the bucket at @p t and keep the drain event
-     *  armed at the earliest bucket. */
+     *  armed at the earliest bucket. Appends to the bucket appended to
+     *  last skip the map lookup: every re-arm of one drain lands on
+     *  the same now + period. */
     void enqueue(std::uint32_t index, SimTime t);
 
     /** (Re)arm the drain event at the earliest bucket instant. */
@@ -127,7 +129,11 @@ class FleetSampler : public Actor
     std::vector<std::vector<SampleFeed::SampleListener>> _listeners;
     std::deque<MemberFeed> _feeds;  ///< Stable addresses for callers.
     /** Due instant -> member indices in per-probe insertion order. */
-    std::map<SimTime, std::vector<std::uint32_t>> _buckets;
+    using BucketMap = std::map<SimTime, std::vector<std::uint32_t>>;
+    BucketMap _buckets;
+    /** The bucket enqueue() appended to last; end() once fireDue()
+     *  erased it. */
+    BucketMap::iterator _lastBucket = _buckets.end();
     std::vector<std::vector<std::uint32_t>> _bucketPool;
     EventId _event = kInvalidEvent;
     SimTime _eventAt = 0;

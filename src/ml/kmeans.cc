@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "common/arena.hh"
 #include "common/logging.hh"
 
 namespace dejavu {
@@ -69,27 +71,297 @@ silhouetteOf(int n, const std::vector<int> &assignment, int k,
 }
 
 /**
+ * Row-major copy of a dataset's instances: the kernels below walk one
+ * block and make no out-of-line call per distance, so their speed
+ * does not hinge on where the linker places Dataset's code.
+ */
+FlatMatrix
+pointsOf(const Dataset &data)
+{
+    FlatMatrix points;
+    points.reset(static_cast<std::size_t>(data.size()),
+                 static_cast<std::size_t>(data.numAttributes()));
+    for (int i = 0; i < data.size(); ++i) {
+        const std::vector<double> &x = data.instance(i);
+        DEJAVU_ASSERT(x.size() == points.cols(), "dimension mismatch");
+        std::copy(x.begin(), x.end(),
+                  points.row(static_cast<std::size_t>(i)));
+    }
+    return points;
+}
+
+/** Squared distance between two rows of @p dim values, summed in
+ *  dimension order: bit-identical to KMeans::squaredDistance(). */
+inline double
+rowSquaredDistance(const double *a, const double *b, std::size_t dim)
+{
+    double d = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+        const double e = a[i] - b[i];
+        d += e * e;
+    }
+    return d;
+}
+
+/**
+ * out[j] = rowSquaredDistance(pairOf(j).first, pairOf(j).second)
+ * for every j < count. Four pairs go at a time, each with its own
+ * accumulator summed in dimension order, so every result is the
+ * single-pair value bit for bit while the four chains overlap.
+ */
+template <typename PairOf>
+void
+squaredDistances(std::size_t count, std::size_t dim, PairOf &&pairOf,
+                 double *out)
+{
+    std::size_t j = 0;
+    for (; j + 4 <= count; j += 4) {
+        const auto [a0, b0] = pairOf(j);
+        const auto [a1, b1] = pairOf(j + 1);
+        const auto [a2, b2] = pairOf(j + 2);
+        const auto [a3, b3] = pairOf(j + 3);
+        double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+        for (std::size_t i = 0; i < dim; ++i) {
+            const double e0 = a0[i] - b0[i];
+            const double e1 = a1[i] - b1[i];
+            const double e2 = a2[i] - b2[i];
+            const double e3 = a3[i] - b3[i];
+            d0 += e0 * e0;
+            d1 += e1 * e1;
+            d2 += e2 * e2;
+            d3 += e3 * e3;
+        }
+        out[j] = d0;
+        out[j + 1] = d1;
+        out[j + 2] = d2;
+        out[j + 3] = d3;
+    }
+    for (; j < count; ++j) {
+        const auto [a, b] = pairOf(j);
+        out[j] = rowSquaredDistance(a, b, dim);
+    }
+}
+
+/** out[i] = squared distance of point i to @p centre, every point. */
+void
+distancesTo(const FlatMatrix &points, const double *centre, double *out)
+{
+    squaredDistances(points.rows(), points.cols(),
+                     [&points, centre](std::size_t i) {
+                         return std::make_pair(points.row(i), centre);
+                     },
+                     out);
+}
+
+/**
  * All pairwise Euclidean distances, n x n. A squared difference does
  * not depend on operand order, so each pair is computed once and
  * mirrored.
  */
 FlatMatrix
-distanceMatrix(const Dataset &data)
+distanceMatrix(const FlatMatrix &points)
 {
-    const auto n = static_cast<std::size_t>(data.size());
+    const std::size_t n = points.rows();
     FlatMatrix distances;
     distances.reset(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i + 1 < n; ++i) {
         double *row = distances.row(i);
+        const double *x = points.row(i);
+        squaredDistances(n - i - 1, points.cols(),
+                         [&points, x, i](std::size_t j) {
+                             return std::make_pair(x,
+                                                   points.row(i + 1 + j));
+                         },
+                         row + i + 1);
         for (std::size_t j = i + 1; j < n; ++j) {
-            const double d = std::sqrt(KMeans::squaredDistance(
-                data.instance(static_cast<int>(i)),
-                data.instance(static_cast<int>(j))));
-            row[j] = d;
-            distances.row(j)[i] = d;
+            row[j] = std::sqrt(row[j]);
+            distances.row(j)[i] = row[j];
         }
     }
     return distances;
+}
+
+/** One Lloyd run's outcome, centroids kept flat (k x d). */
+struct Restart
+{
+    FlatMatrix centroids;
+    std::vector<int> assignment;
+    std::vector<int> medoids;
+    double inertia = 0.0;
+};
+
+/** Working storage reused by every restart of one bestOf(). */
+struct Buffers
+{
+    FlatMatrix sums;              ///< k x d update sums.
+    std::vector<int> counts;      ///< Members per cluster.
+    std::vector<double> minDist;  ///< Seeding: per point.
+    /** Point-to-centroid distances, centroid-major (c * n + i). */
+    std::vector<double> distances;
+};
+
+/** k-means++ seeding into @p centroids (k x d). */
+void
+seedPlusPlus(const FlatMatrix &points, int k, Rng &rng,
+             FlatMatrix &centroids, Buffers &buffers)
+{
+    const int n = static_cast<int>(points.rows());
+    const std::size_t dim = points.cols();
+    centroids.reset(static_cast<std::size_t>(k), dim);
+    auto choose = [&](int c, int i) {
+        const double *x = points.row(static_cast<std::size_t>(i));
+        std::copy(x, x + dim, centroids.row(static_cast<std::size_t>(c)));
+    };
+    choose(0, rng.uniformInt(0, n - 1));
+
+    std::vector<double> &minDist = buffers.minDist;
+    std::vector<double> &d = buffers.distances;
+    minDist.assign(static_cast<std::size_t>(n),
+                   std::numeric_limits<double>::max());
+    d.resize(static_cast<std::size_t>(n));
+    for (int c = 1; c < k; ++c) {
+        distancesTo(points,
+                    centroids.row(static_cast<std::size_t>(c - 1)),
+                    d.data());
+        double total = 0.0;
+        for (std::size_t i = 0; i < minDist.size(); ++i) {
+            minDist[i] = std::min(minDist[i], d[i]);
+            total += minDist[i];
+        }
+        if (total <= 1e-300) {
+            // All points coincide with chosen centroids; duplicate one.
+            choose(c, rng.uniformInt(0, n - 1));
+            continue;
+        }
+        double draw = rng.uniform(0.0, total);
+        int chosen = n - 1;
+        for (int i = 0; i < n; ++i) {
+            draw -= minDist[static_cast<std::size_t>(i)];
+            if (draw <= 0.0) {
+                chosen = i;
+                break;
+            }
+        }
+        choose(c, chosen);
+    }
+}
+
+/** One seeded Lloyd run into @p out. */
+void
+runOnce(const FlatMatrix &points, int k, Rng &rng, int maxIterations,
+        Buffers &buffers, Restart &out)
+{
+    const std::size_t n = points.rows();
+    const std::size_t dim = points.cols();
+    const auto kk = static_cast<std::size_t>(k);
+    seedPlusPlus(points, k, rng, out.centroids, buffers);
+    out.assignment.assign(n, 0);
+
+    std::vector<double> &d = buffers.distances;
+    for (int iter = 0; iter < maxIterations; ++iter) {
+        bool changed = false;
+        // Assignment step: the nearest centroid, first on ties.
+        d.resize(kk * n);
+        for (std::size_t c = 0; c < kk; ++c)
+            distancesTo(points, out.centroids.row(c), d.data() + c * n);
+        for (std::size_t i = 0; i < n; ++i) {
+            int best = 0;
+            double bestD = std::numeric_limits<double>::max();
+            for (std::size_t c = 0; c < kk; ++c) {
+                if (d[c * n + i] < bestD) {
+                    bestD = d[c * n + i];
+                    best = static_cast<int>(c);
+                }
+            }
+            if (out.assignment[i] != best) {
+                out.assignment[i] = best;
+                changed = true;
+            }
+        }
+        // Update step.
+        buffers.sums.reset(kk, dim);
+        buffers.counts.assign(kk, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto c = static_cast<std::size_t>(out.assignment[i]);
+            ++buffers.counts[c];
+            double *sum = buffers.sums.row(c);
+            const double *x = points.row(i);
+            for (std::size_t j = 0; j < dim; ++j)
+                sum[j] += x[j];
+        }
+        for (std::size_t c = 0; c < kk; ++c) {
+            const int count = buffers.counts[c];
+            if (count == 0)
+                continue;  // keep the old centroid for empty clusters
+            const double *sum = buffers.sums.row(c);
+            double *centroid = out.centroids.row(c);
+            for (std::size_t j = 0; j < dim; ++j)
+                centroid[j] = sum[j] / count;
+        }
+        if (!changed)
+            break;
+    }
+
+    // Inertia and medoids.
+    d.resize(n);
+    squaredDistances(n, dim,
+                     [&points, &out](std::size_t i) {
+                         return std::make_pair(
+                             points.row(i),
+                             out.centroids.row(static_cast<std::size_t>(
+                                 out.assignment[i])));
+                     },
+                     d.data());
+    out.inertia = 0.0;
+    out.medoids.assign(kk, -1);
+    std::vector<double> medoidDist(kk,
+                                   std::numeric_limits<double>::max());
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto c = static_cast<std::size_t>(out.assignment[i]);
+        out.inertia += d[i];
+        if (d[i] < medoidDist[c]) {
+            medoidDist[c] = d[i];
+            out.medoids[c] = static_cast<int>(i);
+        }
+    }
+}
+
+/** The lowest-inertia of config.restarts runs, with its silhouette
+ *  read from the precomputed pairwise @p distances (n x n). */
+Clustering
+bestOf(const FlatMatrix &points, int k, const FlatMatrix &distances,
+       Rng &rng, const KMeans::Config &config)
+{
+    const int n = static_cast<int>(points.rows());
+    DEJAVU_ASSERT(k >= 1 && k <= n, "k=", k, " out of range for n=", n);
+    Buffers buffers;
+    Restart best, current;
+    double bestInertia = std::numeric_limits<double>::max();
+    for (int r = 0; r < config.restarts; ++r) {
+        runOnce(points, k, rng, config.maxIterations, buffers, current);
+        if (current.inertia < bestInertia) {
+            bestInertia = current.inertia;
+            std::swap(best, current);
+        }
+    }
+
+    Clustering result;
+    result.k = k;
+    result.centroids.reserve(best.centroids.rows());
+    for (std::size_t c = 0; c < best.centroids.rows(); ++c)
+        result.centroids.emplace_back(
+            best.centroids.row(c),
+            best.centroids.row(c) + best.centroids.cols());
+    result.assignment = std::move(best.assignment);
+    result.inertia = best.inertia;
+    result.medoids = std::move(best.medoids);
+    result.silhouette = silhouetteOf(
+        n, result.assignment, k,
+        [&distances](int i, int j) {
+            return distances.at(static_cast<std::size_t>(i),
+                                static_cast<std::size_t>(j));
+        });
+    return result;
 }
 
 } // namespace
@@ -132,149 +404,12 @@ KMeans::squaredDistance(const std::vector<double> &a, const double *b)
     return d;
 }
 
-std::vector<std::vector<double>>
-KMeans::seedPlusPlus(const Dataset &data, int k)
-{
-    const int n = data.size();
-    std::vector<std::vector<double>> centroids;
-    centroids.reserve(static_cast<std::size_t>(k));
-    centroids.push_back(data.instance(_rng.uniformInt(0, n - 1)));
-
-    std::vector<double> minDist(static_cast<std::size_t>(n),
-                                std::numeric_limits<double>::max());
-    while (static_cast<int>(centroids.size()) < k) {
-        double total = 0.0;
-        for (int i = 0; i < n; ++i) {
-            const double d =
-                squaredDistance(data.instance(i), centroids.back());
-            auto &slot = minDist[static_cast<std::size_t>(i)];
-            slot = std::min(slot, d);
-            total += slot;
-        }
-        if (total <= 1e-300) {
-            // All points coincide with chosen centroids; duplicate one.
-            centroids.push_back(data.instance(_rng.uniformInt(0, n - 1)));
-            continue;
-        }
-        double draw = _rng.uniform(0.0, total);
-        int chosen = n - 1;
-        for (int i = 0; i < n; ++i) {
-            draw -= minDist[static_cast<std::size_t>(i)];
-            if (draw <= 0.0) {
-                chosen = i;
-                break;
-            }
-        }
-        centroids.push_back(data.instance(chosen));
-    }
-    return centroids;
-}
-
-Clustering
-KMeans::runOnce(const Dataset &data, int k)
-{
-    const int n = data.size();
-    const int dim = data.numAttributes();
-    Clustering result;
-    result.k = k;
-    result.centroids = seedPlusPlus(data, k);
-    result.assignment.assign(static_cast<std::size_t>(n), 0);
-
-    for (int iter = 0; iter < _config.maxIterations; ++iter) {
-        bool changed = false;
-        // Assignment step.
-        for (int i = 0; i < n; ++i) {
-            int best = 0;
-            double bestD = std::numeric_limits<double>::max();
-            for (int c = 0; c < k; ++c) {
-                const double d = squaredDistance(
-                    data.instance(i),
-                    result.centroids[static_cast<std::size_t>(c)]);
-                if (d < bestD) {
-                    bestD = d;
-                    best = c;
-                }
-            }
-            if (result.assignment[static_cast<std::size_t>(i)] != best) {
-                result.assignment[static_cast<std::size_t>(i)] = best;
-                changed = true;
-            }
-        }
-        // Update step.
-        std::vector<std::vector<double>> sums(
-            static_cast<std::size_t>(k),
-            std::vector<double>(static_cast<std::size_t>(dim), 0.0));
-        std::vector<int> counts(static_cast<std::size_t>(k), 0);
-        for (int i = 0; i < n; ++i) {
-            const int c = result.assignment[static_cast<std::size_t>(i)];
-            ++counts[static_cast<std::size_t>(c)];
-            const auto &x = data.instance(i);
-            for (int d = 0; d < dim; ++d)
-                sums[static_cast<std::size_t>(c)]
-                    [static_cast<std::size_t>(d)] +=
-                    x[static_cast<std::size_t>(d)];
-        }
-        for (int c = 0; c < k; ++c) {
-            if (counts[static_cast<std::size_t>(c)] == 0)
-                continue;  // keep the old centroid for empty clusters
-            for (int d = 0; d < dim; ++d)
-                result.centroids[static_cast<std::size_t>(c)]
-                                [static_cast<std::size_t>(d)] =
-                    sums[static_cast<std::size_t>(c)]
-                        [static_cast<std::size_t>(d)]
-                    / counts[static_cast<std::size_t>(c)];
-        }
-        if (!changed)
-            break;
-    }
-
-    // Inertia and medoids.
-    result.inertia = 0.0;
-    result.medoids.assign(static_cast<std::size_t>(k), -1);
-    std::vector<double> medoidDist(
-        static_cast<std::size_t>(k), std::numeric_limits<double>::max());
-    for (int i = 0; i < n; ++i) {
-        const int c = result.assignment[static_cast<std::size_t>(i)];
-        const double d = squaredDistance(
-            data.instance(i),
-            result.centroids[static_cast<std::size_t>(c)]);
-        result.inertia += d;
-        if (d < medoidDist[static_cast<std::size_t>(c)]) {
-            medoidDist[static_cast<std::size_t>(c)] = d;
-            result.medoids[static_cast<std::size_t>(c)] = i;
-        }
-    }
-    return result;
-}
-
 Clustering
 KMeans::run(const Dataset &data, int k)
 {
     DEJAVU_ASSERT(!data.empty(), "cannot cluster an empty dataset");
-    return bestOf(data, k, distanceMatrix(data));
-}
-
-Clustering
-KMeans::bestOf(const Dataset &data, int k, const FlatMatrix &distances)
-{
-    DEJAVU_ASSERT(k >= 1 && k <= data.size(),
-                  "k=", k, " out of range for n=", data.size());
-    Clustering best;
-    double bestInertia = std::numeric_limits<double>::max();
-    for (int r = 0; r < _config.restarts; ++r) {
-        Clustering c = runOnce(data, k);
-        if (c.inertia < bestInertia) {
-            bestInertia = c.inertia;
-            best = std::move(c);
-        }
-    }
-    best.silhouette = silhouetteOf(
-        data.size(), best.assignment, k,
-        [&distances](int i, int j) {
-            return distances.at(static_cast<std::size_t>(i),
-                                static_cast<std::size_t>(j));
-        });
-    return best;
+    const FlatMatrix points = pointsOf(data);
+    return bestOf(points, k, distanceMatrix(points), _rng, _config);
 }
 
 Clustering
@@ -284,30 +419,31 @@ KMeans::runAuto(const Dataset &data)
     const int kMin = _config.autoKMin;
     const int kMax = std::min(_config.autoKMax, data.size() - 1);
     DEJAVU_ASSERT(kMax >= kMin, "k range empty for n=", data.size());
+    const FlatMatrix points = pointsOf(data);
     // Every candidate k scores its winner against the same pairwise
     // distances; built once here, freed on return.
-    const FlatMatrix distances = distanceMatrix(data);
+    const FlatMatrix distances = distanceMatrix(points);
 
     if (_config.criterion == AutoKCriterion::ExplainedVariance) {
         // Total within-cluster scatter at k=1 (variance * n).
-        std::vector<double> mean(
-            static_cast<std::size_t>(data.numAttributes()), 0.0);
-        for (int i = 0; i < data.size(); ++i) {
-            const auto &x = data.instance(i);
-            for (std::size_t d = 0; d < mean.size(); ++d)
+        const std::size_t dim = points.cols();
+        std::vector<double> mean(dim, 0.0);
+        for (std::size_t i = 0; i < points.rows(); ++i) {
+            const double *x = points.row(i);
+            for (std::size_t d = 0; d < dim; ++d)
                 mean[d] += x[d];
         }
         for (double &m : mean)
             m /= data.size();
         double total = 0.0;
-        for (int i = 0; i < data.size(); ++i)
-            total += squaredDistance(data.instance(i), mean);
-        if (total <= 1e-300)
-            return bestOf(data, kMin, distances);  // all points identical
+        for (std::size_t i = 0; i < points.rows(); ++i)
+            total += rowSquaredDistance(points.row(i), mean.data(), dim);
+        if (total <= 1e-300)  // all points identical
+            return bestOf(points, kMin, distances, _rng, _config);
 
         Clustering last;
         for (int k = kMin; k <= kMax; ++k) {
-            last = bestOf(data, k, distances);
+            last = bestOf(points, k, distances, _rng, _config);
             const double explained = 1.0 - last.inertia / total;
             if (explained >= _config.varianceExplained)
                 return last;
@@ -318,7 +454,7 @@ KMeans::runAuto(const Dataset &data)
     Clustering best;
     double bestScore = -2.0;
     for (int k = kMin; k <= kMax; ++k) {
-        Clustering c = bestOf(data, k, distances);
+        Clustering c = bestOf(points, k, distances, _rng, _config);
         // Prefer smaller k on (near-)ties: every extra class costs a
         // tuning run, so demand a real silhouette gain to grow k.
         const double score = c.silhouette - 0.003 * k;

@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/random.hh"
 #include "ml/dataset.hh"
 
@@ -98,13 +97,6 @@ class KMeans
   private:
     Rng _rng;
     Config _config;
-
-    Clustering runOnce(const Dataset &data, int k);
-    /** run() over precomputed pairwise @p distances (n x n). */
-    Clustering bestOf(const Dataset &data, int k,
-                      const FlatMatrix &distances);
-    std::vector<std::vector<double>> seedPlusPlus(const Dataset &data,
-                                                  int k);
 };
 
 } // namespace dejavu

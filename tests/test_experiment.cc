@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/logging.hh"
+#include "experiments/actors.hh"
 #include "experiments/scenario.hh"
 
 namespace dejavu {
@@ -201,6 +204,113 @@ TEST_F(IntegrationTest, ExperimentSeriesAreComplete)
     for (std::size_t i = 1; i < r.latencyMs.size(); ++i)
         EXPECT_GE(r.latencyMs[i].timeHours,
                   r.latencyMs[i - 1].timeHours);
+}
+
+/**
+ * The Cassandra/messenger case study (seed 42) wired by hand the way
+ * ProvisioningExperiment::run wires it, so the test holds the
+ * MetricsRecorder — plus a reference sampler that a second listener
+ * on the same feed fills with every reuse-window latency.
+ */
+struct RecordedRun
+{
+    std::unique_ptr<ScenarioStack> stack;
+    std::unique_ptr<DejaVuPolicy> policy;
+    std::unique_ptr<TraceDriver> driver;
+    std::unique_ptr<MonitorProbe> probe;
+    std::unique_ptr<PolicyActor> policyActor;
+    std::unique_ptr<MetricsRecorder> recorder;
+    PercentileSampler reuseLatency;
+};
+
+std::unique_ptr<RecordedRun>
+recordMessengerRun(bool recordSeries)
+{
+    const LogLevel before = logLevel();
+    setLogLevel(LogLevel::Silent);
+    auto run = std::make_unique<RecordedRun>();
+    ScenarioOptions opt;
+    opt.seed = 42;
+    opt.traceName = "messenger";
+    run->stack = makeCassandraScaleOut(opt);
+    ScenarioStack &stack = *run->stack;
+    stack.learnDayOne();
+    run->policy =
+        std::make_unique<DejaVuPolicy>(*stack.service, *stack.controller);
+
+    const ProvisioningExperiment::Config &cfg =
+        stack.experiment->config();
+    Service &service = *stack.service;
+    if (service.cluster().target() != cfg.learningAllocation) {
+        service.cluster().deploy(cfg.learningAllocation);
+        service.onReconfigure();
+    }
+    run->driver = std::make_unique<TraceDriver>(
+        *stack.sim, service, stack.experiment->trace(),
+        TraceDriver::Config{cfg.totalHours, cfg.peakClients});
+    run->probe = std::make_unique<MonitorProbe>(
+        *stack.sim, service, *run->driver,
+        MonitorProbe::Config{cfg.monitorPeriod, cfg.postChangeProbe});
+    run->policyActor = std::make_unique<PolicyActor>(
+        *stack.sim, *run->policy, *run->driver, *run->probe,
+        cfg.reuseStartHour);
+    run->recorder = std::make_unique<MetricsRecorder>(
+        *stack.sim, service, stack.experiment->trace(), *run->driver,
+        *run->probe,
+        MetricsRecorder::Config{cfg.reuseStartHour, cfg.slo,
+                                recordSeries});
+    run->recorder->setMaxAllocation(service.cluster().maxAllocation());
+    run->probe->addListener(
+        [sampler = &run->reuseLatency, reuseStart = cfg.reuseStartHour](
+            int hour, const Service::PerfSample &s) {
+            if (hour >= reuseStart)
+                sampler->add(s.meanLatencyMs);
+        });
+    stack.sim->runUntil(cfg.totalHours * static_cast<SimTime>(kHour));
+    setLogLevel(before);
+    return run;
+}
+
+TEST(MetricsRecorder, FinishIsIdempotent)
+{
+    for (const bool series : {true, false}) {
+        const auto run = recordMessengerRun(series);
+        const ExperimentResult first = run->recorder->finish();
+        const ExperimentResult second = run->recorder->finish();
+        EXPECT_EQ(first.meanLatencyMs, second.meanLatencyMs) << series;
+        EXPECT_EQ(std::isnan(first.p95LatencyMs), !series);
+        if (series)
+            EXPECT_EQ(first.p95LatencyMs, second.p95LatencyMs);
+        else
+            EXPECT_TRUE(std::isnan(second.p95LatencyMs));
+        EXPECT_EQ(first.meanQosPercent, second.meanQosPercent);
+        EXPECT_EQ(first.sloViolationFraction,
+                  second.sloViolationFraction);
+        EXPECT_EQ(first.costDollars, second.costDollars);
+        EXPECT_EQ(first.energyKwh, second.energyKwh);
+        EXPECT_EQ(first.latencyMs.size(), second.latencyMs.size());
+    }
+}
+
+TEST(MetricsRecorder, ReuseStatsMatchAPerTickSampler)
+{
+    // With series, mean and p95 are exactly those of a sampler that
+    // kept every reuse-window latency.
+    const auto on = recordMessengerRun(true);
+    const ExperimentResult withSeries = on->recorder->finish();
+    ASSERT_GT(on->reuseLatency.count(), 1000u);
+    const double mean = on->reuseLatency.mean();  // insertion order
+    EXPECT_EQ(withSeries.meanLatencyMs, mean);
+    EXPECT_EQ(withSeries.p95LatencyMs, on->reuseLatency.quantile(0.95));
+
+    // Without series, the same run keeps the mean and has no p95.
+    const auto off = recordMessengerRun(false);
+    const ExperimentResult noSeries = off->recorder->finish();
+    EXPECT_TRUE(noSeries.latencyMs.empty());
+    EXPECT_EQ(off->reuseLatency.count(), on->reuseLatency.count());
+    EXPECT_EQ(noSeries.meanLatencyMs, off->reuseLatency.mean());
+    EXPECT_EQ(noSeries.meanLatencyMs, mean);
+    EXPECT_TRUE(std::isnan(noSeries.p95LatencyMs));
 }
 
 } // namespace

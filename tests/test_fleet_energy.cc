@@ -116,6 +116,18 @@ class FleetTest : public ::testing::Test
         s.controller->learn(learning);
         return s;
     }
+
+    /** What @p fleet completed, in grant order; the fleet keeps no
+     *  record itself, so tests collect one through its listener. */
+    std::vector<DejaVuFleet::CompletedAdaptation> completed;
+
+    void recordCompleted(DejaVuFleet &fleet)
+    {
+        fleet.addListener(
+            [this](const DejaVuFleet::CompletedAdaptation &entry) {
+                completed.push_back(entry);
+            });
+    }
 };
 
 TEST(SlotSchedulerPolicy, FifoPicksArrivalOrder)
@@ -285,6 +297,7 @@ TEST_F(FleetTest, ConcurrentRequestsQueueForTheProfiler)
     auto s2 = makeStack(200);
     auto s3 = makeStack(300);
     DejaVuFleet fleet(sim, seconds(10));
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
     fleet.addService("C", *s3.service, *s3.controller);
@@ -295,14 +308,14 @@ TEST_F(FleetTest, ConcurrentRequestsQueueForTheProfiler)
     fleet.requestAdaptation("C", w);
     queue.runUntil(minutes(5));
 
-    ASSERT_EQ(fleet.log().size(), 3u);
+    ASSERT_EQ(completed.size(), 3u);
     // First service profiles immediately; the third waits two slots.
-    EXPECT_EQ(fleet.log()[0].queueDelay(), 0);
-    EXPECT_EQ(fleet.log()[1].queueDelay(), seconds(10));
-    EXPECT_EQ(fleet.log()[2].queueDelay(), seconds(20));
+    EXPECT_EQ(completed[0].queueDelay(), 0);
+    EXPECT_EQ(completed[1].queueDelay(), seconds(10));
+    EXPECT_EQ(completed[2].queueDelay(), seconds(20));
     EXPECT_EQ(fleet.maxQueueDelay(), seconds(20));
     // Every service still classified and deployed.
-    for (const auto &entry : fleet.log())
+    for (const auto &entry : completed)
         EXPECT_EQ(entry.decision.kind,
                   DejaVuController::DecisionKind::CacheHit);
 }
@@ -312,6 +325,7 @@ TEST_F(FleetTest, SpacedRequestsPayNoQueueing)
     auto s1 = makeStack(400);
     auto s2 = makeStack(500);
     DejaVuFleet fleet(sim, seconds(10));
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
 
@@ -321,8 +335,8 @@ TEST_F(FleetTest, SpacedRequestsPayNoQueueing)
     fleet.requestAdaptation("B", w);
     queue.runUntil(minutes(2));
 
-    ASSERT_EQ(fleet.log().size(), 2u);
-    EXPECT_EQ(fleet.log()[1].queueDelay(), 0);
+    ASSERT_EQ(completed.size(), 2u);
+    EXPECT_EQ(completed[1].queueDelay(), 0);
 }
 
 TEST_F(FleetTest, TotalAdaptationIncludesQueueDelay)
@@ -330,15 +344,16 @@ TEST_F(FleetTest, TotalAdaptationIncludesQueueDelay)
     auto s1 = makeStack(600);
     auto s2 = makeStack(700);
     DejaVuFleet fleet(sim, seconds(10));
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
     const Workload w{cassandraUpdateHeavy(), 25500.0};
     fleet.requestAdaptation("A", w);
     fleet.requestAdaptation("B", w);
     queue.runUntil(minutes(5));
-    ASSERT_EQ(fleet.log().size(), 2u);
-    EXPECT_GT(fleet.log()[1].totalAdaptation(),
-              fleet.log()[1].decision.adaptationTime);
+    ASSERT_EQ(completed.size(), 2u);
+    EXPECT_GT(completed[1].totalAdaptation(),
+              completed[1].decision.adaptationTime);
 }
 
 TEST_F(FleetTest, ShortestJobFirstReordersWaitingRequests)
@@ -348,6 +363,7 @@ TEST_F(FleetTest, ShortestJobFirstReordersWaitingRequests)
     auto s3 = makeStack(1100);
     DejaVuFleet fleet(sim, seconds(10),
                       makeSlotScheduler(SlotPolicy::ShortestJobFirst));
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller, seconds(30));
     fleet.addService("B", *s2.service, *s2.controller, seconds(20));
     fleet.addService("C", *s3.service, *s3.controller, seconds(5));
@@ -360,14 +376,14 @@ TEST_F(FleetTest, ShortestJobFirstReordersWaitingRequests)
 
     // A takes the free host on arrival; C's 5 s job then jumps B's
     // 20 s job.
-    ASSERT_EQ(fleet.log().size(), 3u);
-    EXPECT_EQ(fleet.log()[0].service, "A");
-    EXPECT_EQ(fleet.log()[1].service, "C");
-    EXPECT_EQ(fleet.log()[2].service, "B");
-    EXPECT_EQ(fleet.log()[0].profilingStartedAt, 0);
-    EXPECT_EQ(fleet.log()[1].profilingStartedAt, seconds(30));
-    EXPECT_EQ(fleet.log()[2].profilingStartedAt, seconds(35));
-    EXPECT_EQ(fleet.log()[1].slotDuration, seconds(5));
+    ASSERT_EQ(completed.size(), 3u);
+    EXPECT_EQ(completed[0].service, "A");
+    EXPECT_EQ(completed[1].service, "C");
+    EXPECT_EQ(completed[2].service, "B");
+    EXPECT_EQ(completed[0].profilingStartedAt, 0);
+    EXPECT_EQ(completed[1].profilingStartedAt, seconds(30));
+    EXPECT_EQ(completed[2].profilingStartedAt, seconds(35));
+    EXPECT_EQ(completed[1].slotDuration, seconds(5));
     EXPECT_EQ(fleet.slotsGranted(), 3u);
     EXPECT_EQ(fleet.waiting(), 0u);
 }
@@ -379,6 +395,7 @@ TEST_F(FleetTest, SloDebtFirstGrantsDeepestDebtor)
     auto s3 = makeStack(1400);
     DejaVuFleet fleet(sim, seconds(10),
                       makeSlotScheduler(SlotPolicy::SloDebtFirst));
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
     fleet.addService("C", *s3.service, *s3.controller);
@@ -396,10 +413,10 @@ TEST_F(FleetTest, SloDebtFirstGrantsDeepestDebtor)
 
     // A takes the free host on arrival; then C (debt 3) beats B
     // (debt 1).
-    ASSERT_EQ(fleet.log().size(), 3u);
-    EXPECT_EQ(fleet.log()[0].service, "A");
-    EXPECT_EQ(fleet.log()[1].service, "C");
-    EXPECT_EQ(fleet.log()[2].service, "B");
+    ASSERT_EQ(completed.size(), 3u);
+    EXPECT_EQ(completed[0].service, "A");
+    EXPECT_EQ(completed[1].service, "C");
+    EXPECT_EQ(completed[2].service, "B");
     // Granted members' debt is spent.
     EXPECT_EQ(fleet.sloDebt("B"), 0.0);
     EXPECT_EQ(fleet.sloDebt("C"), 0.0);
@@ -413,6 +430,7 @@ TEST_F(FleetTest, HostPoolRunsSlotsConcurrently)
     auto s2 = makeStack(1600);
     auto s3 = makeStack(1700);
     DejaVuFleet fleet(sim, seconds(10), nullptr, /*profilingHosts=*/2);
+    recordCompleted(fleet);
     EXPECT_EQ(fleet.profilingHosts(), 2);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
@@ -426,23 +444,23 @@ TEST_F(FleetTest, HostPoolRunsSlotsConcurrently)
     EXPECT_EQ(fleet.waiting(), 1u);
     queue.runUntil(minutes(5));
 
-    ASSERT_EQ(fleet.log().size(), 3u);
+    ASSERT_EQ(completed.size(), 3u);
     // A and B profile in parallel on hosts 0 and 1; C takes the
     // first host to free.
-    EXPECT_EQ(fleet.log()[0].queueDelay(), 0);
-    EXPECT_EQ(fleet.log()[1].queueDelay(), 0);
-    EXPECT_EQ(fleet.log()[0].host, 0u);
-    EXPECT_EQ(fleet.log()[1].host, 1u);
-    EXPECT_EQ(fleet.log()[2].queueDelay(), seconds(10));
+    EXPECT_EQ(completed[0].queueDelay(), 0);
+    EXPECT_EQ(completed[1].queueDelay(), 0);
+    EXPECT_EQ(completed[0].host, 0u);
+    EXPECT_EQ(completed[1].host, 1u);
+    EXPECT_EQ(completed[2].queueDelay(), seconds(10));
     EXPECT_EQ(fleet.maxQueueDelay(), seconds(10));
     EXPECT_EQ(fleet.busyHosts(), 0);
 
     // Per-host isolation (§3.3): slots on the *same* host never
     // overlap even though the pool runs two at once.
-    for (std::size_t i = 0; i < fleet.log().size(); ++i)
-        for (std::size_t j = i + 1; j < fleet.log().size(); ++j) {
-            const auto &a = fleet.log()[i];
-            const auto &b = fleet.log()[j];
+    for (std::size_t i = 0; i < completed.size(); ++i)
+        for (std::size_t j = i + 1; j < completed.size(); ++j) {
+            const auto &a = completed[i];
+            const auto &b = completed[j];
             if (a.host != b.host)
                 continue;
             const bool disjoint =
@@ -461,6 +479,7 @@ TEST_F(FleetTest, PoolSizedToBurstPaysNoQueueing)
     auto s2 = makeStack(1900);
     auto s3 = makeStack(2000);
     DejaVuFleet fleet(sim, seconds(10), nullptr, /*profilingHosts=*/3);
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
     fleet.addService("C", *s3.service, *s3.controller);
@@ -472,12 +491,12 @@ TEST_F(FleetTest, PoolSizedToBurstPaysNoQueueing)
     EXPECT_EQ(fleet.busyHosts(), 3);
     queue.runUntil(minutes(5));
 
-    ASSERT_EQ(fleet.log().size(), 3u);
+    ASSERT_EQ(completed.size(), 3u);
     EXPECT_EQ(fleet.maxQueueDelay(), 0);
     // Lowest-free-id placement: hosts 0, 1, 2 in grant order.
-    EXPECT_EQ(fleet.log()[0].host, 0u);
-    EXPECT_EQ(fleet.log()[1].host, 1u);
-    EXPECT_EQ(fleet.log()[2].host, 2u);
+    EXPECT_EQ(completed[0].host, 0u);
+    EXPECT_EQ(completed[1].host, 1u);
+    EXPECT_EQ(completed[2].host, 2u);
 }
 
 TEST_F(FleetTest, GrantReleaseInterleavingReusesFreedHosts)
@@ -489,6 +508,7 @@ TEST_F(FleetTest, GrantReleaseInterleavingReusesFreedHosts)
     auto s3 = makeStack(2300);
     auto s4 = makeStack(2400);
     DejaVuFleet fleet(sim, seconds(10), nullptr, /*profilingHosts=*/2);
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller, seconds(5));
     fleet.addService("B", *s2.service, *s2.controller, seconds(30));
     fleet.addService("C", *s3.service, *s3.controller, seconds(5));
@@ -501,16 +521,16 @@ TEST_F(FleetTest, GrantReleaseInterleavingReusesFreedHosts)
     fleet.requestAdaptation("D", w);  // then host 0 again at 10 s
     queue.runUntil(minutes(5));
 
-    ASSERT_EQ(fleet.log().size(), 4u);
-    EXPECT_EQ(fleet.log()[2].service, "C");
-    EXPECT_EQ(fleet.log()[2].host, 0u);
-    EXPECT_EQ(fleet.log()[2].profilingStartedAt, seconds(5));
-    EXPECT_EQ(fleet.log()[3].service, "D");
-    EXPECT_EQ(fleet.log()[3].host, 0u);
-    EXPECT_EQ(fleet.log()[3].profilingStartedAt, seconds(10));
+    ASSERT_EQ(completed.size(), 4u);
+    EXPECT_EQ(completed[2].service, "C");
+    EXPECT_EQ(completed[2].host, 0u);
+    EXPECT_EQ(completed[2].profilingStartedAt, seconds(5));
+    EXPECT_EQ(completed[3].service, "D");
+    EXPECT_EQ(completed[3].host, 0u);
+    EXPECT_EQ(completed[3].profilingStartedAt, seconds(10));
     // B's long slot kept host 1 busy throughout.
-    EXPECT_EQ(fleet.log()[1].service, "B");
-    EXPECT_EQ(fleet.log()[1].host, 1u);
+    EXPECT_EQ(completed[1].service, "B");
+    EXPECT_EQ(completed[1].host, 1u);
     EXPECT_EQ(fleet.slotsGranted(), 4u);
 }
 
@@ -540,6 +560,7 @@ TEST_F(FleetTest, DetachCancelsQueuedWork)
     auto s2 = makeStack(2100);
     auto s3 = makeStack(2200);
     DejaVuFleet fleet(sim, seconds(10));
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
     fleet.addService("C", *s3.service, *s3.controller);
@@ -561,11 +582,11 @@ TEST_F(FleetTest, DetachCancelsQueuedWork)
     EXPECT_EQ(fleet.waiting(), 1u);
 
     queue.runUntil(minutes(5));
-    ASSERT_EQ(fleet.log().size(), 2u);
-    EXPECT_EQ(fleet.log()[0].service, "A");
-    EXPECT_EQ(fleet.log()[1].service, "C");
+    ASSERT_EQ(completed.size(), 2u);
+    EXPECT_EQ(completed[0].service, "A");
+    EXPECT_EQ(completed[1].service, "C");
     // C moved up into B's place: one slot after A's, not two.
-    EXPECT_EQ(fleet.log()[1].profilingStartedAt, seconds(10));
+    EXPECT_EQ(completed[1].profilingStartedAt, seconds(10));
     EXPECT_EQ(fleet.slotsGranted(), 2u);
 }
 
@@ -577,6 +598,7 @@ TEST_F(FleetTest, DetachCancelsDuringGrant)
     auto s1 = makeStack(2300);
     auto s2 = makeStack(2400);
     DejaVuFleet fleet(sim, seconds(10));
+    recordCompleted(fleet);
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
 
@@ -590,9 +612,9 @@ TEST_F(FleetTest, DetachCancelsDuringGrant)
     queue.runUntil(minutes(5));
 
     // A never ran; B got the freed host immediately (same instant).
-    ASSERT_EQ(fleet.log().size(), 1u);
-    EXPECT_EQ(fleet.log()[0].service, "B");
-    EXPECT_EQ(fleet.log()[0].profilingStartedAt, seconds(1));
+    ASSERT_EQ(completed.size(), 1u);
+    EXPECT_EQ(completed[0].service, "B");
+    EXPECT_EQ(completed[0].profilingStartedAt, seconds(1));
     EXPECT_EQ(fleet.workQueue().stats().cancelledGranted, 1u);
     EXPECT_EQ(fleet.workQueue().stats().cancelledQueued, 0u);
     EXPECT_EQ(fleet.slotsGranted(), 1u);

@@ -44,6 +44,19 @@ class FleetExperimentTest : public ::testing::Test
         return stack;
     }
 
+    /** Every adaptation a fleet completes, in grant order; the fleet
+     *  keeps no record itself, so tests collect one through its
+     *  listener (attach before run()). */
+    using Completed = std::vector<DejaVuFleet::CompletedAdaptation>;
+
+    static void recordCompleted(DejaVuFleet &fleet, Completed &into)
+    {
+        fleet.addListener(
+            [&into](const DejaVuFleet::CompletedAdaptation &entry) {
+                into.push_back(entry);
+            });
+    }
+
   private:
     LogLevel _before = LogLevel::Info;
 };
@@ -77,12 +90,13 @@ TEST_F(FleetExperimentTest, ProfilingSlotsNeverOverlap)
     // §3.3 Isolation: signatures must not be disturbed by other
     // profiling processes on the shared host — slots are disjoint.
     auto stack = makeFleet(3, 42);
+    Completed completed;
+    recordCompleted(stack->experiment->fleet(), completed);
     stack->experiment->run();
 
-    const auto &fleet = stack->experiment->fleet();
-    ASSERT_GT(fleet.log().size(), 10u);
+    ASSERT_GT(completed.size(), 10u);
     std::vector<std::pair<SimTime, SimTime>> slots;  // (start, end)
-    for (const auto &entry : fleet.log())
+    for (const auto &entry : completed)
         slots.emplace_back(entry.profilingStartedAt,
                            entry.profilingStartedAt
                                + entry.slotDuration);
@@ -96,6 +110,8 @@ TEST_F(FleetExperimentTest, ConcurrentChangesPayQueueingDelay)
     // All services change workload at each trace hour, so the 2nd
     // and 3rd in line queue behind the first (10 s slots).
     auto stack = makeFleet(3, 42);
+    Completed completed;
+    recordCompleted(stack->experiment->fleet(), completed);
     const auto results = stack->experiment->run();
 
     const auto &fleet = stack->experiment->fleet();
@@ -111,7 +127,8 @@ TEST_F(FleetExperimentTest, ConcurrentChangesPayQueueingDelay)
         }
     }
     EXPECT_TRUE(someServiceQueued);
-    for (const auto &entry : fleet.log())
+    ASSERT_FALSE(completed.empty());
+    for (const auto &entry : completed)
         ASSERT_EQ(entry.totalAdaptation(),
                   entry.queueDelay() + entry.decision.adaptationTime);
 }
@@ -244,6 +261,8 @@ TEST_F(FleetExperimentTest, MixedFleetRunsUnderEveryPolicy)
         auto stack = makeMixedFleet(6, options,
                                     slotPolicyFromName(policyName));
         stack->learnAll();
+        Completed completed;
+        recordCompleted(stack->experiment->fleet(), completed);
         const auto results = stack->experiment->run();
         ASSERT_EQ(results.size(), 6u) << policyName;
         for (const auto &sr : results)
@@ -252,9 +271,9 @@ TEST_F(FleetExperimentTest, MixedFleetRunsUnderEveryPolicy)
 
         // §3.3 isolation holds under every policy: heterogeneous
         // slots never overlap.
-        const auto &fleet = stack->experiment->fleet();
+        ASSERT_FALSE(completed.empty()) << policyName;
         std::vector<std::pair<SimTime, SimTime>> slots;
-        for (const auto &entry : fleet.log())
+        for (const auto &entry : completed)
             slots.emplace_back(entry.profilingStartedAt,
                                entry.profilingStartedAt
                                    + entry.slotDuration);
@@ -266,7 +285,7 @@ TEST_F(FleetExperimentTest, MixedFleetRunsUnderEveryPolicy)
         const auto summary = stack->experiment->summary();
         EXPECT_EQ(summary.policy, policyName);
         EXPECT_EQ(summary.services, 6);
-        EXPECT_EQ(summary.adaptations, fleet.log().size());
+        EXPECT_EQ(summary.adaptations, completed.size());
         // Interpolated quantiles can differ from the exact max by
         // rounding in the last bits.
         EXPECT_GE(summary.adaptationP95Sec + 1e-9,
@@ -284,6 +303,8 @@ TEST_F(FleetExperimentTest, SjfGrantsShortSlotsFirstUnderContention)
     auto stack = makeMixedFleet(6, options,
                                 SlotPolicy::ShortestJobFirst);
     stack->learnAll();
+    Completed log;
+    recordCompleted(stack->experiment->fleet(), log);
     stack->experiment->run();
 
     // All services request at each trace hour simultaneously. The
@@ -291,7 +312,6 @@ TEST_F(FleetExperimentTest, SjfGrantsShortSlotsFirstUnderContention)
     // later grant within the burst must pick the shortest waiting
     // slot: start-ordered entries of one burst have non-decreasing
     // durations after the first.
-    const auto &log = stack->experiment->fleet().log();
     ASSERT_GT(log.size(), 10u);
     std::map<SimTime, std::vector<std::pair<SimTime, SimTime>>> bursts;
     for (const auto &entry : log)
@@ -375,9 +395,10 @@ TEST_F(FleetExperimentTest, PoolIsolationHoldsPerHost)
     options.days = 2;
     auto stack = makeMixedFleet(9, options, SlotPolicy::Adaptive, 3);
     stack->learnAll();
+    Completed log;
+    recordCompleted(stack->experiment->fleet(), log);
     stack->experiment->run();
 
-    const auto &log = stack->experiment->fleet().log();
     ASSERT_GT(log.size(), 10u);
     bool crossHostOverlap = false;
     for (std::size_t i = 0; i < log.size(); ++i)
@@ -641,6 +662,8 @@ TEST_F(FleetExperimentTest, JitteredArrivalsSpreadTheBurst)
             EXPECT_EQ(jittered->members[i]->arrivalOffset,
                       again->members[i]->arrivalOffset);
     }
+    Completed jitteredCompleted;
+    recordCompleted(jittered->experiment->fleet(), jitteredCompleted);
     jittered->experiment->run();
     const auto jitSummary = jittered->experiment->summary();
 
@@ -656,7 +679,7 @@ TEST_F(FleetExperimentTest, JitteredArrivalsSpreadTheBurst)
               syncSummary.queueDelayP95Sec);
     // Members' changes really fire off the hour boundary.
     bool offHourArrival = false;
-    for (const auto &entry : jittered->experiment->fleet().log())
+    for (const auto &entry : jitteredCompleted)
         offHourArrival = offHourArrival
             || entry.requestedAt % static_cast<SimTime>(kHour) != 0;
     EXPECT_TRUE(offHourArrival);
