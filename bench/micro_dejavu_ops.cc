@@ -286,9 +286,9 @@ BENCHMARK(BM_ServiceSample)->DenseRange(0, 3);
 
 /**
  * Event-queue hot path at fleet scale: N actors each running a
- * 1-minute periodic probe (the MonitorProbe cadence) for one simulated
- * hour. Items processed = events executed, so the reported rate is
- * queue throughput in events/second.
+ * 1-minute periodic probe (the production monitor cadence) for one
+ * simulated hour. Items processed = events executed, so the reported
+ * rate is queue throughput in events/second.
  *
  * Before/after the slot-recycling + reservable queue (one box,
  * RelWithDebInfo, 1-minute cadence, 1 simulated hour):

@@ -8,17 +8,17 @@
  * steps back down when the neighbours go quiet.
  *
  * The reuse phase is driven by the event runtime directly — a
- * TraceDriver applies each hourly workload and a MonitorProbe samples
- * production performance every minute — with plain listeners feeding
- * the controller, so each §3.6 interference reaction is printed as it
- * happens. This is the template for wiring custom telemetry into the
- * actor runtime.
+ * TraceDriver applies each hourly workload and a FleetSampler (the
+ * sampler every run uses) samples production performance every
+ * minute — with plain listeners feeding the controller, so each §3.6
+ * interference reaction is printed as it happens. This is the
+ * template for wiring custom telemetry into the actor runtime.
  */
 
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "experiments/actors.hh"
+#include "experiments/sampler.hh"
 #include "experiments/scenario.hh"
 
 using namespace dejavu;
@@ -52,8 +52,9 @@ main()
         sim, service, stack->trace,
         TraceDriver::Config{static_cast<int>(stack->trace.hours()),
                             config.peakClients});
-    MonitorProbe probe(sim, service, driver,
-                       MonitorProbe::Config{minutes(1), minutes(1)});
+    FleetSampler sampler(sim);
+    const std::size_t member = sampler.registerService(
+        service, driver, FleetSampler::Cadence{minutes(1), minutes(1)});
 
     const int reuseStartHour = config.reuseStartHour;
     driver.addListener([&](int hour, const Workload &w) {
@@ -62,7 +63,8 @@ main()
     });
 
     int adjustments = 0, violations = 0, ticks = 0;
-    probe.addListener([&](int hour, const Service::PerfSample &sample) {
+    sampler.addListener(member, [&](int hour,
+                                    const Service::PerfSample &sample) {
         if (hour < reuseStartHour)
             return;
         ++ticks;

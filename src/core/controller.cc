@@ -386,7 +386,6 @@ DejaVuController::decideInternal(const MetricSample &sample,
     decision.reconfigured =
         _service.cluster().target() != decision.allocation;
     deployAfter(decision.adaptationTime, decision.allocation);
-    _adaptationTimesSec.push_back(toSeconds(decision.adaptationTime));
     return decision;
 }
 

@@ -342,8 +342,6 @@ class DejaVuController
     const std::vector<Workload> &novelWorkloads() const
     { return _novelWorkloads; }
     int timesRelearned() const { return _timesRelearned; }
-    const std::vector<double> &adaptationTimesSec() const
-    { return _adaptationTimesSec; }
     const Config &config() const { return _config; }
     /** @} */
 
@@ -384,7 +382,6 @@ class DejaVuController
      *  change at fleet scale). Mutable: predictClass() is logically
      *  const. */
     mutable std::vector<double> _tupleScratch;
-    std::vector<double> _adaptationTimesSec;
     std::vector<Workload> _learnedWorkloads;  ///< Last learn() input.
     std::vector<Workload> _novelWorkloads;    ///< Unknowns since.
 

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "experiments/sampler.hh"
 #include "sim/simulation.hh"
 
 namespace dejavu {
@@ -41,12 +42,6 @@ TraceDriver::workloadFor(const Service &service, const LoadTrace &trace,
     return w;
 }
 
-Workload
-TraceDriver::workloadAtHour(int hour) const
-{
-    return workloadFor(_service, _trace, _config.peakClients, hour);
-}
-
 void
 TraceDriver::onStart()
 {
@@ -64,83 +59,11 @@ TraceDriver::applyHour()
         return;
     }
     const int hour = _hour++;
-    const Workload w = workloadAtHour(hour);
+    const Workload w =
+        workloadFor(_service, _trace, _config.peakClients, hour);
     _service.setWorkload(w);
     for (const auto &listener : _listeners)
         listener(hour, w);
-}
-
-// --------------------------------------------------------------------
-// MonitorProbe
-// --------------------------------------------------------------------
-
-MonitorProbe::MonitorProbe(Simulation &sim, Service &service,
-                           TraceDriver &driver, Config config,
-                           std::string name)
-    : Actor(sim, std::move(name)), _service(service), _config(config)
-{
-    DEJAVU_ASSERT(_config.monitorPeriod > 0, "bad monitor period");
-    DEJAVU_ASSERT(_config.postChangeProbe >= 0 &&
-                  _config.postChangeProbe < kHour,
-                  "post-change probe must fall within the hour");
-    // Each workload change (re)starts this hour's sampling chain. The
-    // chain is scheduled from inside the Driver-band change event, so
-    // a zero post-change probe still samples *after* the change.
-    driver.addListener([this](int hour, const Workload &) {
-        if (_detached)
-            return;
-        _hour = hour;
-        // The chain covers one trace hour *from the change instant*
-        // (equal to the calendar hour when the driver is not
-        // jittered), so offset members keep their full sampling
-        // density.
-        _chainEnd = saturatingAdd(now(), kHour);
-        after(_config.postChangeProbe, [this] { tick(); },
-              EventBand::Probe);
-    });
-}
-
-void
-MonitorProbe::addListener(SampleListener fn)
-{
-    _listeners.push_back(std::move(fn));
-}
-
-void
-MonitorProbe::tick()
-{
-    if (_detached)
-        return;  // pending chain event outlived a detach; no-op
-    const Service::PerfSample sample = _service.sample();
-    ++_samples;
-    for (const auto &listener : _listeners)
-        listener(_hour, sample);
-    // Next tick only while it still lands inside this trace hour; the
-    // next hour's chain starts from that hour's change event.
-    if (saturatingAdd(now(), _config.monitorPeriod) <= _chainEnd)
-        after(_config.monitorPeriod, [this] { tick(); },
-              EventBand::Probe);
-}
-
-// --------------------------------------------------------------------
-// PolicyActor
-// --------------------------------------------------------------------
-
-PolicyActor::PolicyActor(Simulation &sim, ProvisioningPolicy &policy,
-                         TraceDriver &driver, SampleFeed &probe,
-                         int reuseStartHour)
-    : Actor(sim, "policy:" + policy.name()), _policy(policy),
-      _reuseStartHour(reuseStartHour)
-{
-    // Hours before reuseStartHour are the learning phase: the policy
-    // holds its deployment and only production monitoring runs.
-    driver.addListener([this](int hour, const Workload &w) {
-        if (hour >= _reuseStartHour)
-            _policy.onWorkloadChange(w);
-    });
-    probe.addListener([this](int, const Service::PerfSample &s) {
-        _policy.onMonitorTick(s);
-    });
 }
 
 // --------------------------------------------------------------------
@@ -150,7 +73,8 @@ PolicyActor::PolicyActor(Simulation &sim, ProvisioningPolicy &policy,
 MetricsRecorder::MetricsRecorder(Simulation &sim, Service &service,
                                  const LoadTrace &trace,
                                  TraceDriver &driver,
-                                 SampleFeed &probe, Config config,
+                                 FleetSampler &sampler,
+                                 std::size_t member, Config config,
                                  std::string name, SeriesArena *arena)
     : Actor(sim, std::move(name)), _service(service), _trace(trace),
       _config(config), _totalHours(driver.config().totalHours),
@@ -161,9 +85,10 @@ MetricsRecorder::MetricsRecorder(Simulation &sim, Service &service,
     driver.addListener([this](int hour, const Workload &w) {
         onChange(hour, w);
     });
-    probe.addListener([this](int hour, const Service::PerfSample &s) {
-        onTick(hour, s);
-    });
+    sampler.addListener(member,
+                        [this](int hour, const Service::PerfSample &s) {
+                            onTick(hour, s);
+                        });
 }
 
 void

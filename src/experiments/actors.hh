@@ -1,21 +1,18 @@
 /**
  * @file
- * Event-queue actors that make a provisioning experiment: the manual
- * `for (hour) { while (monitorPeriod) ... }` harness is decomposed
- * into independent actors interleaving on one Simulation queue —
+ * The per-service actors of a run, wired by FleetExperiment::run()
+ * for one service or N on one Simulation queue:
  *
  *  - TraceDriver: applies the hourly trace workload to one service
  *    (Driver band — the last word at an hour boundary);
- *  - MonitorProbe: fine-grained production sampling between changes
- *    (Probe band — observes same-instant reconfigurations);
- *  - PolicyActor: adapts a ProvisioningPolicy to the event runtime;
  *  - MetricsRecorder: accumulates every series and reuse-window
  *    aggregate a case-study figure needs.
  *
- * Because each service gets its own driver/probe/policy/recorder
- * quartet and they all share the queue, N services and N controllers
- * interleave deterministically in a single run — the fleet deployment
- * of the paper's Figure 2 is just N registrations.
+ * Monitor samples come from the run's one FleetSampler
+ * (experiments/sampler.hh), and the member's ProvisioningPolicy
+ * reacts to changes and samples through plain listeners, so a run is
+ * `2N + 2` actors: a driver and a recorder per service, the sampler
+ * and the DejaVuFleet that owns the profiling host pool.
  */
 
 #ifndef DEJAVU_EXPERIMENTS_ACTORS_HH
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "common/arena.hh"
-#include "baselines/policy.hh"
 #include "experiments/experiment.hh"
 #include "services/service.hh"
 #include "sim/actor.hh"
@@ -33,6 +29,8 @@
 #include "workload/trace.hh"
 
 namespace dejavu {
+
+class FleetSampler;
 
 /**
  * Applies the hourly trace workload to a service and notifies
@@ -64,9 +62,6 @@ class TraceDriver : public Actor
      *  registration order). */
     void addListener(ChangeListener fn);
 
-    /** Workload the driver deploys for a trace hour. */
-    Workload workloadAtHour(int hour) const;
-
     /** The hour-h workload of any (service, trace, peak) triple — the
      *  single definition shared by drivers, experiments and learning-
      *  phase setup. */
@@ -92,87 +87,6 @@ class TraceDriver : public Actor
 };
 
 /**
- * Source of production monitor samples for one service. Both the
- * per-service MonitorProbe actor and the fleet-level FleetSampler's
- * per-member feeds implement this, so policies and recorders are
- * wired the same way whichever sampling engine drives a run.
- */
-class SampleFeed
-{
-  public:
-    using SampleListener =
-        std::function<void(int hour, const Service::PerfSample &)>;
-
-    virtual ~SampleFeed() = default;
-
-    /** Subscribe to samples (one shared sample per tick, listeners in
-     *  registration order). */
-    virtual void addListener(SampleListener fn) = 0;
-
-    /** Samples delivered so far. */
-    virtual std::uint64_t samplesTaken() const = 0;
-
-    /** Permanently stop sampling this service: no further ticks are
-     *  delivered (pending chain events become no-ops). */
-    virtual void detach() = 0;
-};
-
-/**
- * Production monitoring: samples the service postChangeProbe after
- * each workload change (catching the adaptation-window spike), then
- * every monitorPeriod until the hour ends.
- */
-class MonitorProbe : public Actor, public SampleFeed
-{
-  public:
-    struct Config
-    {
-        SimTime monitorPeriod = minutes(1);
-        SimTime postChangeProbe = seconds(30);
-    };
-
-    using SampleListener = SampleFeed::SampleListener;
-
-    MonitorProbe(Simulation &sim, Service &service, TraceDriver &driver,
-                 Config config, std::string name = "monitor-probe");
-
-    void addListener(SampleListener fn) override;
-
-    std::uint64_t samplesTaken() const override { return _samples; }
-
-    void detach() override { _detached = true; }
-
-  private:
-    void tick();
-
-    Service &_service;
-    Config _config;
-    int _hour = 0;
-    SimTime _chainEnd = 0;  ///< This hour's chain samples until here.
-    bool _detached = false;
-    std::uint64_t _samples = 0;
-    std::vector<SampleListener> _listeners;
-};
-
-/**
- * Adapts a ProvisioningPolicy to the actor runtime: forwards reuse-
- * window workload changes and every monitor sample.
- */
-class PolicyActor : public Actor
-{
-  public:
-    PolicyActor(Simulation &sim, ProvisioningPolicy &policy,
-                TraceDriver &driver, SampleFeed &probe,
-                int reuseStartHour);
-
-    ProvisioningPolicy &policy() { return _policy; }
-
-  private:
-    ProvisioningPolicy &_policy;
-    int _reuseStartHour;
-};
-
-/**
  * Accumulates the per-tick series and reuse-window aggregates of an
  * ExperimentResult for one service.
  */
@@ -191,15 +105,16 @@ class MetricsRecorder : public Actor
     };
 
     /**
-     * @p arena backs this recorder's five per-tick series; pass the
-     * fleet-shared arena so all members' samples land in one chunked
-     * slab pool (streams are claimed in construction order — service
-     * id order in a fleet). Null makes the recorder use a private
-     * arena, for single-service experiments.
+     * Records member @p member of @p sampler. @p arena backs this
+     * recorder's five per-tick series; pass the run-shared arena so
+     * all members' samples land in one chunked slab pool (streams are
+     * claimed in construction order — service id order in a fleet).
+     * Null makes the recorder use a private arena.
      */
     MetricsRecorder(Simulation &sim, Service &service,
                     const LoadTrace &trace, TraceDriver &driver,
-                    SampleFeed &probe, Config config,
+                    FleetSampler &sampler, std::size_t member,
+                    Config config,
                     std::string name = "metrics-recorder",
                     SeriesArena *arena = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "experiments/actors.hh"
+#include "experiments/fleet_experiment.hh"
 
 namespace dejavu {
 
@@ -20,59 +21,25 @@ ProvisioningExperiment::ProvisioningExperiment(Simulation &sim,
                   _config.reuseStartHour, "no reuse window");
 }
 
-Workload
-ProvisioningExperiment::workloadAtHour(int hour) const
-{
-    return TraceDriver::workloadFor(_service, _trace,
-                                    _config.peakClients, hour);
-}
-
 std::vector<Workload>
-ProvisioningExperiment::learningWorkloads() const
+ProvisioningExperiment::learningWorkloads(const Service &service,
+                                          const LoadTrace &trace,
+                                          const Config &config)
 {
     std::vector<Workload> out;
-    out.reserve(static_cast<std::size_t>(_config.reuseStartHour));
-    for (int h = 0; h < _config.reuseStartHour; ++h)
-        out.push_back(workloadAtHour(h));
+    out.reserve(static_cast<std::size_t>(config.reuseStartHour));
+    for (int h = 0; h < config.reuseStartHour; ++h)
+        out.push_back(TraceDriver::workloadFor(
+            service, trace, config.peakClients, h));
     return out;
 }
 
 ExperimentResult
 ProvisioningExperiment::run(ProvisioningPolicy &policy)
 {
-    // Learning day(s): hold the configured learning allocation (the
-    // operator overprovisions while DejaVu collects its samples).
-    if (_service.cluster().target() != _config.learningAllocation) {
-        _service.cluster().deploy(_config.learningAllocation);
-        _service.onReconfigure();
-    }
-
-    // The experiment is four actors interleaving on the simulation's
-    // queue. Construction order fixes same-instant listener order:
-    // the policy consumes each sample before the recorder logs it,
-    // mirroring a production control loop reacting to fresh metrics.
-    TraceDriver driver(
-        _sim, _service, _trace,
-        TraceDriver::Config{_config.totalHours, _config.peakClients});
-    MonitorProbe probe(
-        _sim, _service, driver,
-        MonitorProbe::Config{_config.monitorPeriod,
-                             _config.postChangeProbe});
-    PolicyActor policyActor(_sim, policy, driver, probe,
-                            _config.reuseStartHour);
-    MetricsRecorder recorder(
-        _sim, _service, _trace, driver, probe,
-        MetricsRecorder::Config{_config.reuseStartHour, _config.slo,
-                                _config.recordSeries});
-    recorder.setMaxAllocation(_service.cluster().maxAllocation());
-
-    _sim.runUntil(_config.totalHours * static_cast<SimTime>(kHour));
-
-    ExperimentResult result = recorder.finish();
-    result.policyName = policy.name();
-    for (double t : policy.adaptationTimesSec())
-        result.adaptationSec.add(t);
-    return result;
+    FleetExperiment fleet(_sim);
+    fleet.addService(policy.name(), _service, policy, _trace, _config);
+    return std::move(fleet.run().front().result);
 }
 
 } // namespace dejavu

@@ -1,16 +1,16 @@
 /**
  * @file
- * The provisioning experiment harness: replays a multi-day load trace
- * against a service under a provisioning policy, exactly as the
- * paper's case studies do — hourly workload changes (the trace
- * granularity), fine-grained production monitoring in between, and
- * bookkeeping for every series the figures plot (instance counts,
- * latency/QoS versus SLO, cost, savings, adaptation times).
+ * The provisioning experiment: replays a multi-day load trace against
+ * a service under a provisioning policy, exactly as the paper's case
+ * studies do — hourly workload changes (the trace granularity),
+ * fine-grained production monitoring in between, and bookkeeping for
+ * every series the figures plot (instance counts, latency/QoS versus
+ * SLO, cost, savings, adaptation times).
  *
- * The run is event-driven: run() wires a TraceDriver, MonitorProbe,
- * PolicyActor and MetricsRecorder (experiments/actors.hh) onto the
- * simulation's queue and advances the clock once, so any number of
- * experiments/services can interleave on one Simulation.
+ * A case study is the paper's Figure 2 deployment with one hosted
+ * service: run() registers the service and policy as the one member
+ * of a FleetExperiment (experiments/fleet_experiment.hh), whose run()
+ * is the single place a run is wired and sampled.
  */
 
 #ifndef DEJAVU_EXPERIMENTS_EXPERIMENT_HH
@@ -107,11 +107,16 @@ class ProvisioningExperiment
     /** Run the full trace under @p policy. */
     ExperimentResult run(ProvisioningPolicy &policy);
 
-    /** Workload for a trace hour (used for learning-phase setup). */
-    Workload workloadAtHour(int hour) const;
-
     /** All learning-day workloads (one per hour). */
-    std::vector<Workload> learningWorkloads() const;
+    std::vector<Workload> learningWorkloads() const
+    { return learningWorkloads(_service, _trace, _config); }
+
+    /** Hours [0, config.reuseStartHour) of @p trace as @p service's
+     *  workloads — the one learning-phase definition single-service
+     *  and fleet learning share. */
+    static std::vector<Workload> learningWorkloads(
+        const Service &service, const LoadTrace &trace,
+        const Config &config);
 
     const Config &config() const { return _config; }
     const LoadTrace &trace() const { return _trace; }

@@ -20,7 +20,7 @@
  *
  * The fleet is an Actor on the shared simulation: profiling-slot
  * starts are ordinary tracked events, so a fleet interleaves with any
- * number of per-service trace drivers and monitor probes on one
+ * number of per-service trace drivers and the monitor sampler on one
  * queue, and cancels cleanly when destroyed.
  */
 

@@ -23,6 +23,53 @@ sameSlo(const Slo &a, const Slo &b)
 
 } // namespace
 
+class FleetExperiment::PoolRoute : public ProvisioningPolicy
+{
+  public:
+    PoolRoute(DejaVuFleet &fleet, const Member &member,
+              std::size_t memberIndex, DejaVuController &controller)
+        : ProvisioningPolicy(*member.service), _fleet(fleet),
+          _name(member.name), _slo(member.config.slo),
+          _controller(controller), _memberIndex(memberIndex)
+    {}
+
+    std::string name() const override
+    { return "dejavu-fleet/" + _fleet.scheduler().name(); }
+
+    /** Reuse-window changes queue for a profiling slot rather than
+     *  reaching the controller directly. */
+    void onWorkloadChange(const Workload &workload) override
+    { _fleet.requestAdaptation(_name, workload); }
+
+    /** Production SLO feedback (§3.6 interference path) stays
+     *  service-local; it needs no profiling slot. Violations also
+     *  accrue SLO debt on the fleet, which the SLO-debt-first slot
+     *  policy consumes. */
+    void onMonitorTick(const Service::PerfSample &sample) override
+    {
+        _controller.onSloFeedback(sample);
+        if (!_slo.satisfied(sample.meanLatencyMs, sample.qosPercent))
+            _fleet.noteSloViolation(_name);
+    }
+
+    DejaVuController &controller() const { return _controller; }
+    std::size_t memberIndex() const { return _memberIndex; }
+
+    /** @name Pool statistics, filled by the fleet's listener @{ */
+    RunningStats adaptationSec;
+    RunningStats queueDelaySec;
+    int adaptations = 0;
+    SimTime maxQueueDelay = 0;
+    /** @} */
+
+  private:
+    DejaVuFleet &_fleet;
+    std::string _name;
+    Slo _slo;
+    DejaVuController &_controller;
+    std::size_t _memberIndex;  ///< In _members and the sampler.
+};
+
 FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
                                  SlotPolicy policy, int profilingHosts,
                                  RepositorySharing sharing)
@@ -41,27 +88,26 @@ FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
     // name here is a wiring bug, not a condition to skip.
     _fleet.addListener(
         [this](const DejaVuFleet::CompletedAdaptation &entry) {
-            Member &member =
-                *_members[_fleet.memberIndex(entry.service)];
+            PoolRoute &route = *_routes[_fleet.memberIndex(entry.service)];
             const double queueSec = toSeconds(entry.queueDelay());
             const double totalSec = toSeconds(entry.totalAdaptation());
             _queueDelaySec.add(queueSec);
             _adaptationSec.add(totalSec);
-            member.adaptationSec.add(totalSec);
-            member.queueDelaySec.add(queueSec);
-            ++member.adaptations;
-            member.maxQueueDelay = std::max(member.maxQueueDelay,
-                                            entry.queueDelay());
+            route.adaptationSec.add(totalSec);
+            route.queueDelaySec.add(queueSec);
+            ++route.adaptations;
+            route.maxQueueDelay = std::max(route.maxQueueDelay,
+                                           entry.queueDelay());
         });
 }
 
-void
-FleetExperiment::addService(const std::string &name, Service &service,
-                            DejaVuController &controller,
-                            LoadTrace trace,
-                            ProvisioningExperiment::Config config,
-                            SimTime profilingSlot,
-                            SimTime arrivalOffset)
+FleetExperiment::~FleetExperiment() = default;
+
+FleetExperiment::Member &
+FleetExperiment::addMember(const std::string &name, Service &service,
+                           LoadTrace trace,
+                           ProvisioningExperiment::Config config,
+                           SimTime arrivalOffset)
 {
     DEJAVU_ASSERT(!_ran, "fleet experiment already ran");
     DEJAVU_ASSERT(arrivalOffset >= 0 && arrivalOffset < kHour,
@@ -75,10 +121,32 @@ FleetExperiment::addService(const std::string &name, Service &service,
     auto member = std::make_unique<Member>();
     member->name = name;
     member->service = &service;
-    member->controller = &controller;
     member->trace = std::move(trace);
     member->config = config;
     member->arrivalOffset = arrivalOffset;
+    _members.push_back(std::move(member));
+    return *_members.back();
+}
+
+void
+FleetExperiment::addService(const std::string &name, Service &service,
+                            ProvisioningPolicy &policy, LoadTrace trace,
+                            ProvisioningExperiment::Config config)
+{
+    addMember(name, service, std::move(trace), config, 0).policy =
+        &policy;
+}
+
+void
+FleetExperiment::addService(const std::string &name, Service &service,
+                            DejaVuController &controller,
+                            LoadTrace trace,
+                            ProvisioningExperiment::Config config,
+                            SimTime profilingSlot,
+                            SimTime arrivalOffset)
+{
+    Member &member = addMember(name, service, std::move(trace), config,
+                               arrivalOffset);
 
     // Compose the repository axis: under sharing, this controller's
     // cache operations go through the fleet-wide repository (kind
@@ -104,9 +172,12 @@ FleetExperiment::addService(const std::string &name, Service &service,
     }
 
     _fleet.addService(name, service, controller, profilingSlot);
-    DEJAVU_ASSERT(_fleet.memberIndex(name) == _members.size(),
-                  "fleet/experiment member tables out of lockstep");
-    _members.push_back(std::move(member));
+    DEJAVU_ASSERT(_fleet.memberIndex(name) == _routes.size(),
+                  "fleet/route tables out of lockstep");
+    _routes.push_back(std::make_unique<PoolRoute>(
+        _fleet, member, _members.size() - 1, controller));
+    member.route = _routes.back().get();
+    member.policy = member.route;
 }
 
 std::vector<FleetExperiment::ServiceResult>
@@ -142,35 +213,30 @@ FleetExperiment::run()
                                 m.config.peakClients,
                                 m.arrivalOffset},
             "trace:" + m.name);
-        // The sample source registers its chain listener on the
-        // driver *first*, before the adaptation and recorder
-        // listeners below.
-        m.feed = &_sampler->registerService(
+        // Listener order at every change and every sample: the
+        // sampler's chain start, then the policy, then the recorder —
+        // the policy reacts to each fresh sample before the recorder
+        // logs it, as a production control loop would.
+        const std::size_t index = _sampler->registerService(
             service, *m.driver,
-            MonitorProbe::Config{m.config.monitorPeriod,
-                                 m.config.postChangeProbe});
-
-        // Reuse-window workload changes route through the profiling
-        // host pool rather than straight to the controller.
-        Member *mp = &m;
-        m.driver->addListener([this, mp](int hour, const Workload &w) {
-            if (hour >= mp->config.reuseStartHour)
-                _fleet.requestAdaptation(mp->name, w);
-        });
-        // Production SLO feedback (§3.6 interference path) stays
-        // service-local; it needs no profiling slot. Violations also
-        // accrue SLO debt on the fleet, which the SLO-debt-first slot
-        // policy consumes.
-        m.feed->addListener([this, mp](int,
-                                       const Service::PerfSample &s) {
-            mp->controller->onSloFeedback(s);
-            if (!mp->config.slo.satisfied(s.meanLatencyMs,
-                                          s.qosPercent))
-                _fleet.noteSloViolation(mp->name);
-        });
+            FleetSampler::Cadence{m.config.monitorPeriod,
+                                  m.config.postChangeProbe});
+        // Hours before reuseStartHour are the learning phase: the
+        // policy holds its deployment and only monitoring runs.
+        ProvisioningPolicy &policy = *m.policy;
+        const int reuseStartHour = m.config.reuseStartHour;
+        m.driver->addListener(
+            [&policy, reuseStartHour](int hour, const Workload &w) {
+                if (hour >= reuseStartHour)
+                    policy.onWorkloadChange(w);
+            });
+        _sampler->addListener(
+            index, [&policy](int, const Service::PerfSample &s) {
+                policy.onMonitorTick(s);
+            });
 
         m.recorder = std::make_unique<MetricsRecorder>(
-            _sim, service, m.trace, *m.driver, *m.feed,
+            _sim, service, m.trace, *m.driver, *_sampler, index,
             MetricsRecorder::Config{m.config.reuseStartHour,
                                     m.config.slo,
                                     m.config.recordSeries},
@@ -193,12 +259,16 @@ FleetExperiment::run()
         ServiceResult sr;
         sr.name = m.name;
         sr.result = m.recorder->finish();
-        sr.result.policyName =
-            "dejavu-fleet/" + _fleet.scheduler().name();
-        sr.result.adaptationSec = m.adaptationSec;
-        sr.adaptations = m.adaptations;
-        sr.maxQueueDelay = m.maxQueueDelay;
-        sr.queueDelaySec = m.queueDelaySec;
+        sr.result.policyName = m.policy->name();
+        if (m.route) {
+            sr.result.adaptationSec = m.route->adaptationSec;
+            sr.adaptations = m.route->adaptations;
+            sr.maxQueueDelay = m.route->maxQueueDelay;
+            sr.queueDelaySec = m.route->queueDelaySec;
+        } else {
+            for (double t : m.policy->adaptationTimesSec())
+                sr.result.adaptationSec.add(t);
+        }
         results.push_back(std::move(sr));
     }
     return results;
@@ -208,9 +278,8 @@ void
 FleetExperiment::detachService(const std::string &name)
 {
     _fleet.detachService(name);
-    Member &member = *_members[_fleet.memberIndex(name)];
-    if (member.feed)
-        member.feed->detach();
+    if (_sampler)
+        _sampler->detach(_routes[_fleet.memberIndex(name)]->memberIndex());
 }
 
 FleetExperiment::FleetSummary
@@ -235,9 +304,8 @@ FleetExperiment::summary() const
     // This works identically in Private mode (each handle fronts its
     // controller's own repository), so shared-vs-private hit rates
     // are one column, not two code paths.
-    for (const auto &memberPtr : _members) {
-        const RepositoryHandle &handle =
-            memberPtr->controller->repository();
+    for (const auto &route : _routes) {
+        const RepositoryHandle &handle = route->controller().repository();
         s.repoLookups += handle.stats().lookups;
         s.repoHits += handle.stats().hits;
         s.repoCrossHits += handle.crossHits();

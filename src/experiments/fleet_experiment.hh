@@ -1,19 +1,22 @@
 /**
  * @file
- * Fleet-scale provisioning experiment: N co-hosted services, each with
- * its own trace driver, monitor probe and DejaVu controller, all
- * interleaving on one shared event queue, with adaptation requests
- * queued for the fleet's pool of M profiling hosts (§3.3's "one or a
- * few machines") under a selectable slot-scheduling policy (FIFO,
- * shortest-job-first, SLO-debt-first, adaptive).
+ * The run harness for one hosted service or N: every service gets
+ * its own trace driver and metrics recorder, one FleetSampler samples
+ * them all, and everything interleaves on one shared event queue.
+ * FleetExperiment::run() is the only place a run is wired, so the
+ * single-service case studies (ProvisioningExperiment::run) are
+ * one-member fleets.
  *
- * This is the paper's Figure 2 deployment turned into a harness:
- * adding a hosted service is one registration call, the run records a
- * full per-service SLO/latency/instances series, every completed
- * adaptation is charged its host-pool queueing delay, and the
- * fleet-wide adaptation-time tails (p50/p95/max) fall out of one
- * summary() call — the yardstick for comparing slot policies and
- * pool sizes (the hosts-vs-p95 knee).
+ * This is the paper's Figure 2 deployment turned into a harness.
+ * A member registered with a DejaVu controller adapts through the
+ * fleet's pool of M profiling hosts (§3.3's "one or a few machines")
+ * under a selectable slot-scheduling policy (FIFO, shortest-job-first,
+ * SLO-debt-first, adaptive): every completed adaptation is charged
+ * its host-pool queueing delay, and the fleet-wide adaptation-time
+ * tails (p50/p95/max) fall out of one summary() call — the yardstick
+ * for comparing slot policies and pool sizes (the hosts-vs-p95 knee).
+ * A member registered with any other ProvisioningPolicy reacts to its
+ * changes and samples directly.
  *
  * The experiment also owns the repository-sharing axis: under
  * RepositorySharing::Shared it holds one SharedRepository and
@@ -38,7 +41,7 @@
 namespace dejavu {
 
 /**
- * Runs a multi-service fleet through the shared event queue.
+ * Runs one or more hosted services through the shared event queue.
  */
 class FleetExperiment
 {
@@ -125,10 +128,12 @@ class FleetExperiment
                     int profilingHosts = 1,
                     RepositorySharing sharing =
                         RepositorySharing::Private);
+    ~FleetExperiment();
 
     /**
-     * Register a hosted service. The controller must have completed
-     * its learning phase before run(). The trace is copied; @p config
+     * Register a hosted service whose controller adapts through the
+     * profiling host pool. The controller must have completed its
+     * learning phase before run(). The trace is copied; @p config
      * carries the same knobs as a single-service experiment.
      * @p profilingSlot is this member's host occupancy per adaptation
      * (0 means the fleet default) — what shortest-job-first sorts by.
@@ -138,6 +143,16 @@ class FleetExperiment
                     ProvisioningExperiment::Config config,
                     SimTime profilingSlot = 0,
                     SimTime arrivalOffset = 0);
+
+    /**
+     * Register a hosted service driven by @p policy, which sees every
+     * reuse-window workload change and every monitor sample directly
+     * (no profiling host pool); it must outlive run(). Its result
+     * carries the policy's name and adaptation times.
+     */
+    void addService(const std::string &name, Service &service,
+                    ProvisioningPolicy &policy, LoadTrace trace,
+                    ProvisioningExperiment::Config config);
 
     /**
      * Run every registered service to the end of its configured
@@ -150,9 +165,10 @@ class FleetExperiment
     FleetSummary summary() const;
 
     /**
-     * Withdraw a member mid-run: cancels its queued/granted profiling
-     * work (DejaVuFleet::detachService) and stops its monitor
-     * sampling. Other members' schedules are unaffected.
+     * Withdraw a controller member mid-run: cancels its
+     * queued/granted profiling work (DejaVuFleet::detachService) and
+     * stops its monitor sampling. Other members' schedules are
+     * unaffected.
      */
     void detachService(const std::string &name);
 
@@ -175,24 +191,29 @@ class FleetExperiment
     { return _sharedRepo.get(); }
 
   private:
-    /** One hosted service's actors and bookkeeping. */
+    /** A controller member's policy: routes workload changes through
+     *  the profiling host pool and keeps its pool statistics. */
+    class PoolRoute;
+
+    /** One hosted service's actors. */
     struct Member
     {
         std::string name;
         Service *service;
-        DejaVuController *controller;
+        ProvisioningPolicy *policy;  ///< Reacts to changes and samples.
+        PoolRoute *route = nullptr;  ///< Set for controller members.
         LoadTrace trace;
         ProvisioningExperiment::Config config;
         SimTime arrivalOffset = 0;  ///< Jittered trace-hour offset.
         std::unique_ptr<TraceDriver> driver;
-        /** This member's fleet-sampler feed; set during run(). */
-        SampleFeed *feed = nullptr;
         std::unique_ptr<MetricsRecorder> recorder;
-        RunningStats adaptationSec;
-        RunningStats queueDelaySec;
-        int adaptations = 0;
-        SimTime maxQueueDelay = 0;
     };
+
+    /** Append a member; @p config's horizon is resolved here. */
+    Member &addMember(const std::string &name, Service &service,
+                      LoadTrace trace,
+                      ProvisioningExperiment::Config config,
+                      SimTime arrivalOffset);
 
     Simulation &_sim;
     DejaVuFleet _fleet;
@@ -213,9 +234,12 @@ class FleetExperiment
     /** First-registered SLO per kind — sharing requires same-kind
      *  members to agree (addService() is fatal on a mismatch). */
     std::map<ServiceKind, Slo> _kindSlo;
-    /** Indexed in lockstep with the fleet's member table; lookups go
-     *  through DejaVuFleet::memberIndex(). */
+    /** In registration order, which is also sampler index order. */
     std::vector<std::unique_ptr<Member>> _members;
+    /** Controller members' routes, indexed in lockstep with the
+     *  fleet's member table; lookups go through
+     *  DejaVuFleet::memberIndex(). */
+    std::vector<std::unique_ptr<PoolRoute>> _routes;
     bool _ran = false;
 };
 

@@ -17,39 +17,45 @@ FleetSampler::reserveServices(std::size_t n)
     _listeners.reserve(n);
 }
 
-SampleFeed &
+std::size_t
 FleetSampler::registerService(Service &service, TraceDriver &driver,
-                              MonitorProbe::Config config)
+                              Cadence cadence)
 {
-    DEJAVU_ASSERT(config.monitorPeriod > 0, "bad monitor period");
-    DEJAVU_ASSERT(config.postChangeProbe >= 0 &&
-                  config.postChangeProbe < kHour,
+    DEJAVU_ASSERT(cadence.monitorPeriod > 0, "bad monitor period");
+    DEJAVU_ASSERT(cadence.postChangeProbe >= 0 &&
+                  cadence.postChangeProbe < kHour,
                   "post-change probe must fall within the hour");
     const auto index = static_cast<std::uint32_t>(_state.size());
     MemberState state;
     state.service = &service;
-    state.period = config.monitorPeriod;
-    state.postChange = config.postChangeProbe;
+    state.period = cadence.monitorPeriod;
+    state.postChange = cadence.postChangeProbe;
     _state.push_back(state);
     _listeners.emplace_back();
-    _feeds.emplace_back(*this, index);
 
     // Each workload change (re)starts this member's sampling chain —
     // appended from inside the Driver-band change event, so a zero
     // post-change probe still samples *after* the change (and before
-    // any later same-instant Driver event, the per-probe ordering).
+    // any later same-instant Driver event).
     driver.addListener([this, index](int hour, const Workload &) {
         MemberState &m = _state[index];
         if (!m.live)
             return;
         m.hour = hour;
         // The chain covers one trace hour *from the change instant*
-        // (see MonitorProbe), so jittered members keep their full
-        // sampling density.
+        // (equal to the calendar hour when the driver is not
+        // jittered), so offset members keep their full sampling
+        // density.
         m.chainEnd = saturatingAdd(now(), kHour);
         enqueue(index, saturatingAdd(now(), m.postChange));
     });
-    return _feeds.back();
+    return index;
+}
+
+void
+FleetSampler::addListener(std::size_t index, SampleListener fn)
+{
+    _listeners[index].push_back(std::move(fn));
 }
 
 std::size_t
@@ -59,14 +65,6 @@ FleetSampler::liveServices() const
     for (const MemberState &m : _state)
         live += m.live ? 1 : 0;
     return live;
-}
-
-void
-FleetSampler::detachMember(std::uint32_t index)
-{
-    // Lazy deregistration: already-bucketed indices are skipped on
-    // drain, so a mid-slot detach needs no bucket surgery.
-    _state[index].live = false;
 }
 
 void
@@ -117,11 +115,11 @@ FleetSampler::fireDue()
         _lastBucket = _buckets.end();
     _buckets.erase(it);
 
-    // Drain in append order == per-probe insertion order. The
-    // _draining guard batches the re-arms' event maintenance into one
-    // armNext() after the loop (listeners never append to *this*
-    // instant: chain starts come from Driver-band events, which fire
-    // after this Probe-band drain).
+    // Drain in append (trigger) order. The _draining guard batches
+    // the re-arms' event maintenance into one armNext() after the
+    // loop (listeners never append to *this* instant: chain starts
+    // come from Driver-band events, which fire after this Probe-band
+    // drain).
     _draining = true;
     for (const std::uint32_t index : due) {
         MemberState &m = _state[index];

@@ -1,39 +1,36 @@
 /**
  * @file
- * Fleet-level batched monitor sampling.
+ * Production monitor sampling for every run, one service or 10k.
  *
- * The per-service MonitorProbe schedules one one-shot Probe-band event
- * per sample — at 10k services and a 1-minute cadence that is ~10k
- * heap pushes, pops and closure invocations per simulated minute, and
- * the event queue becomes the fleet's bottleneck. The FleetSampler
- * collapses all of it into *one* actor: services register with it,
- * their chain starts (driver changes) and periodic re-arms append the
- * member index to a per-instant bucket, and a single Probe-band event
- * per distinct due instant drains the whole bucket in one dispatch.
+ * Services register with one FleetSampler actor: their chain starts
+ * (driver changes) and periodic re-arms append the member index to a
+ * per-instant bucket, and a single Probe-band event per distinct due
+ * instant drains the whole bucket in one dispatch — so the event
+ * queue carries one sampling event per instant, not one per sample.
  *
- * Equivalence with the per-probe path is exact, not approximate:
- *  - bucket appends happen inside the same triggering events (driver
- *    changes, previous ticks) that would have scheduled the per-probe
- *    one-shot, so append order equals per-probe insertion order and
- *    draining in append order reproduces the per-probe intra-instant
- *    firing order;
- *  - the drain event is Probe band, so cross-band ordering at an
- *    instant (Normal deployments first, samples next, Driver changes
- *    last) is unchanged — including the zero post-change-probe case,
- *    where a chain start scheduled from a Driver event at instant T
- *    fires its sample at T before the remaining same-instant Driver
- *    events, exactly as MonitorProbe's `after(0, ...)` does;
- *  - per-member chain state (chainEnd, hour, jittered start offsets)
- *    carries over verbatim.
- * A fleet therefore samples exactly as one MonitorProbe per service
- * would (test_fleet_sampler checks it against MonitorProbe directly).
+ * The schedule is a contract the goldens pin
+ * (test_fleet_sampler's ScheduleIsPinned, the fleet and single-service
+ * GoldenRun tests):
+ *  - a member samples postChangeProbe after each workload change of
+ *    its driver, then every monitorPeriod while the next tick still
+ *    lands within one trace hour of that change;
+ *  - bucket appends happen inside the triggering events (driver
+ *    changes, previous ticks) and a bucket drains in append order, so
+ *    same-instant members sample in the order their triggers fired;
+ *  - the drain event is Probe band, so at an instant deployments
+ *    (Normal) come first, samples next and Driver changes last. A
+ *    chain start with a zero post-change probe, appended from a
+ *    Driver event at T, still samples at T *after* that change and
+ *    before the remaining same-instant Driver events;
+ *  - a sample's listeners run in subscription order before the next
+ *    member in the bucket samples.
  */
 
 #ifndef DEJAVU_EXPERIMENTS_SAMPLER_HH
 #define DEJAVU_EXPERIMENTS_SAMPLER_HH
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,15 +40,27 @@
 namespace dejavu {
 
 /**
- * One sampling engine for a whole fleet: members register once and
- * are drained in batches. Feeds returned by registerService() stay
- * valid for the sampler's lifetime; detach() deregisters a member
- * (mid-slot detach included — already-bucketed indices are skipped
- * lazily on drain).
+ * One sampling engine for a whole run: members register once and are
+ * drained in batches. A member is addressed by the index
+ * registerService() returned; detach() deregisters it (mid-slot
+ * detach included — already-bucketed indices are skipped lazily on
+ * drain).
  */
 class FleetSampler : public Actor
 {
   public:
+    /** Production monitoring cadence of one member. */
+    struct Cadence
+    {
+        SimTime monitorPeriod = minutes(1);
+        /** Extra early sample after each change (catches the
+         *  adaptation-window spike); must fall within the hour. */
+        SimTime postChangeProbe = seconds(30);
+    };
+
+    using SampleListener =
+        std::function<void(int hour, const Service::PerfSample &)>;
+
     explicit FleetSampler(Simulation &sim,
                           std::string name = "fleet-sampler");
 
@@ -60,11 +69,23 @@ class FleetSampler : public Actor
 
     /**
      * Register a service: its sampling chain restarts on every change
-     * of @p driver, with @p config's cadence (same semantics as a
-     * dedicated MonitorProbe). Returns the member's feed.
+     * of @p driver, with @p cadence. Returns the member's index
+     * (registration order).
      */
-    SampleFeed &registerService(Service &service, TraceDriver &driver,
-                                MonitorProbe::Config config);
+    std::size_t registerService(Service &service, TraceDriver &driver,
+                                Cadence cadence);
+
+    /** Subscribe to member @p index's samples (one shared sample per
+     *  tick, listeners in subscription order). */
+    void addListener(std::size_t index, SampleListener fn);
+
+    /** Samples delivered to member @p index so far. */
+    std::uint64_t samplesTaken(std::size_t index) const
+    { return _state[index].samples; }
+
+    /** Permanently stop sampling member @p index: no further ticks
+     *  are delivered. Idempotent. */
+    void detach(std::size_t index) { _state[index].live = false; }
 
     /** Members ever registered (detached ones included). */
     std::size_t services() const { return _state.size(); }
@@ -72,33 +93,11 @@ class FleetSampler : public Actor
     /** Members registered and not detached. */
     std::size_t liveServices() const;
 
-    /** Samples delivered fleet-wide. */
+    /** Samples delivered run-wide. */
     std::uint64_t samplesTaken() const { return _samples; }
 
   private:
-    /** Per-member handle fronting the shared sampler. */
-    class MemberFeed : public SampleFeed
-    {
-      public:
-        MemberFeed(FleetSampler &sampler, std::uint32_t index)
-            : _sampler(sampler), _index(index)
-        {}
-
-        void addListener(SampleListener fn) override
-        { _sampler._listeners[_index].push_back(std::move(fn)); }
-
-        std::uint64_t samplesTaken() const override
-        { return _sampler._state[_index].samples; }
-
-        void detach() override
-        { _sampler.detachMember(_index); }
-
-      private:
-        FleetSampler &_sampler;
-        std::uint32_t _index;
-    };
-
-    /** Per-member chain state, SoA-indexed by registration order. */
+    /** Per-member chain state, indexed by registration order. */
     struct MemberState
     {
         Service *service = nullptr;
@@ -109,8 +108,6 @@ class FleetSampler : public Actor
         std::uint64_t samples = 0;
         bool live = true;
     };
-
-    void detachMember(std::uint32_t index);
 
     /** Append @p index to the bucket at @p t and keep the drain event
      *  armed at the earliest bucket. Appends to the bucket appended to
@@ -126,9 +123,8 @@ class FleetSampler : public Actor
     void fireDue();
 
     std::vector<MemberState> _state;
-    std::vector<std::vector<SampleFeed::SampleListener>> _listeners;
-    std::deque<MemberFeed> _feeds;  ///< Stable addresses for callers.
-    /** Due instant -> member indices in per-probe insertion order. */
+    std::vector<std::vector<SampleListener>> _listeners;
+    /** Due instant -> member indices in trigger order. */
     using BucketMap = std::map<SimTime, std::vector<std::uint32_t>>;
     BucketMap _buckets;
     /** The bucket enqueue() appended to last; end() once fireDue()

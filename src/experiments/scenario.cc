@@ -93,109 +93,170 @@ autoServiceName(std::size_t i)
         + (i >= 26 ? std::to_string(i / 26) : "");
 }
 
+/**
+ * The one per-service stack factory: member @p index of a fleet on
+ * @p sim. Member 0 is also a single-service case study: its trace
+ * seed, options.seed + 1000003 * index, is then options.seed. Forks
+ * the simulation RNG in a fixed order — service, counters, profiler,
+ * injector, daemon, controller — so a member's stack depends only on
+ * the forks before it. Leaves the profiling slot, arrival offset and
+ * series switch at their defaults for FleetBuilder to set.
+ */
+std::unique_ptr<FleetMember>
+buildMember(Simulation &sim, const ScenarioOptions &options,
+            const FleetMemberSpec &spec, std::size_t index)
+{
+    auto member = std::make_unique<FleetMember>();
+    member->name =
+        spec.name.empty() ? autoServiceName(index) : spec.name;
+
+    Cluster::Config ccfg;
+    ccfg.maxInstances = 10;
+    ccfg.initialType = InstanceType::Large;
+    member->cluster = std::make_unique<Cluster>(sim.queue(), ccfg);
+
+    // Per-kind service model, request mix, search space and default
+    // SLO: §4.1 Cassandra, §4.2 SPECweb (10 VMs model the 5 front-end
+    // + 5 back-end pairs; only the instance *type* scales), RUBiS and
+    // YCSB.
+    std::unique_ptr<Service> service;
+    RequestMix mix;
+    DejaVuController::Config dcfg;
+    ProvisioningExperiment::Config ecfg;
+    ecfg.reuseStartHour = 24;
+    ecfg.learningAllocation = {10, InstanceType::Large};
+    switch (spec.kind) {
+      case ServiceKind::SpecWeb:
+        service = std::make_unique<SpecWebService>(
+            sim.queue(), *member->cluster, sim.forkRng());
+        mix = specwebSupport();
+        dcfg.slo = Slo::qos(95.0);
+        dcfg.searchSpace = scaleUpSearchSpace(
+            10, {InstanceType::Large, InstanceType::XLarge});
+        ecfg.learningAllocation = {10, InstanceType::XLarge};
+        break;
+      case ServiceKind::Rubis:
+        service = std::make_unique<RubisService>(
+            sim.queue(), *member->cluster, sim.forkRng());
+        mix = rubisBidding();
+        dcfg.slo = Slo::latency(150.0);
+        dcfg.searchSpace = scaleOutSearchSpace(10, InstanceType::Large);
+        break;
+      case ServiceKind::Ycsb:
+        service = std::make_unique<YcsbService>(
+            sim.queue(), *member->cluster, sim.forkRng());
+        mix = ycsbUpdateHeavy();
+        dcfg.slo = Slo::latency(40.0);
+        dcfg.searchSpace = scaleOutSearchSpace(10, InstanceType::Large);
+        break;
+      case ServiceKind::KeyValue:
+      case ServiceKind::Generic:
+        service = std::make_unique<KeyValueService>(
+            sim.queue(), *member->cluster, sim.forkRng());
+        mix = cassandraUpdateHeavy();
+        dcfg.slo = Slo::latency(60.0);
+        dcfg.searchSpace = scaleOutSearchSpace(10, InstanceType::Large);
+        break;
+    }
+    // An explicit per-member mix overrides the kind default (the
+    // YCSB fleet cycles its four core workloads this way).
+    if (spec.mix)
+        mix = *spec.mix;
+    service->setWorkload({mix, 0.0});
+
+    CounterModel counters(service->kind(), sim.forkRng());
+    Monitor monitor(*service, counters);
+    member->profiler = std::make_unique<ProfilerHost>(
+        *service, std::move(monitor), sim.forkRng());
+
+    // §4.3 co-located tenant pressure; in a fleet this is what makes
+    // §3.6 tuner sequences — pool work under the work-queue model —
+    // actually fire.
+    if (options.interference)
+        member->injector = standardInjector(
+            sim.queue(), *member->cluster, sim.forkRng());
+
+    // BASK-style background daemon: a deterministic dedup/scan duty
+    // cycle stealing CPU+memory from every member VM — interference
+    // the §3.6 estimator must bucket, via a mechanism distinct from
+    // (and composable with) the injector's random reassignment above.
+    if (options.daemons)
+        member->daemon = std::make_unique<DaemonCoRunner>(
+            sim.queue(), *member->cluster, DaemonCoRunner::Config{},
+            sim.forkRng());
+
+    if (spec.slo)
+        dcfg.slo = *spec.slo;
+    dcfg.interferenceDetection = options.interferenceDetection;
+    member->controller = std::make_unique<DejaVuController>(
+        *service, *member->profiler, dcfg, sim.forkRng());
+
+    // Same diurnal shape for every service (all hourly changes
+    // contend for the shared profiler), distinct per-service
+    // noise/anomalies via the seed offset.
+    const std::string traceName =
+        spec.traceName.empty() ? options.traceName : spec.traceName;
+    member->trace = scenarioTrace(
+        traceName, options.days,
+        options.seed + 1000003ULL * static_cast<std::uint64_t>(index));
+
+    ecfg.slo = dcfg.slo;
+    // An explicit per-member peakUtilization always wins. The SpecWeb
+    // kind-default uses the QoS-knee sizing instead of a utilization
+    // target (scale-up needs the Large/XLarge boundary anchored, not
+    // a fixed rho).
+    const double fullLargeEcu =
+        10 * instanceSpec(InstanceType::Large).computeUnits;
+    if (spec.peakUtilization > 0.0)
+        ecfg.peakClients = clientsForUtilization(
+            *service, mix, fullLargeEcu, spec.peakUtilization);
+    else if (spec.kind == ServiceKind::SpecWeb)
+        ecfg.peakClients =
+            specwebPeakClients(*service, mix, member->trace);
+    else
+        ecfg.peakClients = clientsForUtilization(
+            *service, mix, fullLargeEcu, options.peakUtilization);
+    member->experimentConfig = ecfg;
+    member->service = std::move(service);
+    return member;
+}
+
+/** A single-service case study of @p kind: fleet member 0 on its own
+ *  Simulation, with its ProvisioningExperiment. */
+std::unique_ptr<ScenarioStack>
+makeCaseStudy(ServiceKind kind, const ScenarioOptions &options)
+{
+    auto stack = std::make_unique<ScenarioStack>();
+    stack->sim = std::make_unique<Simulation>(options.seed);
+    FleetMemberSpec spec;
+    spec.kind = kind;
+    auto member = buildMember(*stack->sim, options, spec, 0);
+    stack->cluster = std::move(member->cluster);
+    stack->service = std::move(member->service);
+    stack->profiler = std::move(member->profiler);
+    stack->injector = std::move(member->injector);
+    stack->daemon = std::move(member->daemon);
+    stack->controller = std::move(member->controller);
+    stack->controllerConfig = stack->controller->config();
+    stack->trace = std::move(member->trace);
+    stack->experiment = std::make_unique<ProvisioningExperiment>(
+        *stack->sim, *stack->service, stack->trace,
+        member->experimentConfig);
+    return stack;
+}
+
 } // namespace
 
 std::unique_ptr<ScenarioStack>
 makeCassandraScaleOut(const ScenarioOptions &options)
 {
-    auto stack = std::make_unique<ScenarioStack>();
-    stack->sim = std::make_unique<Simulation>(options.seed);
-    EventQueue &queue = stack->sim->queue();
-
-    Cluster::Config ccfg;
-    ccfg.maxInstances = 10;
-    ccfg.initialType = InstanceType::Large;
-    stack->cluster = std::make_unique<Cluster>(queue, ccfg);
-
-    auto service = std::make_unique<KeyValueService>(
-        queue, *stack->cluster, stack->sim->forkRng());
-    const RequestMix mix = cassandraUpdateHeavy();
-    service->setWorkload({mix, 0.0});
-
-    CounterModel counters(service->kind(), stack->sim->forkRng());
-    Monitor monitor(*service, counters);
-    stack->profiler = std::make_unique<ProfilerHost>(
-        *service, std::move(monitor), stack->sim->forkRng());
-
-    if (options.interference)
-        stack->injector = standardInjector(queue, *stack->cluster,
-                                           stack->sim->forkRng());
-
-    DejaVuController::Config dcfg;
-    dcfg.slo = Slo::latency(60.0);
-    dcfg.searchSpace = scaleOutSearchSpace(10, InstanceType::Large);
-    dcfg.interferenceDetection = options.interferenceDetection;
-    stack->controllerConfig = dcfg;
-    stack->controller = std::make_unique<DejaVuController>(
-        *service, *stack->profiler, dcfg, stack->sim->forkRng());
-
-    stack->trace =
-        scenarioTrace(options.traceName, options.days, options.seed);
-
-    ProvisioningExperiment::Config ecfg;
-    ecfg.reuseStartHour = 24;
-    ecfg.slo = dcfg.slo;
-    ecfg.peakClients = clientsForUtilization(
-        *service, mix, 10 * instanceSpec(InstanceType::Large).computeUnits,
-        options.peakUtilization);
-    ecfg.learningAllocation = {10, InstanceType::Large};
-
-    stack->service = std::move(service);
-    stack->experiment = std::make_unique<ProvisioningExperiment>(
-        *stack->sim, *stack->service, stack->trace, ecfg);
-    return stack;
+    return makeCaseStudy(ServiceKind::KeyValue, options);
 }
 
 std::unique_ptr<ScenarioStack>
 makeSpecWebScaleUp(const ScenarioOptions &options)
 {
-    auto stack = std::make_unique<ScenarioStack>();
-    stack->sim = std::make_unique<Simulation>(options.seed);
-    EventQueue &queue = stack->sim->queue();
-
-    // 10 VMs model the 5 front-end + 5 back-end pairs; the count is
-    // fixed and only the instance *type* scales (§4.2).
-    Cluster::Config ccfg;
-    ccfg.maxInstances = 10;
-    ccfg.initialType = InstanceType::Large;
-    stack->cluster = std::make_unique<Cluster>(queue, ccfg);
-
-    auto service = std::make_unique<SpecWebService>(
-        queue, *stack->cluster, stack->sim->forkRng());
-    const RequestMix mix = specwebSupport();
-    service->setWorkload({mix, 0.0});
-
-    CounterModel counters(service->kind(), stack->sim->forkRng());
-    Monitor monitor(*service, counters);
-    stack->profiler = std::make_unique<ProfilerHost>(
-        *service, std::move(monitor), stack->sim->forkRng());
-
-    if (options.interference)
-        stack->injector = standardInjector(queue, *stack->cluster,
-                                           stack->sim->forkRng());
-
-    DejaVuController::Config dcfg;
-    dcfg.slo = Slo::qos(95.0);
-    dcfg.searchSpace = scaleUpSearchSpace(
-        10, {InstanceType::Large, InstanceType::XLarge});
-    dcfg.interferenceDetection = options.interferenceDetection;
-    stack->controllerConfig = dcfg;
-    stack->controller = std::make_unique<DejaVuController>(
-        *service, *stack->profiler, dcfg, stack->sim->forkRng());
-
-    stack->trace =
-        scenarioTrace(options.traceName, options.days, options.seed);
-
-    ProvisioningExperiment::Config ecfg;
-    ecfg.reuseStartHour = 24;
-    ecfg.slo = dcfg.slo;
-    ecfg.peakClients = specwebPeakClients(*service, mix, stack->trace);
-    ecfg.learningAllocation = {10, InstanceType::XLarge};
-
-    stack->service = std::move(service);
-    stack->experiment = std::make_unique<ProvisioningExperiment>(
-        *stack->sim, *stack->service, stack->trace, ecfg);
-    return stack;
+    return makeCaseStudy(ServiceKind::SpecWeb, options);
 }
 
 void
@@ -229,15 +290,11 @@ FleetStack::learnAll(int threads)
     // member's own profiler/RNG/model state. Each member's prepare is
     // independent of every other's, so the work-stealing order below
     // cannot change any member's result — only wall-clock time.
-    auto prepare = [this](FleetMember &member) {
-        std::vector<Workload> learning;
-        const int hours = member.experimentConfig.reuseStartHour;
-        learning.reserve(static_cast<std::size_t>(hours));
-        for (int h = 0; h < hours; ++h)
-            learning.push_back(TraceDriver::workloadFor(
+    auto prepare = [](FleetMember &member) {
+        member.controller->prepareLearning(
+            ProvisioningExperiment::learningWorkloads(
                 *member.service, member.trace,
-                member.experimentConfig.peakClients, h));
-        member.controller->prepareLearning(learning);
+                member.experimentConfig));
     };
     // Learn phases are real (offline) work, so their trace spans are
     // wall-time. The workers never touch the recorder — one span
@@ -397,130 +454,12 @@ FleetBuilder::build() const
 
     for (std::size_t i = 0; i < _specs.size(); ++i) {
         const FleetMemberSpec &spec = _specs[i];
-        auto member = std::make_unique<FleetMember>();
-        member->name =
-            spec.name.empty() ? autoServiceName(i) : spec.name;
-
-        Cluster::Config ccfg;
-        ccfg.maxInstances = 10;
-        ccfg.initialType = InstanceType::Large;
-        member->cluster = std::make_unique<Cluster>(sim.queue(), ccfg);
-
-        // Per-kind service model, request mix, search space and
-        // default SLO — the same stacks the single-service case
-        // studies build (§4.1 Cassandra, §4.2 SPECweb, RUBiS).
-        std::unique_ptr<Service> service;
-        RequestMix mix;
-        DejaVuController::Config dcfg;
-        ProvisioningExperiment::Config ecfg;
-        ecfg.reuseStartHour = 24;
-        ecfg.learningAllocation = {10, InstanceType::Large};
-        switch (spec.kind) {
-          case ServiceKind::SpecWeb:
-            service = std::make_unique<SpecWebService>(
-                sim.queue(), *member->cluster, sim.forkRng());
-            mix = specwebSupport();
-            dcfg.slo = Slo::qos(95.0);
-            dcfg.searchSpace = scaleUpSearchSpace(
-                10, {InstanceType::Large, InstanceType::XLarge});
-            ecfg.learningAllocation = {10, InstanceType::XLarge};
-            break;
-          case ServiceKind::Rubis:
-            service = std::make_unique<RubisService>(
-                sim.queue(), *member->cluster, sim.forkRng());
-            mix = rubisBidding();
-            dcfg.slo = Slo::latency(150.0);
-            dcfg.searchSpace =
-                scaleOutSearchSpace(10, InstanceType::Large);
-            break;
-          case ServiceKind::Ycsb:
-            service = std::make_unique<YcsbService>(
-                sim.queue(), *member->cluster, sim.forkRng());
-            mix = ycsbUpdateHeavy();
-            dcfg.slo = Slo::latency(40.0);
-            dcfg.searchSpace =
-                scaleOutSearchSpace(10, InstanceType::Large);
-            break;
-          case ServiceKind::KeyValue:
-          case ServiceKind::Generic:
-            service = std::make_unique<KeyValueService>(
-                sim.queue(), *member->cluster, sim.forkRng());
-            mix = cassandraUpdateHeavy();
-            dcfg.slo = Slo::latency(60.0);
-            dcfg.searchSpace =
-                scaleOutSearchSpace(10, InstanceType::Large);
-            break;
-        }
-        // An explicit per-member mix overrides the kind default (the
-        // YCSB fleet cycles its four core workloads this way).
-        if (spec.mix)
-            mix = *spec.mix;
-        service->setWorkload({mix, 0.0});
-
-        CounterModel counters(service->kind(), sim.forkRng());
-        Monitor monitor(*service, counters);
-        member->profiler = std::make_unique<ProfilerHost>(
-            *service, std::move(monitor), sim.forkRng());
-
-        // §4.3 co-located tenant pressure, per member (the same
-        // injector the single-service scenarios wire); this is what
-        // makes §3.6 tuner sequences — pool work under the
-        // work-queue model — actually fire in a fleet.
-        if (_options.interference)
-            member->injector = standardInjector(
-                sim.queue(), *member->cluster, sim.forkRng());
-
-        // BASK-style background daemon: a deterministic dedup/scan
-        // duty cycle stealing CPU+memory from every member VM —
-        // interference the §3.6 estimator must bucket, via a
-        // mechanism distinct from (and composable with) the
-        // injector's random reassignment above.
-        if (_options.daemons)
-            member->daemon = std::make_unique<DaemonCoRunner>(
-                sim.queue(), *member->cluster,
-                DaemonCoRunner::Config{}, sim.forkRng());
-
-        if (spec.slo)
-            dcfg.slo = *spec.slo;
-        dcfg.interferenceDetection = _options.interferenceDetection;
-        member->controller = std::make_unique<DejaVuController>(
-            *service, *member->profiler, dcfg, sim.forkRng());
-
-        // Same diurnal shape for every service (all hourly changes
-        // contend for the shared profiler), distinct per-service
-        // noise/anomalies via the seed offset.
-        const std::string traceName =
-            spec.traceName.empty() ? _options.traceName
-                                   : spec.traceName;
-        member->trace = scenarioTrace(
-            traceName, _options.days,
-            _options.seed + 1000003ULL * static_cast<std::uint64_t>(i));
-
-        ecfg.slo = dcfg.slo;
-        ecfg.recordSeries = _recordSeries;
-        // An explicit per-member peakUtilization always wins. The
-        // SpecWeb kind-default uses the QoS-knee sizing instead of a
-        // utilization target (scale-up needs the Large/XLarge
-        // boundary anchored, not a fixed rho).
-        if (spec.peakUtilization > 0.0)
-            ecfg.peakClients = clientsForUtilization(
-                *service, mix,
-                10 * instanceSpec(InstanceType::Large).computeUnits,
-                spec.peakUtilization);
-        else if (spec.kind == ServiceKind::SpecWeb)
-            ecfg.peakClients =
-                specwebPeakClients(*service, mix, member->trace);
-        else
-            ecfg.peakClients = clientsForUtilization(
-                *service, mix,
-                10 * instanceSpec(InstanceType::Large).computeUnits,
-                _options.peakUtilization);
-        member->experimentConfig = ecfg;
-
+        auto member = buildMember(sim, _options, spec, i);
+        member->experimentConfig.recordSeries = _recordSeries;
         member->profilingSlot = spec.profilingSlot > 0
             ? spec.profilingSlot
             : (_defaultSlot > 0 ? _defaultSlot
-                                : service->profilingSlotHint());
+                                : member->service->profilingSlotHint());
 
         // Jittered change arrival: a deterministic per-member offset
         // in [0, spread) derived from (jitter seed, member index) —
@@ -534,7 +473,6 @@ FleetBuilder::build() const
                 * static_cast<double>(_jitterSpread));
         }
 
-        member->service = std::move(service);
         stack->experiment->addService(member->name, *member->service,
                                       *member->controller,
                                       member->trace,
@@ -619,33 +557,9 @@ makeYcsbFleet(int services, const ScenarioOptions &options,
 std::unique_ptr<ScenarioStack>
 makeRubisStack(std::uint64_t seed)
 {
-    auto stack = std::make_unique<ScenarioStack>();
-    stack->sim = std::make_unique<Simulation>(seed);
-    EventQueue &queue = stack->sim->queue();
-
-    Cluster::Config ccfg;
-    ccfg.maxInstances = 10;
-    ccfg.initialType = InstanceType::Large;
-    stack->cluster = std::make_unique<Cluster>(queue, ccfg);
-
-    auto service = std::make_unique<RubisService>(
-        queue, *stack->cluster, stack->sim->forkRng());
-    service->setWorkload({rubisBidding(), 0.0});
-
-    CounterModel counters(service->kind(), stack->sim->forkRng());
-    Monitor monitor(*service, counters);
-    stack->profiler = std::make_unique<ProfilerHost>(
-        *service, std::move(monitor), stack->sim->forkRng());
-
-    DejaVuController::Config dcfg;
-    dcfg.slo = Slo::latency(150.0);
-    dcfg.searchSpace = scaleOutSearchSpace(10, InstanceType::Large);
-    stack->controllerConfig = dcfg;
-    stack->controller = std::make_unique<DejaVuController>(
-        *service, *stack->profiler, dcfg, stack->sim->forkRng());
-
-    stack->service = std::move(service);
-    return stack;
+    ScenarioOptions options;
+    options.seed = seed;
+    return makeCaseStudy(ServiceKind::Rubis, options);
 }
 
 } // namespace dejavu

@@ -10,6 +10,10 @@
  *  - SPECweb scale-up (§4.2): 10 instances toggling large/extra-large,
  *    support mix, QoS >= 95%.
  *  - RUBiS (Figs. 1/4b, Table 1, §4.4): three-tier auction service.
+ *
+ * One factory builds every service's stack: a single-service case
+ * study is member 0 of a one-service fleet, built exactly as
+ * FleetBuilder builds each of its members.
  */
 
 #ifndef DEJAVU_EXPERIMENTS_SCENARIO_HH
@@ -39,10 +43,10 @@ struct ScenarioOptions
     int days = 7;
     bool interference = false;            ///< Inject co-located load.
     bool interferenceDetection = true;    ///< DejaVu's §3.6 machinery.
-    /** Fleet scenarios only: run a BASK-style background daemon
-     *  (periodic dedup/scan duty cycle) on every member's cluster —
-     *  a distinct mechanism from the §4.3 injector, composable with
-     *  it (see DaemonCoRunner). */
+    /** Build a BASK-style background daemon (periodic dedup/scan
+     *  duty cycle) on every member's cluster — a distinct mechanism
+     *  from the §4.3 injector, composable with it (see
+     *  DaemonCoRunner). */
     bool daemons = false;
     /** Fleet scenarios only: arm a deterministic profiling-host
      *  kill/restore schedule (see HostLossSchedule). */
@@ -63,6 +67,8 @@ struct ScenarioStack
     std::unique_ptr<Service> service;
     std::unique_ptr<ProfilerHost> profiler;
     std::unique_ptr<InterferenceInjector> injector;  ///< May be null.
+    /** Null unless ScenarioOptions::daemons; the caller starts it. */
+    std::unique_ptr<DaemonCoRunner> daemon;
     std::unique_ptr<DejaVuController> controller;
     std::unique_ptr<ProvisioningExperiment> experiment;
     LoadTrace trace;
@@ -85,9 +91,9 @@ std::unique_ptr<ScenarioStack> makeSpecWebScaleUp(
     const ScenarioOptions &options);
 
 /**
- * RUBiS stack (no trace/experiment pre-wired): cluster of 10 large,
- * bidding mix, 150 ms SLO. Used by the motivation experiment, the
- * signature studies and the proxy-overhead measurement.
+ * RUBiS stack: cluster of 10 large, bidding mix, 150 ms SLO, default
+ * options otherwise. Used by the motivation experiment, the signature
+ * studies and the proxy-overhead measurement.
  */
 std::unique_ptr<ScenarioStack> makeRubisStack(std::uint64_t seed);
 

@@ -6,8 +6,8 @@
  * itself on construction, is started exactly once when the simulation
  * (re)enters its run loop, and schedules work through tracked helpers
  * so every pending event it owns is cancelled automatically when the
- * actor is destroyed. Trace drivers, monitoring probes, provisioning
- * policies and the multi-service fleet are all actors interleaving on
+ * actor is destroyed. Trace drivers, the monitor sampler, metrics
+ * recorders and the multi-service fleet are all actors interleaving on
  * the one event queue, which is what lets N services and N controllers
  * co-exist deterministically in a single run.
  */

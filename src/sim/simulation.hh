@@ -4,7 +4,7 @@
  * registered actors that drive a run, handed to every component so a
  * whole run is reproducible from one seed.
  *
- * Actors (trace drivers, monitor probes, policy adapters, fleets)
+ * Actors (trace drivers, the monitor sampler, recorders, fleets)
  * register themselves on construction; the simulation starts each of
  * them exactly once when the run loop is first entered, after which
  * all behaviour is event-driven on the shared queue. The simulation

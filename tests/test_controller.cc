@@ -269,11 +269,11 @@ TEST_F(ControllerTest, AdaptationTimesRecorded)
 {
     DejaVuController dv(service, profiler, config(), Rng(29));
     dv.learn(learningSet());
-    dv.onWorkloadChange({cassandraUpdateHeavy(), 9000.0});
-    dv.onWorkloadChange({cassandraUpdateHeavy(), 33000.0});
-    ASSERT_EQ(dv.adaptationTimesSec().size(), 2u);
-    for (double t : dv.adaptationTimesSec())
-        EXPECT_NEAR(t, 10.05, 0.5);
+    const DejaVuController::Decision decisions[] = {
+        dv.onWorkloadChange({cassandraUpdateHeavy(), 9000.0}),
+        dv.onWorkloadChange({cassandraUpdateHeavy(), 33000.0})};
+    for (const auto &decision : decisions)
+        EXPECT_NEAR(toSeconds(decision.adaptationTime), 10.05, 0.5);
 }
 
 TEST_F(ControllerTest, DeescalatesWhenInterferenceClears)

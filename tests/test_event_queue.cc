@@ -212,8 +212,9 @@ TEST(EventQueue, PeriodicSelfCancelStopsSeries)
     EventId id = kInvalidEvent;
     int fires = 0;
     id = q.schedulePeriodic(seconds(1), seconds(1), [&] {
-        if (++fires == 3)
+        if (++fires == 3) {
             EXPECT_TRUE(q.cancel(id));
+        }
     });
     q.runUntil(minutes(5));
     EXPECT_EQ(fires, 3);

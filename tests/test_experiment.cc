@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "common/logging.hh"
 #include "experiments/actors.hh"
+#include "experiments/runner.hh"
+#include "experiments/sampler.hh"
 #include "experiments/scenario.hh"
 
 namespace dejavu {
@@ -206,19 +210,95 @@ TEST_F(IntegrationTest, ExperimentSeriesAreComplete)
                   r.latencyMs[i - 1].timeHours);
 }
 
+// --------------------------------------------------------------------
+// Golden run outcomes: three seed-42 standard cells pinned to the
+// exact (hex-float) result fields a case-study figure reads. Any
+// change to what a single-service run computes — sampling, wiring,
+// control, recording — moves one of them.
+// --------------------------------------------------------------------
+
+using ProvisioningExperimentTest = QuietLogs;
+
+std::string
+goldenCellDigest(const std::string &scenario, const std::string &policy)
+{
+    const ExperimentResult r = runStandardCell({scenario, policy, 42});
+    char digest[512];
+    std::snprintf(digest, sizeof digest,
+                  "policy,%s\ncost,%a\nsavings_pct,%a\nslo_violation,%a\n"
+                  "mean_latency_ms,%a\np95_latency_ms,%a\n"
+                  "mean_qos_pct,%a\nenergy_kwh,%a\nadaptations,%zu\n"
+                  "adaptation_mean_s,%a\nseries,%zu\n",
+                  r.policyName.c_str(), r.costDollars, r.savingsPercent,
+                  r.sloViolationFraction, r.meanLatencyMs,
+                  r.p95LatencyMs, r.meanQosPercent, r.energyKwh,
+                  r.adaptationSec.count(), r.adaptationSec.mean(),
+                  r.latencyMs.size());
+    return digest;
+}
+
+TEST_F(ProvisioningExperimentTest, GoldenRunCassandraMessengerDejaVu)
+{
+    EXPECT_EQ(goldenCellDigest("cassandra-messenger", "dejavu"),
+              "policy,dejavu\n"
+              "cost,0x1.e37cd2eaac6ap+7\n"
+              "savings_pct,0x1.94fe696f1f7a9p+5\n"
+              "slo_violation,0x1.480f2b9d6480fp-6\n"
+              "mean_latency_ms,0x1.9d8daf6083781p+4\n"
+              "p95_latency_ms,0x1.8557e4f5cd9a7p+5\n"
+              "mean_qos_pct,0x1.8df31cadd0f13p+6\n"
+              "energy_kwh,0x1.f46c7d80025dep+6\n"
+              "adaptations,144\n"
+              "adaptation_mean_s,0x1.419999999999ap+3\n"
+              "series,10080\n");
+}
+
+TEST_F(ProvisioningExperimentTest, GoldenRunCassandraInterferenceDejaVu)
+{
+    EXPECT_EQ(goldenCellDigest("cassandra-messenger+interference",
+                               "dejavu"),
+              "policy,dejavu\n"
+              "cost,0x1.126e4e4773d36p+8\n"
+              "savings_pct,0x1.5f9561f9add3dp+5\n"
+              "slo_violation,0x1.6222222222222p-4\n"
+              "mean_latency_ms,0x1.8907e33659844p+5\n"
+              "p95_latency_ms,0x1.f92967394eb08p+6\n"
+              "mean_qos_pct,0x1.8c45011c6a43bp+6\n"
+              "energy_kwh,0x1.2e58c09831e2ap+7\n"
+              "adaptations,144\n"
+              "adaptation_mean_s,0x1.419999999999ap+3\n"
+              "series,10080\n");
+}
+
+TEST_F(ProvisioningExperimentTest, GoldenRunSpecWebRightScale)
+{
+    // A policy that reacts to monitor ticks, not only to changes.
+    EXPECT_EQ(goldenCellDigest("specweb-hotmail", "rightscale-3m"),
+              "policy,rightscale\n"
+              "cost,0x1.5af851eb851ebp+8\n"
+              "savings_pct,0x1.02438e38e38e4p+6\n"
+              "slo_violation,0x1.1111111111111p-10\n"
+              "mean_latency_ms,0x1.4546f180b70fp+6\n"
+              "p95_latency_ms,0x1.f52ea1d9c0c78p+6\n"
+              "mean_qos_pct,0x1.8de77f4e7639cp+6\n"
+              "energy_kwh,0x1.7c8ed8a418524p+7\n"
+              "adaptations,144\n"
+              "adaptation_mean_s,0x1.3600000000003p+5\n"
+              "series,10080\n");
+}
+
 /**
  * The Cassandra/messenger case study (seed 42) wired by hand the way
- * ProvisioningExperiment::run wires it, so the test holds the
+ * FleetExperiment::run wires a member, so the test holds the
  * MetricsRecorder — plus a reference sampler that a second listener
- * on the same feed fills with every reuse-window latency.
+ * on the same member fills with every reuse-window latency.
  */
 struct RecordedRun
 {
     std::unique_ptr<ScenarioStack> stack;
     std::unique_ptr<DejaVuPolicy> policy;
     std::unique_ptr<TraceDriver> driver;
-    std::unique_ptr<MonitorProbe> probe;
-    std::unique_ptr<PolicyActor> policyActor;
+    std::unique_ptr<FleetSampler> sampler;
     std::unique_ptr<MetricsRecorder> recorder;
     PercentileSampler reuseLatency;
 };
@@ -248,19 +328,29 @@ recordMessengerRun(bool recordSeries)
     run->driver = std::make_unique<TraceDriver>(
         *stack.sim, service, stack.experiment->trace(),
         TraceDriver::Config{cfg.totalHours, cfg.peakClients});
-    run->probe = std::make_unique<MonitorProbe>(
-        *stack.sim, service, *run->driver,
-        MonitorProbe::Config{cfg.monitorPeriod, cfg.postChangeProbe});
-    run->policyActor = std::make_unique<PolicyActor>(
-        *stack.sim, *run->policy, *run->driver, *run->probe,
-        cfg.reuseStartHour);
+    run->sampler = std::make_unique<FleetSampler>(*stack.sim);
+    const std::size_t member = run->sampler->registerService(
+        service, *run->driver,
+        FleetSampler::Cadence{cfg.monitorPeriod, cfg.postChangeProbe});
+    DejaVuPolicy &policy = *run->policy;
+    run->driver->addListener(
+        [&policy, reuseStart = cfg.reuseStartHour](int hour,
+                                                   const Workload &w) {
+            if (hour >= reuseStart)
+                policy.onWorkloadChange(w);
+        });
+    run->sampler->addListener(
+        member, [&policy](int, const Service::PerfSample &s) {
+            policy.onMonitorTick(s);
+        });
     run->recorder = std::make_unique<MetricsRecorder>(
         *stack.sim, service, stack.experiment->trace(), *run->driver,
-        *run->probe,
+        *run->sampler, member,
         MetricsRecorder::Config{cfg.reuseStartHour, cfg.slo,
                                 recordSeries});
     run->recorder->setMaxAllocation(service.cluster().maxAllocation());
-    run->probe->addListener(
+    run->sampler->addListener(
+        member,
         [sampler = &run->reuseLatency, reuseStart = cfg.reuseStartHour](
             int hour, const Service::PerfSample &s) {
             if (hour >= reuseStart)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the fleet-level batched sampling engine (FleetSampler)
- * and the parallel learning split: exact equivalence with the legacy
- * per-service MonitorProbe path, lazy mid-slot detach, jittered chain
- * offsets, and bit-identical learnAll() at any thread count.
+ * Tests for the batched sampling engine every run samples through
+ * (FleetSampler) and the parallel learning split: a pinned sample
+ * schedule, lazy mid-slot detach, jittered chain offsets, and
+ * bit-identical learnAll() at any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -70,58 +70,55 @@ struct ServiceHarness
     }
 };
 
-/** Record every sample a feed delivers. */
+/** Record every sample member @p index of @p sampler delivers. */
 std::vector<Observed> *
-observe(Simulation &sim, SampleFeed &feed)
+observe(Simulation &sim, FleetSampler &sampler, std::size_t index)
 {
     auto *seen = new std::vector<Observed>;
-    feed.addListener([&sim, seen](int hour, const Service::PerfSample &) {
+    sampler.addListener(index, [&sim, seen](int hour,
+                                            const Service::PerfSample &) {
         seen->push_back({sim.queue().now(), hour});
     });
     return seen;
 }
 
-TEST_F(SamplerTest, BatchedMatchesLegacyProbeExactly)
+TEST_F(SamplerTest, ScheduleIsPinned)
 {
-    // The equivalence claim at unit scale: the same two services under
-    // the same trace deliver the identical (time, hour) sample
-    // sequence whether sampled by one FleetSampler or by dedicated
-    // MonitorProbe actors.
+    // Two services under one trace, 2 hours driven: every (time,
+    // hour) sample of A, then of B, folded with 64-bit FNV-1a. Any
+    // change to when a run samples moves the fold.
     const LoadTrace trace = scenarioTrace("messenger", 1, 42);
-    const MonitorProbe::Config cadence{minutes(1), seconds(30)};
+    const FleetSampler::Cadence cadence{minutes(1), seconds(30)};
 
-    Simulation batchedSim;
-    ServiceHarness ba(batchedSim, trace, 7, 2);
-    ServiceHarness bb(batchedSim, trace, 9, 2);
-    FleetSampler sampler(batchedSim);
+    Simulation sim;
+    ServiceHarness a(sim, trace, 7, 2);
+    ServiceHarness b(sim, trace, 9, 2);
+    FleetSampler sampler(sim);
     sampler.reserveServices(2);
-    auto &feedA = sampler.registerService(*ba.service, *ba.driver,
-                                          cadence);
-    auto &feedB = sampler.registerService(*bb.service, *bb.driver,
-                                          cadence);
-    std::unique_ptr<std::vector<Observed>> batchedA(
-        observe(batchedSim, feedA));
-    std::unique_ptr<std::vector<Observed>> batchedB(
-        observe(batchedSim, feedB));
-    batchedSim.runUntil(hours(3));
+    const std::size_t indexA =
+        sampler.registerService(*a.service, *a.driver, cadence);
+    const std::size_t indexB =
+        sampler.registerService(*b.service, *b.driver, cadence);
+    std::unique_ptr<std::vector<Observed>> seenA(
+        observe(sim, sampler, indexA));
+    std::unique_ptr<std::vector<Observed>> seenB(
+        observe(sim, sampler, indexB));
+    sim.runUntil(hours(3));
 
-    Simulation legacySim;
-    ServiceHarness la(legacySim, trace, 7, 2);
-    ServiceHarness lb(legacySim, trace, 9, 2);
-    MonitorProbe probeA(legacySim, *la.service, *la.driver, cadence);
-    MonitorProbe probeB(legacySim, *lb.service, *lb.driver, cadence);
-    std::unique_ptr<std::vector<Observed>> legacyA(
-        observe(legacySim, probeA));
-    std::unique_ptr<std::vector<Observed>> legacyB(
-        observe(legacySim, probeB));
-    legacySim.runUntil(hours(3));
-
-    ASSERT_FALSE(batchedA->empty());
-    EXPECT_EQ(*batchedA, *legacyA);
-    EXPECT_EQ(*batchedB, *legacyB);
-    EXPECT_EQ(feedA.samplesTaken(), probeA.samplesTaken());
-    EXPECT_EQ(sampler.samplesTaken(),
-              probeA.samplesTaken() + probeB.samplesTaken());
+    std::uint64_t fold = 0xcbf29ce484222325ULL;
+    for (const auto *seen : {seenA.get(), seenB.get()}) {
+        for (const Observed &o : *seen) {
+            fold = (fold ^ static_cast<std::uint64_t>(o.at))
+                * 0x100000001b3ULL;
+            fold = (fold ^ static_cast<std::uint64_t>(o.hour))
+                * 0x100000001b3ULL;
+        }
+    }
+    EXPECT_EQ(seenA->size(), 120u);
+    EXPECT_EQ(seenB->size(), 120u);
+    EXPECT_EQ(fold, 0x565794c64e982c85ULL);
+    EXPECT_EQ(sampler.samplesTaken(indexA), 120u);
+    EXPECT_EQ(sampler.samplesTaken(), 240u);
     EXPECT_EQ(sampler.services(), 2u);
     EXPECT_EQ(sampler.liveServices(), 2u);
 }
@@ -132,35 +129,35 @@ TEST_F(SamplerTest, DetachMidSlotIsLazyAndLocal)
     // already bucketed for t=30s: the drain must skip the stale index
     // without disturbing B, and A must never sample again.
     const LoadTrace trace = scenarioTrace("messenger", 1, 42);
-    const MonitorProbe::Config cadence{minutes(1), seconds(30)};
+    const FleetSampler::Cadence cadence{minutes(1), seconds(30)};
 
     Simulation sim;
     ServiceHarness a(sim, trace, 7, 2);
     ServiceHarness b(sim, trace, 9, 2);
     FleetSampler sampler(sim);
-    auto &feedA = sampler.registerService(*a.service, *a.driver,
-                                          cadence);
-    auto &feedB = sampler.registerService(*b.service, *b.driver,
-                                          cadence);
+    const std::size_t indexA =
+        sampler.registerService(*a.service, *a.driver, cadence);
+    const std::size_t indexB =
+        sampler.registerService(*b.service, *b.driver, cadence);
 
-    sim.queue().schedule(seconds(10), [&] { feedA.detach(); });
+    sim.queue().schedule(seconds(10), [&] { sampler.detach(indexA); });
     // B detaches mid-run, between two of its own ticks; its count
     // must freeze at whatever it was at that instant.
     std::uint64_t samplesAtDetach = 0;
     sim.queue().schedule(minutes(30) + seconds(10), [&] {
-        samplesAtDetach = feedB.samplesTaken();
-        feedB.detach();
+        samplesAtDetach = sampler.samplesTaken(indexB);
+        sampler.detach(indexB);
     });
     sim.runUntil(hours(2));
 
-    EXPECT_EQ(feedA.samplesTaken(), 0u);
+    EXPECT_EQ(sampler.samplesTaken(indexA), 0u);
     EXPECT_GT(samplesAtDetach, 0u);
-    EXPECT_EQ(feedB.samplesTaken(), samplesAtDetach);
-    EXPECT_EQ(sampler.samplesTaken(), feedB.samplesTaken());
+    EXPECT_EQ(sampler.samplesTaken(indexB), samplesAtDetach);
+    EXPECT_EQ(sampler.samplesTaken(), sampler.samplesTaken(indexB));
     EXPECT_EQ(sampler.services(), 2u);
     EXPECT_EQ(sampler.liveServices(), 0u);
     // Detaching twice is a no-op.
-    feedA.detach();
+    sampler.detach(indexA);
     EXPECT_EQ(sampler.liveServices(), 0u);
 }
 
@@ -171,21 +168,21 @@ TEST_F(SamplerTest, JitteredOffsetsKeepFullSamplingDensity)
     // density: same count as an unjittered twin, every instant
     // shifted by exactly the offset.
     const LoadTrace trace = scenarioTrace("messenger", 1, 42);
-    const MonitorProbe::Config cadence{minutes(1), seconds(30)};
+    const FleetSampler::Cadence cadence{minutes(1), seconds(30)};
     const SimTime offset = minutes(7) + seconds(11);
 
     Simulation sim;
     ServiceHarness plain(sim, trace, 7, 2);
     ServiceHarness jittered(sim, trace, 7, 2, offset);
     FleetSampler sampler(sim);
-    auto &plainFeed = sampler.registerService(
+    const std::size_t plainIndex = sampler.registerService(
         *plain.service, *plain.driver, cadence);
-    auto &jitteredFeed = sampler.registerService(
+    const std::size_t jitteredIndex = sampler.registerService(
         *jittered.service, *jittered.driver, cadence);
     std::unique_ptr<std::vector<Observed>> plainSeen(
-        observe(sim, plainFeed));
+        observe(sim, sampler, plainIndex));
     std::unique_ptr<std::vector<Observed>> jitteredSeen(
-        observe(sim, jitteredFeed));
+        observe(sim, sampler, jitteredIndex));
     sim.runUntil(hours(3));
 
     ASSERT_FALSE(plainSeen->empty());

@@ -288,10 +288,11 @@ validateTrace(const Json &root, std::size_t *payloadOut = nullptr)
         const Json *ts = ev.find("ts");
         ASSERT_NE(ts, nullptr) << "payload event without ts";
         Track &track = tracks[{pid->number, tid->number}];
-        if (track.any)
+        if (track.any) {
             EXPECT_GE(ts->number, track.lastTs)
                 << "track (" << pid->number << ", " << tid->number
                 << ") not monotonic";
+        }
         track.lastTs = ts->number;
         track.any = true;
         if (phase == 'B')
@@ -618,9 +619,10 @@ TEST(TraceDeterminism, FleetDigestIdenticalTracedVsNot)
         std::vector<FleetCellResult> rows;
         rows.push_back({cell, stack->experiment->summary()});
         csv[traced] = fleetSweepCsv(rows);
-        if (traced)
+        if (traced) {
             EXPECT_GT(recorder.eventCount(), 0u)
                 << "recorder attached but nothing was traced";
+        }
     }
     EXPECT_EQ(csv[0], csv[1])
         << "attaching a recorder changed the sweep digest";

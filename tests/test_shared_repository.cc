@@ -362,8 +362,9 @@ TEST(SharedRepository, ConcurrentReadersDuringWrites)
             const RepositoryKey key{static_cast<int>(h), i};
             const auto seen =
                 repo.peek(ServiceKind::KeyValue, key);
-            if (seen)
+            if (seen) {
                 EXPECT_EQ(seen->instances, kSixLarge.instances);
+            }
             EXPECT_LE(repo.entries(),
                       kWriters * static_cast<std::size_t>(
                                      kPerWriter));
