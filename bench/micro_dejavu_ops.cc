@@ -390,18 +390,17 @@ EventQueue *gTickQueue = nullptr;
  * instrumentation the tree ever emits (real call sites trace well
  * under one event per queue event). Three states of the cost
  * contract, with byte-identical closures so only the traced work
- * differs: /0 has no trace statement at all (what
- * -DDEJAVU_TRACING=0 compiles to), /1 has the statement but no
- * recorder attached (one null check), /2 records into a persistent
- * ring (steady state: slabs recycle warm).
+ * differs: /0 has no trace statement at all, /1 has the statement
+ * but no recorder attached (one null check), /2 records into a
+ * persistent ring (steady state: slabs recycle warm).
  *
  * Measured (one box, Release, items/s = queue events/s, mean of 3
  * repetitions, run-to-run cv 3-7%):
  *
- *     state               items/s     vs compiled-out
- *     /0 compiled-out      ~8.4 M           —
- *     /1 attached-off      ~8.6 M       noise-level
- *     /2 tracing on        ~8.3 M       ~1% (within noise)
+ *     state                    items/s     vs no statement
+ *     /0 no trace statement     ~8.4 M           —
+ *     /1 attached-off           ~8.6 M       noise-level
+ *     /2 tracing on             ~8.3 M       ~1% (within noise)
  *
  * The acceptance bar is <= 10% for tracing on. BM_TraceRecorderAppend
  * below prices the raw slab write (~4.6 ns/event); per-event cost
@@ -431,8 +430,9 @@ BM_PeriodicFleetTracing(benchmark::State &state)
             else
                 q.schedulePeriodic(
                     seconds(i % 60), minutes(1), [trace, lane] {
-                        DEJAVU_TRACE(if (trace) trace->instant(
-                            lane, "tick", gTickQueue->now()));
+                        if (trace)
+                            trace->instant(lane, "tick",
+                                           gTickQueue->now());
                     });
         }
         events += q.runUntil(hours(1));

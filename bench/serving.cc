@@ -2,12 +2,12 @@
  * @file
  * bench_serving — the dejavud lookup hot path under load: lookups/s
  * and p50/p99/p99.9 latency at 100/1k/10k-session scale, single- and
- * multi-client, across repository shard counts and transports.
+ * multi-client, across transports.
  *
  * Each cell builds the daemon exactly the way dejavud does (the
  * serving bootstrap: learned mixed fleet, repository round-tripped
- * through save()/load() at the cell's shard count) and drives it with
- * pre-collected real monitor samples:
+ * through save()/load()) and drives it with pre-collected real
+ * monitor samples:
  *
  *  - sessions: simulated services holding open serving sessions
  *    (100/1k/10k). The repository stays a few hundred entries per
@@ -15,7 +15,6 @@
  *    session count that scales.
  *  - clients: driving threads, each owning sessions/clients sessions
  *    and round-robining lookups over them.
- *  - shards: the daemon repository's lock-stripe count.
  *  - mode: "direct" calls ServingServer::serve() on the client
  *    thread (the embedded-library shape — encode, serve, decode, no
  *    handoff); "bus" round-trips every frame through the bounded
@@ -29,7 +28,7 @@
  * dejavud default).
  *
  * Guarded claims (full run, exit nonzero on failure):
- *  - the single-client single-shard direct cell sustains >= 1M
+ *  - the 100-session single-client direct cell sustains >= 1M
  *    lookups/s;
  *  - every 10k-session direct cell keeps p99 within the 250 us
  *    budget.
@@ -68,7 +67,6 @@ struct Cell
 {
     int sessions = 0;
     int clients = 0;
-    int shards = 0;
     std::string mode;  ///< "direct" | "bus".
     std::uint64_t ops = 0;
     double wallSec = 0.0;
@@ -104,28 +102,25 @@ collectTraffic(ServingBootstrap &bootstrap)
     return pools;
 }
 
-/** Drive one cell: fresh repository at the cell's shard count, fresh
- *  server, @p clients threads round-robining @p opsTotal lookups over
- *  @p sessions sessions. */
+/** Drive one cell: fresh repository, fresh server, @p clients
+ *  threads round-robining @p opsTotal lookups over @p sessions
+ *  sessions. */
 Cell
 runCell(ServingBootstrap &bootstrap, const TrafficPools &pools,
         const std::string &savedRepo, int sessions, int clients,
-        int shards, const std::string &mode, std::uint64_t opsTotal)
+        const std::string &mode, std::uint64_t opsTotal)
 {
     Cell cell;
     cell.sessions = sessions;
     cell.clients = clients;
-    cell.shards = shards;
     cell.mode = mode;
 
-    // The daemon-side repository: the saved fleet repository reloaded
-    // at this cell's shard count, widened to a bounded per-kind table
-    // (64 synthetic classes x 4 buckets — class count does not scale
-    // with session count, per the paper's bounded-classes model).
+    // The daemon-side repository: the saved fleet repository
+    // reloaded, widened to a bounded per-kind table (64 synthetic
+    // classes x 4 buckets — class count does not scale with session
+    // count, per the paper's bounded-classes model).
     std::istringstream in(savedRepo);
-    SharedRepository repo = SharedRepository::load(
-        in, SharedRepository::Mode::Shared, ServiceKind::Generic,
-        shards);
+    SharedRepository repo = SharedRepository::load(in);
     for (ServiceKind kind : pools.kinds)
         widenRepository(repo, kind, /*firstClassId=*/1000,
                         /*classes=*/64, /*buckets=*/4,
@@ -289,7 +284,6 @@ writeJson(const std::string &path, bool smoke,
         const Cell &c = cells[i];
         out << "    {\"sessions\": " << c.sessions
             << ", \"clients\": " << c.clients
-            << ", \"shards\": " << c.shards
             << ", \"mode\": \"" << c.mode << "\""
             << ", \"ops\": " << c.ops
             << ", \"wall_s\": " << c.wallSec
@@ -348,21 +342,19 @@ main(int argc, char **argv)
     std::vector<Cell> cells;
     for (int sessions : sessionScales)
         for (int clients : {1, 4})
-            for (int shards : {1, 8})
-                cells.push_back(runCell(*bootstrap, pools, savedRepo,
-                                        sessions, clients, shards,
-                                        "direct", opsTotal));
+            cells.push_back(runCell(*bootstrap, pools, savedRepo,
+                                    sessions, clients, "direct",
+                                    opsTotal));
     // One bus-mode cell: the same lookups paying the queue handoff.
-    cells.push_back(runCell(*bootstrap, pools, savedRepo, 100, 4, 1,
+    cells.push_back(runCell(*bootstrap, pools, savedRepo, 100, 4,
                             "bus", opsTotal));
 
-    Table table({"sessions", "clients", "shards", "mode", "ops",
+    Table table({"sessions", "clients", "mode", "ops",
                  "lookups_per_s", "p50_us", "p99_us", "p999_us",
                  "breaches", "peak_rss_mib"});
     for (const Cell &c : cells)
         table.addRow({std::to_string(c.sessions),
-                      std::to_string(c.clients),
-                      std::to_string(c.shards), c.mode,
+                      std::to_string(c.clients), c.mode,
                       std::to_string(c.ops),
                       Table::num(c.lookupsPerSec, 0),
                       Table::num(c.p50Ns / 1000.0, 2),
@@ -383,14 +375,13 @@ main(int argc, char **argv)
     bool throughputOk = false;
     bool budgetOk = true;
     for (const Cell &c : cells) {
-        if (c.mode == "direct" && c.sessions == 100 && c.clients == 1
-            && c.shards == 1)
+        if (c.mode == "direct" && c.sessions == 100 && c.clients == 1)
             throughputOk = c.lookupsPerSec >= 1e6;
         if (c.mode == "direct" && c.sessions == 10000)
             budgetOk = budgetOk
                 && c.p99Ns <= static_cast<double>(kBudgetNanos);
     }
-    std::cout << "single-client single-shard direct >= 1M lookups/s: "
+    std::cout << "single-client direct >= 1M lookups/s: "
               << (throughputOk ? "YES" : "NO — BUG") << "\n"
               << "10k-session direct p99 within "
               << kBudgetNanos / 1000 << " us budget: "

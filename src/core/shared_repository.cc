@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -79,6 +80,7 @@ RepositoryHandle::kind() const
 {
     if (!attached())
         unattached("kind");
+    MutexLock lock(_repo->_mu);
     return _repo->attachment(_id).kind;
 }
 
@@ -87,6 +89,7 @@ RepositoryHandle::owner() const
 {
     if (!attached())
         unattached("owner");
+    MutexLock lock(_repo->_mu);
     return _repo->attachment(_id).owner;
 }
 
@@ -112,7 +115,7 @@ RepositoryHandle::peek(const RepositoryKey &key) const
 {
     if (!attached())
         unattached("peek");
-    return _repo->handlePeek(_id, key);
+    return _repo->peek(kind(), key);
 }
 
 bool
@@ -126,7 +129,7 @@ RepositoryHandle::entries() const
 {
     if (!attached())
         unattached("entries");
-    return _repo->handleEntries(_id);
+    return _repo->entries(kind());
 }
 
 std::vector<RepositoryKey>
@@ -134,7 +137,7 @@ RepositoryHandle::keys() const
 {
     if (!attached())
         unattached("keys");
-    return _repo->handleKeys(_id);
+    return _repo->keys(kind());
 }
 
 void
@@ -150,7 +153,8 @@ RepositoryHandle::stats() const
 {
     if (!attached())
         unattached("stats");
-    return _repo->attachmentStats(_id);
+    MutexLock lock(_repo->_mu);
+    return _repo->attachment(_id).stats;
 }
 
 std::uint64_t
@@ -158,8 +162,8 @@ RepositoryHandle::crossHits() const
 {
     if (!attached())
         unattached("crossHits");
-    return _repo->attachment(_id).crossHits.load(
-        std::memory_order_relaxed);
+    MutexLock lock(_repo->_mu);
+    return _repo->attachment(_id).crossHits;
 }
 
 std::uint64_t
@@ -167,7 +171,8 @@ RepositoryHandle::reusedEntries() const
 {
     if (!attached())
         unattached("reusedEntries");
-    return _repo->attachmentReusedEntries(_id);
+    MutexLock lock(_repo->_mu);
+    return _repo->attachment(_id).reused.size();
 }
 
 double
@@ -202,68 +207,33 @@ RepositoryHandle::toString() const
 // SharedRepository
 // ---------------------------------------------------------------------
 
-SharedRepository::SharedRepository(int shards)
-{
-    DEJAVU_ASSERT(shards >= 1, "shared repository needs >= 1 shard, "
-                  "got ", shards);
-    _shards.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s)
-        _shards.push_back(std::make_unique<Shard>());
-}
-
 SharedRepository::SharedRepository(SharedRepository &&other) noexcept
 {
-    // Lock both registries: the source against concurrent readers,
-    // the (freshly constructed) destination to satisfy the analysis.
-    // The shard vector and the attachment deque move as spines only —
-    // no Shard or Attachment (with their pinned mutexes/atomics) is
-    // itself moved. The moved-from repository keeps no shards: any
-    // further table access through it is a fatal assertion, by
-    // design (move before attaching, factory returns only).
-    MutexLock source(other._amu);
-    MutexLock self(_amu);
-    _shards = std::move(other._shards);
+    // Lock the source against concurrent readers, and the (freshly
+    // constructed) destination to satisfy the analysis.
+    MutexLock source(other._mu);
+    MutexLock self(_mu);
+    _byKind = std::move(other._byKind);
     _attachments = std::move(other._attachments);
-    _live = other._live;
-    other._live = 0;
+    _live = std::exchange(other._live, 0);
+    _version.store(other._version.load(std::memory_order_relaxed),
+                   std::memory_order_relaxed);
 }
 
-SharedRepository::Shard &
-SharedRepository::shardOf(ServiceKind kind,
-                          const RepositoryKey &key) const
+void
+SharedRepository::bump()
 {
-    DEJAVU_ASSERT(!_shards.empty(),
-                  "shared repository used after being moved from");
-    // Deterministic, process-independent placement: splitmix64 over
-    // the key (the same mix RepositoryKeyHash uses) xor a golden-
-    // ratio spread of the kind, so identical contents land on
-    // identical stripes in every run and every process.
-    const std::size_t mixed = RepositoryKeyHash{}(key) ^
-        (static_cast<std::size_t>(kind) * 0x9e3779b97f4a7c15ULL);
-    return *_shards[mixed % _shards.size()];
-}
-
-std::uint64_t
-SharedRepository::version() const
-{
-    std::uint64_t total = 0;
-    for (const auto &shard : _shards)
-        total += shard->generation.load(std::memory_order_acquire);
-    return total;
+    _version.fetch_add(1, std::memory_order_release);
 }
 
 RepositorySnapshot
 SharedRepository::snapshot(ServiceKind kind) const
 {
-    // Version first: a store racing the collection below can make
-    // this snapshot look stale immediately (forcing a refresh), but
-    // never silently current.
-    const std::uint64_t current = version();
-    MutexLock lock(_snapshotMu);
+    MutexLock lock(_mu);
+    const std::uint64_t current =
+        _version.load(std::memory_order_relaxed);
     RepositorySnapshot &kept = _snapshots[kind];
-    // A kept table at least this new holds every write up to
-    // `current`; a racing caller may already have published it.
-    if (kept._table && kept._version >= current)
+    if (kept._table && kept._version == current)
         return kept;
     kept._kind = kind;
     kept._version = current;
@@ -275,7 +245,7 @@ SharedRepository::snapshot(ServiceKind kind) const
 RepositoryHandle
 SharedRepository::attach(ServiceKind kind, std::string owner)
 {
-    MutexLock lock(_amu);
+    MutexLock lock(_mu);
     _attachments.emplace_back();
     Attachment &a = _attachments.back();
     a.kind = kind;
@@ -291,179 +261,115 @@ SharedRepository::detach(RepositoryHandle &handle)
     DEJAVU_ASSERT(handle._repo == this,
                   "detach of a handle from another repository");
     {
-        MutexLock lock(_amu);
-        DEJAVU_ASSERT(handle._id >= 0 &&
-                      handle._id <
-                          static_cast<int>(_attachments.size()),
-                      "no such attachment: ", handle._id);
-        Attachment &a =
-            _attachments[static_cast<std::size_t>(handle._id)];
-        DEJAVU_ASSERT(a.live.load(std::memory_order_relaxed),
-                      "attachment ", handle._id, " already detached");
-        a.live.store(false, std::memory_order_relaxed);
+        MutexLock lock(_mu);
+        Attachment &a = attachment(handle._id);
+        DEJAVU_ASSERT(a.live, "attachment ", handle._id,
+                      " already detached");
+        a.live = false;
         --_live;
     }
     handle = RepositoryHandle();
 }
 
 SharedRepository::Attachment &
-SharedRepository::attachment(int id) const NO_THREAD_SAFETY_ANALYSIS
+SharedRepository::attachment(int id) const
 {
-    // Deliberately outside the analysis: the registry lock protects
-    // only the bounds-checked index into the deque spine; the
-    // returned record outlives the lock by design. That is safe
-    // because attachments are pinned (deque, never erased) and every
-    // mutable field is an atomic or guarded by the record's own
-    // mutex.
-    MutexLock lock(_amu);
     DEJAVU_ASSERT(id >= 0 &&
                   id < static_cast<int>(_attachments.size()),
                   "no such attachment: ", id);
     return _attachments[static_cast<std::size_t>(id)];
 }
 
+const SharedRepository::Entry *
+SharedRepository::find(ServiceKind kind, const RepositoryKey &key) const
+{
+    const auto kt = _byKind.find(kind);
+    if (kt == _byKind.end())
+        return nullptr;
+    const auto it = kt->second.find(key);
+    return it == kt->second.end() ? nullptr : &it->second;
+}
+
 int
 SharedRepository::attachments() const
 {
-    MutexLock lock(_amu);
+    MutexLock lock(_mu);
     return _live;
 }
 
 int
 SharedRepository::totalAttachments() const
 {
-    MutexLock lock(_amu);
+    MutexLock lock(_mu);
     return static_cast<int>(_attachments.size());
-}
-
-RepositoryStats
-SharedRepository::attachmentStats(int id) const
-{
-    const Attachment &a = attachment(id);
-    RepositoryStats s;
-    s.lookups = a.lookups.load(std::memory_order_relaxed);
-    s.hits = a.hits.load(std::memory_order_relaxed);
-    s.misses = a.misses.load(std::memory_order_relaxed);
-    s.stores = a.stores.load(std::memory_order_relaxed);
-    return s;
-}
-
-std::uint64_t
-SharedRepository::attachmentReusedEntries(int id) const
-{
-    const Attachment &a = attachment(id);
-    MutexLock lock(a.mu);
-    return a.reused.size();
 }
 
 void
 SharedRepository::handleStore(int id, const RepositoryKey &key,
                               const ResourceAllocation &allocation)
 {
+    MutexLock lock(_mu);
     Attachment &a = attachment(id);
-    DEJAVU_ASSERT(a.live.load(std::memory_order_relaxed),
-                  "store through a detached attachment");
-    a.stores.fetch_add(1, std::memory_order_relaxed);
-    Shard &s = shardOf(a.kind, key);
-    MutexLock lock(s.mu);
-    s.byKind[a.kind][key] = Entry{allocation, id};
-    s.generation.fetch_add(1, std::memory_order_release);
+    DEJAVU_ASSERT(a.live, "store through a detached attachment");
+    ++a.stats.stores;
+    _byKind[a.kind][key] = Entry{allocation, id};
+    bump();
 }
 
 std::optional<ResourceAllocation>
 SharedRepository::handleLookup(int id, const RepositoryKey &key)
 {
+    MutexLock lock(_mu);
     Attachment &a = attachment(id);
-    DEJAVU_ASSERT(a.live.load(std::memory_order_relaxed),
-                  "lookup through a detached attachment");
-    a.lookups.fetch_add(1, std::memory_order_relaxed);
-
-    std::optional<ResourceAllocation> result;
-    int writer = -1;
-    {
-        Shard &s = shardOf(a.kind, key);
-        MutexLock lock(s.mu);
-        const auto kt = s.byKind.find(a.kind);
-        if (kt != s.byKind.end()) {
-            const auto it = kt->second.find(key);
-            if (it != kt->second.end()) {
-                result = it->second.allocation;
-                writer = it->second.writer;
-            }
-        }
-    }
-
-    if (!result) {
-        a.misses.fetch_add(1, std::memory_order_relaxed);
+    DEJAVU_ASSERT(a.live, "lookup through a detached attachment");
+    ++a.stats.lookups;
+    const Entry *entry = find(a.kind, key);
+    if (!entry) {
+        ++a.stats.misses;
         return std::nullopt;
     }
-
-    a.hits.fetch_add(1, std::memory_order_relaxed);
-    if (writer != id) {
-        a.crossHits.fetch_add(1, std::memory_order_relaxed);
-        MutexLock lock(a.mu);
+    ++a.stats.hits;
+    if (entry->writer != id) {
+        ++a.crossHits;
         a.reused.insert(key);
     }
-    return result;
-}
-
-std::optional<ResourceAllocation>
-SharedRepository::handlePeek(int id, const RepositoryKey &key) const
-{
-    return peek(attachment(id).kind, key);
+    return entry->allocation;
 }
 
 void
 SharedRepository::handleClear(int id)
 {
+    MutexLock lock(_mu);
     Attachment &a = attachment(id);
-    DEJAVU_ASSERT(a.live.load(std::memory_order_relaxed),
-                  "clear through a detached attachment");
+    DEJAVU_ASSERT(a.live, "clear through a detached attachment");
+    const auto kt = _byKind.find(a.kind);
+    if (kt == _byKind.end())
+        return;
     // Only this attachment's writes are invalidated: a peer's tuned
     // allocations are still valid for the peer (and for reuse).
-    for (const auto &shardPtr : _shards) {
-        Shard &s = *shardPtr;
-        MutexLock lock(s.mu);
-        const auto kt = s.byKind.find(a.kind);
-        if (kt == s.byKind.end())
-            continue;
-        bool erased = false;
-        for (auto it = kt->second.begin();
-             it != kt->second.end();) {
-            if (it->second.writer == id) {
-                it = kt->second.erase(it);
-                erased = true;
-            } else {
-                ++it;
-            }
-        }
-        if (erased)
-            s.generation.fetch_add(1, std::memory_order_release);
+    Table &table = kt->second;
+    const std::size_t before = table.size();
+    // lint-allow(unordered-iteration): erases by writer; order is moot
+    for (auto it = table.begin(); it != table.end();) {
+        if (it->second.writer == id)
+            it = table.erase(it);
+        else
+            ++it;
     }
-}
-
-std::size_t
-SharedRepository::handleEntries(int id) const
-{
-    return entries(attachment(id).kind);
-}
-
-std::vector<RepositoryKey>
-SharedRepository::handleKeys(int id) const
-{
-    return keys(attachment(id).kind);
+    if (table.size() != before)
+        bump();
 }
 
 RepositoryStats
 SharedRepository::aggregateStats() const
 {
-    MutexLock lock(_amu);
+    MutexLock lock(_mu);
     RepositoryStats total;
     for (const Attachment &a : _attachments) {
-        total.lookups += a.lookups.load(std::memory_order_relaxed);
-        total.hits += a.hits.load(std::memory_order_relaxed);
-        total.misses += a.misses.load(std::memory_order_relaxed);
-        total.stores += a.stores.load(std::memory_order_relaxed);
+        total.lookups += a.stats.lookups;
+        total.hits += a.stats.hits;
+        total.misses += a.stats.misses;
+        total.stores += a.stats.stores;
     }
     return total;
 }
@@ -471,24 +377,20 @@ SharedRepository::aggregateStats() const
 std::uint64_t
 SharedRepository::aggregateCrossHits() const
 {
-    MutexLock lock(_amu);
+    MutexLock lock(_mu);
     std::uint64_t total = 0;
     for (const Attachment &a : _attachments)
-        total += a.crossHits.load(std::memory_order_relaxed);
+        total += a.crossHits;
     return total;
 }
 
 std::uint64_t
 SharedRepository::aggregateReusedEntries() const
 {
-    // Lock order: registry lock, then each attachment's own mutex —
-    // no handle path ever nests them the other way around.
-    MutexLock lock(_amu);
+    MutexLock lock(_mu);
     std::uint64_t total = 0;
-    for (const Attachment &a : _attachments) {
-        MutexLock alock(a.mu);
+    for (const Attachment &a : _attachments)
         total += a.reused.size();
-    }
     return total;
 }
 
@@ -504,68 +406,42 @@ SharedRepository::hitRate() const
 std::size_t
 SharedRepository::entries() const
 {
+    MutexLock lock(_mu);
     std::size_t total = 0;
-    for (const auto &shardPtr : _shards) {
-        Shard &s = *shardPtr;
-        MutexLock lock(s.mu);
-        for (const auto &[kind, table] : s.byKind)
-            total += table.size();
-    }
+    for (const auto &[kind, table] : _byKind)
+        total += table.size();
     return total;
 }
 
 std::size_t
 SharedRepository::entries(ServiceKind kind) const
 {
-    std::size_t total = 0;
-    for (const auto &shardPtr : _shards) {
-        Shard &s = *shardPtr;
-        MutexLock lock(s.mu);
-        const auto it = s.byKind.find(kind);
-        if (it != s.byKind.end())
-            total += it->second.size();
-    }
-    return total;
-}
-
-std::vector<ServiceKind>
-SharedRepository::collectKinds() const
-{
-    // std::map keeps each shard's kinds ascending; the merge only
-    // has to union them, order is preserved.
-    std::vector<ServiceKind> out;
-    for (const auto &shardPtr : _shards) {
-        Shard &s = *shardPtr;
-        MutexLock lock(s.mu);
-        for (const auto &[kind, table] : s.byKind)
-            if (!table.empty())
-                out.push_back(kind);
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
+    MutexLock lock(_mu);
+    const auto it = _byKind.find(kind);
+    return it == _byKind.end() ? 0 : it->second.size();
 }
 
 std::vector<ServiceKind>
 SharedRepository::kinds() const
 {
-    return collectKinds();
+    MutexLock lock(_mu);
+    std::vector<ServiceKind> out;
+    for (const auto &[kind, table] : _byKind)
+        if (!table.empty())
+            out.push_back(kind);
+    return out;
 }
 
 std::vector<RepositorySnapshot::Entry>
 SharedRepository::collectKind(ServiceKind kind) const
 {
     std::vector<RepositorySnapshot::Entry> out;
-    for (const auto &shardPtr : _shards) {
-        Shard &s = *shardPtr;
-        MutexLock lock(s.mu);
-        const auto it = s.byKind.find(kind);
-        if (it == s.byKind.end())
-            continue;
-        // lint-allow(unordered-iteration): collected then sorted below
-        for (const auto &[key, entry] : it->second)
-            out.push_back({key, entry.allocation});
-    }
+    const auto it = _byKind.find(kind);
+    if (it == _byKind.end())
+        return out;
+    // lint-allow(unordered-iteration): collected then sorted below
+    for (const auto &[key, entry] : it->second)
+        out.push_back({key, entry.allocation});
     std::sort(out.begin(), out.end(),
               [](const RepositorySnapshot::Entry &a,
                  const RepositorySnapshot::Entry &b) {
@@ -577,6 +453,7 @@ SharedRepository::collectKind(ServiceKind kind) const
 std::vector<RepositoryKey>
 SharedRepository::keys(ServiceKind kind) const
 {
+    MutexLock lock(_mu);
     std::vector<RepositoryKey> out;
     for (const RepositorySnapshot::Entry &e : collectKind(kind))
         out.push_back(e.key);
@@ -586,24 +463,23 @@ SharedRepository::keys(ServiceKind kind) const
 std::optional<ResourceAllocation>
 SharedRepository::peek(ServiceKind kind, const RepositoryKey &key) const
 {
-    Shard &s = shardOf(kind, key);
-    MutexLock lock(s.mu);
-    const auto it = s.byKind.find(kind);
-    if (it == s.byKind.end())
+    MutexLock lock(_mu);
+    const Entry *entry = find(kind, key);
+    if (!entry)
         return std::nullopt;
-    const auto et = it->second.find(key);
-    if (et == it->second.end())
-        return std::nullopt;
-    return et->second.allocation;
+    return entry->allocation;
 }
 
 std::string
 SharedRepository::toString() const
 {
+    MutexLock lock(_mu);
     std::ostringstream os;
     os << "shared-repository{";
     bool firstKind = true;
-    for (const ServiceKind kind : collectKinds()) {
+    for (const auto &[kind, table] : _byKind) {
+        if (table.empty())
+            continue;
         if (!firstKind)
             os << "; ";
         firstKind = false;
@@ -625,10 +501,11 @@ SharedRepository::toString() const
 void
 SharedRepository::save(std::ostream &out) const
 {
+    MutexLock lock(_mu);
     out << "kind,class,bucket,instances,type\n";
     // Kinds ascending, keys ascending within each kind: the bytes
-    // depend only on contents, never on shard count or hash order.
-    for (const ServiceKind kind : collectKinds()) {
+    // depend only on contents, never on hash order.
+    for (const auto &[kind, table] : _byKind) {
         for (const RepositorySnapshot::Entry &e : collectKind(kind)) {
             out << serviceKindName(kind) << ',' << e.key.classId
                 << ',' << e.key.interferenceBucket << ','
@@ -640,9 +517,9 @@ SharedRepository::save(std::ostream &out) const
 
 SharedRepository
 SharedRepository::load(std::istream &in, Mode /*mode*/,
-                       ServiceKind legacyKind, int shards)
+                       ServiceKind legacyKind, int /*shards*/)
 {
-    SharedRepository repo(shards);
+    SharedRepository repo;
     std::string line;
     std::size_t lineNo = 0;
     while (std::getline(in, line)) {
@@ -664,18 +541,15 @@ SharedRepository::load(std::istream &in, Mode /*mode*/,
             : legacyKind;
         const auto [key, alloc] = parseRepositoryCells(
             fields, fields.size() - 4, lineNo, line);
-        // Duplicates of one (kind, key) always map to the same
-        // stripe, so the per-shard check is a whole-repository check.
-        Shard &s = repo.shardOf(kind, key);
-        MutexLock lock(s.mu);
-        Table &table = s.byKind[kind];
+        MutexLock lock(repo._mu);
+        Table &table = repo._byKind[kind];
         if (table.count(key))
             fatal("shared repository line ", lineNo,
                   ": duplicate entry for (", serviceKindName(kind),
                   ",", key.classId, ",", key.interferenceBucket,
                   "): ", line);
         table[key] = Entry{alloc, -1};
-        s.generation.fetch_add(1, std::memory_order_release);
+        repo.bump();
     }
     return repo;
 }

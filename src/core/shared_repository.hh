@@ -20,25 +20,22 @@
  * fleet-wide number benches report). Lookups see every attachment's
  * writes within the kind namespace — cross-service reuse, live.
  *
- * Thread safety: internally synchronized, and since the serving PR
- * *sharded*. The kind-level tables are striped over N shards (one
- * annotated Mutex each, entries assigned by a deterministic hash of
- * (kind, key)), so stores on one shard never block lookups on
- * another; per-attachment statistics are lock-free atomics, so the
- * handle hot path takes exactly one shard lock. On top of the locked
- * path sits an RCU-style read surface: version() is a monotone
- * store/clear counter and snapshot() hands out an immutable sorted
- * table of one kind's entries, one table per kind and version shared
- * by every reader. Readers (the dejavud sessions) consult it
+ * Thread safety: internally synchronized by one annotated Mutex,
+ * which guards the kind tables, every attachment's statistics and
+ * the kept snapshots. On top of it sits an RCU-style read surface:
+ * version() is a monotone counter that stores and clears advance
+ * under the lock and readers load without it, and snapshot() hands
+ * out an immutable sorted table of one kind's entries, taken with
+ * its version under the same lock and shared by every reader of
+ * that kind and version. Readers (the dejavud sessions) consult it
  * lock-free and refresh only when version() moves — lookups never
- * block behind stores. The clang CI job verifies the
- * lock discipline statically (`-Wthread-safety -Werror`) and the
- * TSan CI leg exercises it dynamically. Determinism note: locking
- * makes concurrent access *safe*, not *ordered* — callers that
- * require a deterministic store/lookup interleaving (learnAll's
- * shared phase) must still serialize those calls themselves, and
- * save() output is byte-identical for any shard count (shards are
- * merged and sorted before serialization).
+ * block behind stores. The clang CI job verifies the lock
+ * discipline statically (`-Wthread-safety -Werror`) and the TSan CI
+ * leg exercises it dynamically. Determinism note: locking makes
+ * concurrent access *safe*, not *ordered* — callers that require a
+ * deterministic store/lookup interleaving (learnAll's shared phase)
+ * must still serialize those calls themselves. save() output is
+ * sorted, so its bytes depend on the contents alone.
  */
 
 #ifndef DEJAVU_CORE_SHARED_REPOSITORY_HH
@@ -46,7 +43,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -227,16 +223,7 @@ class SharedRepository
         Shared,
     };
 
-    /**
-     * @param shards Lock stripes for the kind-level tables. 1 (the
-     *   default) reproduces the pre-serving single-lock behavior and
-     *   is right for sim-side use, where accesses are uncontended;
-     *   the daemon uses more so concurrent sessions' stores do not
-     *   serialize. Entries are placed by a deterministic hash, so
-     *   contents, save() bytes and snapshot() views are identical
-     *   for every shard count.
-     */
-    explicit SharedRepository(int shards = 1);
+    SharedRepository() = default;
 
     /** Move is for factory returns (load()) only: it locks @p other,
      *  so it is safe against concurrent readers of the source, but
@@ -248,29 +235,26 @@ class SharedRepository
     SharedRepository &operator=(const SharedRepository &) = delete;
     SharedRepository &operator=(SharedRepository &&) = delete;
 
-    /** Lock stripes backing the kind-level tables. */
-    int shards() const { return static_cast<int>(_shards.size()); }
-
     /**
-     * Monotone modification counter: advances on every store and
-     * clear (sum of per-shard generation counters, read lock-free).
-     * Snapshot readers poll this to decide when to refresh; equal
+     * Monotone modification counter: advances on every store and on
+     * every clear that drops an entry. Read without the lock;
+     * snapshot readers poll it to decide when to refresh, and equal
      * versions guarantee no store/clear happened in between.
      */
-    std::uint64_t version() const;
+    std::uint64_t version() const
+    {
+        return _version.load(std::memory_order_acquire);
+    }
 
     /**
      * The immutable sorted view of one kind's table (see
      * RepositorySnapshot). The repository keeps the latest snapshot
      * per kind and returns it while it is current; only when
-     * version() has moved past it does a call collect the kind once
-     * (each shard lock taken briefly), publish the new table and
-     * return it. Every caller of one kind and version therefore
-     * shares one table. Invariants:
-     *  - A snapshot's version is read *before* its entries are
-     *    collected, so a write that races the collection at worst
-     *    makes the snapshot look stale immediately — a snapshot is
-     *    never silently current.
+     * version() has moved past it does a call collect the kind,
+     * publish the new table and return it. Every caller of one kind
+     * and version therefore shares one table. Invariants:
+     *  - A snapshot's version and entries are taken under one hold
+     *    of the lock, so it holds exactly the table at its version.
      *  - A published table is never modified; a newer version gets a
      *    new table.
      *  - A reader's old table stays valid for as long as the reader
@@ -327,8 +311,8 @@ class SharedRepository
 
     /** @name Persistence (CSV: kind,class,bucket,instances,type) @{ */
     /** Serialize the kind-level tables; stats are not persisted.
-     *  Output is sorted (kind, then key) and byte-identical for any
-     *  shard count — the contract daemon restart relies on. */
+     *  Output is sorted (kind, then key), so equal contents give
+     *  equal bytes — the contract daemon restart relies on. */
     void save(std::ostream &out) const;
 
     /**
@@ -337,7 +321,9 @@ class SharedRepository
      * type), filing those rows under @p legacyKind. fatal() on
      * malformed input and on duplicate (kind,class,bucket) rows.
      * Loaded entries have no writer: every attachment's hit on them
-     * counts as a cross hit. @p mode selects nothing (see Mode).
+     * counts as a cross hit. @p mode and @p shards select nothing:
+     * there is one mode (see Mode) and one lock. Both are kept for
+     * callers written against them.
      */
     static SharedRepository load(std::istream &in,
                                  Mode mode = Mode::Shared,
@@ -358,43 +344,18 @@ class SharedRepository
     using Table =
         std::unordered_map<RepositoryKey, Entry, RepositoryKeyHash>;
 
-    /**
-     * One lock stripe of the kind-level tables. An entry lives on
-     * exactly one shard (deterministic hash of kind + key), so a
-     * store only contends with traffic for the same stripe. The
-     * generation counter is the shard's contribution to version().
-     */
-    struct Shard
-    {
-        mutable Mutex mu;
-        /** Ordered by kind so per-shard walks are deterministic. */
-        std::map<ServiceKind, Table> byKind GUARDED_BY(mu);
-        std::atomic<std::uint64_t> generation{0};
-    };
-
-    /**
-     * Per-attachment state. The counters are atomics (the handle hot
-     * path updates them without any lock); the colder reused-key set
-     * takes the attachment's own mutex.
-     * Attachments are never destroyed (detach only marks them dead),
-     * so references handed out by attachment() stay valid for the
-     * repository's lifetime.
-     */
+    /** Per-attachment state. Attachments are never destroyed (detach
+     *  only marks them dead), so ids stay valid. */
     struct Attachment
     {
-        ServiceKind kind = ServiceKind::Generic;  // set once at attach
-        std::string owner;                        // set once at attach
-        std::atomic<bool> live{true};
-        std::atomic<std::uint64_t> lookups{0};
-        std::atomic<std::uint64_t> hits{0};
-        std::atomic<std::uint64_t> misses{0};
-        std::atomic<std::uint64_t> stores{0};
-        std::atomic<std::uint64_t> crossHits{0};
-        mutable Mutex mu;
+        ServiceKind kind = ServiceKind::Generic;
+        std::string owner;
+        bool live = true;
+        RepositoryStats stats;
+        std::uint64_t crossHits = 0;
         /** Keys ever served to this attachment from a peer's write
          *  (size() == reusedEntries()). */
-        std::unordered_set<RepositoryKey, RepositoryKeyHash> reused
-            GUARDED_BY(mu);
+        std::unordered_set<RepositoryKey, RepositoryKeyHash> reused;
     };
 
     /** @name Handle back-ends (id-checked) @{ */
@@ -402,48 +363,35 @@ class SharedRepository
                      const ResourceAllocation &allocation);
     std::optional<ResourceAllocation> handleLookup(
         int id, const RepositoryKey &key);
-    std::optional<ResourceAllocation> handlePeek(
-        int id, const RepositoryKey &key) const;
     void handleClear(int id);
-    std::size_t handleEntries(int id) const;
-    std::vector<RepositoryKey> handleKeys(int id) const;
-    RepositoryStats attachmentStats(int id) const;
-    std::uint64_t attachmentReusedEntries(int id) const;
     /** @} */
 
-    /** Registry access: bounds-checks @p id and returns the stable
-     *  per-attachment record (valid past the internal lock because
-     *  deque elements never relocate and are never destroyed). */
-    Attachment &attachment(int id) const;
+    /** The record of attachment @p id (bounds-checked). */
+    Attachment &attachment(int id) const REQUIRES(_mu);
 
-    /** The stripe owning (kind, key) — a deterministic, process-
-     *  independent hash so layouts replay identically. */
-    Shard &shardOf(ServiceKind kind, const RepositoryKey &key) const;
+    /** The entry under (kind, key), or null. */
+    const Entry *find(ServiceKind kind, const RepositoryKey &key) const
+        REQUIRES(_mu);
 
-    /** All of @p kind's entries merged across shards, sorted by key
-     *  (the shared implementation behind keys/save/snapshot). */
+    /** All of @p kind's entries, sorted by key (the shared
+     *  implementation behind keys/save/snapshot/toString). */
     std::vector<RepositorySnapshot::Entry>
-    collectKind(ServiceKind kind) const;
+    collectKind(ServiceKind kind) const REQUIRES(_mu);
 
-    /** Kinds with entries, ascending, merged across shards. */
-    std::vector<ServiceKind> collectKinds() const;
+    /** Advance version() after a store or clear changed a table. */
+    void bump() REQUIRES(_mu);
 
-    /** The lock stripes; sized at construction, never resized (so
-     *  shardOf needs no lock). unique_ptr keeps Shard's mutex and
-     *  atomic pinned while the vector itself stays movable. */
-    std::vector<std::unique_ptr<Shard>> _shards;
-    /** Guards the attachment registry (deque spine + live count),
-     *  NOT the per-attachment records it points at. */
-    mutable Mutex _amu;
-    /** A deque so attach() never relocates live attachments. */
-    mutable std::deque<Attachment> _attachments GUARDED_BY(_amu);
-    int _live GUARDED_BY(_amu) = 0;
-    /** Guards the kept snapshots. Taken only by snapshot(), which
-     *  may take shard locks under it (never the other way around). */
-    mutable Mutex _snapshotMu;
+    mutable Mutex _mu;
+    /** Ordered by kind so kind walks are deterministic. */
+    std::map<ServiceKind, Table> _byKind GUARDED_BY(_mu);
+    /** Indexed by attachment id. */
+    mutable std::vector<Attachment> _attachments GUARDED_BY(_mu);
+    int _live GUARDED_BY(_mu) = 0;
     /** The latest snapshot handed out per kind. */
     mutable std::map<ServiceKind, RepositorySnapshot> _snapshots
-        GUARDED_BY(_snapshotMu);
+        GUARDED_BY(_mu);
+    /** Advanced by bump() under _mu; read lock-free by version(). */
+    std::atomic<std::uint64_t> _version{0};
 };
 
 } // namespace dejavu

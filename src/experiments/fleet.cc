@@ -87,7 +87,7 @@ void
 DejaVuFleet::complete(const CompletedAdaptation &done)
 {
     _maxQueueDelay = std::max(_maxQueueDelay, done.queueDelay());
-    DEJAVU_TRACE(if (_trace) {
+    if (_trace) {
         const char *name = "adapt.hit";
         if (done.peerServed)
             name = "adapt.peer";
@@ -105,7 +105,7 @@ DejaVuFleet::complete(const CompletedAdaptation &done)
             done.decision.classId >= 0
                 ? static_cast<std::uint64_t>(done.decision.classId)
                 : obs::TraceRecorder::kNoArg);
-    });
+    }
     for (const auto &listener : _listeners)
         listener(done);
 }
@@ -229,8 +229,8 @@ DejaVuFleet::runTunerGrant(std::size_t memberIdx,
             entry.peerServed = true;
             entry.slotDuration = 0;
             entry.decision = *adopted;
-            DEJAVU_TRACE(if (_trace) _trace->instant(
-                memberLane(memberIdx), "repo.adopt", now()));
+            if (_trace)
+                _trace->instant(memberLane(memberIdx), "repo.adopt", now());
             complete(entry);
             return 0;
         }
@@ -244,9 +244,9 @@ DejaVuFleet::runTunerGrant(std::size_t memberIdx,
     const SimTime occupancy = entry.slotDuration;
     // The tuned allocation lands in the repository at slot end (see
     // the cancellation sweep below) — mark the store there.
-    DEJAVU_TRACE(if (_trace) _trace->instant(
-        memberLane(memberIdx), "repo.store",
-        saturatingAdd(grant.startedAt, occupancy)));
+    if (_trace)
+        _trace->instant(memberLane(memberIdx), "repo.store",
+                        saturatingAdd(grant.startedAt, occupancy));
     complete(entry);
     // Reuse-driven cancellation: once the experiments finish (slot
     // end — the result is stored then, not before), the allocation
@@ -276,8 +276,8 @@ DejaVuFleet::onTunerCancelled(std::size_t memberIdx,
     Member &member = _members[memberIdx];
     if (reason == WorkCancelReason::Reuse) {
         if (auto decision = member.controller->adoptPeerTuning()) {
-            DEJAVU_TRACE(if (_trace) _trace->instant(
-                memberLane(memberIdx), "repo.adopt", now()));
+            if (_trace)
+                _trace->instant(memberLane(memberIdx), "repo.adopt", now());
             CompletedAdaptation entry;
             entry.service = member.name;
             entry.requestedAt = item.requestedAt;

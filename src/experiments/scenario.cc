@@ -301,22 +301,22 @@ FleetStack::learnAll(int threads)
     // covers the whole parallel phase — and the sequential half gets
     // a per-member breakdown.
     obs::LaneId learnLane = 0;
-    DEJAVU_TRACE(if (trace) {
+    if (trace) {
         learnLane =
             trace->lane("phase/learn", obs::ClockDomain::Wall);
         trace->begin(learnLane, "learn.prepare", trace->wallMicros(),
                      obs::TraceRecorder::kNoDetail, members.size());
-    });
+    }
     parallelFor(members.size(), threads, [this, &prepare](
                                              std::size_t i) {
         prepare(*members[i]);
     });
-    DEJAVU_TRACE(if (trace) {
+    if (trace) {
         trace->end(learnLane, trace->wallMicros());
         trace->begin(learnLane, "learn.finalize",
                      trace->wallMicros(),
                      obs::TraceRecorder::kNoDetail, members.size());
-    });
+    }
 
     // Shared half: repository probe / tuner / store, strictly in
     // member order — under a shared repository, which member tunes a
@@ -324,17 +324,17 @@ FleetStack::learnAll(int threads)
     // part of the deterministic contract.
     for (auto &member : members) {
         std::int64_t memberStart = 0;
-        DEJAVU_TRACE(if (trace) memberStart = trace->wallMicros());
+        if (trace)
+            memberStart = trace->wallMicros();
         member->controller->learnPrepared();
-        DEJAVU_TRACE(if (trace) trace->complete(
-            learnLane, "learnPrepared", memberStart,
-            trace->wallMicros() - memberStart,
-            trace->intern(member->name)));
-        (void)memberStart;
+        if (trace)
+            trace->complete(
+                learnLane, "learnPrepared", memberStart,
+                trace->wallMicros() - memberStart,
+                trace->intern(member->name));
     }
-    DEJAVU_TRACE(if (trace)
-                     trace->end(learnLane, trace->wallMicros()));
-    (void)learnLane;
+    if (trace)
+        trace->end(learnLane, trace->wallMicros());
 }
 
 FleetBuilder::FleetBuilder(ScenarioOptions options)

@@ -37,11 +37,10 @@
  *
  * Cost contract
  * -------------
- * Call sites wrap emission in `DEJAVU_TRACE(...)`, which compiles to
- * nothing when the tree is built with `-DDEJAVU_TRACING=0` (CMake
- * option DEJAVU_TRACING) — zero instructions, zero data. When
- * compiled in but no recorder is attached, the cost is one null
- * check. bench/micro_dejavu_ops.cc measures all three states.
+ * Call sites guard emission with `if (trace)`, so with no recorder
+ * attached the cost is one null check. bench/micro_dejavu_ops.cc
+ * measures that against no trace statement at all and against
+ * recording.
  *
  * Thread safety: a recorder is single-threaded by default (the sim
  * runs one cell per thread with its own recorder). Construct with
@@ -61,23 +60,6 @@
 
 #include "common/thread_annotations.hh"
 #include "obs/wall_clock.hh"
-
-#ifndef DEJAVU_TRACING
-#define DEJAVU_TRACING 1
-#endif
-
-#if DEJAVU_TRACING
-/** Wrap every instrumentation statement; compiles out entirely when
- *  the tree is built without tracing. */
-#define DEJAVU_TRACE(...) \
-    do {                  \
-        __VA_ARGS__;      \
-    } while (0)
-#else
-#define DEJAVU_TRACE(...) \
-    do {                  \
-    } while (0)
-#endif
 
 namespace dejavu {
 namespace obs {

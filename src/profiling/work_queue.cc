@@ -22,13 +22,13 @@ void
 ProfilingWorkQueue::setTrace(obs::TraceRecorder *trace)
 {
     _trace = trace;
-    DEJAVU_TRACE(if (_trace) {
+    if (_trace) {
         _queueLane = _trace->lane("pool/queue");
         _hostLanes.clear();
         for (int h = 0; h < hosts(); ++h)
             _hostLanes.push_back(
                 _trace->lane("pool/host-" + std::to_string(h)));
-    });
+    }
 }
 
 ProfilingWorkQueue::Item &
@@ -97,11 +97,12 @@ ProfilingWorkQueue::submit(WorkItem item, RunFn run, CancelFn onCancel)
         ++_stats.signatureSubmitted;
     else
         ++_stats.tunerSubmitted;
-    DEJAVU_TRACE(if (_trace) _trace->instant(
-        _queueLane,
-        item.kind == WorkKind::Signature ? "submit.signature"
-                                         : "submit.tuner",
-        now(), obs::TraceRecorder::kNoDetail, item.id));
+    if (_trace)
+        _trace->instant(
+            _queueLane,
+            item.kind == WorkKind::Signature ? "submit.signature"
+                                             : "submit.tuner",
+            now(), obs::TraceRecorder::kNoDetail, item.id);
 
     const WorkItemId id = item.id;
     _items.push_back(
@@ -121,9 +122,9 @@ ProfilingWorkQueue::submit(WorkItem item, RunFn run, CancelFn onCancel)
                     continue;
                 entry.members.push_back(id);
                 _coalescer.noteFanOut(stored.info.key);
-                DEJAVU_TRACE(if (_trace) _trace->instant(
-                    _queueLane, "coalesce.join", now(),
-                    obs::TraceRecorder::kNoDetail, id));
+                if (_trace)
+                    _trace->instant(_queueLane, "coalesce.join", now(),
+                                    obs::TraceRecorder::kNoDetail, id);
                 dispatch();
                 return id;
             }
@@ -214,9 +215,10 @@ ProfilingWorkQueue::dispatch()
         }
 
         _active[state->host] = state;
-        DEJAVU_TRACE(if (_trace) _trace->instant(
-            _queueLane, "grant", now(),
-            obs::TraceRecorder::kNoDetail, state->members.size()));
+        if (_trace)
+            _trace->instant(
+                _queueLane, "grant", now(),
+                obs::TraceRecorder::kNoDetail, state->members.size());
 
         // The work runs when the slot starts; fixed-duration slots
         // pre-schedule their release (preserving the event order of
@@ -229,8 +231,8 @@ ProfilingWorkQueue::dispatch()
                 [this, state] {
                     if (state->failed)
                         return;  // its host died mid-slot
-                    DEJAVU_TRACE(if (_trace) _trace->end(
-                        _hostLanes[state->host], now()));
+                    if (_trace)
+                        _trace->end(_hostLanes[state->host], now());
                     _active[state->host].reset();
                     _hosts.release(state->host);
                     dispatch();
@@ -258,7 +260,7 @@ ProfilingWorkQueue::runGrant(const std::shared_ptr<GrantState> &grant)
         return;
     }
 
-    DEJAVU_TRACE(if (_trace) {
+    if (_trace) {
         const Item &leader = itemRef(grant->members.front());
         _trace->begin(_hostLanes[grant->host],
                       leader.info.kind == WorkKind::Signature
@@ -267,7 +269,7 @@ ProfilingWorkQueue::runGrant(const std::shared_ptr<GrantState> &grant)
                       grant->startedAt,
                       obs::TraceRecorder::kNoDetail,
                       grant->members.size());
-    });
+    }
 
     bool first = true;
     SimTime actual = grant->occupancy;
@@ -320,8 +322,8 @@ ProfilingWorkQueue::runGrant(const std::shared_ptr<GrantState> &grant)
            [this, state = grant] {
                if (state->failed)
                    return;  // its host died mid-slot
-               DEJAVU_TRACE(if (_trace) _trace->end(
-                   _hostLanes[state->host], now()));
+               if (_trace)
+                   _trace->end(_hostLanes[state->host], now());
                _active[state->host].reset();
                _hosts.release(state->host);
                dispatch();
@@ -376,7 +378,7 @@ ProfilingWorkQueue::cancelItem(WorkItemId id, WorkCancelReason reason)
     if (target.info.kind == WorkKind::Tuner
         && reason == WorkCancelReason::Reuse)
         ++_stats.tunerCancelledForReuse;
-    DEJAVU_TRACE(if (_trace) {
+    if (_trace) {
         const char *name = "cancel.explicit";
         switch (reason) {
         case WorkCancelReason::Explicit: break;
@@ -390,7 +392,7 @@ ProfilingWorkQueue::cancelItem(WorkItemId id, WorkCancelReason reason)
         }
         _trace->instant(_queueLane, name, now(),
                         obs::TraceRecorder::kNoDetail, id);
-    });
+    }
     // Copy before invoking: the callback may submit new work, and a
     // grown _items vector would dangle the reference.
     const CancelFn onCancel = target.onCancel;
@@ -414,7 +416,7 @@ ProfilingWorkQueue::failHost(std::size_t host)
 
     const std::shared_ptr<GrantState> grant = _active[host];
     _active[host].reset();
-    DEJAVU_TRACE(if (_trace) {
+    if (_trace) {
         // Close the open slot span (if its run already began) before
         // opening the outage span, so the host lane stays balanced.
         if (grant && grant->startedAt <= now()) {
@@ -426,7 +428,7 @@ ProfilingWorkQueue::failHost(std::size_t host)
         }
         _trace->instant(_hostLanes[host], "host.lost", now());
         _trace->begin(_hostLanes[host], "outage", now());
-    });
+    }
     if (!grant)
         return;
     // Abandon the in-flight grant: pending run/release events go
@@ -446,10 +448,10 @@ ProfilingWorkQueue::restoreHost(std::size_t host)
 {
     _hosts.revive(host);
     ++_stats.hostsRestored;
-    DEJAVU_TRACE(if (_trace) {
+    if (_trace) {
         _trace->end(_hostLanes[host], now());  // close "outage"
         _trace->instant(_hostLanes[host], "host.restored", now());
-    });
+    }
     dispatch();
 }
 

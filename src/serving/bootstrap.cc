@@ -51,8 +51,6 @@ ServingBootstrap::collectSamples(ServiceKind kind, int count)
 std::unique_ptr<ServingBootstrap>
 makeServingBootstrap(const BootstrapOptions &options)
 {
-    DEJAVU_ASSERT(options.shards >= 1, "need >= 1 shard");
-
     auto bootstrap = std::make_unique<ServingBootstrap>();
     bootstrap->options = options;
 
@@ -77,8 +75,7 @@ makeServingBootstrap(const BootstrapOptions &options)
     std::stringstream persisted;
     fleetRepo->save(persisted);
     bootstrap->repo = std::make_unique<SharedRepository>(
-        SharedRepository::load(persisted, SharedRepository::Mode::Shared,
-                               ServiceKind::Generic, options.shards));
+        SharedRepository::load(persisted));
 
     ServingServer::Config config;
     config.budgetNanos = options.budgetNanos;

@@ -9,7 +9,7 @@
  * The bootstrap builds a mixed fleet with exactly one member per
  * service kind (KeyValue, SPECweb, RUBiS) under a shared repository,
  * runs the learning phase, then round-trips the fleet repository
- * through save()/load() into a daemon-side sharded copy — which is
+ * through save()/load() into a daemon-side copy — which is
  * deliberately the daemon *restart* story: dejavud never relearns on
  * restart, it reloads the persisted repository and re-registers the
  * kind models (docs/SERVING.md). One member per kind makes the
@@ -40,7 +40,8 @@ namespace serving {
 struct BootstrapOptions
 {
     std::uint64_t seed = 42;
-    /** Shard count of the daemon-side repository. */
+    /** Selects nothing: the repository has one lock, not stripes.
+     *  Kept for callers written against it. */
     int shards = 1;
     /** Latency budget; defaults to disabled (tests and the daemon
      *  set their own). */
@@ -64,7 +65,7 @@ struct ServingBootstrap
     /** The learned fleet (owns controllers, hence the models). */
     std::unique_ptr<FleetStack> stack;
     /** Daemon-side repository: the fleet repository reloaded through
-     *  save()/load() at options.shards. */
+     *  save()/load(). */
     std::unique_ptr<SharedRepository> repo;
     std::unique_ptr<ServingServer> server;
 

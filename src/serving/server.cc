@@ -143,7 +143,7 @@ ServingServer::handleSample(const WireFrame &request,
                      _repo, msg, arrivalNanos, _config.budgetNanos,
                      _metrics);
     encodeAnswerInto(reply, answer);
-    DEJAVU_TRACE(if (_trace) {
+    if (_trace) {
         // The lane field is externally synchronized like the rest of
         // the session's hot-path state (one driving connection); the
         // recorder itself must be in synchronized mode.
@@ -165,7 +165,7 @@ ServingServer::handleSample(const WireFrame &request,
         _trace->complete(session->traceLane, name, start,
                          _trace->wallMicros() - start,
                          obs::TraceRecorder::kNoDetail, msg.seq);
-    });
+    }
 }
 
 void

@@ -1,8 +1,8 @@
 /**
  * @file
  * The dejavud serving core: one object that owns the sessions, the
- * admission gate and the metrics, and answers wire frames against a
- * sharded SharedRepository.
+ * admission gate and the metrics, and answers wire frames against
+ * lock-free snapshots of a SharedRepository.
  *
  * ServingServer is transport-neutral on purpose. serve() is a
  * synchronous function from request frame to optional reply frame;

@@ -15,9 +15,9 @@ answerSample(Session &session, const DecisionModel &model,
 
     // Epoch read path: refresh the frozen view only when a store or
     // clear actually moved the repository version. The comparison is
-    // one atomic read per shard; the refresh (rare) picks up the
-    // table every session of this kind shares, which the repository
-    // collects once per kind and version.
+    // one atomic read; the refresh (rare) picks up the table every
+    // session of this kind shares, which the repository collects
+    // once per kind and version.
     if (session.snapshot.version() != repo.version()) {
         session.snapshot = repo.snapshot(session.kind);
         metrics.snapshotRefreshes.fetch_add(

@@ -501,19 +501,17 @@ TEST(ServingConformance, BusTransportMatchesDirect)
 
 TEST(ServingConformance, RestartReloadServesIdenticalAnswers)
 {
-    // The daemon restart story: persist the repository, reload it
-    // (here at a different shard count), re-register the models —
-    // and every answer must be what it was before the restart.
+    // The daemon restart story: persist the repository, reload it,
+    // re-register the models — and every answer must be what it was
+    // before the restart.
     ServingWorld &w = world();
     std::ostringstream persisted;
     w.bootstrap->repo->save(persisted);
 
     std::istringstream in(persisted.str());
-    SharedRepository reloaded = SharedRepository::load(
-        in, SharedRepository::Mode::Shared, ServiceKind::Generic,
-        /*shards=*/8);
+    SharedRepository reloaded = SharedRepository::load(in);
 
-    // save() bytes are shard-count independent — reload and compare.
+    // The reloaded repository saves the same bytes.
     std::ostringstream again;
     reloaded.save(again);
     EXPECT_EQ(again.str(), persisted.str());

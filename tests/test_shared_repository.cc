@@ -2,15 +2,17 @@
  * @file
  * Unit tests for the shared cross-service repository
  * (core/shared_repository.hh): attachment lifecycle, per-kind
- * namespace isolation, per-attachment/aggregate statistics, the
- * write-through isolation A/B mode, and persistence with the kind
- * column (including the legacy 4-column format).
+ * namespace isolation, per-attachment/aggregate statistics,
+ * persistence with the kind column (including the legacy 4-column
+ * format), versioned snapshots and concurrent access.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -382,54 +384,9 @@ TEST(SharedRepository, ConcurrentReadersDuringWrites)
               kWriters * static_cast<std::uint64_t>(kPerWriter));
 }
 
-TEST(SharedRepository, ShardCountInvisibleToContentsAndSaveBytes)
-{
-    // The serving daemon runs many shards, the simulator runs one;
-    // the two must be indistinguishable except for lock contention.
-    // Same stores into 1- and 8-shard repositories: identical
-    // entries, identical peek() answers, identical save() bytes.
-    SharedRepository one(1);
-    SharedRepository eight(8);
-    EXPECT_EQ(one.shards(), 1);
-    EXPECT_EQ(eight.shards(), 8);
-
-    RepositoryHandle h1 = one.attach(ServiceKind::KeyValue, "svc");
-    RepositoryHandle h8 = eight.attach(ServiceKind::KeyValue, "svc");
-    RepositoryHandle r1 = one.attach(ServiceKind::Rubis, "rubis");
-    RepositoryHandle r8 = eight.attach(ServiceKind::Rubis, "rubis");
-    for (int c = 0; c < 50; ++c)
-        for (int b = 0; b < 3; ++b) {
-            h1.store({c, b}, kFourLarge);
-            h8.store({c, b}, kFourLarge);
-            r1.store({c, b}, kTenXL);
-            r8.store({c, b}, kTenXL);
-        }
-
-    EXPECT_EQ(one.entries(), eight.entries());
-    for (int c = 0; c < 50; ++c) {
-        EXPECT_EQ(one.peek(ServiceKind::KeyValue, {c, 1}),
-                  eight.peek(ServiceKind::KeyValue, {c, 1}));
-        EXPECT_EQ(one.peek(ServiceKind::Rubis, {c, 2}),
-                  eight.peek(ServiceKind::Rubis, {c, 2}));
-    }
-    std::ostringstream a, b;
-    one.save(a);
-    eight.save(b);
-    EXPECT_EQ(a.str(), b.str());
-
-    // And load() lands the same bytes at any shard count — the
-    // daemon restart contract.
-    std::istringstream in(a.str());
-    SharedRepository reloaded = SharedRepository::load(
-        in, SharedRepository::Mode::Shared, ServiceKind::Generic, 8);
-    std::ostringstream c;
-    reloaded.save(c);
-    EXPECT_EQ(c.str(), a.str());
-}
-
 TEST(SharedRepository, VersionAdvancesOnEveryStoreAndClear)
 {
-    SharedRepository repo(4);
+    SharedRepository repo;
     const std::uint64_t v0 = repo.version();
     RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "svc");
     h.store({0, 0}, kFourLarge);
@@ -444,7 +401,7 @@ TEST(SharedRepository, VersionAdvancesOnEveryStoreAndClear)
 
 TEST(SharedRepository, SnapshotIsFrozenSortedAndVersioned)
 {
-    SharedRepository repo(8);
+    SharedRepository repo;
     RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "svc");
     for (int c = 0; c < 30; ++c)
         h.store({c, c % 3}, kFourLarge);
@@ -496,16 +453,16 @@ TEST(SharedRepository, SnapshotIsFrozenSortedAndVersioned)
     EXPECT_TRUE(none.all().empty());
 }
 
-TEST(SharedRepository, ConcurrentShardedStoresWithSnapshotReaders)
+TEST(SharedRepository, ConcurrentStoresWithSnapshotReaders)
 {
-    // Writers hammer distinct keys across shards while readers take
-    // and walk snapshots; the TSan leg runs this at 8 threads. Every
-    // snapshot must be internally consistent (sorted, findable keys)
-    // no matter what the writers are doing.
+    // Writers hammer distinct keys while readers take and walk
+    // snapshots; the TSan leg runs this at 8 threads. Every snapshot
+    // must be internally consistent (sorted, findable keys) no matter
+    // what the writers are doing.
     constexpr std::size_t kWorkers = 8;
     constexpr int kPerWriter = 60;
 
-    SharedRepository repo(8);
+    SharedRepository repo;
     std::vector<RepositoryHandle> handles(kWorkers);
     for (std::size_t h = 0; h < kWorkers; ++h)
         handles[h] = repo.attach(ServiceKind::KeyValue,
@@ -532,6 +489,56 @@ TEST(SharedRepository, ConcurrentShardedStoresWithSnapshotReaders)
     const RepositorySnapshot final_ =
         repo.snapshot(ServiceKind::KeyValue);
     EXPECT_EQ(final_.entries(), repo.entries());
+}
+
+TEST(SharedRepository, SnapshotHoldsExactlyItsVersion)
+{
+    // Every store adds a new key and nothing clears, so the table at
+    // version v holds exactly v entries. A snapshot takes its version
+    // and its entries together, so readers racing the writers must
+    // see entries() == version() in every snapshot they take.
+    constexpr int kWriters = 4;
+    constexpr int kReaders = 4;
+    constexpr int kPerWriter = 250;
+
+    SharedRepository repo;
+    std::vector<RepositoryHandle> handles;
+    for (int w = 0; w < kWriters; ++w)
+        handles.push_back(repo.attach(ServiceKind::KeyValue,
+                                      "svc-" + std::to_string(w)));
+
+    std::atomic<int> writing{kWriters};
+    std::atomic<std::uint64_t> taken{0};
+    std::atomic<std::uint64_t> torn{0};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w)
+        threads.emplace_back([&handles, &writing, w] {
+            for (int i = 0; i < kPerWriter; ++i)
+                handles[static_cast<std::size_t>(w)].store({w, i},
+                                                           kFourLarge);
+            writing.fetch_sub(1);
+        });
+    for (int r = 0; r < kReaders; ++r)
+        threads.emplace_back([&repo, &writing, &taken, &torn] {
+            while (writing.load() > 0) {
+                const RepositorySnapshot snap =
+                    repo.snapshot(ServiceKind::KeyValue);
+                taken.fetch_add(1);
+                if (snap.entries() != snap.version())
+                    torn.fetch_add(1);
+            }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(torn.load(), 0u)
+        << "snapshots whose entries differ from their version, of "
+        << taken.load() << " taken";
+    EXPECT_EQ(repo.version(),
+              static_cast<std::uint64_t>(kWriters) * kPerWriter);
+    const RepositorySnapshot last =
+        repo.snapshot(ServiceKind::KeyValue);
+    EXPECT_EQ(last.entries(), last.version());
 }
 
 TEST(SharedRepository, SharingModeNamesRoundTrip)

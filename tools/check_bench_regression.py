@@ -14,7 +14,7 @@ its fresh ``events_per_s`` drops more than the threshold (default
 20%) below the baseline's.
 
 ``serving`` — produced by ``bench_serving [--smoke] --json <path>``:
-a ``cells`` array keyed by (sessions, clients, shards, mode) carrying
+a ``cells`` array keyed by (sessions, clients, mode) carrying
 ``lookups_per_s`` and ``p99_ns``. A cell regresses when its fresh
 ``lookups_per_s`` drops more than the threshold (default 50%) below
 the baseline's, or its fresh ``p99_ns`` rises more than
@@ -70,7 +70,7 @@ def read_doc(path):
                 cells[key] = {"rate": float(cell["events_per_s"])}
             else:
                 key = (int(cell["sessions"]), int(cell["clients"]),
-                       int(cell["shards"]), str(cell["mode"]))
+                       str(cell["mode"]))
                 cells[key] = {"rate": float(cell["lookups_per_s"]),
                               "p99_ns": float(cell["p99_ns"])}
         except (KeyError, TypeError, ValueError):
@@ -131,9 +131,9 @@ def main():
                      f"{mix:<21}")
             unit = "ev/s"
         else:
-            sessions, clients, shards, mode = key
+            sessions, clients, mode = key
             label = (f"sessions={sessions:<6} clients={clients:<2} "
-                     f"shards={shards:<2} {mode:<7}")
+                     f"{mode:<7}")
             unit = "lk/s"
         print(f"{verdict:4}  {label} baseline {was['rate']:>12.0f} "
               f"{unit}   fresh {now['rate']:>12.0f} {unit}   "

@@ -20,12 +20,14 @@
  *   --repository <csv>   serve this saved repository instead of the
  *                        freshly learned one
  *   --save <csv>         persist the served repository and exit paths
- *   --shards <n>         repository lock stripes (default 8)
  *   --budget-us <n>      per-lookup latency budget in microseconds
  *                        (default 250; 0 = always breach, i.e. every
  *                        answer is the fallback — a drill mode)
  *   --max-sessions <n>   admission-gate capacity (default 65536)
  *   --seed <n>           bootstrap fleet seed (default 42)
+ *   (the three numeric flags take plain decimal digits; a sign, a
+ *   stray character or an out-of-range value is fatal before the
+ *   bootstrap learns)
  *   --selftest           serve one in-process client per kind and
  *                        verify the answers; exit nonzero on failure
  *   --report             print the metrics registry on exit as sorted
@@ -40,6 +42,9 @@
  *                        at it — docs/OBSERVABILITY.md)
  */
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -56,6 +61,21 @@ using namespace dejavu;
 using namespace dejavu::serving;
 
 namespace {
+
+/** @p text as a decimal count in [0, @p max]: digits only (no sign,
+ *  no whitespace), the whole string, no overflow. fatal() naming
+ *  @p flag otherwise. */
+std::uint64_t
+parseCount(const char *flag, const char *text, std::uint64_t max)
+{
+    const char *end = text + std::strlen(text);
+    std::uint64_t value = 0;
+    const auto [stop, error] = std::from_chars(text, end, value);
+    if (error != std::errc() || stop != end || value > max)
+        fatal(flag, " needs a whole number in [0, ", max, "], got '",
+              text, "'");
+    return value;
+}
 
 /** One in-process round of traffic per kind; true when every client
  *  connected and every sample got a well-formed answer. */
@@ -110,7 +130,6 @@ main(int argc, char **argv)
     std::string listenPath;
     std::string repositoryPath;
     std::string savePath;
-    int shards = 8;
     std::uint64_t budgetUs = 250;
     int maxSessions = 65536;
     std::uint64_t seed = 42;
@@ -123,20 +142,23 @@ main(int argc, char **argv)
                 fatal(argv[i], " needs a value");
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t max) {
+            const char *flag = argv[i];
+            return parseCount(flag, value(), max);
+        };
         if (std::strcmp(argv[i], "--listen") == 0)
             listenPath = value();
         else if (std::strcmp(argv[i], "--repository") == 0)
             repositoryPath = value();
         else if (std::strcmp(argv[i], "--save") == 0)
             savePath = value();
-        else if (std::strcmp(argv[i], "--shards") == 0)
-            shards = std::stoi(value());
         else if (std::strcmp(argv[i], "--budget-us") == 0)
-            budgetUs = std::stoull(value());
+            // Bounded so the nanosecond budget cannot overflow.
+            budgetUs = count(UINT64_MAX / 1000);
         else if (std::strcmp(argv[i], "--max-sessions") == 0)
-            maxSessions = std::stoi(value());
+            maxSessions = static_cast<int>(count(INT_MAX));
         else if (std::strcmp(argv[i], "--seed") == 0)
-            seed = std::stoull(value());
+            seed = count(UINT64_MAX);
         else if (std::strcmp(argv[i], "--selftest") == 0)
             runSelftest = true;
         else if (std::strcmp(argv[i], "--report") == 0)
@@ -148,12 +170,9 @@ main(int argc, char **argv)
                   " (see the flag list in tools/dejavud.cc or "
                   "docs/SERVING.md)");
     }
-    if (shards < 1)
-        fatal("--shards must be >= 1");
 
     BootstrapOptions options;
     options.seed = seed;
-    options.shards = shards;
     options.budgetNanos = budgetUs * 1000;
     options.maxSessions = maxSessions;
     options.learnThreads = std::max(
@@ -172,8 +191,7 @@ main(int argc, char **argv)
         if (!in)
             fatal("cannot read repository ", repositoryPath);
         repoOverride = std::make_unique<SharedRepository>(
-            SharedRepository::load(in, SharedRepository::Mode::Shared,
-                                   ServiceKind::Generic, shards));
+            SharedRepository::load(in));
         ServingServer::Config config;
         config.budgetNanos = options.budgetNanos;
         config.maxSessions = maxSessions;
@@ -187,9 +205,8 @@ main(int argc, char **argv)
     ServingServer &server =
         serverOverride ? *serverOverride : *bootstrap->server;
     const SharedRepository &repo = server.repository();
-    inform("dejavud: serving ", repo.entries(), " repository entries "
-         "across ", repo.shards(), " shard(s), budget ", budgetUs,
-         " us");
+    inform("dejavud: serving ", repo.entries(), " repository entries, "
+         "budget ", budgetUs, " us");
 
     if (!savePath.empty()) {
         std::ofstream out(savePath);

@@ -36,13 +36,12 @@ def bench_doc(cells):
 
 def serving_doc(cells):
     """A minimal bench_serving JSON with the given cells, each a
-    (sessions, clients, shards, mode, lookups_per_s, p99_ns)
-    tuple."""
-    rows = [{"sessions": s, "clients": c, "shards": sh, "mode": m,
+    (sessions, clients, mode, lookups_per_s, p99_ns) tuple."""
+    rows = [{"sessions": s, "clients": c, "mode": m,
              "lookups_per_s": rate, "p99_ns": p99,
              "p50_ns": p99 / 2, "ops": 50_000,
              "peak_rss_bytes": 1 << 20}
-            for s, c, sh, m, rate, p99 in cells]
+            for s, c, m, rate, p99 in cells]
     return {"bench": "serving", "smoke": False,
             "budget_ns": 250_000, "cells": rows}
 
@@ -233,12 +232,12 @@ class CheckBenchRegressionTest(unittest.TestCase):
     def test_serving_matching_cells_pass(self):
         base = self.serving_for(
             "base.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0),
-             (100, 4, 1, "bus", 200_000.0, 50_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0),
+             (100, 4, "bus", 200_000.0, 50_000.0)])
         fresh = self.serving_for(
             "fresh.json",
-            [(100, 1, 1, "direct", 900_000.0, 2_500.0),
-             (100, 4, 1, "bus", 190_000.0, 60_000.0)])
+            [(100, 1, "direct", 900_000.0, 2_500.0),
+             (100, 4, "bus", 190_000.0, 60_000.0)])
         result = self.run_tool(base, fresh)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("2 comparable cell(s)", result.stdout)
@@ -248,10 +247,10 @@ class CheckBenchRegressionTest(unittest.TestCase):
         # algorithmic-cliff signature the gate exists for.
         base = self.serving_for(
             "base.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0)])
         fresh = self.serving_for(
             "fresh.json",
-            [(100, 1, 1, "direct", 400_000.0, 2_000.0)])
+            [(100, 1, "direct", 400_000.0, 2_000.0)])
         result = self.run_tool(base, fresh)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("FAIL", result.stdout)
@@ -262,10 +261,10 @@ class CheckBenchRegressionTest(unittest.TestCase):
         # regression the latency budget guards against.
         base = self.serving_for(
             "base.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0)])
         fresh = self.serving_for(
             "fresh.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 9_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 9_000.0)])
         result = self.run_tool(base, fresh)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("p99", result.stdout)
@@ -273,10 +272,10 @@ class CheckBenchRegressionTest(unittest.TestCase):
     def test_serving_p99_threshold_flag(self):
         base = self.serving_for(
             "base.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0)])
         fresh = self.serving_for(
             "fresh.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 5_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 5_000.0)])
         self.assertEqual(
             self.run_tool(base, fresh).returncode, 0)
         self.assertEqual(
@@ -284,16 +283,16 @@ class CheckBenchRegressionTest(unittest.TestCase):
             .returncode, 1)
 
     def test_serving_mode_disambiguates_cells(self):
-        # A bus cell shares (sessions, clients, shards) with a direct
+        # A bus cell shares (sessions, clients) with a direct
         # cell; the mode tag must keep the two apart.
         base = self.serving_for(
             "base.json",
-            [(100, 4, 1, "direct", 1_000_000.0, 2_000.0),
-             (100, 4, 1, "bus", 200_000.0, 50_000.0)])
+            [(100, 4, "direct", 1_000_000.0, 2_000.0),
+             (100, 4, "bus", 200_000.0, 50_000.0)])
         fresh = self.serving_for(
             "fresh.json",
-            [(100, 4, 1, "direct", 1_000_000.0, 2_000.0),
-             (100, 4, 1, "bus", 50_000.0, 50_000.0)])
+            [(100, 4, "direct", 1_000_000.0, 2_000.0),
+             (100, 4, "bus", 50_000.0, 50_000.0)])
         result = self.run_tool(base, fresh)
         self.assertEqual(result.returncode, 1, result.stdout)
         self.assertIn("bus", result.stdout)
@@ -303,11 +302,11 @@ class CheckBenchRegressionTest(unittest.TestCase):
         # plan omits; only the shared cells are compared.
         base = self.serving_for(
             "base.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0),
-             (10_000, 4, 8, "direct", 900_000.0, 2_500.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0),
+             (10_000, 4, "direct", 900_000.0, 2_500.0)])
         fresh = self.serving_for(
             "fresh.json",
-            [(100, 1, 1, "direct", 950_000.0, 2_100.0)])
+            [(100, 1, "direct", 950_000.0, 2_100.0)])
         result = self.run_tool(base, fresh)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("1 comparable cell(s)", result.stdout)
@@ -317,7 +316,7 @@ class CheckBenchRegressionTest(unittest.TestCase):
                               [(1000, 2, "sjf", 1_000_000.0)])
         serving = self.serving_for(
             "serving.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0)])
         result = self.run_tool(fleet, serving)
         self.assertEqual(result.returncode, 2, result.stderr)
         self.assertIn("dialect mismatch", result.stderr)
@@ -325,9 +324,9 @@ class CheckBenchRegressionTest(unittest.TestCase):
     def test_serving_cell_missing_p99_exits_2(self):
         base = self.serving_for(
             "base.json",
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0)])
         doc = serving_doc(
-            [(100, 1, 1, "direct", 1_000_000.0, 2_000.0)])
+            [(100, 1, "direct", 1_000_000.0, 2_000.0)])
         del doc["cells"][0]["p99_ns"]
         broken = self.path_for("cell.json", json.dumps(doc))
         result = self.run_tool(base, broken)
