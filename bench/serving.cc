@@ -2,7 +2,7 @@
  * @file
  * bench_serving — the dejavud lookup hot path under load: lookups/s
  * and p50/p99/p99.9 latency at 100/1k/10k-session scale, single- and
- * multi-client, across transports.
+ * multi-client, on both transports.
  *
  * Each cell builds the daemon exactly the way dejavud does (the
  * serving bootstrap: learned mixed fleet, repository round-tripped
@@ -17,9 +17,12 @@
  *    and round-robining lookups over them.
  *  - mode: "direct" calls ServingServer::serve() on the client
  *    thread (the embedded-library shape — encode, serve, decode, no
- *    handoff); "bus" round-trips every frame through the bounded
- *    in-process queue and the single bus thread (the daemon-thread
- *    shape; included for honesty about handoff cost).
+ *    handoff); "socket" round-trips every frame over dejavud's
+ *    AF_UNIX front-end, one SocketClient per client thread, each
+ *    connection served by its own worker thread (the deployed daemon
+ *    shape; it prices the syscalls and the thread handoff). Its one
+ *    cell runs 2 client threads, so 2 clients and 2 workers share 4
+ *    cores, as in perfbench's serve-socket workload.
  *
  * Latency is measured client-side around the full
  * encode->serve->decode round trip (exact percentiles, every 8th op
@@ -39,6 +42,7 @@
  */
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -51,8 +55,10 @@
 #include "common/stats.hh"
 #include "serving/bootstrap.hh"
 #include "serving/client.hh"
-#include "serving/transport.hh"
+#include "serving/socket.hh"
 #include "sim/cluster.hh"
+
+#include <unistd.h>
 
 using namespace dejavu;
 using namespace dejavu::serving;
@@ -67,7 +73,7 @@ struct Cell
 {
     int sessions = 0;
     int clients = 0;
-    std::string mode;  ///< "direct" | "bus".
+    std::string mode;  ///< "direct" | "socket".
     std::uint64_t ops = 0;
     double wallSec = 0.0;
     double lookupsPerSec = 0.0;
@@ -134,15 +140,24 @@ runCell(ServingBootstrap &bootstrap, const TrafficPools &pools,
         server.registerModel(member->service->kind(),
                              member->controller->servingModel());
 
-    std::unique_ptr<ServingBus> bus;
-    if (mode == "bus")
-        bus = std::make_unique<ServingBus>(server);
+    std::unique_ptr<SocketServer> socket;
+    if (mode == "socket") {
+        socket = std::make_unique<SocketServer>(
+            server, (std::filesystem::temp_directory_path()
+                     / ("bench_serving-" + std::to_string(::getpid())
+                        + ".sock"))
+                        .string());
+        if (!socket->start())
+            fatal("cannot listen on ", socket->path());
+    }
 
     // Per-thread state lives across the setup/timed phases; thread
     // joins order the phases (one driving thread per session at any
     // instant — the session contract).
     struct ThreadState
     {
+        /** This thread's connection (socket mode only). */
+        std::unique_ptr<SocketClient> connection;
         std::vector<ServingClient> clients;
         std::vector<int> kindOf;  ///< Pool index per client.
         PercentileSampler latency;
@@ -151,22 +166,22 @@ runCell(ServingBootstrap &bootstrap, const TrafficPools &pools,
     };
     std::vector<ThreadState> threads(
         static_cast<std::size_t>(clients));
-    std::vector<ServingBus::Connection *> connections(
-        static_cast<std::size_t>(clients), nullptr);
-    if (bus)
-        for (auto &conn : connections)
-            conn = &bus->connect();
 
     // Setup phase: open this thread's sessions and warm each one
     // (first decide pulls the repository snapshot into the session).
     auto setup = [&](int t) {
         ThreadState &state = threads[static_cast<std::size_t>(t)];
+        if (socket) {
+            state.connection =
+                std::make_unique<SocketClient>(socket->path());
+            DEJAVU_ASSERT(state.connection->connected(),
+                          "bench connection refused");
+        }
         for (int s = t; s < sessions; s += clients) {
             const int kind = s % static_cast<int>(pools.kinds.size());
             state.clients.push_back(
-                bus ? ServingClient(
-                          *connections[static_cast<std::size_t>(t)])
-                    : ServingClient(server));
+                socket ? ServingClient(*state.connection)
+                       : ServingClient(server));
             state.kindOf.push_back(kind);
             ServingClient &client = state.clients.back();
             const bool up = client.hello(
@@ -257,15 +272,13 @@ runCell(ServingBootstrap &bootstrap, const TrafficPools &pools,
     cell.p99Ns = all.quantile(0.99);
     cell.p999Ns = all.quantile(0.999);
     const Metrics &metrics = server.metrics();
-    cell.cacheHits =
-        metrics.cacheHits.load(std::memory_order_relaxed);
-    cell.unknowns = metrics.unknowns.load(std::memory_order_relaxed);
-    cell.budgetBreaches =
-        metrics.budgetBreaches.load(std::memory_order_relaxed);
+    cell.cacheHits = metrics.cacheHits.value();
+    cell.unknowns = metrics.unknowns.value();
+    cell.budgetBreaches = metrics.budgetBreaches.value();
     cell.rssBytes = peakRssBytes();
 
-    if (bus)
-        bus->stop();
+    if (socket)
+        socket->stop();
     return cell;
 }
 
@@ -321,7 +334,7 @@ main(int argc, char **argv)
 
     printBanner(std::cout, std::string(smoke ? "[smoke] " : "")
                 + "Serving hot path: dejavud lookups/s and latency "
-                "tails (direct + bus transports)");
+                "tails (direct + socket transports)");
 
     BootstrapOptions options;
     options.budgetNanos = kBudgetNanos;
@@ -345,9 +358,9 @@ main(int argc, char **argv)
             cells.push_back(runCell(*bootstrap, pools, savedRepo,
                                     sessions, clients, "direct",
                                     opsTotal));
-    // One bus-mode cell: the same lookups paying the queue handoff.
-    cells.push_back(runCell(*bootstrap, pools, savedRepo, 100, 4,
-                            "bus", opsTotal));
+    // One socket cell: the same lookups paying the transport.
+    cells.push_back(runCell(*bootstrap, pools, savedRepo, 100, 2,
+                            "socket", opsTotal));
 
     Table table({"sessions", "clients", "mode", "ops",
                  "lookups_per_s", "p50_us", "p99_us", "p999_us",

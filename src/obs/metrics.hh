@@ -57,18 +57,6 @@ class Counter
         return _v.load(std::memory_order_relaxed);
     }
 
-    /** Drop-in surface for call sites written against the former
-     *  bare `std::atomic` fields (serving/metrics.hh). */
-    void fetch_add(std::uint64_t n, std::memory_order order)
-    {
-        _v.fetch_add(n, order);
-    }
-    std::uint64_t
-    load(std::memory_order order = std::memory_order_seq_cst) const
-    {
-        return _v.load(order);
-    }
-
   private:
     std::atomic<std::uint64_t> _v{0};
 };
@@ -91,8 +79,7 @@ class Gauge
  * Power-of-two latency histogram: bucket b counts samples with
  * floor(log2(nanos)) == b (bucket 0 also takes 0 ns). Concurrent
  * record() calls are relaxed atomic increments; readers see a
- * consistent-enough view for monitoring. Grew out of
- * serving/metrics.hh, which now aliases this type.
+ * consistent-enough view for monitoring.
  */
 class LatencyHistogram
 {

@@ -23,6 +23,23 @@ ServingBootstrap::memberFor(ServiceKind kind)
           serviceKindName(kind));
 }
 
+void
+ServingBootstrap::serveSaved(std::istream &saved)
+{
+    // The server references the repository: drop it first.
+    server.reset();
+    repo = std::make_unique<SharedRepository>(
+        SharedRepository::load(saved));
+    ServingServer::Config config;
+    config.budgetNanos = options.budgetNanos;
+    config.maxSessions = options.maxSessions;
+    server = std::make_unique<ServingServer>(*repo, config);
+    for (auto &member : stack->members) {
+        server->registerModel(member->service->kind(),
+                              member->controller->servingModel());
+    }
+}
+
 std::vector<MetricSample>
 ServingBootstrap::collectSamples(ServiceKind kind, int count)
 {
@@ -74,19 +91,7 @@ makeServingBootstrap(const BootstrapOptions &options)
                   "mixed fleet lost its shared repository");
     std::stringstream persisted;
     fleetRepo->save(persisted);
-    bootstrap->repo = std::make_unique<SharedRepository>(
-        SharedRepository::load(persisted));
-
-    ServingServer::Config config;
-    config.budgetNanos = options.budgetNanos;
-    config.maxSessions = options.maxSessions;
-    bootstrap->server = std::make_unique<ServingServer>(
-        *bootstrap->repo, config);
-    for (auto &member : bootstrap->stack->members) {
-        bootstrap->server->registerModel(
-            member->service->kind(),
-            member->controller->servingModel());
-    }
+    bootstrap->serveSaved(persisted);
     return bootstrap;
 }
 

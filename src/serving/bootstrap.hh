@@ -27,6 +27,7 @@
 #define DEJAVU_SERVING_BOOTSTRAP_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -71,6 +72,14 @@ struct ServingBootstrap
 
     /** The member serving @p kind (fatal on an unserved kind). */
     FleetMember &memberFor(ServiceKind kind);
+
+    /**
+     * Serve the repository saved in @p saved: load it as the new
+     * repo and rebuild server over it, with every member's model
+     * registered. makeServingBootstrap serves the fleet's own
+     * repository this way; `dejavud --repository` serves a file.
+     */
+    void serveSaved(std::istream &saved);
 
     /**
      * Collect @p count real signature samples for @p kind's member,

@@ -12,43 +12,32 @@ ServingClient::ServingClient(ServingServer &server)
 {
 }
 
-ServingClient::ServingClient(ServingBus::Connection &connection)
-    : _bus(&connection)
-{
-}
-
 ServingClient::ServingClient(SocketClient &socket)
     : _socket(&socket)
 {
 }
 
-WireFrame
+void
 ServingClient::roundTrip(const WireFrame &frame, bool expectReply)
 {
     if (_direct) {
-        std::optional<WireFrame> reply =
-            _direct->serve(frame, monotonicNanos());
-        if (!expectReply)
-            return {};
-        DEJAVU_ASSERT(reply.has_value(),
+        const bool replied =
+            _direct->serve(frame, monotonicNanos(), _reply);
+        DEJAVU_ASSERT(!expectReply || replied,
                       "serving server returned no reply to a "
                       "reply-bearing frame");
-        return std::move(*reply);
-    }
-    if (_bus) {
-        _bus->send(frame);
-        return expectReply ? _bus->receive() : WireFrame{};
+        return;
     }
     DEJAVU_ASSERT(_socket != nullptr,
                   "serving client has no transport");
     DEJAVU_ASSERT(_socket->send(frame),
                   "serving socket send failed");
     if (!expectReply)
-        return {};
+        return;
     std::optional<WireFrame> reply = _socket->receive();
     DEJAVU_ASSERT(reply.has_value(),
                   "serving socket closed while awaiting a reply");
-    return std::move(*reply);
+    _reply = std::move(*reply);
 }
 
 bool
@@ -62,9 +51,8 @@ ServingClient::hello(ServiceKind kind,
     msg.kind = kind;
     msg.fallback = fallback;
     msg.owner = owner;
-    const WireFrame reply =
-        roundTrip(encodeHello(msg), /*expectReply=*/true);
-    const std::optional<HelloAckMsg> ack = decodeHelloAck(reply);
+    roundTrip(encodeHello(msg), /*expectReply=*/true);
+    const std::optional<HelloAckMsg> ack = decodeHelloAck(_reply);
     DEJAVU_ASSERT(ack.has_value(),
                   "malformed HelloAck from serving server");
     if (!ack->accepted())
@@ -80,18 +68,10 @@ ServingClient::decide(const std::vector<double> &metricValues)
                   "decide() on an unconnected serving client");
     const std::uint32_t seq = _seq++;
     // Hot path: encode into the member scratch (no SampleMsg, no
-    // fresh frame) and, in direct mode, serve into the reply scratch
-    // — zero allocation once the capacities are warm.
+    // fresh frame) — in direct mode the reply lands in its scratch
+    // too, so a lookup allocates nothing once the capacities are warm.
     encodeSampleInto(_request, _session, seq, metricValues);
-    if (_direct) {
-        const bool replied =
-            _direct->serve(_request, monotonicNanos(), _reply);
-        DEJAVU_ASSERT(replied,
-                      "serving server returned no reply to a "
-                      "reply-bearing frame");
-    } else {
-        _reply = roundTrip(_request, /*expectReply=*/true);
-    }
+    roundTrip(_request, /*expectReply=*/true);
     const std::optional<AnswerMsg> answer = decodeAnswer(_reply);
     DEJAVU_ASSERT(answer.has_value(),
                   "malformed Answer from serving server");

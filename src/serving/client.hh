@@ -6,17 +6,15 @@
  *
  * The client owns the session handshake and the encode/round-trip/
  * decode cycle; callers deal in ServiceKind, metric vectors and
- * AnswerMsg, never in raw frames. Three interchangeable transports,
- * all carrying *identical bytes* (so conformance on one proves the
- * codec for all):
+ * AnswerMsg, never in raw frames. Two interchangeable transports,
+ * both carrying *identical bytes* (the conformance suite checks
+ * each against the simulator):
  *
  *  - direct: frames are served by a synchronous ServingServer::serve
  *    call on the caller's thread — the embedded-library shape and
  *    the fastest path (no hand-off);
- *  - bus: frames cross the in-process ServingBus to the daemon
- *    thread — the standalone-daemon shape;
- *  - socket: frames cross an AF_UNIX stream to another process
- *    (socket.hh).
+ *  - socket: frames cross an AF_UNIX stream to a dejavud worker
+ *    thread, usually in another process (socket.hh).
  *
  * A client is driven by one thread (it is a session: see
  * session.hh). decide() on a rejected/unconnected client is fatal —
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "serving/server.hh"
-#include "serving/transport.hh"
 #include "serving/wire.hh"
 
 namespace dejavu {
@@ -48,9 +45,6 @@ class ServingClient
   public:
     /** Direct mode: serve() runs on this thread. */
     explicit ServingClient(ServingServer &server);
-
-    /** Bus mode: frames cross @p connection to the bus thread. */
-    explicit ServingClient(ServingBus::Connection &connection);
 
     /** Socket mode: frames cross @p socket's AF_UNIX stream. */
     explicit ServingClient(SocketClient &socket);
@@ -87,17 +81,18 @@ class ServingClient
     void bye();
 
   private:
-    /** Send @p frame; when @p expectReply, block for the reply. */
-    WireFrame roundTrip(const WireFrame &frame, bool expectReply);
+    /** Send @p frame; when @p expectReply, block for the reply and
+     *  leave it in _reply. */
+    void roundTrip(const WireFrame &frame, bool expectReply);
 
     ServingServer *_direct = nullptr;
-    ServingBus::Connection *_bus = nullptr;
     SocketClient *_socket = nullptr;
     std::uint32_t _session = HelloAckMsg::kRejected;
     std::uint32_t _seq = 0;
-    /** decide() scratch frames: encode into / reply into these so a
-     *  steady-state lookup allocates nothing (see the wire codec's
-     *  *Into variants). Single-thread use per the session contract. */
+    /** Scratch frames: decide() encodes into _request, and every
+     *  reply lands in _reply, so a steady-state direct lookup
+     *  allocates nothing (see the wire codec's *Into variants).
+     *  Single-thread use per the session contract. */
     WireFrame _request;
     WireFrame _reply;
 };

@@ -31,10 +31,6 @@
 namespace dejavu {
 namespace serving {
 
-/** The histogram type moved to obs/ (PR 10); alias kept so serving
- *  code reads naturally. */
-using LatencyHistogram = obs::LatencyHistogram;
-
 /**
  * The dejavud counter set. One instance per server; sessions and
  * transports all increment the same relaxed atomics. Field-by-field

@@ -36,16 +36,6 @@ ServingServer::hasModel(ServiceKind kind) const
     return _models[kindIndex(kind)].valid();
 }
 
-std::optional<WireFrame>
-ServingServer::serve(const WireFrame &request,
-                     std::uint64_t arrivalNanos)
-{
-    WireFrame reply;
-    if (!serve(request, arrivalNanos, reply))
-        return std::nullopt;
-    return reply;
-}
-
 bool
 ServingServer::serve(const WireFrame &request,
                      std::uint64_t arrivalNanos, WireFrame &reply)
@@ -53,7 +43,7 @@ ServingServer::serve(const WireFrame &request,
     reply.clear();
     const std::optional<MsgType> type = frameType(request);
     if (!type) {
-        _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
+        _metrics.wireErrors.inc();
         return false;
     }
     switch (*type) {
@@ -73,7 +63,7 @@ ServingServer::serve(const WireFrame &request,
     case MsgType::Answer:
         break;  // Server-bound streams never carry these.
     }
-    _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
+    _metrics.wireErrors.inc();
     return false;
 }
 
@@ -82,7 +72,7 @@ ServingServer::handleHello(const WireFrame &request, WireFrame &reply)
 {
     const std::optional<HelloMsg> msg = decodeHello(request);
     if (!msg) {
-        _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
+        _metrics.wireErrors.inc();
         return;
     }
     HelloAckMsg ack;
@@ -90,8 +80,7 @@ ServingServer::handleHello(const WireFrame &request, WireFrame &reply)
     // client falls back to local full capacity instead of getting a
     // session whose every sample would fail.
     if (!hasModel(msg->kind) || !_gate.tryAdmit()) {
-        _metrics.admissionRejects.fetch_add(
-            1, std::memory_order_relaxed);
+        _metrics.admissionRejects.inc();
         ack.sessionId = HelloAckMsg::kRejected;
         reply = encodeHelloAck(ack);
         return;
@@ -114,7 +103,7 @@ ServingServer::handleHello(const WireFrame &request, WireFrame &reply)
         _opened.store(id + 1, std::memory_order_release);
         ack.sessionId = id;
     }
-    _metrics.sessionsOpened.fetch_add(1, std::memory_order_relaxed);
+    _metrics.sessionsOpened.inc();
     reply = encodeHelloAck(ack);
 }
 
@@ -124,18 +113,18 @@ ServingServer::handleSample(const WireFrame &request,
                             WireFrame &reply)
 {
     // Per-thread decode scratch: serve() runs on whichever thread
-    // drives the transport (client thread, bus thread, socket
-    // worker), and each such thread handles one frame at a time —
+    // drives the transport (client thread or socket worker), and
+    // each such thread handles one frame at a time —
     // reusing the values capacity makes steady-state decode
     // allocation-free.
     thread_local SampleMsg msg;
     if (!decodeSampleInto(request, msg)) {
-        _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
+        _metrics.wireErrors.inc();
         return;
     }
     Session *session = sessionFor(msg.sessionId);
     if (!session) {
-        _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
+        _metrics.wireErrors.inc();
         return;
     }
     const AnswerMsg answer =
@@ -175,11 +164,11 @@ ServingServer::handleBucket(const WireFrame &request)
     Session *session =
         msg ? sessionFor(msg->sessionId) : nullptr;
     if (!session) {
-        _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
+        _metrics.wireErrors.inc();
         return;
     }
     session->bucket = msg->bucket;
-    _metrics.bucketUpdates.fetch_add(1, std::memory_order_relaxed);
+    _metrics.bucketUpdates.inc();
 }
 
 void
@@ -187,7 +176,7 @@ ServingServer::handleBye(const WireFrame &request)
 {
     const std::optional<ByeMsg> msg = decodeBye(request);
     if (!msg || !closeSession(msg->sessionId))
-        _metrics.wireErrors.fetch_add(1, std::memory_order_relaxed);
+        _metrics.wireErrors.inc();
 }
 
 bool
@@ -202,7 +191,7 @@ ServingServer::closeSession(std::uint32_t id)
                                                            false))
         return false;
     _gate.release();
-    _metrics.sessionsClosed.fetch_add(1, std::memory_order_relaxed);
+    _metrics.sessionsClosed.inc();
     return true;
 }
 

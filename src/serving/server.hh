@@ -5,13 +5,11 @@
  * lock-free snapshots of a SharedRepository.
  *
  * ServingServer is transport-neutral on purpose. serve() is a
- * synchronous function from request frame to optional reply frame;
+ * synchronous function from request frame to reply frame (or none);
  * everything above it is plumbing:
  *
  *  - direct mode: a ServingClient calls serve() on its own thread —
  *    the embedded-client-library shape, zero hand-offs;
- *  - bus mode: ServingBus queues frames to a daemon thread that
- *    calls serve() — the standalone-daemon shape, in-process;
  *  - socket mode: SocketServer reads frames off AF_UNIX fds and
  *    calls serve() per connection — the out-of-process shape.
  *
@@ -33,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/thread_annotations.hh"
@@ -85,24 +82,17 @@ class ServingServer
     bool hasModel(ServiceKind kind) const;
 
     /**
-     * Answer one request frame. @p arrivalNanos is the
-     * monotonicNanos() stamp from when the frame entered the process
-     * — transports stamp before queueing so waiting counts against
-     * the budget. Returns the reply frame, or nullopt for
-     * fire-and-forget messages (Bucket, Bye) and for malformed
-     * frames (counted in Metrics::wireErrors, never fatal — a
-     * misbehaving client cannot take the daemon down).
-     */
-    std::optional<WireFrame> serve(const WireFrame &request,
-                                   std::uint64_t arrivalNanos);
-
-    /**
-     * Out-parameter variant of serve() — the no-allocation hot path.
-     * @p reply is cleared, then filled iff the frame warrants a
-     * reply (the return value says whether it was). Steady-state
-     * Sample traffic reuses the caller's reply capacity, the
-     * session's classify scratch and a per-thread decode scratch, so
-     * after warm-up a lookup performs no allocation end to end.
+     * Answer one request frame into @p reply. @p arrivalNanos is the
+     * monotonicNanos() stamp from when the frame entered the process,
+     * so time spent before serve() counts against the budget.
+     * @p reply is cleared, then filled iff the frame warrants a reply;
+     * the return value says whether it was. Fire-and-forget messages
+     * (Bucket, Bye) get none, and neither do malformed frames
+     * (counted in Metrics::wireErrors, never fatal — a misbehaving
+     * client cannot take the daemon down). Steady-state Sample
+     * traffic reuses the caller's reply capacity, the session's
+     * classify scratch and a per-thread decode scratch, so after
+     * warm-up a lookup performs no allocation end to end.
      */
     bool serve(const WireFrame &request, std::uint64_t arrivalNanos,
                WireFrame &reply);

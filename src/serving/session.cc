@@ -11,7 +11,7 @@ answerSample(Session &session, const DecisionModel &model,
              std::uint64_t arrivalNanos, std::uint64_t budgetNanos,
              Metrics &metrics)
 {
-    metrics.samples.fetch_add(1, std::memory_order_relaxed);
+    metrics.samples.inc();
 
     // Epoch read path: refresh the frozen view only when a store or
     // clear actually moved the repository version. The comparison is
@@ -20,8 +20,7 @@ answerSample(Session &session, const DecisionModel &model,
     // once per kind and version.
     if (session.snapshot.version() != repo.version()) {
         session.snapshot = repo.snapshot(session.kind);
-        metrics.snapshotRefreshes.fetch_add(
-            1, std::memory_order_relaxed);
+        metrics.snapshotRefreshes.inc();
     }
 
     const ClassifierEngine::Outcome outcome =
@@ -43,13 +42,13 @@ answerSample(Session &session, const DecisionModel &model,
 
     switch (answer.kind) {
     case ServingAnswer::Kind::CacheHit:
-        metrics.cacheHits.fetch_add(1, std::memory_order_relaxed);
+        metrics.cacheHits.inc();
         break;
     case ServingAnswer::Kind::UnknownWorkload:
-        metrics.unknowns.fetch_add(1, std::memory_order_relaxed);
+        metrics.unknowns.inc();
         break;
     case ServingAnswer::Kind::LostEntry:
-        metrics.lostEntries.fetch_add(1, std::memory_order_relaxed);
+        metrics.lostEntries.inc();
         break;
     }
 
@@ -75,8 +74,7 @@ answerSample(Session &session, const DecisionModel &model,
     if (elapsed >= budgetNanos) {
         out.flags |= AnswerMsg::kBudgetBreached;
         out.allocation = session.fallback;
-        metrics.budgetBreaches.fetch_add(1,
-                                         std::memory_order_relaxed);
+        metrics.budgetBreaches.inc();
     }
     metrics.latency.record(elapsed);
     ++session.answered;

@@ -4,11 +4,12 @@
  * reads and the answerSample() kernel that drives it.
  *
  * A session is created by a Hello and lives until Bye, the end of the
- * socket connection that opened it, or daemon shutdown. Concurrency contract: a session is driven by exactly
- * one connection at a time — the transports guarantee it (the bus
- * hands one Connection per client; the socket front-end runs one
- * thread per fd) — so the mutable fields below are *externally
- * synchronized* and deliberately not locked. What is shared across
+ * socket connection that opened it, or daemon shutdown. Concurrency
+ * contract: a session is driven by exactly one thread at a time — the
+ * transports guarantee it (a direct ServingClient is driven by one
+ * thread; the socket front-end runs one thread per fd) — so the
+ * mutable fields below are *externally synchronized* and
+ * deliberately not locked. What is shared across
  * threads is immutable (id, kind, fallback) or atomic (live).
  *
  * The hot path per Sample is: refresh the cached RepositorySnapshot

@@ -37,12 +37,33 @@ SocketServer::workerThreads() const
 
 namespace {
 
-/** Full write; false on error/EPIPE. */
-bool
-writeAll(int fd, const std::uint8_t *data, std::size_t size)
+/** Returns @p fd. Where send() has no MSG_NOSIGNAL (Apple), first
+ *  sets SO_NOSIGPIPE on it, so that a write to a hung-up peer fails
+ *  with EPIPE instead of raising SIGPIPE. */
+int
+withoutSigpipe(int fd)
 {
+#if !defined(MSG_NOSIGNAL) && defined(SO_NOSIGPIPE)
+    const int on = 1;
+    if (fd >= 0)
+        ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &on, sizeof on);
+#endif
+    return fd;
+}
+
+/** Full write; false on error. A peer that hung up fails it with
+ *  EPIPE: that ends the connection, never the process (SIGPIPE's
+ *  default action would kill it). */
+bool
+sendAll(int fd, const std::uint8_t *data, std::size_t size)
+{
+#ifdef MSG_NOSIGNAL
+    constexpr int kFlags = MSG_NOSIGNAL;
+#else
+    constexpr int kFlags = 0;  // withoutSigpipe() set SO_NOSIGPIPE.
+#endif
     while (size > 0) {
-        const ssize_t n = ::write(fd, data, size);
+        const ssize_t n = ::send(fd, data, size, kFlags);
         if (n <= 0)
             return false;
         data += n;
@@ -56,7 +77,7 @@ connectTo(const std::string &path)
 {
     if (path.size() >= sizeof(sockaddr_un{}.sun_path))
         return -1;
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = withoutSigpipe(::socket(AF_UNIX, SOCK_STREAM, 0));
     if (fd < 0)
         return -1;
     sockaddr_un addr{};
@@ -114,7 +135,8 @@ void
 SocketServer::acceptLoop()
 {
     for (;;) {
-        const int fd = ::accept(_listenFd, nullptr, nullptr);
+        const int fd =
+            withoutSigpipe(::accept(_listenFd, nullptr, nullptr));
         if (fd < 0) {
             if (_stopping.load(std::memory_order_acquire))
                 return;
@@ -151,6 +173,7 @@ SocketServer::serveConnection(int fd)
 {
     FrameReader reader;
     std::uint8_t buffer[4096];
+    WireFrame reply;
     std::vector<std::uint8_t> outBytes;
     // Sessions this connection opened and has not said Bye for; the
     // connection releases them when it ends, however it ends.
@@ -163,8 +186,7 @@ SocketServer::serveConnection(int fd)
         if (reader.error()) {
             // Unrecoverable framing error: poison only this
             // connection; the daemon keeps serving everyone else.
-            _core.metrics().wireErrors.fetch_add(
-                1, std::memory_order_relaxed);
+            _core.metrics().wireErrors.inc();
             break;
         }
         bool ok = true;
@@ -176,19 +198,17 @@ SocketServer::serveConnection(int fd)
                                                bye->sessionId),
                                    sessions.end());
             }
-            const std::optional<WireFrame> reply =
-                _core.serve(*frame, monotonicNanos());
-            if (!reply)
+            if (!_core.serve(*frame, monotonicNanos(), reply))
                 continue;
-            if (frameType(*reply) == MsgType::HelloAck) {
+            if (frameType(reply) == MsgType::HelloAck) {
                 const std::optional<HelloAckMsg> ack =
-                    decodeHelloAck(*reply);
+                    decodeHelloAck(reply);
                 if (ack && ack->accepted())
                     sessions.push_back(ack->sessionId);
             }
             outBytes.clear();
-            appendFramed(outBytes, *reply);
-            if (!writeAll(fd, outBytes.data(), outBytes.size())) {
+            appendFramed(outBytes, reply);
+            if (!sendAll(fd, outBytes.data(), outBytes.size())) {
                 ok = false;
                 break;
             }
@@ -259,7 +279,7 @@ SocketClient::send(const WireFrame &frame)
         return false;
     std::vector<std::uint8_t> bytes;
     appendFramed(bytes, frame);
-    if (!writeAll(_fd, bytes.data(), bytes.size())) {
+    if (!sendAll(_fd, bytes.data(), bytes.size())) {
         close();
         return false;
     }

@@ -10,15 +10,15 @@
  * connection *is* a session's driving thread.
  *
  * Failure semantics (docs/SERVING.md): a framing error poisons only
- * that connection (it is dropped; the daemon keeps serving); when a
- * connection ends — EOF, error or stop() — every session it opened
- * and did not say Bye for is closed, releasing its admission slot.
- * Its worker thread is joined when the next connection arrives, so a
- * long-lived daemon does not keep one thread per connection it ever
- * served.
- * On platforms without
- * AF_UNIX the class still compiles; start() returns false and logs,
- * so callers gate on it (the bench and tests skip socket cells).
+ * that connection (it is dropped; the daemon keeps serving), and so
+ * does a peer that hangs up before reading its replies (the write
+ * fails with EPIPE; no SIGPIPE is raised). When a connection ends —
+ * EOF, error or stop() — every session it opened and did not say Bye
+ * for is closed, releasing its admission slot. Its worker thread is
+ * joined when the next connection arrives, so a long-lived daemon
+ * does not keep one thread per connection it ever served.
+ * On platforms without AF_UNIX the class still compiles; start()
+ * returns false and logs, so callers gate on it.
  */
 
 #ifndef DEJAVU_SERVING_SOCKET_HH

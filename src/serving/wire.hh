@@ -10,10 +10,10 @@
  * conformance digests (tests/test_serving.cc). Strings are a 16-bit
  * length followed by raw bytes.
  *
- * The codec is deliberately transport-agnostic: the in-process bus
- * (transport.hh) passes decoded-length payloads (`WireFrame`) around
- * directly, while the Unix-socket front-end (socket.hh) streams the
- * 4-byte prefix + payload over the fd and reassembles frames with
+ * The codec is deliberately transport-agnostic: a direct client hands
+ * decoded-length payloads (`WireFrame`) to ServingServer::serve(),
+ * while the Unix-socket front-end (socket.hh) streams the 4-byte
+ * prefix + payload over the fd and reassembles frames with
  * FrameReader. Decode functions are total: they return std::nullopt
  * on any malformed input (short payload, bad enum value, oversized
  * vector) instead of trusting the peer — the server counts such

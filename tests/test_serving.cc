@@ -5,10 +5,11 @@
  * and — the heart of it — the daemon-vs-sim conformance contract:
  * the dejavud serving path and the simulator's DejaVuController must
  * answer *bit-identical* allocations for the same sample stream, at
- * 1, 4 and 8 client threads, across transports and across a daemon
- * restart (repository save()/load() round trip). Plus the p99-budget
- * fallback semantics, the admission gate and the proxy's
- * bucket-forwarding serving link.
+ * 1, 4 and 8 client threads, over the socket transport and across a
+ * daemon restart (repository save()/load() round trip). Plus the
+ * p99-budget fallback semantics, the admission gate, the proxy's
+ * bucket-forwarding serving link and the socket front-end's
+ * robustness against clients that misbehave.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +33,6 @@
 #include "serving/client.hh"
 #include "serving/server.hh"
 #include "serving/socket.hh"
-#include "serving/transport.hh"
 #include "serving/wire.hh"
 #include "sim/cluster.hh"
 
@@ -478,25 +478,36 @@ TEST(ServingConformance, DaemonMatchesSimAcrossClientThreadCounts)
     EXPECT_GT(hits, 0u);
 }
 
-TEST(ServingConformance, BusTransportMatchesDirect)
+std::string
+testSocketPath(const char *name)
 {
-    // The bus hands the same bytes to the same serve() on another
-    // thread; answers must not change.
+    return ::testing::TempDir() + "dejavu-" + name + "-"
+        + std::to_string(::getpid()) + ".sock";
+}
+
+TEST(ServingConformance, SocketTransportMatchesDirect)
+{
+    // The socket carries the same bytes to the same serve() on a
+    // worker thread; answers must not change.
     ServingWorld &w = world();
-    ServingBus bus(*w.bootstrap->server);
-    ServingBus::Connection &conn = bus.connect();
+    const std::string path = testSocketPath("conform");
+    SocketServer socket(*w.bootstrap->server, path);
+    ASSERT_TRUE(socket.start());
+    SocketClient transport(path);
+    ASSERT_TRUE(transport.connected());
     for (std::size_t k = 0; k < w.kinds.size(); ++k) {
-        ServingClient client(conn);
-        ASSERT_TRUE(
-            client.hello(w.kinds[k], w.fallbacks[k], "bus-conform"));
+        ServingClient client(transport);
+        ASSERT_TRUE(client.hello(w.kinds[k], w.fallbacks[k],
+                                 "socket-conform"));
         for (std::size_t i = 0; i < w.samples[k].size(); ++i)
             EXPECT_TRUE(digestOf(client.decide(w.samples[k][i].values))
                         == w.simDigests[k][i])
                 << "kind " << serviceKindName(w.kinds[k])
-                << " sample " << i << " diverged over the bus";
+                << " sample " << i << " diverged over the socket";
         client.bye();
     }
-    bus.stop();
+    transport.close();
+    socket.stop();
 }
 
 TEST(ServingConformance, RestartReloadServesIdenticalAnswers)
@@ -552,11 +563,11 @@ TEST(ServingServer, BudgetZeroAlwaysFallsBackAndCounts)
         EXPECT_EQ(answer.allocation, w.fallbacks[0])
             << "a breached answer must serve the session fallback";
     }
-    EXPECT_EQ(server.metrics().budgetBreaches.load(),
+    EXPECT_EQ(server.metrics().budgetBreaches.value(),
               static_cast<std::uint64_t>(n));
     // The breach replaces the *allocation*, never the accounting:
     // the answers still classified and were still served.
-    EXPECT_EQ(server.metrics().samples.load(),
+    EXPECT_EQ(server.metrics().samples.value(),
               static_cast<std::uint64_t>(n));
 }
 
@@ -564,7 +575,7 @@ TEST(ServingServer, NoBudgetNeverBreaches)
 {
     ServingWorld &w = world();
     const std::uint64_t before =
-        w.bootstrap->server->metrics().budgetBreaches.load();
+        w.bootstrap->server->metrics().budgetBreaches.value();
     ServingClient client(*w.bootstrap->server);
     ASSERT_TRUE(client.hello(w.kinds[0], w.fallbacks[0], "nobudget"));
     for (int i = 0; i < 8; ++i) {
@@ -574,7 +585,7 @@ TEST(ServingServer, NoBudgetNeverBreaches)
         EXPECT_FALSE(answer.flags & AnswerMsg::kBudgetBreached);
     }
     client.bye();
-    EXPECT_EQ(w.bootstrap->server->metrics().budgetBreaches.load(),
+    EXPECT_EQ(w.bootstrap->server->metrics().budgetBreaches.value(),
               before);
 }
 
@@ -593,14 +604,14 @@ TEST(ServingServer, AdmissionGateRejectsThenReadmitsAfterBye)
     ServingClient second(server);
     EXPECT_TRUE(first.hello(w.kinds[0], w.fallbacks[0], "one"));
     EXPECT_FALSE(second.hello(w.kinds[1], w.fallbacks[1], "two"));
-    EXPECT_EQ(server.metrics().admissionRejects.load(), 1u);
+    EXPECT_EQ(server.metrics().admissionRejects.value(), 1u);
 
     // Bye frees the slot; the rejected client can come back.
     first.bye();
     EXPECT_TRUE(second.hello(w.kinds[1], w.fallbacks[1], "two"));
     second.bye();
-    EXPECT_EQ(server.metrics().sessionsOpened.load(), 2u);
-    EXPECT_EQ(server.metrics().sessionsClosed.load(), 2u);
+    EXPECT_EQ(server.metrics().sessionsOpened.value(), 2u);
+    EXPECT_EQ(server.metrics().sessionsClosed.value(), 2u);
 }
 
 TEST(ServingServer, SessionIdsResolveAcrossIndexChunks)
@@ -635,16 +646,17 @@ TEST(ServingServer, SessionIdsResolveAcrossIndexChunks)
         EXPECT_TRUE(digestOf(answer) == w.simDigests[0][0])
             << "session " << id;
     }
-    EXPECT_EQ(server.metrics().wireErrors.load(), 0u);
+    EXPECT_EQ(server.metrics().wireErrors.value(), 0u);
 
     clients[1024].bye();
-    const std::uint64_t errors = server.metrics().wireErrors.load();
+    const std::uint64_t errors = server.metrics().wireErrors.value();
+    WireFrame reply;
     EXPECT_FALSE(
-        server.serve(encodeSample({1024, 0, {1.0}}), 0).has_value());
+        server.serve(encodeSample({1024, 0, {1.0}}), 0, reply));
     EXPECT_FALSE(
-        server.serve(encodeSample({kSessions, 0, {1.0}}), 0)
-            .has_value());
-    EXPECT_EQ(server.metrics().wireErrors.load(), errors + 2);
+        server.serve(encodeSample({kSessions, 0, {1.0}}), 0, reply));
+    EXPECT_TRUE(reply.empty());
+    EXPECT_EQ(server.metrics().wireErrors.value(), errors + 2);
 }
 
 TEST(ServingServer, MalformedFramesAreCountedNeverFatal)
@@ -667,10 +679,12 @@ TEST(ServingServer, MalformedFramesAreCountedNeverFatal)
         encodeBye({54321}),      // Likewise.
     };
     std::uint64_t expected = 0;
+    WireFrame reply(8, 0xdd);
     for (const WireFrame &frame : garbage) {
-        EXPECT_FALSE(server.serve(frame, 0).has_value());
+        EXPECT_FALSE(server.serve(frame, 0, reply));
+        EXPECT_TRUE(reply.empty());
         ++expected;
-        EXPECT_EQ(server.metrics().wireErrors.load(), expected);
+        EXPECT_EQ(server.metrics().wireErrors.value(), expected);
     }
 
     // The daemon still serves honest clients afterwards.
@@ -732,7 +746,7 @@ TEST(ServingProxy, BucketTransitionsForwardToAttachedSession)
     ServingClient client(*w.bootstrap->server);
     ASSERT_TRUE(client.hello(w.kinds[0], w.fallbacks[0], "proxy"));
     const std::uint64_t before =
-        w.bootstrap->server->metrics().bucketUpdates.load();
+        w.bootstrap->server->metrics().bucketUpdates.value();
 
     DejaVuProxy proxy(Rng(21));
     proxy.setInterferenceBucket(3);  // No link yet: not forwarded.
@@ -744,14 +758,14 @@ TEST(ServingProxy, BucketTransitionsForwardToAttachedSession)
     EXPECT_EQ(proxy.stats().servingBucketPublishes, 1u);
     proxy.setInterferenceBucket(1);
     EXPECT_EQ(proxy.stats().servingBucketPublishes, 2u);
-    EXPECT_EQ(w.bootstrap->server->metrics().bucketUpdates.load(),
+    EXPECT_EQ(w.bootstrap->server->metrics().bucketUpdates.value(),
               before + 2);
 
     // Detached: transitions stay local again.
     proxy.attachServingLink(nullptr);
     proxy.setInterferenceBucket(0);
     EXPECT_EQ(proxy.stats().servingBucketPublishes, 2u);
-    EXPECT_EQ(w.bootstrap->server->metrics().bucketUpdates.load(),
+    EXPECT_EQ(w.bootstrap->server->metrics().bucketUpdates.value(),
               before + 2);
     client.bye();
 }
@@ -773,13 +787,6 @@ freshServer(int maxSessions)
         server->registerModel(member->service->kind(),
                               member->controller->servingModel());
     return server;
-}
-
-std::string
-testSocketPath(const char *name)
-{
-    return ::testing::TempDir() + "dejavu-" + name + "-"
-        + std::to_string(::getpid()) + ".sock";
 }
 
 /** Poll @p cond for up to ~5 s (socket workers run asynchronously). */
@@ -894,8 +901,8 @@ TEST(ServingSocket, DisconnectWithoutByeReleasesSessions)
     SocketServer socket(*server, path);
     ASSERT_TRUE(socket.start());
     const auto openSessions = [&] {
-        return server->metrics().sessionsOpened.load()
-            - server->metrics().sessionsClosed.load();
+        return server->metrics().sessionsOpened.value()
+            - server->metrics().sessionsClosed.value();
     };
 
     SocketClient liveTransport(path);
@@ -916,9 +923,69 @@ TEST(ServingSocket, DisconnectWithoutByeReleasesSessions)
     live.bye();
     EXPECT_TRUE(eventually([&] { return openSessions() == 0u; }));
     socket.stop();
-    EXPECT_EQ(server->metrics().sessionsOpened.load(),
+    EXPECT_EQ(server->metrics().sessionsOpened.value(),
               static_cast<std::uint64_t>(1 + 4 * kMaxSessions));
-    EXPECT_EQ(server->metrics().wireErrors.load(), 0u);
+    EXPECT_EQ(server->metrics().wireErrors.value(), 0u);
+}
+
+TEST(ServingSocket, PeerHangingUpBeforeItsRepliesLeavesTheDaemonUp)
+{
+    // A client that writes requests and hangs up without reading the
+    // replies makes the worker's reply write fail with EPIPE. That
+    // must end the connection and close its sessions, not raise
+    // SIGPIPE, whose default action kills the whole daemon.
+    ServingWorld &w = world();
+    auto server = freshServer(1);
+    const std::string path = testSocketPath("hangup");
+    SocketServer socket(*server, path);
+    ASSERT_TRUE(socket.start());
+
+    HelloMsg hello;
+    hello.kind = w.kinds[0];
+    hello.fallback = w.fallbacks[0];
+    hello.owner = "hangup";
+    std::vector<std::uint8_t> stream;
+    for (int i = 0; i < 3000; ++i)
+        appendFramed(stream, encodeHello(hello));
+
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+    // Hang up the receiving side before sending, so the daemon's very
+    // first reply meets a peer that is gone, however the threads run.
+    ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+    for (std::size_t sent = 0; sent < stream.size();) {
+        // Fails with EPIPE once the daemon has dropped the connection.
+        const ssize_t n = ::send(fd, stream.data() + sent,
+                                 stream.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+
+    // The connection ends and releases the one admission slot.
+    ASSERT_TRUE(eventually([&] {
+        const std::uint64_t opened =
+            server->metrics().sessionsOpened.value();
+        return opened >= 1
+            && opened == server->metrics().sessionsClosed.value();
+    }));
+
+    SocketClient transport(path);
+    ServingClient client(transport);
+    ASSERT_TRUE(client.hello(w.kinds[0], w.fallbacks[0], "after"));
+    EXPECT_TRUE(digestOf(client.decide(w.samples[0][0].values))
+                == w.simDigests[0][0]);
+    client.bye();
+    transport.close();
+    socket.stop();
+    EXPECT_EQ(server->metrics().wireErrors.value(), 0u);
 }
 
 TEST(ServingSocket, FinishedWorkersAreReaped)

@@ -80,8 +80,9 @@ parseCount(const char *flag, const char *text, std::uint64_t max)
 /** One in-process round of traffic per kind; true when every client
  *  connected and every sample got a well-formed answer. */
 bool
-selftest(ServingServer &server, ServingBootstrap &bootstrap)
+selftest(ServingBootstrap &bootstrap)
 {
+    ServingServer &server = *bootstrap.server;
     bool ok = true;
     constexpr int kSamples = 32;
     for (auto &member : bootstrap.stack->members) {
@@ -114,10 +115,7 @@ selftest(ServingServer &server, ServingBootstrap &bootstrap)
         // repository went out of sync.
         ok = ok && hits > 0;
     }
-    ok = ok
-        && server.metrics().wireErrors.load(std::memory_order_relaxed)
-               == 0;
-    return ok;
+    return ok && server.metrics().wireErrors.value() == 0;
 }
 
 } // namespace
@@ -184,26 +182,13 @@ main(int argc, char **argv)
 
     // --repository swaps the served contents for a saved file (the
     // operator restart/reload path); the learned models stay.
-    std::unique_ptr<SharedRepository> repoOverride;
-    std::unique_ptr<ServingServer> serverOverride;
     if (!repositoryPath.empty()) {
         std::ifstream in(repositoryPath);
         if (!in)
             fatal("cannot read repository ", repositoryPath);
-        repoOverride = std::make_unique<SharedRepository>(
-            SharedRepository::load(in));
-        ServingServer::Config config;
-        config.budgetNanos = options.budgetNanos;
-        config.maxSessions = maxSessions;
-        serverOverride = std::make_unique<ServingServer>(
-            *repoOverride, config);
-        for (auto &member : bootstrap->stack->members)
-            serverOverride->registerModel(
-                member->service->kind(),
-                member->controller->servingModel());
+        bootstrap->serveSaved(in);
     }
-    ServingServer &server =
-        serverOverride ? *serverOverride : *bootstrap->server;
+    ServingServer &server = *bootstrap->server;
     const SharedRepository &repo = server.repository();
     inform("dejavud: serving ", repo.entries(), " repository entries, "
          "budget ", budgetUs, " us");
@@ -219,7 +204,7 @@ main(int argc, char **argv)
     int exitCode = 0;
     if (runSelftest) {
         std::cout << "dejavud selftest:\n";
-        const bool ok = selftest(server, *bootstrap);
+        const bool ok = selftest(*bootstrap);
         std::cout << "selftest: " << (ok ? "PASS" : "FAIL") << "\n";
         exitCode = ok ? 0 : 1;
     }

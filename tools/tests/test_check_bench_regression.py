@@ -233,11 +233,11 @@ class CheckBenchRegressionTest(unittest.TestCase):
         base = self.serving_for(
             "base.json",
             [(100, 1, "direct", 1_000_000.0, 2_000.0),
-             (100, 4, "bus", 200_000.0, 50_000.0)])
+             (100, 4, "socket", 200_000.0, 50_000.0)])
         fresh = self.serving_for(
             "fresh.json",
             [(100, 1, "direct", 900_000.0, 2_500.0),
-             (100, 4, "bus", 190_000.0, 60_000.0)])
+             (100, 4, "socket", 190_000.0, 60_000.0)])
         result = self.run_tool(base, fresh)
         self.assertEqual(result.returncode, 0, result.stdout)
         self.assertIn("2 comparable cell(s)", result.stdout)
@@ -283,19 +283,19 @@ class CheckBenchRegressionTest(unittest.TestCase):
             .returncode, 1)
 
     def test_serving_mode_disambiguates_cells(self):
-        # A bus cell shares (sessions, clients) with a direct
+        # A socket cell shares (sessions, clients) with a direct
         # cell; the mode tag must keep the two apart.
         base = self.serving_for(
             "base.json",
             [(100, 4, "direct", 1_000_000.0, 2_000.0),
-             (100, 4, "bus", 200_000.0, 50_000.0)])
+             (100, 4, "socket", 200_000.0, 50_000.0)])
         fresh = self.serving_for(
             "fresh.json",
             [(100, 4, "direct", 1_000_000.0, 2_000.0),
-             (100, 4, "bus", 50_000.0, 50_000.0)])
+             (100, 4, "socket", 50_000.0, 50_000.0)])
         result = self.run_tool(base, fresh)
         self.assertEqual(result.returncode, 1, result.stdout)
-        self.assertIn("bus", result.stdout)
+        self.assertIn("socket", result.stdout)
 
     def test_serving_smoke_subset_compares_shared_cells_only(self):
         # The committed baseline carries 10k-session cells the smoke
