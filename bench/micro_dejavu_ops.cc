@@ -240,10 +240,15 @@ BENCHMARK(BM_FullLearningPipelineFleetPile);
 /**
  * One production monitor sample — Service::sample(), which the fleet
  * sampler calls once per member per simulated minute — per service
- * kind: /0 KeyValue, /1 SPECweb, /2 RUBiS, /3 YCSB. Each runs on a
- * default 10-VM cluster with four warm instances at utilization ~0.6.
- * The loop reuses one service, so its cluster stays in cache; in a
- * fleet drain it usually does not.
+ * kind (first argument): /0 KeyValue, /1 SPECweb, /2 RUBiS, /3 YCSB.
+ * Each runs on a default 10-VM cluster with four warm instances at
+ * utilization ~0.6. The second argument says what moves between
+ * samples: /0 nothing, so every sample after the first reuses the
+ * memoized latency and QoS (a member between workload changes, most
+ * fleet samples); /1 the client count, alternating between two values
+ * through setWorkload(), so every sample re-runs both curves. The loop
+ * reuses one service, so its cluster stays in cache; in a fleet drain
+ * it usually does not.
  */
 void
 BM_ServiceSample(benchmark::State &state)
@@ -275,14 +280,20 @@ BM_ServiceSample(benchmark::State &state)
         break;
     }
     service->setWorkload({mix, 1000.0});
-    service->setWorkload({mix, 1000.0 * 0.6 / service->utilization()});
-    state.SetLabel(service->name());
+    const double clients = 1000.0 * 0.6 / service->utilization();
+    const Workload workloads[2] = {{mix, clients}, {mix, clients * 1.1}};
+    service->setWorkload(workloads[0]);
+    const bool changing = state.range(1) != 0;
+    state.SetLabel(service->name() + (changing ? " changing" : " steady"));
+    std::size_t next = 0;
     for (auto _ : state) {
+        if (changing)
+            service->setWorkload(workloads[++next & 1]);
         benchmark::DoNotOptimize(service->sample());
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServiceSample)->DenseRange(0, 3);
+BENCHMARK(BM_ServiceSample)->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 /**
  * Event-queue hot path at fleet scale: N actors each running a

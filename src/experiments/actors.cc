@@ -78,6 +78,8 @@ MetricsRecorder::MetricsRecorder(Simulation &sim, Service &service,
                                  std::string name, SeriesArena *arena)
     : Actor(sim, std::move(name)), _service(service), _trace(trace),
       _config(config), _totalHours(driver.config().totalHours),
+      _horizon(_totalHours * static_cast<SimTime>(kHour)
+               + driver.config().startOffset),
       _arena(arena ? arena : &_ownArena)
 {
     for (int s = 0; s < kNumSeries; ++s)
@@ -96,9 +98,10 @@ MetricsRecorder::onStart()
 {
     // Freeze the integrals at this recorder's own horizon: in a
     // fleet, members with shorter traces must not keep accruing
-    // cost/energy while longer-running members finish. Driver band
-    // runs after any same-instant monitor tick.
-    at(_totalHours * static_cast<SimTime>(kHour), [this] {
+    // cost/energy while longer-running members finish, and a
+    // jittered member's reuse window ends its arrival offset after
+    // the hour. Driver band runs after any same-instant monitor tick.
+    at(_horizon, [this] {
         _frozen = true;
         _finalCost = _service.cluster().accruedDollars();
         _finalEnergy = _energyMeter.kiloWattHours(now());
@@ -133,15 +136,25 @@ MetricsRecorder::onTick(int hour, const Service::PerfSample &s)
                        _trace.atTime(now()));
     }
 
-    _energyMeter.update(now(), _energyModel.clusterWatts(
-        _service.cluster(), s.utilization));
-    // Full capacity would serve the same load at lower utilization:
-    // scale by the capacity ratio.
-    const double maxUtil = s.utilization
-        * _service.cluster().nominalComputeUnits()
-        / std::max(_maxAlloc.computeUnits(), 1e-9);
-    _maxEnergyMeter.update(now(),
-                           _energyModel.watts(_maxAlloc, maxUtil));
+    // Both draws are pure in (ρ, target) and the fixed yardstick, so
+    // they are recomputed only when one of those moves; the meters
+    // still integrate every tick.
+    const ResourceAllocation target = _service.cluster().target();
+    const std::uint64_t rhoBits = bitsOf(s.utilization);
+    if (rhoBits != _wattsRhoBits || target != _wattsTarget) {
+        _wattsRhoBits = rhoBits;
+        _wattsTarget = target;
+        _clusterWatts =
+            _energyModel.clusterWatts(_service.cluster(), s.utilization);
+        // Full capacity would serve the same load at lower
+        // utilization: scale by the capacity ratio.
+        const double maxUtil = s.utilization
+            * _service.cluster().nominalComputeUnits()
+            / std::max(_maxAlloc.computeUnits(), 1e-9);
+        _maxWatts = _energyModel.watts(_maxAlloc, maxUtil);
+    }
+    _energyMeter.update(now(), _clusterWatts);
+    _maxEnergyMeter.update(now(), _maxWatts);
 
     if (hour >= _config.reuseStartHour) {
         ++_reuseTicks;

@@ -18,10 +18,12 @@
 #ifndef DEJAVU_EXPERIMENTS_ACTORS_HH
 #define DEJAVU_EXPERIMENTS_ACTORS_HH
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "common/arena.hh"
+#include "common/bits.hh"
 #include "experiments/experiment.hh"
 #include "services/service.hh"
 #include "sim/actor.hh"
@@ -121,12 +123,16 @@ class MetricsRecorder : public Actor
     /** Yardstick allocation for the always-full-capacity energy
      *  meter; read from the cluster after the learning deployment. */
     void setMaxAllocation(const ResourceAllocation &alloc)
-    { _maxAlloc = alloc; }
+    {
+        _maxAlloc = alloc;
+        _wattsRhoBits = kNoBits;
+    }
 
     /** Aggregate everything recorded so far (reuse window only) into
      *  a result; series are copied out. Cost/energy integrals stop at
-     *  this recorder's own horizon even if the simulation (e.g. a
-     *  fleet with a longer-running member) advanced further. The
+     *  this recorder's own horizon (its driver's last hour end plus
+     *  its arrival offset) even if the simulation (e.g. a fleet with
+     *  a longer-running or later-arriving member) advanced further. The
      *  reuse-window p95 latency is read from the latency series, so
      *  it is NaN when series are off. Calling it again returns the
      *  same result. */
@@ -154,6 +160,9 @@ class MetricsRecorder : public Actor
     const LoadTrace &_trace;
     Config _config;
     int _totalHours;
+    /** End of this member's trace: totalHours after its first hour,
+     *  which starts at its driver's arrival offset. */
+    SimTime _horizon;
 
     SeriesArena _ownArena;           ///< Used when no shared arena.
     SeriesArena *_arena;             ///< Where the series land.
@@ -170,6 +179,12 @@ class MetricsRecorder : public Actor
     EnergyModel _energyModel;
     EnergyMeter _energyMeter, _maxEnergyMeter;
     ResourceAllocation _maxAlloc;
+    /** The two draws onTick() integrates, at the (ρ bits, cluster
+     *  target) it evaluated last; setMaxAllocation() empties it. */
+    std::uint64_t _wattsRhoBits = kNoBits;
+    ResourceAllocation _wattsTarget;
+    double _clusterWatts = 0.0;
+    double _maxWatts = 0.0;
     double _costAtReuseStart = 0.0;
     double _energyAtReuseStart = 0.0;
     double _maxEnergyAtReuseStart = 0.0;

@@ -298,9 +298,11 @@ DejaVuFleet::onTunerCancelled(std::size_t memberIdx,
 }
 
 void
-DejaVuFleet::noteSloViolation(const std::string &name)
+DejaVuFleet::noteSloViolation(std::size_t member)
 {
-    _members[memberIndex(name)].sloDebt += 1.0;
+    DEJAVU_ASSERT(member < _members.size(), "unknown fleet member ",
+                  member);
+    _members[member].sloDebt += 1.0;
 }
 
 double

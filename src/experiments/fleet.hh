@@ -128,11 +128,12 @@ class DejaVuFleet : public Actor
     bool detached(const std::string &name) const;
 
     /**
-     * Record one SLO-violating production sample for @p name. Debt
-     * accumulates until the member's next profiling slot is granted;
-     * the SLO-debt-first policy prioritizes the deepest debtor.
+     * Record one SLO-violating production sample for member @p member
+     * (its memberIndex()). Debt accumulates until the member's next
+     * profiling slot is granted; the SLO-debt-first policy
+     * prioritizes the deepest debtor.
      */
-    void noteSloViolation(const std::string &name);
+    void noteSloViolation(std::size_t member);
 
     /** @name Host-loss fault injection (pass-through to the queue) @{ */
     /** Profiling host @p host dies now: its in-flight grant is

@@ -27,10 +27,12 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
 {
   public:
     PoolRoute(DejaVuFleet &fleet, const Member &member,
-              std::size_t memberIndex, DejaVuController &controller)
+              std::size_t memberIndex, std::size_t fleetIndex,
+              DejaVuController &controller)
         : ProvisioningPolicy(*member.service), _fleet(fleet),
           _name(member.name), _slo(member.config.slo),
-          _controller(controller), _memberIndex(memberIndex)
+          _controller(controller), _memberIndex(memberIndex),
+          _fleetIndex(fleetIndex)
     {}
 
     std::string name() const override
@@ -49,7 +51,7 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
     {
         _controller.onSloFeedback(sample);
         if (!_slo.satisfied(sample.meanLatencyMs, sample.qosPercent))
-            _fleet.noteSloViolation(_name);
+            _fleet.noteSloViolation(_fleetIndex);
     }
 
     DejaVuController &controller() const { return _controller; }
@@ -68,6 +70,7 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
     Slo _slo;
     DejaVuController &_controller;
     std::size_t _memberIndex;  ///< In _members and the sampler.
+    std::size_t _fleetIndex;   ///< DejaVuFleet::memberIndex(_name).
 };
 
 FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
@@ -172,10 +175,11 @@ FleetExperiment::addService(const std::string &name, Service &service,
     }
 
     _fleet.addService(name, service, controller, profilingSlot);
-    DEJAVU_ASSERT(_fleet.memberIndex(name) == _routes.size(),
+    const std::size_t fleetIndex = _fleet.memberIndex(name);
+    DEJAVU_ASSERT(fleetIndex == _routes.size(),
                   "fleet/route tables out of lockstep");
     _routes.push_back(std::make_unique<PoolRoute>(
-        _fleet, member, _members.size() - 1, controller));
+        _fleet, member, _members.size() - 1, fleetIndex, controller));
     member.route = _routes.back().get();
     member.policy = member.route;
 }

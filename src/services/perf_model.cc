@@ -8,16 +8,6 @@
 namespace dejavu {
 
 double
-PerfModel::utilization(double rate, double capacity)
-{
-    DEJAVU_ASSERT(rate >= 0.0, "negative rate");
-    DEJAVU_ASSERT(capacity >= 0.0, "negative capacity");
-    if (capacity <= 0.0)
-        return 10.0;  // fully saturated sentinel
-    return rate / capacity;
-}
-
-double
 PerfModel::meanLatencyMs(double baseMs, double rho)
 {
     return meanLatencyMs(baseMs, rho, Params());

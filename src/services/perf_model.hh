@@ -18,6 +18,8 @@
 #ifndef DEJAVU_SERVICES_PERF_MODEL_HH
 #define DEJAVU_SERVICES_PERF_MODEL_HH
 
+#include "common/logging.hh"
+
 namespace dejavu {
 
 /**
@@ -35,7 +37,14 @@ class PerfModel
     };
 
     /** Utilization from rate and capacity (capacity 0 => saturated). */
-    static double utilization(double rate, double capacity);
+    static double utilization(double rate, double capacity)
+    {
+        DEJAVU_ASSERT(rate >= 0.0, "negative rate");
+        DEJAVU_ASSERT(capacity >= 0.0, "negative capacity");
+        if (capacity <= 0.0)
+            return 10.0;  // fully saturated sentinel
+        return rate / capacity;
+    }
 
     /** Mean latency in ms from base latency and utilization. */
     static double meanLatencyMs(double baseMs, double rho);

@@ -59,6 +59,8 @@ Service::setWorkload(const Workload &workload)
 {
     DEJAVU_ASSERT(workload.clients >= 0.0, "negative client count");
     _workload = workload;
+    _capacityPerEcu = capacityPerEcu(_workload.mix);
+    _baseLatencyMs = baseLatencyMs(_workload.mix);
 }
 
 double
@@ -92,15 +94,26 @@ Service::sample()
 {
     PerfSample s;
     s.offeredRate = offeredRate();
-    s.utilization =
-        PerfModel::utilization(s.offeredRate, effectiveCapacity());
-    const double latency = PerfModel::meanLatencyMs(
-        baseLatencyMs(_workload.mix), s.utilization, _perfParams);
-    const double qos = qosPercentAt(s.utilization);
+    // effectiveCapacity()'s product, in its order, with the hook
+    // value of this workload; transients move with time, so every
+    // sample reads them.
+    const double capacity = _cluster.effectiveComputeUnits()
+        * _capacityPerEcu * transientFactor();
+    s.utilization = PerfModel::utilization(s.offeredRate, capacity);
+    const std::uint64_t rhoBits = bitsOf(s.utilization);
+    const std::uint64_t baseBits = bitsOf(_baseLatencyMs);
+    if (rhoBits != _memoRhoBits || baseBits != _memoBaseBits) {
+        _memoRhoBits = rhoBits;
+        _memoBaseBits = baseBits;
+        _memoLatencyMs = PerfModel::meanLatencyMs(
+            _baseLatencyMs, s.utilization, _perfParams);
+        _memoQosPercent = qosPercentAt(s.utilization);
+    }
     s.meanLatencyMs = std::max(
-        0.1, latency * (1.0 + _measurementNoise * _rng.gaussian()));
+        0.1,
+        _memoLatencyMs * (1.0 + _measurementNoise * _rng.gaussian()));
     s.qosPercent = std::clamp(
-        qos + 0.3 * _rng.gaussian(), 0.0, 100.0);
+        _memoQosPercent + 0.3 * _rng.gaussian(), 0.0, 100.0);
     return s;
 }
 

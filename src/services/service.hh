@@ -14,8 +14,10 @@
 #ifndef DEJAVU_SERVICES_SERVICE_HH
 #define DEJAVU_SERVICES_SERVICE_HH
 
+#include <cstdint>
 #include <string>
 
+#include "common/bits.hh"
 #include "common/random.hh"
 #include "common/sim_time.hh"
 #include "services/perf_model.hh"
@@ -71,13 +73,27 @@ class Service
     virtual ServiceKind kind() const { return ServiceKind::Generic; }
 
     /** @name Workload control @{ */
+    /** The only writer of the workload; it also evaluates the
+     *  per-workload hooks sample() reads (capacityPerEcu,
+     *  baseLatencyMs). */
     void setWorkload(const Workload &workload);
     const Workload &workload() const { return _workload; }
     /** Mean offered request rate implied by the client population. */
     double offeredRate() const;
     /** @} */
 
-    /** @name Model hooks implemented by concrete services @{ */
+    /**
+     * @name Model hooks implemented by concrete services
+     *
+     * capacityPerEcu, baseLatencyMs and qosPercentAt must be pure in
+     * their argument and the service's fixed configuration. sample()
+     * evaluates the first two once per setWorkload() and re-runs the
+     * latency and QoS curves only when the exact bits of ρ or of the
+     * base latency change, so a hook that read the clock or mutable
+     * state would be served a stale value. Time-varying capacity
+     * belongs in transientFactor(), which every sample calls.
+     * @{
+     */
     /** Request-serving capacity (req/s) of one ECU under @p mix. */
     virtual double capacityPerEcu(const RequestMix &mix) const = 0;
     /** No-load response time in ms under @p mix. */
@@ -107,10 +123,14 @@ class Service
     double meanLatencyMs() const;
     double qosPercent() const { return qosPercentAt(utilization()); }
     /**
-     * Stochastic observation (advances the service's RNG). Evaluates
-     * the operating point (rate, capacity, utilization) once and
-     * derives latency and QoS from it; the noiseless parts equal the
-     * observables above bit for bit.
+     * Stochastic observation (advances the service's RNG by two
+     * gaussian draws, latency's then QoS's). Evaluates the operating
+     * point (rate, capacity, utilization) once and derives latency
+     * and QoS from it; the noiseless parts equal the observables
+     * above bit for bit. The noiseless latency and QoS are memoized
+     * on the exact bits of (ρ, base latency), so a sample whose
+     * operating point did not move skips both curves. Needs a
+     * workload: call setWorkload() first.
      */
     PerfSample sample();
     /** @} */
@@ -152,6 +172,17 @@ class Service
     Workload _workload;
     PerfModel::Params _perfParams;
     double _measurementNoise = 0.05;
+
+  private:
+    /** The hooks at _workload.mix, set by setWorkload(). */
+    double _capacityPerEcu = 0.0;
+    double _baseLatencyMs = 0.0;
+    /** sample()'s noiseless latency and QoS at the (ρ, base latency)
+     *  whose bits it evaluated last. */
+    std::uint64_t _memoRhoBits = kNoBits;
+    std::uint64_t _memoBaseBits = kNoBits;
+    double _memoLatencyMs = 0.0;
+    double _memoQosPercent = 0.0;
 };
 
 } // namespace dejavu

@@ -19,13 +19,6 @@ ClientEmulator::ClientEmulator(Config config, Rng rng)
 }
 
 double
-ClientEmulator::offeredRate(double clients) const
-{
-    DEJAVU_ASSERT(clients >= 0.0, "negative client count");
-    return clients / _config.thinkTimeSeconds;
-}
-
-double
 ClientEmulator::sampleRate(double clients)
 {
     const double mean = offeredRate(clients);

@@ -12,6 +12,7 @@
 #ifndef DEJAVU_WORKLOAD_CLIENT_EMULATOR_HH
 #define DEJAVU_WORKLOAD_CLIENT_EMULATOR_HH
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "workload/request_mix.hh"
 
@@ -33,7 +34,11 @@ class ClientEmulator
     explicit ClientEmulator(Config config, Rng rng = Rng(11));
 
     /** Mean offered request rate (req/s) for @p clients clients. */
-    double offeredRate(double clients) const;
+    double offeredRate(double clients) const
+    {
+        DEJAVU_ASSERT(clients >= 0.0, "negative client count");
+        return clients / _config.thinkTimeSeconds;
+    }
 
     /**
      * One stochastic observation of the offered rate, as a monitor

@@ -7,14 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "experiments/actors.hh"
 #include "experiments/runner.hh"
 #include "experiments/sampler.hh"
 #include "experiments/scenario.hh"
+#include "services/keyvalue_service.hh"
+#include "sim/cluster.hh"
+#include "sim/energy.hh"
+#include "sim/simulation.hh"
 
 namespace dejavu {
 namespace {
@@ -401,6 +408,80 @@ TEST(MetricsRecorder, ReuseStatsMatchAPerTickSampler)
     EXPECT_EQ(noSeries.meanLatencyMs, off->reuseLatency.mean());
     EXPECT_EQ(noSeries.meanLatencyMs, mean);
     EXPECT_TRUE(std::isnan(noSeries.p95LatencyMs));
+}
+
+TEST(MetricsRecorder, EnergyFollowsScaleOutAndYardstickAtHeldUtilization)
+{
+    // Booting VMs add no capacity, so ρ keeps its exact bits across a
+    // scale-out until they run, while the target — and with it the
+    // power draw — grows at once. A new yardstick likewise moves the
+    // full-capacity draw at unchanged ρ. Both energies must match
+    // reference meters that evaluate the draws afresh on every tick.
+    Simulation sim;
+    Cluster::Config clusterConfig;
+    clusterConfig.preCreated = false;
+    clusterConfig.vmTiming.coldBoot = minutes(5);
+    Cluster cluster(sim.queue(), clusterConfig);
+    KeyValueService service(sim.queue(), cluster, Rng(21));
+    service.setWorkload({cassandraReadHeavy(), 0.0});
+    cluster.setActiveInstances(4);
+    const LoadTrace trace("flat", std::vector<double>(3, 1.0));
+    TraceDriver driver(sim, service, trace,
+                       TraceDriver::Config{3, 6000.0});
+    FleetSampler sampler(sim);
+    const std::size_t member =
+        sampler.registerService(service, driver, FleetSampler::Cadence{});
+    MetricsRecorder recorder(
+        sim, service, trace, driver, sampler, member,
+        MetricsRecorder::Config{1, Slo::latency(60.0), false});
+    ResourceAllocation yardstick = cluster.maxAllocation();
+    recorder.setMaxAllocation(yardstick);
+
+    const EnergyModel model;
+    EnergyMeter reference, maxReference;
+    double atReuseStart = 0.0, maxAtReuseStart = 0.0;
+    // Ticks whose ρ bits repeat the previous tick's while a draw's
+    // other input moved: a memo keyed on ρ alone would integrate a
+    // stale draw there.
+    int targetMoved = 0, yardstickMoved = 0;
+    std::uint64_t lastRhoBits = kNoBits;
+    ResourceAllocation lastTarget = cluster.target();
+    ResourceAllocation lastYardstick = yardstick;
+    sampler.addListener(member, [&](int, const Service::PerfSample &s) {
+        const double rho = s.utilization;
+        reference.update(sim.now(), model.clusterWatts(cluster, rho));
+        maxReference.update(
+            sim.now(),
+            model.watts(yardstick, rho * cluster.nominalComputeUnits()
+                                       / yardstick.computeUnits()));
+        if (bitsOf(rho) == lastRhoBits) {
+            targetMoved += cluster.target() != lastTarget;
+            yardstickMoved += yardstick != lastYardstick;
+        }
+        lastRhoBits = bitsOf(rho);
+        lastTarget = cluster.target();
+        lastYardstick = yardstick;
+    });
+    driver.addListener([&](int hour, const Workload &) {
+        if (hour == 1) {
+            atReuseStart = reference.kiloWattHours(sim.now());
+            maxAtReuseStart = maxReference.kiloWattHours(sim.now());
+        }
+    });
+    sim.queue().schedule(hours(1.5), [&] { cluster.setActiveInstances(6); });
+    sim.queue().schedule(hours(2.5), [&] {
+        yardstick = {8, InstanceType::XLarge};
+        recorder.setMaxAllocation(yardstick);
+    });
+    sim.runUntil(hours(3));
+
+    ASSERT_GT(targetMoved, 0);
+    ASSERT_GT(yardstickMoved, 0);
+    const ExperimentResult result = recorder.finish();
+    EXPECT_EQ(result.energyKwh,
+              reference.kiloWattHours(hours(3)) - atReuseStart);
+    EXPECT_EQ(result.maxEnergyKwh,
+              maxReference.kiloWattHours(hours(3)) - maxAtReuseStart);
 }
 
 } // namespace

@@ -400,9 +400,9 @@ TEST_F(FleetTest, SloDebtFirstGrantsDeepestDebtor)
     fleet.addService("B", *s2.service, *s2.controller);
     fleet.addService("C", *s3.service, *s3.controller);
 
-    fleet.noteSloViolation("B");
+    fleet.noteSloViolation(fleet.memberIndex("B"));
     for (int i = 0; i < 3; ++i)
-        fleet.noteSloViolation("C");
+        fleet.noteSloViolation(fleet.memberIndex("C"));
     EXPECT_EQ(fleet.sloDebt("C"), 3.0);
 
     const Workload w{cassandraUpdateHeavy(), 12200.0};

@@ -7,12 +7,12 @@
  */
 
 #include <gtest/gtest.h>
-#include <iostream>
 
 #include <algorithm>
 #include <cstdio>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "experiments/runner.hh"
@@ -344,7 +344,6 @@ TEST_F(FleetExperimentTest, ScalesTo100MixedServices)
             EXPECT_GT(sr.adaptations, 0) << n << "/" << sr.name;
         const auto summary = stack->experiment->summary();
         EXPECT_EQ(summary.services, n);
-        std::cout << "N " << n << " ad " << summary.adaptations << " sig " << summary.signatureSlots << " coal " << summary.coalescedSignatures << " tun " << summary.tunerSlots << "\n";
         // 24 reuse hours, one signature request per service per
         // hour (tuner work shares the pool, so not all of them need
         // to complete within the horizon at M = 1).
@@ -667,8 +666,6 @@ TEST_F(FleetExperimentTest, JitteredArrivalsSpreadTheBurst)
     jittered->experiment->run();
     const auto jitSummary = jittered->experiment->summary();
 
-    std::cout << "SYNC ad " << syncSummary.adaptations << " sig " << syncSummary.signatureSlots << " coal " << syncSummary.coalescedSignatures << " tun " << syncSummary.tunerSlots << "\n";
-    std::cout << "JIT ad " << jitSummary.adaptations << " sig " << jitSummary.signatureSlots << " coal " << jitSummary.coalescedSignatures << " tun " << jitSummary.tunerSlots << "\n";
     // Same signature demand, radically thinner queue tail.
     EXPECT_EQ(jittered->experiment->fleet().workQueue().stats()
                   .signatureSubmitted,
@@ -683,6 +680,47 @@ TEST_F(FleetExperimentTest, JitteredArrivalsSpreadTheBurst)
         offHourArrival = offHourArrival
             || entry.requestedAt % static_cast<SimTime>(kHour) != 0;
     EXPECT_TRUE(offHourArrival);
+}
+
+TEST_F(FleetExperimentTest, JitteredMemberBillsItsWholeReuseWindow)
+{
+    // A jittered member's reuse window runs from its reuse-start
+    // change to its own horizon, both its arrival offset past the
+    // hour; the recorder bills exactly that window.
+    ScenarioOptions options;
+    options.seed = 42;
+    options.days = 2;
+    FleetBuilder builder(options);
+    builder.arrivalJitter(7, minutes(45)).add(ServiceKind::KeyValue, 3);
+    auto stack = builder.build();
+    stack->learnAll();
+
+    const std::size_t n = stack->members.size();
+    std::vector<double> atReuseStart(n), atHorizon(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const FleetMember &m = *stack->members[i];
+        ASSERT_GT(m.arrivalOffset, 0) << m.name;
+        const Cluster &cluster = *m.cluster;
+        // totalHours is unset (-1): the member replays its whole trace.
+        const SimTime reuseStart =
+            m.experimentConfig.reuseStartHour * static_cast<SimTime>(kHour)
+            + m.arrivalOffset;
+        const SimTime horizon =
+            static_cast<SimTime>(m.trace.hours()) * kHour + m.arrivalOffset;
+        stack->sim->queue().schedule(reuseStart, [&cluster, &atReuseStart, i] {
+            atReuseStart[i] = cluster.accruedDollars();
+        });
+        stack->sim->queue().schedule(horizon, [&cluster, &atHorizon, i] {
+            atHorizon[i] = cluster.accruedDollars();
+        });
+    }
+
+    const auto results = stack->experiment->run();
+    ASSERT_EQ(results.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(results[i].result.costDollars,
+                  atHorizon[i] - atReuseStart[i])
+            << results[i].name;
 }
 
 TEST_F(FleetExperimentTest, ServicesKeepIndependentAllocations)

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
+#include "common/random.hh"
 #include "services/keyvalue_service.hh"
 #include "services/perf_model.hh"
 #include "services/rubis_service.hh"
@@ -230,22 +233,47 @@ TEST_F(SpecWebServiceTest, KindDiscriminators)
 }
 
 // --------------------------------------------------------------------
-// sample() evaluates its operating point once; with latency noise off
-// it reports the noiseless observables exactly (EXPECT_EQ, not
-// DOUBLE_EQ). The QoS channel keeps its own fixed noise.
+// sample() evaluates its operating point once, reads the hooks
+// setWorkload() evaluated, and memoizes the noiseless latency and QoS
+// on the bits of (ρ, base latency). With latency noise off it reports
+// the noiseless observables exactly (EXPECT_EQ, not DOUBLE_EQ); those
+// call the model hooks afresh, so a stale hook value or memo entry
+// shows. The QoS channel keeps its fixed noise, which a replica of
+// the service's RNG replays.
 // --------------------------------------------------------------------
 
+/** The draws of a service constructed with Rng(@p seed): its RNG
+ *  forks the client emulator's stream first. */
+Rng
+noiseReplica(std::uint64_t seed)
+{
+    Rng rng(seed);
+    rng.fork();
+    return rng;
+}
+
+/** Two samples — the first after a change misses the memo, the
+ *  second hits it — each equal to the observables bit for bit. */
 void
-expectSampleMatchesObservables(Service &service)
+expectSampleMatchesObservables(Service &service, Rng &noise)
 {
     service.setMeasurementNoise(0.0);
     const double rate = service.offeredRate();
     const double rho = service.utilization();
     const double latency = std::max(0.1, service.meanLatencyMs());
-    const Service::PerfSample s = service.sample();
-    EXPECT_EQ(s.offeredRate, rate) << service.name();
-    EXPECT_EQ(s.utilization, rho) << service.name();
-    EXPECT_EQ(s.meanLatencyMs, latency) << service.name();
+    const double qos = service.qosPercent();
+    for (const char *pass : {"miss", "hit"}) {
+        const Service::PerfSample s = service.sample();
+        noise.gaussian();  // latency's draw, scaled by zero noise
+        const double noisyQos =
+            std::clamp(qos + 0.3 * noise.gaussian(), 0.0, 100.0);
+        EXPECT_EQ(s.offeredRate, rate) << service.name() << ' ' << pass;
+        EXPECT_EQ(s.utilization, rho) << service.name() << ' ' << pass;
+        EXPECT_EQ(s.meanLatencyMs, latency)
+            << service.name() << ' ' << pass;
+        EXPECT_EQ(s.qosPercent, noisyQos)
+            << service.name() << ' ' << pass;
+    }
 }
 
 /** Four warm instances, one of them disturbed by both channels. */
@@ -263,14 +291,15 @@ TEST(ServiceSample, KeyValueMatchesObservables)
     EventQueue queue;
     Cluster cluster(queue, {});
     KeyValueService service(queue, cluster, Rng(11));
+    Rng noise = noiseReplica(11);
     warmDisturbedCluster(queue, cluster);
     service.setWorkload({cassandraUpdateHeavy(), 9000.0});
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
     cluster.setActiveInstances(6);  // mid-rebalance transient
     service.onReconfigure();
     queue.runUntil(queue.now() + minutes(3));
     ASSERT_TRUE(service.rebalancing());
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
 }
 
 TEST(ServiceSample, SpecWebMatchesObservables)
@@ -278,11 +307,12 @@ TEST(ServiceSample, SpecWebMatchesObservables)
     EventQueue queue;
     Cluster cluster(queue, {});
     SpecWebService service(queue, cluster, Rng(12));
+    Rng noise = noiseReplica(12);
     warmDisturbedCluster(queue, cluster);
     service.setWorkload({specwebSupport(), 4000.0});
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
     service.setWorkload({specwebSupport(), 60000.0});  // past the knee
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
 }
 
 TEST(ServiceSample, RubisMatchesObservables)
@@ -290,11 +320,12 @@ TEST(ServiceSample, RubisMatchesObservables)
     EventQueue queue;
     Cluster cluster(queue, {});
     RubisService service(queue, cluster, Rng(13));
+    Rng noise = noiseReplica(13);
     warmDisturbedCluster(queue, cluster);
     service.setWorkload({rubisBidding(), 1500.0});
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
     service.setWorkload({rubisBrowsing(), 9000.0});
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
 }
 
 TEST(ServiceSample, YcsbMatchesObservables)
@@ -302,14 +333,48 @@ TEST(ServiceSample, YcsbMatchesObservables)
     EventQueue queue;
     Cluster cluster(queue, {});
     YcsbService service(queue, cluster, Rng(14));
+    Rng noise = noiseReplica(14);
     warmDisturbedCluster(queue, cluster);
     service.setWorkload({ycsbUpdateHeavy(), 9000.0});
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
     cluster.setActiveInstances(6);  // mid cache warm-up transient
     service.onReconfigure();
     queue.runUntil(queue.now() + minutes(1));
     ASSERT_TRUE(service.warmingUp());
-    expectSampleMatchesObservables(service);
+    expectSampleMatchesObservables(service, noise);
+}
+
+/** Capacity ignores the mix and base latency reads it, so two mixes
+ *  at one client count give bit-identical ρ and different latencies. */
+class MixBlindCapacityService : public Service
+{
+  public:
+    using Service::Service;
+    std::string name() const override { return "mix-blind-capacity"; }
+    double capacityPerEcu(const RequestMix &) const override
+    { return 300.0; }
+    double baseLatencyMs(const RequestMix &mix) const override
+    { return 8.0 + 8.0 * (1.0 - mix.readFraction); }
+};
+
+TEST(ServiceSample, NewMixAtSameUtilizationRecomputesLatency)
+{
+    // A memo keyed on ρ alone, or a base latency setWorkload() left
+    // stale, would serve the first mix's latency for the second.
+    EventQueue queue;
+    Cluster cluster(queue, {});
+    MixBlindCapacityService service(queue, cluster, Rng(16));
+    Rng noise = noiseReplica(16);
+    warmDisturbedCluster(queue, cluster);
+    service.setWorkload({cassandraReadHeavy(), 6000.0});
+    expectSampleMatchesObservables(service, noise);
+    const double rho = service.utilization();
+    const double readHeavyLatency = service.meanLatencyMs();
+
+    service.setWorkload({cassandraUpdateHeavy(), 6000.0});
+    ASSERT_EQ(service.utilization(), rho);
+    ASSERT_NE(service.meanLatencyMs(), readHeavyLatency);
+    expectSampleMatchesObservables(service, noise);
 }
 
 TEST(ServiceSample, SpecWebQosUsesItsKnee)
