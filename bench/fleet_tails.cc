@@ -52,10 +52,10 @@
  * mixed fleets of N in {1k, 10k} services (series recording off,
  * shared repository) are run through every slot policy, reporting
  * events/s, wall time and each cell's own peak RSS next to the
- * hosts-vs-p95 knee, and emitting a BENCH_fleet.json machine digest
- * (read by tools/check_bench_regression.py in CI). `--huge --smoke`
- * shrinks N to {100, 1k} for per-push CI. `--json <path>` overrides
- * the digest location.
+ * hosts-vs-p95 knee. `--json <path>` writes that machine digest (the
+ * format of BENCH_fleet.json, read by tools/check_bench_regression.py
+ * in CI); without it nothing is written. `--huge --smoke` shrinks N to
+ * {100, 1k} for per-push CI.
  */
 
 #include <chrono>
@@ -270,12 +270,11 @@ writeHugeJson(const std::string &path, bool smoke,
     out << "  ]\n}\n";
 }
 
-/** The --huge scale gate (replaces the model sweep). */
+/** The --huge scale gate (replaces the model sweep); writes its
+ *  digest to @p jsonPath unless that is empty. */
 int
-runHugeGate(bool smoke, std::string jsonPath)
+runHugeGate(bool smoke, const std::string &jsonPath)
 {
-    if (jsonPath.empty())
-        jsonPath = "BENCH_fleet.json";
     // The multi-host N locates the knee; the largest N is the
     // headline throughput/RSS cell (one pool size is enough there).
     const std::vector<std::pair<int, std::vector<int>>> plan =
@@ -423,8 +422,10 @@ runHugeGate(bool smoke, std::string jsonPath)
                                        : std::string("-"))
                   << "\n";
 
-    writeHugeJson(jsonPath, smoke, cells, knees);
-    std::cout << "\nscale digest written to " << jsonPath << "\n";
+    if (!jsonPath.empty()) {
+        writeHugeJson(jsonPath, smoke, cells, knees);
+        std::cout << "\nscale digest written to " << jsonPath << "\n";
+    }
 
     // Gate: every cell must complete its full horizon with a sane
     // event count and a nonzero adaptation tail.

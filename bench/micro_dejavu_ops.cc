@@ -58,6 +58,27 @@ struct MicroFixture
     }
 };
 
+/**
+ * The pile a fleet member clusters: learnAll profiles 24 hourly
+ * workloads trialsPerWorkload = 3 times each. Collected on a fresh
+ * fixture, so it does not depend on which benchmarks ran before.
+ */
+std::vector<MetricSample>
+fleetPile()
+{
+    setLogLevel(LogLevel::Silent);
+    MicroFixture f;
+    const LoadTrace trace = makeMessengerTrace();
+    std::vector<MetricSample> samples;
+    for (int h = 0; h < 24; ++h) {
+        const Workload w =
+            TraceDriver::workloadFor(f.service, trace, 36000.0, h);
+        for (int t = 0; t < 3; ++t)
+            samples.push_back(f.monitor.collect(w));
+    }
+    return samples;
+}
+
 MicroFixture &
 fixture()
 {
@@ -156,20 +177,40 @@ BM_WireDecodeSample(benchmark::State &state)
 }
 BENCHMARK(BM_WireDecodeSample);
 
+/**
+ * runAuto() on two piles. /0: the 48 samples of learningData() over
+ * the default KMeans::Config (k 2–8). /1: the shape a fleet member
+ * clusters, 72 standardized samples over all 54 metrics with k 3–6,
+ * as ClusteringEngine configures its provisional clustering.
+ *
+ * The k-means that seeds from the pairwise matrix, measures eight
+ * points per pass and stops a converged restart before its last
+ * update moved these medians of 5 repetitions (RelWithDebInfo, 4-vCPU
+ * container, two alternating runs per side, before -> after): /0
+ * 1.50-1.52 -> 0.57-0.79 ms, /1 1.50-1.52 -> 0.84-0.89 ms, and
+ * BM_FullLearningPipelineFleetPile 2.45-2.71 -> 1.71-1.84 ms.
+ */
 void
 BM_KMeansAutoK(benchmark::State &state)
 {
-    auto &f = fixture();
-    Dataset data = f.learningData();
+    Dataset data(Monitor::metricNames());
+    KMeans::Config config;
+    if (state.range(0) == 0) {
+        data = fixture().learningData();
+    } else {
+        for (const MetricSample &s : fleetPile())
+            data.add(s.values);
+        config = ClusteringEngine::Config().kmeans;
+    }
     Standardizer std_;
     std_.fit(data);
     const Dataset scaled = std_.transform(data);
     for (auto _ : state) {
-        KMeans km(Rng(7));
+        KMeans km(Rng(7), config);
         benchmark::DoNotOptimize(km.runAuto(scaled));
     }
 }
-BENCHMARK(BM_KMeansAutoK);
+BENCHMARK(BM_KMeansAutoK)->Arg(0)->Arg(1);
 
 void
 BM_C45Training(benchmark::State &state)
@@ -213,23 +254,14 @@ BM_FullLearningPipeline(benchmark::State &state)
 BENCHMARK(BM_FullLearningPipeline);
 
 /**
- * The pile a fleet member actually clusters: learnAll profiles 24
- * hourly workloads trialsPerWorkload = 3 times each, so identifyClasses
- * sees 72 samples, and its O(n^2) silhouette term is 9x the 24-sample
- * case above.
+ * The pile a fleet member actually clusters: 72 samples, so
+ * identifyClasses' O(n^2) silhouette term is 9x the 24-sample case
+ * above.
  */
 void
 BM_FullLearningPipelineFleetPile(benchmark::State &state)
 {
-    auto &f = fixture();
-    const LoadTrace trace = makeMessengerTrace();
-    std::vector<MetricSample> samples;
-    for (int h = 0; h < 24; ++h) {
-        const Workload w =
-            TraceDriver::workloadFor(f.service, trace, 36000.0, h);
-        for (int t = 0; t < 3; ++t)
-            samples.push_back(f.monitor.collect(w));
-    }
+    const std::vector<MetricSample> samples = fleetPile();
     for (auto _ : state) {
         ClusteringEngine engine(Rng(9));
         benchmark::DoNotOptimize(engine.identifyClasses(samples));

@@ -37,8 +37,9 @@
  *    budget.
  *
  * `--smoke` shrinks to 100/1k sessions with fewer ops for per-push
- * CI; `--json <path>` overrides the machine-digest location (default
- * BENCH_serving.json, read by tools/check_bench_regression.py).
+ * CI. `--json <path>` writes the machine digest (the format of
+ * BENCH_serving.json, read by tools/check_bench_regression.py);
+ * without it nothing is written.
  */
 
 #include <cstring>
@@ -321,7 +322,7 @@ main(int argc, char **argv)
     setLogLevel(LogLevel::Warn);
 
     bool smoke = false;
-    std::string jsonPath = "BENCH_serving.json";
+    std::string jsonPath;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
@@ -378,8 +379,10 @@ main(int argc, char **argv)
                                  / (1024.0 * 1024.0), 0)});
     table.printText(std::cout);
 
-    writeJson(jsonPath, smoke, cells);
-    std::cout << "\nserving digest written to " << jsonPath << "\n";
+    if (!jsonPath.empty()) {
+        writeJson(jsonPath, smoke, cells);
+        std::cout << "\nserving digest written to " << jsonPath << "\n";
+    }
 
     if (smoke)
         return 0;

@@ -24,16 +24,7 @@ HostLossSchedule::start()
     if (!_config.enabled || _active)
         return;
     _active = true;
-    _queue.scheduleAfter(_config.firstKill, [this] {
-        if (_active)
-            kill();
-    });
-}
-
-void
-HostLossSchedule::stop()
-{
-    _active = false;
+    _queue.scheduleAfter(_config.firstKill, [this] { kill(); });
 }
 
 void
@@ -48,16 +39,10 @@ HostLossSchedule::kill()
     _fleet.failProfilingHost(victim);
     ++_kills;
 
-    // The restore is unconditional (not gated on _active): a stopped
-    // schedule must still return its dead host, or the pool would
-    // stay short-handed forever.
     _queue.scheduleAfter(_config.outage, [this, victim] {
         _fleet.restoreProfilingHost(victim);
     });
-    _queue.scheduleAfter(_config.period, [this] {
-        if (_active)
-            kill();
-    });
+    _queue.scheduleAfter(_config.period, [this] { kill(); });
 }
 
 } // namespace dejavu

@@ -54,10 +54,6 @@ class HostLossSchedule
     /** Arm the schedule (first kill fires firstKill from now). */
     void start();
 
-    /** Disarm: no further kills. A host currently dead still comes
-     *  back at its scheduled restore, so the pool ends balanced. */
-    void stop();
-
     bool enabled() const { return _config.enabled; }
 
     /** Kills injected so far (diagnostics). */

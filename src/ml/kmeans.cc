@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -70,25 +71,8 @@ silhouetteOf(int n, const std::vector<int> &assignment, int k,
     return contributors ? total / contributors : 0.0;
 }
 
-/**
- * Row-major copy of a dataset's instances: the kernels below walk one
- * block and make no out-of-line call per distance, so their speed
- * does not hinge on where the linker places Dataset's code.
- */
-FlatMatrix
-pointsOf(const Dataset &data)
-{
-    FlatMatrix points;
-    points.reset(static_cast<std::size_t>(data.size()),
-                 static_cast<std::size_t>(data.numAttributes()));
-    for (int i = 0; i < data.size(); ++i) {
-        const std::vector<double> &x = data.instance(i);
-        DEJAVU_ASSERT(x.size() == points.cols(), "dimension mismatch");
-        std::copy(x.begin(), x.end(),
-                  points.row(static_cast<std::size_t>(i)));
-    }
-    return points;
-}
+/** Points measured per block by the Lloyd kernel. */
+constexpr std::size_t kLanes = 8;
 
 /** Squared distance between two rows of @p dim values, summed in
  *  dimension order: bit-identical to KMeans::squaredDistance(). */
@@ -104,81 +88,103 @@ rowSquaredDistance(const double *a, const double *b, std::size_t dim)
 }
 
 /**
- * out[j] = rowSquaredDistance(pairOf(j).first, pairOf(j).second)
- * for every j < count. Four pairs go at a time, each with its own
- * accumulator summed in dimension order, so every result is the
- * single-pair value bit for bit while the four chains overlap.
+ * One run()/runAuto() call's view of its dataset, built once and read
+ * by every restart of every k. The kernels below walk flat blocks and
+ * make no out-of-line call per distance, so their speed does not hinge
+ * on where the linker places Dataset's code.
  */
-template <typename PairOf>
-void
-squaredDistances(std::size_t count, std::size_t dim, PairOf &&pairOf,
-                 double *out)
+struct Workspace
 {
-    std::size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const auto [a0, b0] = pairOf(j);
-        const auto [a1, b1] = pairOf(j + 1);
-        const auto [a2, b2] = pairOf(j + 2);
-        const auto [a3, b3] = pairOf(j + 3);
-        double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-        for (std::size_t i = 0; i < dim; ++i) {
-            const double e0 = a0[i] - b0[i];
-            const double e1 = a1[i] - b1[i];
-            const double e2 = a2[i] - b2[i];
-            const double e3 = a3[i] - b3[i];
-            d0 += e0 * e0;
-            d1 += e1 * e1;
-            d2 += e2 * e2;
-            d3 += e3 * e3;
-        }
-        out[j] = d0;
-        out[j + 1] = d1;
-        out[j + 2] = d2;
-        out[j + 3] = d3;
-    }
-    for (; j < count; ++j) {
-        const auto [a, b] = pairOf(j);
-        out[j] = rowSquaredDistance(a, b, dim);
-    }
-}
+    FlatMatrix points;     ///< n x d, row-major.
+    /** d x stride, dimension-major: point i's value j at (j, i). The
+     *  stride rounds n up to whole kLanes blocks; padding stays 0. */
+    FlatMatrix columns;
+    /** n x stride pairwise squared distances, padded like columns. */
+    FlatMatrix squared;
+    FlatMatrix distances;  ///< n x n, their square roots.
+};
 
-/** out[i] = squared distance of point i to @p centre, every point. */
-void
-distancesTo(const FlatMatrix &points, const double *centre, double *out)
+/** Two lanes of the block kernel: one SSE2 (or NEON) register. */
+typedef double Lanes2 __attribute__((vector_size(16)));
+
+inline Lanes2
+loadLanes2(const double *p)
 {
-    squaredDistances(points.rows(), points.cols(),
-                     [&points, centre](std::size_t i) {
-                         return std::make_pair(points.row(i), centre);
-                     },
-                     out);
+    Lanes2 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
 }
 
 /**
- * All pairwise Euclidean distances, n x n. A squared difference does
- * not depend on operand order, so each pair is computed once and
- * mirrored.
+ * out[l] = squared distance of point base + l to @p centre, for the
+ * kLanes points of one block of @p columns. Each lane has its own
+ * accumulator summed in dimension order, so it equals
+ * rowSquaredDistance() bit for bit: vector arithmetic is elementwise,
+ * and a squared difference ignores operand order. The eight lanes run
+ * as four two-lane subpd/mulpd/addpd chains; written as vectors, so
+ * neither -O2 nor -O3 regroups them across dimensions.
  */
-FlatMatrix
-distanceMatrix(const FlatMatrix &points)
+inline void
+blockSquaredDistances(const FlatMatrix &columns, std::size_t base,
+                      const double *centre, double *out)
 {
-    const std::size_t n = points.rows();
-    FlatMatrix distances;
-    distances.reset(n, n);
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-        double *row = distances.row(i);
-        const double *x = points.row(i);
-        squaredDistances(n - i - 1, points.cols(),
-                         [&points, x, i](std::size_t j) {
-                             return std::make_pair(x,
-                                                   points.row(i + 1 + j));
-                         },
-                         row + i + 1);
-        for (std::size_t j = i + 1; j < n; ++j) {
-            row[j] = std::sqrt(row[j]);
-            distances.row(j)[i] = row[j];
+    static_assert(kLanes == 8, "four two-lane accumulators");
+    Lanes2 d0 = {}, d1 = {}, d2 = {}, d3 = {};
+    for (std::size_t j = 0; j < columns.rows(); ++j) {
+        const double *x = columns.row(j) + base;
+        const Lanes2 c = {centre[j], centre[j]};
+        const Lanes2 e0 = loadLanes2(x) - c;
+        const Lanes2 e1 = loadLanes2(x + 2) - c;
+        const Lanes2 e2 = loadLanes2(x + 4) - c;
+        const Lanes2 e3 = loadLanes2(x + 6) - c;
+        d0 += e0 * e0;
+        d1 += e1 * e1;
+        d2 += e2 * e2;
+        d3 += e3 * e3;
+    }
+    std::memcpy(out, &d0, sizeof d0);
+    std::memcpy(out + 2, &d1, sizeof d1);
+    std::memcpy(out + 4, &d2, sizeof d2);
+    std::memcpy(out + 6, &d3, sizeof d3);
+}
+
+Workspace
+workspaceOf(const Dataset &data)
+{
+    const auto n = static_cast<std::size_t>(data.size());
+    const auto dim = static_cast<std::size_t>(data.numAttributes());
+    Workspace ws;
+    ws.points.reset(n, dim);
+    const std::size_t stride = (n + kLanes - 1) / kLanes * kLanes;
+    ws.columns.reset(dim, stride);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::vector<double> &x = data.instance(static_cast<int>(i));
+        DEJAVU_ASSERT(x.size() == dim, "dimension mismatch");
+        std::copy(x.begin(), x.end(), ws.points.row(i));
+        for (std::size_t j = 0; j < dim; ++j)
+            ws.columns.row(j)[i] = x[j];
+    }
+
+    // Each pair once, from the block holding the diagonal onward, and
+    // mirrored. The diagonal is measured too: seeding reads it.
+    ws.squared.reset(n, stride);
+    ws.distances.reset(n, n);
+    double block[kLanes];
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t base = i / kLanes * kLanes; base < n;
+             base += kLanes) {
+            blockSquaredDistances(ws.columns, base, ws.points.row(i),
+                                  block);
+            for (std::size_t j = std::max(base, i);
+                 j < std::min(base + kLanes, n); ++j) {
+                const double d = block[j - base];
+                ws.squared.row(i)[j] = ws.squared.row(j)[i] = d;
+                ws.distances.row(i)[j] = ws.distances.row(j)[i] =
+                    std::sqrt(d);
+            }
         }
     }
-    return distances;
+    return ws;
 }
 
 /** One Lloyd run's outcome, centroids kept flat (k x d). */
@@ -196,33 +202,32 @@ struct Buffers
     FlatMatrix sums;              ///< k x d update sums.
     std::vector<int> counts;      ///< Members per cluster.
     std::vector<double> minDist;  ///< Seeding: per point.
-    /** Point-to-centroid distances, centroid-major (c * n + i). */
-    std::vector<double> distances;
+    std::vector<int> seeds;       ///< Seeding: the chosen points.
+    /** Per point: squared distance to its centroid in the last pass. */
+    std::vector<double> nearest;
 };
 
-/** k-means++ seeding into @p centroids (k x d). */
+/**
+ * k-means++ seeding into buffers.seeds and @p centroids (k x d). Every
+ * seed is a copy of a point, so its distances to all points are its
+ * row of the pairwise matrix.
+ */
 void
-seedPlusPlus(const FlatMatrix &points, int k, Rng &rng,
-             FlatMatrix &centroids, Buffers &buffers)
+seedPlusPlus(const Workspace &ws, int k, Rng &rng, FlatMatrix &centroids,
+             Buffers &buffers)
 {
-    const int n = static_cast<int>(points.rows());
-    const std::size_t dim = points.cols();
-    centroids.reset(static_cast<std::size_t>(k), dim);
-    auto choose = [&](int c, int i) {
-        const double *x = points.row(static_cast<std::size_t>(i));
-        std::copy(x, x + dim, centroids.row(static_cast<std::size_t>(c)));
-    };
-    choose(0, rng.uniformInt(0, n - 1));
+    const int n = static_cast<int>(ws.points.rows());
+    const std::size_t dim = ws.points.cols();
+    std::vector<int> &seeds = buffers.seeds;
+    seeds.assign(static_cast<std::size_t>(k), 0);
+    seeds[0] = rng.uniformInt(0, n - 1);
 
     std::vector<double> &minDist = buffers.minDist;
-    std::vector<double> &d = buffers.distances;
     minDist.assign(static_cast<std::size_t>(n),
                    std::numeric_limits<double>::max());
-    d.resize(static_cast<std::size_t>(n));
-    for (int c = 1; c < k; ++c) {
-        distancesTo(points,
-                    centroids.row(static_cast<std::size_t>(c - 1)),
-                    d.data());
+    for (std::size_t c = 1; c < seeds.size(); ++c) {
+        const double *d =
+            ws.squared.row(static_cast<std::size_t>(seeds[c - 1]));
         double total = 0.0;
         for (std::size_t i = 0; i < minDist.size(); ++i) {
             minDist[i] = std::min(minDist[i], d[i]);
@@ -230,7 +235,7 @@ seedPlusPlus(const FlatMatrix &points, int k, Rng &rng,
         }
         if (total <= 1e-300) {
             // All points coincide with chosen centroids; duplicate one.
-            choose(c, rng.uniformInt(0, n - 1));
+            seeds[c] = rng.uniformInt(0, n - 1);
             continue;
         }
         double draw = rng.uniform(0.0, total);
@@ -242,103 +247,167 @@ seedPlusPlus(const FlatMatrix &points, int k, Rng &rng,
                 break;
             }
         }
-        choose(c, chosen);
+        seeds[c] = chosen;
+    }
+
+    centroids.reset(static_cast<std::size_t>(k), dim);
+    for (std::size_t c = 0; c < seeds.size(); ++c) {
+        const double *x = ws.points.row(static_cast<std::size_t>(seeds[c]));
+        std::copy(x, x + dim, centroids.row(c));
+    }
+}
+
+/**
+ * Assigns each point its nearest centroid, first on ties, kLanes points
+ * at a time: @p distancesTo(base, c, d) fills d with the squared
+ * distances of points base .. base + kLanes - 1 to centroid c. Records
+ * each point's distance to its centroid in @p nearest. (A point with
+ * no distance below DBL_MAX, a NaN or overflowed sum, leaves DBL_MAX
+ * there, so its restart's inertia can win no best-of-restarts, just as
+ * the measured NaN or infinity could not.) Returns whether any point
+ * changed cluster.
+ */
+template <typename DistancesTo>
+bool
+assignNearest(std::size_t k, DistancesTo &&distancesTo,
+              std::vector<int> &assignment, std::vector<double> &nearest)
+{
+    const std::size_t n = assignment.size();
+    bool changed = false;
+    double d[kLanes], bestD[kLanes];
+    int best[kLanes];
+    for (std::size_t base = 0; base < n; base += kLanes) {
+        std::fill(bestD, bestD + kLanes,
+                  std::numeric_limits<double>::max());
+        std::fill(best, best + kLanes, 0);
+        for (std::size_t c = 0; c < k; ++c) {
+            distancesTo(base, c, d);
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                if (d[l] < bestD[l]) {
+                    bestD[l] = d[l];
+                    best[l] = static_cast<int>(c);
+                }
+            }
+        }
+        for (std::size_t l = 0; l < std::min(kLanes, n - base); ++l) {
+            const std::size_t i = base + l;
+            if (assignment[i] != best[l]) {
+                assignment[i] = best[l];
+                changed = true;
+            }
+            nearest[i] = bestD[l];
+        }
+    }
+    return changed;
+}
+
+/** Update step: each non-empty cluster's centroid becomes its mean;
+ *  an empty cluster keeps its old centroid. */
+void
+updateCentroids(const FlatMatrix &points, Buffers &buffers, Restart &out)
+{
+    const std::size_t k = out.centroids.rows();
+    const std::size_t dim = points.cols();
+    buffers.sums.reset(k, dim);
+    buffers.counts.assign(k, 0);
+    for (std::size_t i = 0; i < points.rows(); ++i) {
+        const auto c = static_cast<std::size_t>(out.assignment[i]);
+        ++buffers.counts[c];
+        double *sum = buffers.sums.row(c);
+        const double *x = points.row(i);
+        for (std::size_t j = 0; j < dim; ++j)
+            sum[j] += x[j];
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+        const int count = buffers.counts[c];
+        if (count == 0)
+            continue;
+        const double *sum = buffers.sums.row(c);
+        double *centroid = out.centroids.row(c);
+        for (std::size_t j = 0; j < dim; ++j)
+            centroid[j] = sum[j] / count;
     }
 }
 
 /** One seeded Lloyd run into @p out. */
 void
-runOnce(const FlatMatrix &points, int k, Rng &rng, int maxIterations,
+runOnce(const Workspace &ws, int k, Rng &rng, int maxIterations,
         Buffers &buffers, Restart &out)
 {
+    const FlatMatrix &points = ws.points;
     const std::size_t n = points.rows();
-    const std::size_t dim = points.cols();
     const auto kk = static_cast<std::size_t>(k);
-    seedPlusPlus(points, k, rng, out.centroids, buffers);
+    seedPlusPlus(ws, k, rng, out.centroids, buffers);
     out.assignment.assign(n, 0);
+    buffers.nearest.resize(n);
 
-    std::vector<double> &d = buffers.distances;
-    for (int iter = 0; iter < maxIterations; ++iter) {
-        bool changed = false;
-        // Assignment step: the nearest centroid, first on ties.
-        d.resize(kk * n);
-        for (std::size_t c = 0; c < kk; ++c)
-            distancesTo(points, out.centroids.row(c), d.data() + c * n);
-        for (std::size_t i = 0; i < n; ++i) {
-            int best = 0;
-            double bestD = std::numeric_limits<double>::max();
-            for (std::size_t c = 0; c < kk; ++c) {
-                if (d[c * n + i] < bestD) {
-                    bestD = d[c * n + i];
-                    best = static_cast<int>(c);
-                }
-            }
-            if (out.assignment[i] != best) {
-                out.assignment[i] = best;
-                changed = true;
-            }
-        }
-        // Update step.
-        buffers.sums.reset(kk, dim);
-        buffers.counts.assign(kk, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto c = static_cast<std::size_t>(out.assignment[i]);
-            ++buffers.counts[c];
-            double *sum = buffers.sums.row(c);
-            const double *x = points.row(i);
-            for (std::size_t j = 0; j < dim; ++j)
-                sum[j] += x[j];
-        }
-        for (std::size_t c = 0; c < kk; ++c) {
-            const int count = buffers.counts[c];
-            if (count == 0)
-                continue;  // keep the old centroid for empty clusters
-            const double *sum = buffers.sums.row(c);
-            double *centroid = out.centroids.row(c);
-            for (std::size_t j = 0; j < dim; ++j)
-                centroid[j] = sum[j] / count;
-        }
-        if (!changed)
-            break;
+    // The first pass reads the seeds' rows of the pairwise matrix;
+    // later passes measure against the moved centroids.
+    const auto toSeed = [&ws, &buffers](std::size_t base, std::size_t c,
+                                        double *d) {
+        const double *row = ws.squared.row(
+            static_cast<std::size_t>(buffers.seeds[c]));
+        std::copy(row + base, row + base + kLanes, d);
+    };
+    const auto toCentroid = [&ws, &out](std::size_t base, std::size_t c,
+                                        double *d) {
+        blockSquaredDistances(ws.columns, base, out.centroids.row(c), d);
+    };
+
+    // A pass whose assignment is unchanged ends the run. After the
+    // first pass the update still runs: it turns the seeds into means.
+    // After a later one it would rebuild, bit for bit, the centroids
+    // that pass measured against, so the run stops before it and each
+    // point's distance to its centroid is already in `nearest`.
+    bool measured = false;
+    bool changed =
+        assignNearest(kk, toSeed, out.assignment, buffers.nearest);
+    updateCentroids(points, buffers, out);
+    for (int iter = 1; changed && iter < maxIterations; ++iter) {
+        changed = assignNearest(kk, toCentroid, out.assignment,
+                                buffers.nearest);
+        if (changed)
+            updateCentroids(points, buffers, out);
+        else
+            measured = true;
+    }
+    if (!measured) {
+        for (std::size_t i = 0; i < n; ++i)
+            buffers.nearest[i] = rowSquaredDistance(
+                points.row(i),
+                out.centroids.row(
+                    static_cast<std::size_t>(out.assignment[i])),
+                points.cols());
     }
 
     // Inertia and medoids.
-    d.resize(n);
-    squaredDistances(n, dim,
-                     [&points, &out](std::size_t i) {
-                         return std::make_pair(
-                             points.row(i),
-                             out.centroids.row(static_cast<std::size_t>(
-                                 out.assignment[i])));
-                     },
-                     d.data());
     out.inertia = 0.0;
     out.medoids.assign(kk, -1);
     std::vector<double> medoidDist(kk,
                                    std::numeric_limits<double>::max());
     for (std::size_t i = 0; i < n; ++i) {
         const auto c = static_cast<std::size_t>(out.assignment[i]);
-        out.inertia += d[i];
-        if (d[i] < medoidDist[c]) {
-            medoidDist[c] = d[i];
+        const double d = buffers.nearest[i];
+        out.inertia += d;
+        if (d < medoidDist[c]) {
+            medoidDist[c] = d;
             out.medoids[c] = static_cast<int>(i);
         }
     }
 }
 
 /** The lowest-inertia of config.restarts runs, with its silhouette
- *  read from the precomputed pairwise @p distances (n x n). */
+ *  read from the workspace's pairwise distances. */
 Clustering
-bestOf(const FlatMatrix &points, int k, const FlatMatrix &distances,
-       Rng &rng, const KMeans::Config &config)
+bestOf(const Workspace &ws, int k, Rng &rng, const KMeans::Config &config)
 {
-    const int n = static_cast<int>(points.rows());
+    const int n = static_cast<int>(ws.points.rows());
     DEJAVU_ASSERT(k >= 1 && k <= n, "k=", k, " out of range for n=", n);
     Buffers buffers;
     Restart best, current;
     double bestInertia = std::numeric_limits<double>::max();
     for (int r = 0; r < config.restarts; ++r) {
-        runOnce(points, k, rng, config.maxIterations, buffers, current);
+        runOnce(ws, k, rng, config.maxIterations, buffers, current);
         if (current.inertia < bestInertia) {
             bestInertia = current.inertia;
             std::swap(best, current);
@@ -356,10 +425,9 @@ bestOf(const FlatMatrix &points, int k, const FlatMatrix &distances,
     result.inertia = best.inertia;
     result.medoids = std::move(best.medoids);
     result.silhouette = silhouetteOf(
-        n, result.assignment, k,
-        [&distances](int i, int j) {
-            return distances.at(static_cast<std::size_t>(i),
-                                static_cast<std::size_t>(j));
+        n, result.assignment, k, [&ws](int i, int j) {
+            return ws.distances.at(static_cast<std::size_t>(i),
+                                   static_cast<std::size_t>(j));
         });
     return result;
 }
@@ -408,8 +476,7 @@ Clustering
 KMeans::run(const Dataset &data, int k)
 {
     DEJAVU_ASSERT(!data.empty(), "cannot cluster an empty dataset");
-    const FlatMatrix points = pointsOf(data);
-    return bestOf(points, k, distanceMatrix(points), _rng, _config);
+    return bestOf(workspaceOf(data), k, _rng, _config);
 }
 
 Clustering
@@ -419,13 +486,13 @@ KMeans::runAuto(const Dataset &data)
     const int kMin = _config.autoKMin;
     const int kMax = std::min(_config.autoKMax, data.size() - 1);
     DEJAVU_ASSERT(kMax >= kMin, "k range empty for n=", data.size());
-    const FlatMatrix points = pointsOf(data);
-    // Every candidate k scores its winner against the same pairwise
-    // distances; built once here, freed on return.
-    const FlatMatrix distances = distanceMatrix(points);
+    // Every candidate k seeds from and scores its winner against the
+    // same pairwise distances; built once here, freed on return.
+    const Workspace ws = workspaceOf(data);
 
     if (_config.criterion == AutoKCriterion::ExplainedVariance) {
         // Total within-cluster scatter at k=1 (variance * n).
+        const FlatMatrix &points = ws.points;
         const std::size_t dim = points.cols();
         std::vector<double> mean(dim, 0.0);
         for (std::size_t i = 0; i < points.rows(); ++i) {
@@ -439,11 +506,11 @@ KMeans::runAuto(const Dataset &data)
         for (std::size_t i = 0; i < points.rows(); ++i)
             total += rowSquaredDistance(points.row(i), mean.data(), dim);
         if (total <= 1e-300)  // all points identical
-            return bestOf(points, kMin, distances, _rng, _config);
+            return bestOf(ws, kMin, _rng, _config);
 
         Clustering last;
         for (int k = kMin; k <= kMax; ++k) {
-            last = bestOf(points, k, distances, _rng, _config);
+            last = bestOf(ws, k, _rng, _config);
             const double explained = 1.0 - last.inertia / total;
             if (explained >= _config.varianceExplained)
                 return last;
@@ -454,7 +521,7 @@ KMeans::runAuto(const Dataset &data)
     Clustering best;
     double bestScore = -2.0;
     for (int k = kMin; k <= kMax; ++k) {
-        Clustering c = bestOf(points, k, distances, _rng, _config);
+        Clustering c = bestOf(ws, k, _rng, _config);
         // Prefer smaller k on (near-)ties: every extra class costs a
         // tuning run, so demand a real silhouette gain to grow k.
         const double score = c.silhouette - 0.003 * k;

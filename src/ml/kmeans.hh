@@ -75,7 +75,8 @@ class KMeans
      * Cluster with automatic k: maximizes mean silhouette over
      * [autoKMin, min(autoKMax, n-1)], preferring smaller k on ties
      * (fewer workload classes = fewer tuning runs, §3.4). Every k
-     * reads its silhouette from one pairwise-distance matrix.
+     * seeds from one pairwise-distance matrix and reads its
+     * silhouette from it.
      */
     Clustering runAuto(const Dataset &data);
 

@@ -76,13 +76,5 @@ ProfilingHostPool::revive(std::size_t host)
     --_deadCount;
 }
 
-bool
-ProfilingHostPool::isDead(std::size_t host) const
-{
-    DEJAVU_ASSERT(host < _busy.size(), "no such profiling host: ",
-                  host);
-    return _dead[host] != 0;
-}
-
 } // namespace dejavu
 

@@ -63,9 +63,6 @@ class ProfilingHostPool
 
     /** Bring a dead host back, idle (fatal if not dead). */
     void revive(std::size_t host);
-
-    /** True when @p host is currently dead. */
-    bool isDead(std::size_t host) const;
     /** @} */
 
   private:

@@ -37,20 +37,4 @@ WorkItem::toString() const
     return os.str();
 }
 
-const char *
-workCancelReasonName(WorkCancelReason reason)
-{
-    switch (reason) {
-      case WorkCancelReason::Explicit:
-        return "explicit";
-      case WorkCancelReason::Detached:
-        return "detached";
-      case WorkCancelReason::Reuse:
-        return "reuse";
-      case WorkCancelReason::HostLost:
-        return "host-lost";
-    }
-    fatal("unknown cancel reason");
-}
-
 } // namespace dejavu

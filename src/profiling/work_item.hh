@@ -123,9 +123,6 @@ enum class WorkCancelReason
     HostLost,  ///< Its granted profiling host died mid-slot.
 };
 
-/** Stable name ("explicit" | "detached" | "reuse" | "host-lost"). */
-const char *workCancelReasonName(WorkCancelReason reason);
-
 /**
  * Selects nothing: every fleet routes signature collections and §3.6
  * tuner experiments through the profiling work queue. Kept for

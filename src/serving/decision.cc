@@ -7,20 +7,6 @@
 namespace dejavu {
 namespace serving {
 
-const char *
-servingAnswerKindName(ServingAnswer::Kind kind)
-{
-    switch (kind) {
-      case ServingAnswer::Kind::CacheHit:
-        return "hit";
-      case ServingAnswer::Kind::UnknownWorkload:
-        return "unknown";
-      case ServingAnswer::Kind::LostEntry:
-        return "lost";
-    }
-    fatal("unknown serving answer kind: ", static_cast<int>(kind));
-}
-
 void
 applyNoveltyGuard(const DecisionModel &model,
                   const std::vector<double> &tuple,

@@ -87,9 +87,6 @@ struct ServingAnswer
     ResourceAllocation allocation;
 };
 
-/** Stable name for reports ("hit" | "unknown" | "lost"). */
-const char *servingAnswerKindName(ServingAnswer::Kind kind);
-
 /**
  * Out-of-distribution guard shared by every classify caller:
  * decision trees stay confident far outside the training data, so

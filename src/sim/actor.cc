@@ -57,12 +57,6 @@ Actor::at(SimTime when, EventQueue::Callback fn, EventBand band)
 }
 
 EventId
-Actor::after(SimTime delay, EventQueue::Callback fn, EventBand band)
-{
-    return track(queue().scheduleAfter(delay, std::move(fn), band));
-}
-
-EventId
 Actor::every(SimTime first, SimTime period, EventQueue::Callback fn,
              EventBand band)
 {

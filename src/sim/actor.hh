@@ -60,8 +60,6 @@ class Actor
     /** @name Tracked scheduling (auto-cancelled on destruction) @{ */
     EventId at(SimTime when, EventQueue::Callback fn,
                EventBand band = EventBand::Normal);
-    EventId after(SimTime delay, EventQueue::Callback fn,
-                  EventBand band = EventBand::Normal);
     EventId every(SimTime first, SimTime period, EventQueue::Callback fn,
                   EventBand band = EventBand::Normal);
     /** @} */

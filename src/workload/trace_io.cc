@@ -71,13 +71,4 @@ writeTraceCsv(std::ostream &out, const LoadTrace &trace)
         out << h << ',' << trace.at(h) << '\n';
 }
 
-void
-writeTraceCsv(const std::string &path, const LoadTrace &trace)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write trace file: ", path);
-    writeTraceCsv(out, trace);
-}
-
 } // namespace dejavu

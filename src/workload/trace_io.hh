@@ -28,9 +28,6 @@ LoadTrace readTraceCsv(const std::string &path);
 /** Write a trace as CSV (with header). */
 void writeTraceCsv(std::ostream &out, const LoadTrace &trace);
 
-/** Write a trace to a file. fatal() if unwritable. */
-void writeTraceCsv(const std::string &path, const LoadTrace &trace);
-
 } // namespace dejavu
 
 #endif // DEJAVU_WORKLOAD_TRACE_IO_HH

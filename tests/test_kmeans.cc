@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -194,6 +196,256 @@ TEST(KMeans, AutoKSilhouetteIsTheReferenceBitForBit)
                       KMeans::meanSilhouette(d, r.assignment, r.k))
                 << "pile " << p << " criterion "
                 << static_cast<int>(criterion);
+        }
+    }
+}
+
+/**
+ * The k-means that run() and runAuto() must reproduce bit for bit:
+ * k-means++ seeding, Lloyd iterations and best-of-restarts written
+ * the plain way. Points stay rows of the Dataset, every distance is
+ * measured afresh with KMeans::squaredDistance(), the update runs
+ * after every pass, and the Rng is drawn in the same order.
+ */
+class ReferenceKMeans
+{
+  public:
+    ReferenceKMeans(Rng rng, KMeans::Config config)
+        : _rng(rng), _config(config)
+    {
+    }
+
+    Clustering run(const Dataset &data, int k) { return bestOf(data, k); }
+
+    Clustering runAuto(const Dataset &data)
+    {
+        const int kMin = _config.autoKMin;
+        const int kMax = std::min(_config.autoKMax, data.size() - 1);
+        if (_config.criterion == AutoKCriterion::ExplainedVariance) {
+            std::vector<double> mean(
+                static_cast<std::size_t>(data.numAttributes()), 0.0);
+            for (int i = 0; i < data.size(); ++i)
+                for (std::size_t d = 0; d < mean.size(); ++d)
+                    mean[d] += data.instance(i)[d];
+            for (double &m : mean)
+                m /= data.size();
+            double total = 0.0;
+            for (int i = 0; i < data.size(); ++i)
+                total += KMeans::squaredDistance(data.instance(i), mean);
+            if (total <= 1e-300)
+                return bestOf(data, kMin);
+            Clustering last;
+            for (int k = kMin; k <= kMax; ++k) {
+                last = bestOf(data, k);
+                if (1.0 - last.inertia / total >= _config.varianceExplained)
+                    return last;
+            }
+            return last;
+        }
+        Clustering best;
+        double bestScore = -2.0;
+        for (int k = kMin; k <= kMax; ++k) {
+            Clustering c = bestOf(data, k);
+            const double score = c.silhouette - 0.003 * k;
+            if (score > bestScore + 1e-9) {
+                bestScore = score;
+                best = std::move(c);
+            }
+        }
+        return best;
+    }
+
+  private:
+    static constexpr double kMax = std::numeric_limits<double>::max();
+
+    Clustering bestOf(const Dataset &data, int k)
+    {
+        Clustering best;
+        double bestInertia = kMax;
+        for (int r = 0; r < _config.restarts; ++r) {
+            Clustering c = runOnce(data, k);
+            if (c.inertia < bestInertia) {
+                bestInertia = c.inertia;
+                best = std::move(c);
+            }
+        }
+        best.silhouette = KMeans::meanSilhouette(data, best.assignment, k);
+        return best;
+    }
+
+    Clustering runOnce(const Dataset &data, int k)
+    {
+        const int n = data.size();
+        const auto kk = static_cast<std::size_t>(k);
+        const auto dim = static_cast<std::size_t>(data.numAttributes());
+        Clustering out;
+        out.k = k;
+        std::vector<std::vector<double>> &centroids = out.centroids;
+        centroids.push_back(data.instance(_rng.uniformInt(0, n - 1)));
+        std::vector<double> minDist(static_cast<std::size_t>(n), kMax);
+        for (int c = 1; c < k; ++c) {
+            double total = 0.0;
+            for (int i = 0; i < n; ++i) {
+                double &m = minDist[static_cast<std::size_t>(i)];
+                m = std::min(m, KMeans::squaredDistance(data.instance(i),
+                                                        centroids.back()));
+                total += m;
+            }
+            if (total <= 1e-300) {
+                centroids.push_back(
+                    data.instance(_rng.uniformInt(0, n - 1)));
+                continue;
+            }
+            double draw = _rng.uniform(0.0, total);
+            int chosen = n - 1;
+            for (int i = 0; i < n; ++i) {
+                draw -= minDist[static_cast<std::size_t>(i)];
+                if (draw <= 0.0) {
+                    chosen = i;
+                    break;
+                }
+            }
+            centroids.push_back(data.instance(chosen));
+        }
+
+        std::vector<int> &assignment = out.assignment;
+        assignment.assign(static_cast<std::size_t>(n), 0);
+        for (int iter = 0; iter < _config.maxIterations; ++iter) {
+            bool changed = false;
+            for (int i = 0; i < n; ++i) {
+                int best = 0;
+                double bestD = kMax;
+                for (std::size_t c = 0; c < kk; ++c) {
+                    const double d = KMeans::squaredDistance(
+                        data.instance(i), centroids[c]);
+                    if (d < bestD) {
+                        bestD = d;
+                        best = static_cast<int>(c);
+                    }
+                }
+                if (assignment[static_cast<std::size_t>(i)] != best) {
+                    assignment[static_cast<std::size_t>(i)] = best;
+                    changed = true;
+                }
+            }
+            std::vector<std::vector<double>> sums(
+                kk, std::vector<double>(dim, 0.0));
+            std::vector<int> counts(kk, 0);
+            for (int i = 0; i < n; ++i) {
+                const auto c = static_cast<std::size_t>(
+                    assignment[static_cast<std::size_t>(i)]);
+                ++counts[c];
+                for (std::size_t j = 0; j < dim; ++j)
+                    sums[c][j] += data.instance(i)[j];
+            }
+            for (std::size_t c = 0; c < kk; ++c) {
+                if (counts[c] == 0)
+                    continue;
+                for (std::size_t j = 0; j < dim; ++j)
+                    centroids[c][j] = sums[c][j] / counts[c];
+            }
+            if (!changed)
+                break;
+        }
+
+        out.medoids.assign(kk, -1);
+        std::vector<double> medoidDist(kk, kMax);
+        for (int i = 0; i < n; ++i) {
+            const auto c = static_cast<std::size_t>(
+                assignment[static_cast<std::size_t>(i)]);
+            const double d =
+                KMeans::squaredDistance(data.instance(i), centroids[c]);
+            out.inertia += d;
+            if (d < medoidDist[c]) {
+                medoidDist[c] = d;
+                out.medoids[c] = i;
+            }
+        }
+        return out;
+    }
+
+    Rng _rng;
+    KMeans::Config _config;
+};
+
+/** n points in d dimensions around three centres, plus noise. */
+Dataset
+shapedPile(int n, int d, std::uint64_t seed)
+{
+    std::vector<std::string> names;
+    for (int a = 0; a < d; ++a)
+        names.push_back("m" + std::to_string(a));
+    Dataset data(names);
+    Rng rng(seed);
+    for (int i = 0; i < n; ++i) {
+        std::vector<double> x;
+        for (int a = 0; a < d; ++a)
+            x.push_back(2.0 * ((i + a) % 3) + rng.gaussian());
+        data.add(std::move(x));
+    }
+    return data;
+}
+
+void
+expectSameClustering(const Clustering &got, const Clustering &want,
+                     const std::string &where)
+{
+    EXPECT_EQ(got.k, want.k) << where;
+    EXPECT_EQ(got.assignment, want.assignment) << where;
+    EXPECT_EQ(got.centroids, want.centroids) << where;
+    EXPECT_EQ(got.inertia, want.inertia) << where;
+    EXPECT_EQ(got.medoids, want.medoids) << where;
+    EXPECT_EQ(got.silhouette, want.silhouette) << where;
+}
+
+TEST(KMeans, LloydMatchesTheReferenceBitForBit)
+{
+    std::vector<std::pair<std::string, Dataset>> piles;
+    for (int n : {4, 7, 8, 9, 17, 72, 73})
+        for (int d : {1, 3, 10, 54})
+            piles.emplace_back(
+                "n=" + std::to_string(n) + " d=" + std::to_string(d),
+                shapedPile(n, d, static_cast<std::uint64_t>(n * 100 + d)));
+    // Coinciding points: seeding takes its duplicate-seed path, and
+    // the first pass leaves every point in cluster 0.
+    Dataset same({"x", "y"});
+    for (int i = 0; i < 9; ++i)
+        same.add({1.5, -2.0});
+    piles.emplace_back("coinciding", same);
+    Dataset twoValues({"x"});
+    for (int i = 0; i < 10; ++i)
+        twoValues.add({i % 2 ? 1.0 : 2.0});
+    piles.emplace_back("two values", twoValues);
+    piles.emplace_back("learning pile", learningPile(41));
+
+    for (const int maxIterations : {100, 1, 2}) {
+        KMeans::Config cfg;
+        cfg.maxIterations = maxIterations;
+        for (const auto &[name, data] : piles) {
+            const std::string at =
+                name + " maxIterations=" + std::to_string(maxIterations);
+            KMeans km(Rng(51), cfg);
+            ReferenceKMeans ref(Rng(51), cfg);
+            for (int k : {1, 2, 3, 6}) {
+                if (k > data.size())
+                    continue;
+                expectSameClustering(km.run(data, k), ref.run(data, k),
+                                     at + " k=" + std::to_string(k));
+            }
+            for (const AutoKCriterion criterion :
+                 {AutoKCriterion::Silhouette,
+                  AutoKCriterion::ExplainedVariance}) {
+                KMeans::Config autoCfg = cfg;
+                autoCfg.autoKMin = std::min(3, data.size() - 1);
+                autoCfg.autoKMax = 6;
+                autoCfg.criterion = criterion;
+                KMeans autoKm(Rng(53), autoCfg);
+                ReferenceKMeans autoRef(Rng(53), autoCfg);
+                expectSameClustering(
+                    autoKm.runAuto(data), autoRef.runAuto(data),
+                    at + " auto criterion "
+                        + std::to_string(static_cast<int>(criterion)));
+            }
         }
     }
 }
