@@ -268,6 +268,9 @@ writeHugeJson(const std::string &path, bool smoke,
             << (++k < knees.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
+    out.close();
+    if (!out)
+        fatal("cannot write JSON to ", path);
 }
 
 /** The --huge scale gate (replaces the model sweep); writes its
@@ -532,6 +535,9 @@ writeObservabilityDumps(const std::string &traceOut,
         if (!out)
             fatal("cannot write trace to ", traceOut);
         recorder.writeChromeJson(out);
+        out.close();
+        if (!out)
+            fatal("cannot write trace to ", traceOut);
         std::cout << "trace of " << scenario << " ("
                   << recorder.eventCount() << " events on "
                   << recorder.laneCount() << " lanes, "
@@ -546,6 +552,9 @@ writeObservabilityDumps(const std::string &traceOut,
         if (!out)
             fatal("cannot write metrics to ", metricsOut);
         registry.writeKv(out);
+        out.close();
+        if (!out)
+            fatal("cannot write metrics to ", metricsOut);
         std::cout << "metrics of " << scenario << " written to "
                   << metricsOut << "\n";
     }
@@ -646,6 +655,9 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot write CSV to ", csvPath);
         out << digests.front();
+        out.close();
+        if (!out)
+            fatal("cannot write CSV to ", csvPath);
         std::cout << "sweep CSV written to " << csvPath << "\n\n";
     }
 

@@ -312,6 +312,9 @@ writeJson(const std::string &path, bool smoke,
             << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
+    out.close();
+    if (!out)
+        fatal("cannot write JSON to ", path);
 }
 
 } // namespace

@@ -7,11 +7,6 @@
 
 namespace dejavu {
 
-RightScalePolicy::RightScalePolicy(Service &service, Rng rng)
-    : RightScalePolicy(service, rng, Config())
-{
-}
-
 RightScalePolicy::RightScalePolicy(Service &service, Rng rng,
                                    Config config)
     : ProvisioningPolicy(service), _config(config), _rng(rng)

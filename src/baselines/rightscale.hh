@@ -40,7 +40,6 @@ class RightScalePolicy : public ProvisioningPolicy
         double voteNoise = 0.03;
     };
 
-    RightScalePolicy(Service &service, Rng rng);
     RightScalePolicy(Service &service, Rng rng, Config config);
 
     std::string name() const override { return "rightscale"; }

@@ -48,11 +48,4 @@ ClassifierEngine::classify(const std::vector<double> &signature) const
     return out;
 }
 
-const Classifier &
-ClassifierEngine::model() const
-{
-    DEJAVU_ASSERT(trained(), "classifier engine not trained");
-    return *_model;
-}
-
 } // namespace dejavu

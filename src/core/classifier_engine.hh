@@ -52,7 +52,6 @@ class ClassifierEngine
     bool trained() const { return _model != nullptr; }
     int numClasses() const { return _numClasses; }
     const Config &config() const { return _config; }
-    const Classifier &model() const;
 
   private:
     Config _config;

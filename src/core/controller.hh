@@ -20,11 +20,11 @@
 #include "common/arena.hh"
 #include "core/classifier_engine.hh"
 #include "core/clustering_engine.hh"
+#include "core/decision.hh"
 #include "core/interference_estimator.hh"
 #include "core/shared_repository.hh"
 #include "core/signature.hh"
 #include "core/tuner.hh"
-#include "serving/decision.hh"
 #include "counters/profiler.hh"
 #include "services/service.hh"
 #include "services/slo.hh"

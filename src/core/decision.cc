@@ -1,4 +1,4 @@
-#include "serving/decision.hh"
+#include "core/decision.hh"
 
 #include <algorithm>
 

@@ -17,10 +17,14 @@
  * byte-for-byte the same arithmetic over the same model, the
  * daemon-vs-sim conformance suite can demand bit-identical answers
  * (tests/test_serving.cc).
+ *
+ * The kernel sits in core/ so that the controller and the serving
+ * layer above it both include it downward; its names stay in
+ * dejavu::serving because they are the daemon's answer vocabulary.
  */
 
-#ifndef DEJAVU_SERVING_DECISION_HH
-#define DEJAVU_SERVING_DECISION_HH
+#ifndef DEJAVU_CORE_DECISION_HH
+#define DEJAVU_CORE_DECISION_HH
 
 #include <cmath>
 #include <optional>
@@ -169,4 +173,4 @@ decideAllocation(const ClassifierEngine::Outcome &outcome,
 } // namespace serving
 } // namespace dejavu
 
-#endif // DEJAVU_SERVING_DECISION_HH
+#endif // DEJAVU_CORE_DECISION_HH

@@ -40,7 +40,7 @@ DejaVuFleet::addService(const std::string &name, Service &service,
     _memberIndex.emplace(name, idx);
     _members.push_back({name, &service, &controller,
                         profilingSlot > 0 ? profilingSlot : _defaultSlot,
-                        0.0, false});
+                        0.0});
     // The controller's §3.6 tuner sequences become pool work instead
     // of running inline off-pool.
     controller.setTuningDeferral(
@@ -116,9 +116,6 @@ DejaVuFleet::requestAdaptation(const std::string &name,
 {
     const std::size_t idx = memberIndex(name);
     Member &member = _members[idx];
-    if (member.detached)
-        return;
-
     WorkItem item;
     item.kind = WorkKind::Signature;
     item.owner = idx;
@@ -156,36 +153,10 @@ DejaVuFleet::requestAdaptation(const std::string &name,
 }
 
 void
-DejaVuFleet::detachService(const std::string &name)
-{
-    const std::size_t idx = memberIndex(name);
-    Member &member = _members[idx];
-    if (member.detached)
-        return;
-    member.detached = true;
-    _workQueue.cancelWhere(
-        [idx](const WorkItem &item) { return item.owner == idx; },
-        WorkCancelReason::Detached);
-}
-
-bool
-DejaVuFleet::detached(const std::string &name) const
-{
-    return _members[memberIndex(name)].detached;
-}
-
-void
 DejaVuFleet::submitTunerWork(std::size_t memberIdx, int classId,
                              int bucket, SimTime estimate)
 {
     Member &member = _members[memberIdx];
-    if (member.detached) {
-        // Nothing will ever run or adopt this tuning: clear the
-        // controller's pending state or its onSloFeedback stays
-        // wedged behind it for the rest of the run.
-        member.controller->abandonPendingTuning();
-        return;
-    }
     WorkItem item;
     item.kind = WorkKind::Tuner;
     item.owner = memberIdx;

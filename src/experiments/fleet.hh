@@ -110,22 +110,9 @@ class DejaVuFleet : public Actor
      * collection work item to the pool queue and run the controller
      * when the scheduler grants it a slot. Listeners see the decision
      * once processed (advance the simulation past the slot start).
-     * Ignored for detached members.
      */
     void requestAdaptation(const std::string &name,
                            const Workload &workload);
-
-    /**
-     * Remove @p name from profiling service: every queued or
-     * granted-but-not-started work item it owns is cancelled (no
-     * implicit slot-hold survives the member), and later
-     * requestAdaptation() calls for it are ignored. Adaptations it
-     * already completed were reported to listeners. Idempotent.
-     */
-    void detachService(const std::string &name);
-
-    /** True when detachService(@p name) was called. */
-    bool detached(const std::string &name) const;
 
     /**
      * Record one SLO-violating production sample for member @p member
@@ -213,7 +200,6 @@ class DejaVuFleet : public Actor
         DejaVuController *controller;
         SimTime slotDuration;
         double sloDebt = 0.0;
-        bool detached = false;
     };
 
     /** Fold one completed adaptation into the running max, trace it

@@ -27,12 +27,10 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
 {
   public:
     PoolRoute(DejaVuFleet &fleet, const Member &member,
-              std::size_t memberIndex, std::size_t fleetIndex,
-              DejaVuController &controller)
+              std::size_t fleetIndex, DejaVuController &controller)
         : ProvisioningPolicy(*member.service), _fleet(fleet),
           _name(member.name), _slo(member.config.slo),
-          _controller(controller), _memberIndex(memberIndex),
-          _fleetIndex(fleetIndex)
+          _controller(controller), _fleetIndex(fleetIndex)
     {}
 
     std::string name() const override
@@ -55,7 +53,6 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
     }
 
     DejaVuController &controller() const { return _controller; }
-    std::size_t memberIndex() const { return _memberIndex; }
 
     /** @name Pool statistics, filled by the fleet's listener @{ */
     RunningStats adaptationSec;
@@ -69,8 +66,7 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
     std::string _name;
     Slo _slo;
     DejaVuController &_controller;
-    std::size_t _memberIndex;  ///< In _members and the sampler.
-    std::size_t _fleetIndex;   ///< DejaVuFleet::memberIndex(_name).
+    std::size_t _fleetIndex;  ///< DejaVuFleet::memberIndex(_name).
 };
 
 FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
@@ -179,7 +175,7 @@ FleetExperiment::addService(const std::string &name, Service &service,
     DEJAVU_ASSERT(fleetIndex == _routes.size(),
                   "fleet/route tables out of lockstep");
     _routes.push_back(std::make_unique<PoolRoute>(
-        _fleet, member, _members.size() - 1, fleetIndex, controller));
+        _fleet, member, fleetIndex, controller));
     member.route = _routes.back().get();
     member.policy = member.route;
 }
@@ -276,14 +272,6 @@ FleetExperiment::run()
         results.push_back(std::move(sr));
     }
     return results;
-}
-
-void
-FleetExperiment::detachService(const std::string &name)
-{
-    _fleet.detachService(name);
-    if (_sampler)
-        _sampler->detach(_routes[_fleet.memberIndex(name)]->memberIndex());
 }
 
 FleetExperiment::FleetSummary

@@ -164,14 +164,6 @@ class FleetExperiment
     /** Fleet-wide adaptation-time tails; valid after run(). */
     FleetSummary summary() const;
 
-    /**
-     * Withdraw a controller member mid-run: cancels its
-     * queued/granted profiling work (DejaVuFleet::detachService) and
-     * stops its monitor sampling. Other members' schedules are
-     * unaffected.
-     */
-    void detachService(const std::string &name);
-
     /** The underlying fleet actor (host pool, slot scheduling, debt). */
     DejaVuFleet &fleet() { return _fleet; }
     const DejaVuFleet &fleet() const { return _fleet; }

@@ -39,8 +39,6 @@ FleetSampler::registerService(Service &service, TraceDriver &driver,
     // any later same-instant Driver event).
     driver.addListener([this, index](int hour, const Workload &) {
         MemberState &m = _state[index];
-        if (!m.live)
-            return;
         m.hour = hour;
         // The chain covers one trace hour *from the change instant*
         // (equal to the calendar hour when the driver is not
@@ -56,15 +54,6 @@ void
 FleetSampler::addListener(std::size_t index, SampleListener fn)
 {
     _listeners[index].push_back(std::move(fn));
-}
-
-std::size_t
-FleetSampler::liveServices() const
-{
-    std::size_t live = 0;
-    for (const MemberState &m : _state)
-        live += m.live ? 1 : 0;
-    return live;
 }
 
 void
@@ -123,8 +112,6 @@ FleetSampler::fireDue()
     _draining = true;
     for (const std::uint32_t index : due) {
         MemberState &m = _state[index];
-        if (!m.live)
-            continue;  // detached after this index was bucketed
         const Service::PerfSample sample = m.service->sample();
         ++m.samples;
         ++_samples;

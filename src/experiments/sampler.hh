@@ -42,9 +42,7 @@ namespace dejavu {
 /**
  * One sampling engine for a whole run: members register once and are
  * drained in batches. A member is addressed by the index
- * registerService() returned; detach() deregisters it (mid-slot
- * detach included — already-bucketed indices are skipped lazily on
- * drain).
+ * registerService() returned and stays registered for the whole run.
  */
 class FleetSampler : public Actor
 {
@@ -83,15 +81,8 @@ class FleetSampler : public Actor
     std::uint64_t samplesTaken(std::size_t index) const
     { return _state[index].samples; }
 
-    /** Permanently stop sampling member @p index: no further ticks
-     *  are delivered. Idempotent. */
-    void detach(std::size_t index) { _state[index].live = false; }
-
-    /** Members ever registered (detached ones included). */
+    /** Members registered. */
     std::size_t services() const { return _state.size(); }
-
-    /** Members registered and not detached. */
-    std::size_t liveServices() const;
 
     /** Samples delivered run-wide. */
     std::uint64_t samplesTaken() const { return _samples; }
@@ -106,7 +97,6 @@ class FleetSampler : public Actor
         SimTime chainEnd = 0;  ///< This hour's chain samples until here.
         int hour = 0;
         std::uint64_t samples = 0;
-        bool live = true;
     };
 
     /** Append @p index to the bucket at @p t and keep the drain event
@@ -118,8 +108,8 @@ class FleetSampler : public Actor
     /** (Re)arm the drain event at the earliest bucket instant. */
     void armNext();
 
-    /** Drain the bucket at now(): sample every live due member in
-     *  append order, re-arming each member still inside its chain. */
+    /** Drain the bucket at now(): sample every due member in append
+     *  order, re-arming each member still inside its chain. */
     void fireDue();
 
     std::vector<MemberState> _state;

@@ -118,7 +118,6 @@ struct WorkItem
 enum class WorkCancelReason
 {
     Explicit,  ///< cancel(id) — the submitter withdrew it.
-    Detached,  ///< Its owner left the fleet while it waited.
     Reuse,     ///< A same-key result landed in the repository first.
     HostLost,  ///< Its granted profiling host died mid-slot.
 };

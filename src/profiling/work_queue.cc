@@ -51,12 +51,6 @@ ProfilingWorkQueue::state(WorkItemId id) const
     return itemRef(id).state;
 }
 
-const WorkItem &
-ProfilingWorkQueue::item(WorkItemId id) const
-{
-    return itemRef(id).info;
-}
-
 std::size_t
 ProfilingWorkQueue::orphanedItems() const
 {
@@ -382,9 +376,6 @@ ProfilingWorkQueue::cancelItem(WorkItemId id, WorkCancelReason reason)
         const char *name = "cancel.explicit";
         switch (reason) {
         case WorkCancelReason::Explicit: break;
-        case WorkCancelReason::Detached:
-            name = "cancel.detached";
-            break;
         case WorkCancelReason::Reuse: name = "cancel.reuse"; break;
         case WorkCancelReason::HostLost:
             name = "cancel.host-lost";

@@ -220,7 +220,6 @@ class ProfilingWorkQueue : public Actor
      *  synchronously); exposed for host-loss conformance checks. */
     std::size_t orphanedItems() const;
     ItemState state(WorkItemId id) const;
-    const WorkItem &item(WorkItemId id) const;
     const Stats &stats() const { return _stats; }
     const Coalescer &coalescer() const { return _coalescer; }
     /** @} */

@@ -1,7 +1,6 @@
 #include "proxy/proxy.hh"
 
 #include "common/logging.hh"
-#include "serving/client.hh"
 
 namespace dejavu {
 
@@ -69,26 +68,6 @@ DejaVuProxy::setInterferenceBucket(int bucket)
     DEJAVU_ASSERT(bucket >= 0,
                   "negative interference bucket: ", bucket);
     _bucket = bucket;
-    // Serving link: the daemon's session must tag its lookups with
-    // the same bucket this proxy tags mirrored traffic with.
-    if (_servingLink && _servingLink->connected()) {
-        _servingLink->publishBucket(bucket);
-        ++_stats.servingBucketPublishes;
-    }
-}
-
-void
-DejaVuProxy::attachServingLink(serving::ServingClient *client)
-{
-    DEJAVU_ASSERT(!client || client->connected(),
-                  "attaching an unconnected serving client");
-    _servingLink = client;
-    // Bring the daemon session up to date with the bucket the proxy
-    // is currently tagging traffic with.
-    if (_servingLink && _bucket > 0) {
-        _servingLink->publishBucket(_bucket);
-        ++_stats.servingBucketPublishes;
-    }
 }
 
 bool

@@ -20,10 +20,6 @@
 
 namespace dejavu {
 
-namespace serving {
-class ServingClient;
-}
-
 /** One client request as the proxy sees it. */
 struct ProxiedRequest
 {
@@ -62,9 +58,6 @@ class DejaVuProxy
         std::uint64_t mirroredSessions = 0;
         std::uint64_t totalSessions = 0;
         std::uint64_t cloneRepliesDropped = 0;
-        /** Bucket transitions forwarded to an attached dejavud
-         *  session (0 when no serving link is attached). */
-        std::uint64_t servingBucketPublishes = 0;
         /** Mirrored requests captured under each §3.6 interference
          *  bucket (index = bucket, grown on demand): the profiling
          *  side replays bucket-b traffic against the (class, b)
@@ -109,24 +102,6 @@ class DejaVuProxy
     int interferenceBucket() const { return _bucket; }
 
     /**
-     * Serving-path hook: attach this replica's dejavud session.
-     * While attached, every setInterferenceBucket() transition is
-     * also published to the daemon (ServingClient::publishBucket),
-     * so daemon-side lookups walk the same (class, bucket) keys as
-     * the local controller — the proxy is the one component that
-     * observes bucket transitions, which makes it the natural
-     * serving client for them. @p client may be null to detach; it
-     * must be connected, must outlive the proxy (or be detached
-     * first), and must be driven by this proxy's thread (the
-     * serving session contract — see serving/session.hh).
-     */
-    void attachServingLink(serving::ServingClient *client);
-
-    /** The attached dejavud session, or null. */
-    serving::ServingClient *servingLink() const
-    { return _servingLink; }
-
-    /**
      * Network overhead as a fraction of total service traffic for a
      * service with @p instances instances and the given inbound share
      * of total traffic (§4.4's example: 100 instances, 1:10 ratio →
@@ -152,8 +127,6 @@ class DejaVuProxy
     Stats _stats;
     std::uint64_t _sessionSalt;
     int _bucket = 0;  ///< Current §3.6 interference bucket tag.
-    /** Attached dejavud session (not owned); see attachServingLink. */
-    serving::ServingClient *_servingLink = nullptr;
 };
 
 } // namespace dejavu

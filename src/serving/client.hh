@@ -73,8 +73,9 @@ class ServingClient
      */
     AnswerMsg decide(const std::vector<double> &metricValues);
 
-    /** Publish an interference-bucket transition (fire-and-forget,
-     *  mirrors DejaVuProxy::setInterferenceBucket). */
+    /** Publish this session's interference-bucket transition
+     *  (fire-and-forget): the client tags its own lookups, the way
+     *  DejaVuProxy::setInterferenceBucket tags mirrored traffic. */
     void publishBucket(int bucket);
 
     /** Close the session (frees the daemon-side admission slot). */

@@ -34,10 +34,10 @@
 #include <utility>
 
 #include "common/thread_annotations.hh"
+#include "core/decision.hh"
 #include "core/shared_repository.hh"
 #include "obs/trace.hh"
 #include "serving/admission.hh"
-#include "serving/decision.hh"
 #include "serving/metrics.hh"
 #include "serving/session.hh"
 #include "serving/wire.hh"

@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "core/decision.hh"
 #include "core/shared_repository.hh"
 #include "obs/trace.hh"
-#include "serving/decision.hh"
 #include "serving/metrics.hh"
 #include "serving/wire.hh"
 

@@ -551,76 +551,6 @@ TEST_F(FleetTest, UnknownServiceIsFatal)
                 ::testing::ExitedWithCode(1), "unknown service");
 }
 
-TEST_F(FleetTest, DetachCancelsQueuedWork)
-{
-    // The implicit-slot-hold fix: a member that detaches while its
-    // request waits must leave the queue — its controller never runs
-    // and the members behind it close up.
-    auto s1 = makeStack(2000);
-    auto s2 = makeStack(2100);
-    auto s3 = makeStack(2200);
-    DejaVuFleet fleet(sim, seconds(10));
-    recordCompleted(fleet);
-    fleet.addService("A", *s1.service, *s1.controller);
-    fleet.addService("B", *s2.service, *s2.controller);
-    fleet.addService("C", *s3.service, *s3.controller);
-
-    const Workload w{cassandraUpdateHeavy(), 12200.0};
-    fleet.requestAdaptation("A", w);  // granted (host free)
-    fleet.requestAdaptation("B", w);  // queued
-    fleet.requestAdaptation("C", w);  // queued
-    EXPECT_EQ(fleet.waiting(), 2u);
-
-    fleet.detachService("B");
-    EXPECT_TRUE(fleet.detached("B"));
-    EXPECT_EQ(fleet.waiting(), 1u);
-    EXPECT_EQ(fleet.workQueue().stats().cancelledQueued, 1u);
-    // Detaching twice is a no-op; requests for a detached member are
-    // ignored instead of re-queueing it.
-    fleet.detachService("B");
-    fleet.requestAdaptation("B", w);
-    EXPECT_EQ(fleet.waiting(), 1u);
-
-    queue.runUntil(minutes(5));
-    ASSERT_EQ(completed.size(), 2u);
-    EXPECT_EQ(completed[0].service, "A");
-    EXPECT_EQ(completed[1].service, "C");
-    // C moved up into B's place: one slot after A's, not two.
-    EXPECT_EQ(completed[1].profilingStartedAt, seconds(10));
-    EXPECT_EQ(fleet.slotsGranted(), 2u);
-}
-
-TEST_F(FleetTest, DetachCancelsDuringGrant)
-{
-    // The member detaches after its request was granted a host but
-    // before the slot-start event fired: the work must not run, the
-    // host must come back, and waiting members take it over.
-    auto s1 = makeStack(2300);
-    auto s2 = makeStack(2400);
-    DejaVuFleet fleet(sim, seconds(10));
-    recordCompleted(fleet);
-    fleet.addService("A", *s1.service, *s1.controller);
-    fleet.addService("B", *s2.service, *s2.controller);
-
-    const Workload w{cassandraUpdateHeavy(), 12200.0};
-    queue.scheduleAfter(seconds(1), [&] {
-        fleet.requestAdaptation("A", w);  // granted at once
-        fleet.requestAdaptation("B", w);  // queued behind A
-        EXPECT_EQ(fleet.busyHosts(), 1);
-        fleet.detachService("A");  // A is granted-but-not-started
-    });
-    queue.runUntil(minutes(5));
-
-    // A never ran; B got the freed host immediately (same instant).
-    ASSERT_EQ(completed.size(), 1u);
-    EXPECT_EQ(completed[0].service, "B");
-    EXPECT_EQ(completed[0].profilingStartedAt, seconds(1));
-    EXPECT_EQ(fleet.workQueue().stats().cancelledGranted, 1u);
-    EXPECT_EQ(fleet.workQueue().stats().cancelledQueued, 0u);
-    EXPECT_EQ(fleet.slotsGranted(), 1u);
-    EXPECT_EQ(fleet.busyHosts(), 0);
-}
-
 // --------------------------------------------------------------------
 // Host-loss fault injection: a property-style sweep of 50 seeded
 // random (kill-time, host, outage) schedules against the work queue.

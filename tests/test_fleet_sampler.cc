@@ -2,8 +2,8 @@
  * @file
  * Tests for the batched sampling engine every run samples through
  * (FleetSampler) and the parallel learning split: a pinned sample
- * schedule, lazy mid-slot detach, jittered chain offsets, and
- * bit-identical learnAll() at any thread count.
+ * schedule, jittered chain offsets, and bit-identical learnAll() at
+ * any thread count.
  */
 
 #include <gtest/gtest.h>
@@ -120,45 +120,6 @@ TEST_F(SamplerTest, ScheduleIsPinned)
     EXPECT_EQ(sampler.samplesTaken(indexA), 120u);
     EXPECT_EQ(sampler.samplesTaken(), 240u);
     EXPECT_EQ(sampler.services(), 2u);
-    EXPECT_EQ(sampler.liveServices(), 2u);
-}
-
-TEST_F(SamplerTest, DetachMidSlotIsLazyAndLocal)
-{
-    // Member A detaches at t=10s, *after* its first chain tick was
-    // already bucketed for t=30s: the drain must skip the stale index
-    // without disturbing B, and A must never sample again.
-    const LoadTrace trace = scenarioTrace("messenger", 1, 42);
-    const FleetSampler::Cadence cadence{minutes(1), seconds(30)};
-
-    Simulation sim;
-    ServiceHarness a(sim, trace, 7, 2);
-    ServiceHarness b(sim, trace, 9, 2);
-    FleetSampler sampler(sim);
-    const std::size_t indexA =
-        sampler.registerService(*a.service, *a.driver, cadence);
-    const std::size_t indexB =
-        sampler.registerService(*b.service, *b.driver, cadence);
-
-    sim.queue().schedule(seconds(10), [&] { sampler.detach(indexA); });
-    // B detaches mid-run, between two of its own ticks; its count
-    // must freeze at whatever it was at that instant.
-    std::uint64_t samplesAtDetach = 0;
-    sim.queue().schedule(minutes(30) + seconds(10), [&] {
-        samplesAtDetach = sampler.samplesTaken(indexB);
-        sampler.detach(indexB);
-    });
-    sim.runUntil(hours(2));
-
-    EXPECT_EQ(sampler.samplesTaken(indexA), 0u);
-    EXPECT_GT(samplesAtDetach, 0u);
-    EXPECT_EQ(sampler.samplesTaken(indexB), samplesAtDetach);
-    EXPECT_EQ(sampler.samplesTaken(), sampler.samplesTaken(indexB));
-    EXPECT_EQ(sampler.services(), 2u);
-    EXPECT_EQ(sampler.liveServices(), 0u);
-    // Detaching twice is a no-op.
-    sampler.detach(indexA);
-    EXPECT_EQ(sampler.liveServices(), 0u);
 }
 
 TEST_F(SamplerTest, JitteredOffsetsKeepFullSamplingDensity)

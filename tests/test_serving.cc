@@ -7,9 +7,8 @@
  * answer *bit-identical* allocations for the same sample stream, at
  * 1, 4 and 8 client threads, over the socket transport and across a
  * daemon restart (repository save()/load() round trip). Plus the
- * p99-budget fallback semantics, the admission gate, the proxy's
- * bucket-forwarding serving link and the socket front-end's
- * robustness against clients that misbehave.
+ * p99-budget fallback semantics, the admission gate and the socket
+ * front-end's robustness against clients that misbehave.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "experiments/scenario.hh"
-#include "proxy/proxy.hh"
 #include "serving/bootstrap.hh"
 #include "serving/client.hh"
 #include "serving/server.hh"
@@ -724,6 +722,8 @@ TEST(ServingServer, BucketedEntryServesBucketLookups)
     handle.store({base.classId, 2}, bumped);
     w.bootstrap->repo->detach(handle);
 
+    const std::uint64_t updatesBefore =
+        w.bootstrap->server->metrics().bucketUpdates.value();
     client.publishBucket(2);
     const AnswerMsg adjusted = client.decide(
         w.samples[0][static_cast<std::size_t>(hitIndex)].values);
@@ -737,36 +737,8 @@ TEST(ServingServer, BucketedEntryServesBucketLookups)
         w.samples[0][static_cast<std::size_t>(hitIndex)].values);
     EXPECT_EQ(baseline.bucketUsed, 0);
     EXPECT_EQ(baseline.allocation, base.allocation);
-    client.bye();
-}
-
-TEST(ServingProxy, BucketTransitionsForwardToAttachedSession)
-{
-    ServingWorld &w = world();
-    ServingClient client(*w.bootstrap->server);
-    ASSERT_TRUE(client.hello(w.kinds[0], w.fallbacks[0], "proxy"));
-    const std::uint64_t before =
-        w.bootstrap->server->metrics().bucketUpdates.value();
-
-    DejaVuProxy proxy(Rng(21));
-    proxy.setInterferenceBucket(3);  // No link yet: not forwarded.
-    EXPECT_EQ(proxy.stats().servingBucketPublishes, 0u);
-
-    // Attach pushes the in-flight bucket so the daemon session is
-    // never behind an ongoing episode.
-    proxy.attachServingLink(&client);
-    EXPECT_EQ(proxy.stats().servingBucketPublishes, 1u);
-    proxy.setInterferenceBucket(1);
-    EXPECT_EQ(proxy.stats().servingBucketPublishes, 2u);
     EXPECT_EQ(w.bootstrap->server->metrics().bucketUpdates.value(),
-              before + 2);
-
-    // Detached: transitions stay local again.
-    proxy.attachServingLink(nullptr);
-    proxy.setInterferenceBucket(0);
-    EXPECT_EQ(proxy.stats().servingBucketPublishes, 2u);
-    EXPECT_EQ(w.bootstrap->server->metrics().bucketUpdates.value(),
-              before + 2);
+              updatesBefore + 2);
     client.bye();
 }
 

@@ -198,6 +198,9 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot write repository to ", savePath);
         repo.save(out);
+        out.close();
+        if (!out)
+            fatal("cannot write repository to ", savePath);
         inform("dejavud: repository saved to ", savePath);
     }
 
@@ -230,6 +233,9 @@ main(int argc, char **argv)
         if (!out)
             fatal("cannot write metrics to ", metricsPath);
         server.metrics().registry.writePrometheus(out);
+        out.close();
+        if (!out)
+            fatal("cannot write metrics to ", metricsPath);
         inform("dejavud: Prometheus metrics written to ",
                metricsPath);
     }

@@ -31,6 +31,13 @@ linter bans nondeterminism *sources* statically:
     digests, CSVs, ``save()`` or ``toString()`` output). Hash-table
     order is not part of any contract; serializers must go through
     sorted-key helpers.
+``layering``
+    an ``#include "<module>/..."`` of a module that does not come
+    before the including file's module in ``MODULE_ORDER`` (its own
+    module is fine), and any file in a module directory the order
+    does not list. The module of a file is the first directory below
+    the linted tree (``src/``), so the include graph of ``src/``
+    stays one-way: ``common`` at the bottom, ``serving`` on top.
 
 The scanner is tokenizer-aware, not a grep: comments, string and
 character literals (including raw strings) are stripped before any
@@ -55,6 +62,12 @@ import re
 import sys
 
 CXX_EXTENSIONS = (".cc", ".hh", ".cpp", ".hpp", ".h")
+
+# The layers of src/, lowest first: a module may include its own
+# headers and those of the modules before it, never one after it.
+MODULE_ORDER = ("common", "obs", "ml", "sim", "workload", "services",
+                "counters", "proxy", "core", "profiling", "baselines",
+                "experiments", "serving")
 
 # Files (matched by path suffix, "/"-normalized) that are allowed to
 # use what a rule bans — the single sanctioned home of that construct.
@@ -108,6 +121,12 @@ RULES = {
         "message": "iteration over an unordered container in a "
                    "serializing file; hash order is not a contract — "
                    "go through a sorted-key helper",
+    },
+    "layering": {
+        "patterns": [],  # handled by the include pass
+        "allowed": [],
+        "message": "a module includes only itself and the modules "
+                   "before it in MODULE_ORDER",
     },
 }
 
@@ -302,6 +321,37 @@ def unordered_iteration_findings(code, sibling_code):
     return findings
 
 
+INCLUDE_RE = re.compile(r'\s*#\s*include\s*["<](\w+)/')
+
+
+def layering_findings(code, text, module):
+    """(line, detail) for each include of a module that comes after
+    @p module in MODULE_ORDER, or one finding on line 1 when the order
+    does not list @p module. The include path is read from the raw
+    line, since strip_code blanks string literals; the stripped line
+    must still start with #include, so commented-out includes pass."""
+    findings = []
+    if module not in MODULE_ORDER:
+        findings.append(
+            (1, f"module directory '{module}/' is not in "
+                f"MODULE_ORDER; list it where its includes allow"))
+        return findings
+    rank = MODULE_ORDER.index(module)
+    raw_lines = text.split("\n")
+    for number, line in enumerate(code.split("\n"), start=1):
+        if not re.match(r"\s*#\s*include\b", line):
+            continue
+        m = INCLUDE_RE.match(raw_lines[number - 1])
+        if not m or m.group(1) not in MODULE_ORDER:
+            continue
+        target = m.group(1)
+        if MODULE_ORDER.index(target) > rank:
+            findings.append(
+                (number, f"{module}/ includes {target}/, a later "
+                         f"module; " + RULES["layering"]["message"]))
+    return findings
+
+
 def is_allowed_path(path, allowed):
     norm = path.replace(os.sep, "/")
     return any(norm.endswith(suffix) for suffix in allowed)
@@ -317,8 +367,10 @@ def sibling_header(path):
     return None
 
 
-def lint_file(path, text=None):
-    """Lint one file; returns a list of (line, rule, detail)."""
+def lint_file(path, text=None, module=None):
+    """Lint one file; returns a list of (line, rule, detail).
+    @p module names the file's module for the layering rule (None
+    skips it)."""
     if text is None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -354,28 +406,41 @@ def lint_file(path, text=None):
                     (line, "unordered-iteration",
                      f"'{name}' is an unordered container; " +
                      RULES["unordered-iteration"]["message"]))
+
+    if module is not None:
+        for line, detail in layering_findings(code, text, module):
+            if not allowed(line, "layering"):
+                findings.append((line, "layering", detail))
     return sorted(set(findings))
 
 
 def collect_files(paths):
-    files = []
+    """Sorted (file, module) pairs. Under a directory argument a
+    file's module is its first directory below that argument (None
+    at the top level); a file named directly takes its parent
+    directory as module when the order lists it."""
+    files = {}
     for path in paths:
         if os.path.isfile(path):
-            files.append(path)
+            parent = os.path.basename(
+                os.path.dirname(os.path.abspath(path)))
+            files[path] = parent if parent in MODULE_ORDER else None
         elif os.path.isdir(path):
             for root, _dirs, names in os.walk(path):
+                rel = os.path.relpath(root, path)
+                module = None if rel == "." else rel.split(os.sep)[0]
                 for name in sorted(names):
                     if name.endswith(CXX_EXTENSIONS):
-                        files.append(os.path.join(root, name))
+                        files[os.path.join(root, name)] = module
         else:
             raise LintError(f"no such file or directory: {path}")
-    return sorted(set(files))
+    return sorted(files.items())
 
 
 def run_lint(paths):
     failures = 0
-    for path in collect_files(paths):
-        for line, rule, detail in lint_file(path):
+    for path, module in collect_files(paths):
+        for line, rule, detail in lint_file(path, module=module):
             failures += 1
             print(f"{path}:{line}: [{rule}] {detail} "
                   f"(suppress: // lint-allow({rule}): <reason>)")
@@ -392,7 +457,7 @@ def run_self_test(corpus_dir):
         raise LintError(f"self-test corpus is empty: {corpus_dir}")
     mismatches = 0
     checked = 0
-    for path in files:
+    for path, module in files:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         _code, comments = strip_code(text)
@@ -401,7 +466,7 @@ def run_self_test(corpus_dir):
                       for line, rules in expected.items()
                       for rule in rules}
         found_set = {(line, rule)
-                     for line, rule, _ in lint_file(path, text)}
+                     for line, rule, _ in lint_file(path, text, module)}
         checked += len(expect_set)
         for line, rule in sorted(expect_set - found_set):
             mismatches += 1
