@@ -89,23 +89,6 @@ Rng::gaussian(double mean, double stddev)
     return mean + stddev * gaussian();
 }
 
-double
-Rng::lognormal(double mu, double sigma)
-{
-    return std::exp(gaussian(mu, sigma));
-}
-
-double
-Rng::exponential(double rate)
-{
-    DEJAVU_ASSERT(rate > 0.0, "exponential: rate must be positive");
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 1e-300);
-    return -std::log(u) / rate;
-}
-
 bool
 Rng::bernoulli(double p)
 {

@@ -47,12 +47,6 @@ class Rng
     /** Normal draw with the given mean and standard deviation. */
     double gaussian(double mean, double stddev);
 
-    /** Lognormal draw parameterised by the underlying normal. */
-    double lognormal(double mu, double sigma);
-
-    /** Exponential draw with the given rate (mean 1/rate). */
-    double exponential(double rate);
-
     /** Bernoulli trial with probability p of true. */
     bool bernoulli(double p);
 

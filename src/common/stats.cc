@@ -33,25 +33,6 @@ RunningStats::add(double x)
 }
 
 void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other._n == 0)
-        return;
-    if (_n == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other._mean - _mean;
-    const std::size_t total = _n + other._n;
-    _m2 += other._m2
-        + delta * delta * (static_cast<double>(_n) * other._n) / total;
-    _mean += delta * other._n / total;
-    _min = std::min(_min, other._min);
-    _max = std::max(_max, other._max);
-    _n = total;
-}
-
-void
 RunningStats::clear()
 {
     *this = RunningStats();

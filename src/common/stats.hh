@@ -25,9 +25,6 @@ class RunningStats
     /** Fold one observation into the summary. */
     void add(double x);
 
-    /** Merge another summary into this one. */
-    void merge(const RunningStats &other);
-
     /** Reset to the empty state. */
     void clear();
 

@@ -33,13 +33,6 @@ Table::addNumericRow(const std::vector<double> &values, int precision)
     addRow(std::move(cells));
 }
 
-const std::vector<std::string> &
-Table::row(std::size_t i) const
-{
-    DEJAVU_ASSERT(i < _rows.size(), "row index out of range");
-    return _rows[i];
-}
-
 std::string
 Table::num(double v, int precision)
 {
@@ -62,22 +55,6 @@ Table::printText(std::ostream &os) const
         for (std::size_t c = 0; c < cells.size(); ++c) {
             os << std::left << std::setw(static_cast<int>(width[c]) + 2)
                << cells[c];
-        }
-        os << '\n';
-    };
-    emit(_header);
-    for (const auto &row : _rows)
-        emit(row);
-}
-
-void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                os << ',';
-            os << cells[c];
         }
         os << '\n';
     };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Small text/CSV table emitter used by the benchmark harnesses to print
- * paper-figure series in a uniform, machine-parseable format.
+ * Small text table emitter used by the benchmark harnesses to print
+ * paper-figure series in a uniform, aligned format.
  */
 
 #ifndef DEJAVU_COMMON_TABLE_HH
@@ -15,7 +15,7 @@ namespace dejavu {
 
 /**
  * Column-oriented table: set a header once, append rows of doubles or
- * strings, render either as aligned text or CSV.
+ * strings, render as aligned text.
  */
 class Table
 {
@@ -32,13 +32,9 @@ class Table
     std::size_t rows() const { return _rows.size(); }
     std::size_t columns() const { return _header.size(); }
     const std::vector<std::string> &header() const { return _header; }
-    const std::vector<std::string> &row(std::size_t i) const;
 
     /** Render with aligned columns for human consumption. */
     void printText(std::ostream &os) const;
-
-    /** Render as CSV (header + rows). */
-    void printCsv(std::ostream &os) const;
 
     /** Format a double with fixed precision (helper for callers). */
     static std::string num(double v, int precision = 3);

@@ -50,7 +50,6 @@ class ClusteringEngine
             // diurnal range (the paper lands on 3–4 for its traces).
             kmeans.autoKMin = 3;
             kmeans.autoKMax = 6;
-            kmeans.criterion = AutoKCriterion::Silhouette;
         }
     };
 

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "proxy/proxy.hh"
 #include "sim/event_queue.hh"
 
 namespace dejavu {
@@ -16,7 +15,7 @@ DejaVuController::DejaVuController(Service &service,
     : _service(service), _profiler(profiler), _config(std::move(config)),
       _rng(rng),
       _ownedRepo(std::make_unique<SharedRepository>()),
-      _repo(_ownedRepo->attach(service.kind(), service.name())),
+      _repo(_ownedRepo->attach(service.kind())),
       _estimator(_config.interference)
 {
     DEJAVU_ASSERT(!_config.searchSpace.empty(),
@@ -25,48 +24,14 @@ DejaVuController::DejaVuController(Service &service,
 }
 
 void
-DejaVuController::attachRepository(SharedRepository &repository,
-                                   std::string owner)
+DejaVuController::attachRepository(SharedRepository &repository)
 {
     DEJAVU_ASSERT(!_learned, "attachRepository after learn(): the "
                   "repository is part of the learned state");
-    // Release the previous attachment so the old repository's live
-    // count stays truthful (re-attaching between shared repos is
-    // legal before learn()).
-    if (sharesRepository())
-        _repo.shared()->detach(_repo);
-    _repo = repository.attach(_service.kind(),
-                              owner.empty() ? _service.name()
-                                            : std::move(owner));
+    DEJAVU_ASSERT(!sharesRepository(), "attachRepository called twice: "
+                  "a controller attaches to one shared repository");
+    _repo = repository.attach(_service.kind());
     _ownedRepo.reset();
-}
-
-void
-DejaVuController::attachProxy(DejaVuProxy *proxy)
-{
-    _proxy = proxy;
-    if (_proxy)
-        _proxy->setInterferenceBucket(_currentBucket);
-}
-
-void
-DejaVuController::setBucket(int bucket)
-{
-    _currentBucket = bucket;
-    if (_proxy)
-        _proxy->setInterferenceBucket(bucket);
-}
-
-void
-DejaVuController::detachRepository()
-{
-    if (!sharesRepository())
-        return;
-    DEJAVU_ASSERT(!_learned, "detachRepository after learn(): the "
-                  "repository is part of the learned state");
-    _repo.shared()->detach(_repo);
-    _ownedRepo = std::make_unique<SharedRepository>();
-    _repo = _ownedRepo->attach(_service.kind(), _service.name());
 }
 
 Tuner
@@ -244,7 +209,7 @@ DejaVuController::relearn()
            " original + ", _novelWorkloads.size(),
            " novel workloads");
     ++_timesRelearned;
-    setBucket(0);
+    _currentBucket = 0;
     _violationStreak = 0;
     _calmStreak = 0;
     return learn(all);
@@ -349,7 +314,7 @@ DejaVuController::decideInternal(const MetricSample &sample,
         if (novelSource)
             _novelWorkloads.push_back(*novelSource);
         _lastClassId = -1;
-        setBucket(0);
+        _currentBucket = 0;
         decision.kind = DecisionKind::UnknownWorkload;
         warn("dejavu: unknown workload (certainty ", outcome.certainty,
              "), deploying full capacity ",
@@ -363,7 +328,7 @@ DejaVuController::decideInternal(const MetricSample &sample,
         // the sharing design — fall back to full capacity, the same
         // do-no-harm answer §3.5 gives for unknown workloads.
         _lowCertaintyStreak = 0;
-        setBucket(0);
+        _currentBucket = 0;
         warn("dejavu: shared repository entry for class ",
              outcome.classId, " was invalidated by a peer; "
              "deploying full capacity");
@@ -374,12 +339,11 @@ DejaVuController::decideInternal(const MetricSample &sample,
         _lowCertaintyStreak = 0;
         _lastClassId = outcome.classId;
         decision.kind = DecisionKind::CacheHit;
-        // The §3.6 episode ends (and the proxy is told) exactly when
-        // the bucketed entry did not serve the hit — the same
-        // transition the pre-serving code made before its baseline
-        // lookup.
+        // The §3.6 episode ends exactly when the bucketed entry did
+        // not serve the hit — the same transition the pre-serving
+        // code made before its baseline lookup.
         if (answer.bucketUsed == 0)
-            setBucket(0);
+            _currentBucket = 0;
         break;
     }
 
@@ -439,7 +403,7 @@ DejaVuController::onSloFeedback(const Service::PerfSample &sample)
     decision.kind = DecisionKind::InterferenceAdjust;
     decision.classId = _lastClassId;
     decision.certainty = 1.0;
-    setBucket(bucket);
+    _currentBucket = bucket;
 
     auto cached = _repo.lookup({_lastClassId, bucket});
     if (cached) {
@@ -609,7 +573,7 @@ DejaVuController::maybeDeescalate(const Service::PerfSample &sample)
     if (++_calmStreak < _config.calmTicksBeforeDeescalate)
         return;
     _calmStreak = 0;
-    setBucket(0);
+    _currentBucket = 0;
     auto baseline = _repo.lookup({_lastClassId, 0});
     if (baseline && _service.cluster().target() != *baseline) {
         inform("interference cleared: class ", _lastClassId,

@@ -31,8 +31,6 @@
 
 namespace dejavu {
 
-class DejaVuProxy;
-
 /**
  * The DejaVu framework controller for one service.
  */
@@ -220,17 +218,6 @@ class DejaVuController
     int interferenceBucket() const { return _currentBucket; }
 
     /**
-     * Attach the service's duplicating proxy (§3.2.1): the controller
-     * then publishes every interference-bucket transition to it, so
-     * the traffic the proxy mirrors into the profiling environment is
-     * tagged with the bucket it was captured under — replayed
-     * signatures and the (class, bucket) repository key stay aligned
-     * across §3.6 escalations and de-escalations. Optional (nullptr
-     * detaches); the current bucket is pushed immediately on attach.
-     */
-    void attachProxy(DejaVuProxy *proxy);
-
-    /**
      * Re-clustering (§3.5): "If the repository repeatedly outputs
      * low certainty levels, it most likely means that the workload
      * has changed over time and that the current clustering is no
@@ -300,8 +287,8 @@ class DejaVuController
      */
     std::optional<Decision> adoptPeerTuning();
 
-    /** Drop the pending tuning without replacement (the owner
-     *  detached). The stop-gap full-capacity deployment stands —
+    /** Drop the pending tuning without replacement (the pool
+     *  cancelled it). The stop-gap full-capacity deployment stands —
      *  §3.5's do-no-harm answer. No-op when nothing is pending. */
     void abandonPendingTuning() { _pendingTuning.reset(); }
     /** @} */
@@ -314,15 +301,10 @@ class DejaVuController
      * learn() — repository contents are part of the learned state.
      * The caller is responsible for only co-attaching controllers
      * whose same-kind peers share an SLO (entries carry none);
-     * FleetExperiment enforces that at registration time.
-     * @p owner is a diagnostic label (defaults to the service name).
+     * FleetExperiment enforces that at registration time. A
+     * controller attaches once: a second call is fatal.
      */
-    void attachRepository(SharedRepository &repository,
-                          std::string owner = "");
-
-    /** Detach from a shared repository back to a fresh private one
-     *  (also only before learn()). No-op when already private. */
-    void detachRepository();
+    void attachRepository(SharedRepository &repository);
 
     /** True when attached to an externally owned SharedRepository. */
     bool sharesRepository() const { return _ownedRepo == nullptr; }
@@ -401,9 +383,6 @@ class DejaVuController
 
     TuningDeferral _tuningDeferral;
     std::optional<PendingTuning> _pendingTuning;
-    /** Bucket-transition subscriber; see attachProxy(). */
-    DejaVuProxy *_proxy = nullptr;
-
     /** State handed from prepareLearning() to learnPrepared(): only
      *  what the representative choice reads. A fleet holds one per
      *  member between its prepare and finalise. */
@@ -431,10 +410,6 @@ class DejaVuController
 
     /** Step back to the baseline bucket once interference clears. */
     void maybeDeescalate(const Service::PerfSample &sample);
-
-    /** The single write path for _currentBucket: records the
-     *  transition and publishes it to the attached proxy. */
-    void setBucket(int bucket);
 
     Tuner makeTuner();
 };

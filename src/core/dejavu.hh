@@ -28,7 +28,6 @@
 #include "core/tuner.hh"
 #include "counters/monitor.hh"
 #include "counters/profiler.hh"
-#include "proxy/proxy.hh"
 #include "services/keyvalue_service.hh"
 #include "services/rubis_service.hh"
 #include "services/specweb_service.hh"

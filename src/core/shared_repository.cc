@@ -84,15 +84,6 @@ RepositoryHandle::kind() const
     return _repo->attachment(_id).kind;
 }
 
-std::string
-RepositoryHandle::owner() const
-{
-    if (!attached())
-        unattached("owner");
-    MutexLock lock(_repo->_mu);
-    return _repo->attachment(_id).owner;
-}
-
 void
 RepositoryHandle::store(const RepositoryKey &key,
                         const ResourceAllocation &allocation)
@@ -115,13 +106,7 @@ RepositoryHandle::peek(const RepositoryKey &key) const
 {
     if (!attached())
         unattached("peek");
-    return _repo->peek(kind(), key);
-}
-
-bool
-RepositoryHandle::contains(const RepositoryKey &key) const
-{
-    return peek(key).has_value();
+    return _repo->handlePeek(_id, key);
 }
 
 std::size_t
@@ -129,15 +114,7 @@ RepositoryHandle::entries() const
 {
     if (!attached())
         unattached("entries");
-    return _repo->entries(kind());
-}
-
-std::vector<RepositoryKey>
-RepositoryHandle::keys() const
-{
-    if (!attached())
-        unattached("keys");
-    return _repo->keys(kind());
+    return _repo->handleEntries(_id);
 }
 
 void
@@ -189,15 +166,16 @@ RepositoryHandle::toString() const
 {
     if (!attached())
         return "repository[unattached]{}";
+    const RepositorySnapshot view = _repo->snapshot(kind());
     std::ostringstream os;
-    os << "repository[" << serviceKindName(kind()) << "]{";
+    os << "repository[" << serviceKindName(view.kind()) << "]{";
     bool first = true;
-    for (const RepositoryKey &key : keys()) {
+    for (const RepositorySnapshot::Entry &e : view.all()) {
         if (!first)
             os << ", ";
         first = false;
-        os << "(c" << key.classId << ",i" << key.interferenceBucket
-           << ")->" << peek(key)->toString();
+        os << "(c" << e.key.classId << ",i" << e.key.interferenceBucket
+           << ")->" << e.allocation.toString();
     }
     os << "}";
     return os.str();
@@ -215,7 +193,6 @@ SharedRepository::SharedRepository(SharedRepository &&other) noexcept
     MutexLock self(_mu);
     _byKind = std::move(other._byKind);
     _attachments = std::move(other._attachments);
-    _live = std::exchange(other._live, 0);
     _version.store(other._version.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
 }
@@ -243,32 +220,13 @@ SharedRepository::snapshot(ServiceKind kind) const
 }
 
 RepositoryHandle
-SharedRepository::attach(ServiceKind kind, std::string owner)
+SharedRepository::attach(ServiceKind kind)
 {
     MutexLock lock(_mu);
     _attachments.emplace_back();
-    Attachment &a = _attachments.back();
-    a.kind = kind;
-    a.owner = std::move(owner);
-    ++_live;
+    _attachments.back().kind = kind;
     return RepositoryHandle(
         this, static_cast<int>(_attachments.size()) - 1);
-}
-
-void
-SharedRepository::detach(RepositoryHandle &handle)
-{
-    DEJAVU_ASSERT(handle._repo == this,
-                  "detach of a handle from another repository");
-    {
-        MutexLock lock(_mu);
-        Attachment &a = attachment(handle._id);
-        DEJAVU_ASSERT(a.live, "attachment ", handle._id,
-                      " already detached");
-        a.live = false;
-        --_live;
-    }
-    handle = RepositoryHandle();
 }
 
 SharedRepository::Attachment &
@@ -290,27 +248,12 @@ SharedRepository::find(ServiceKind kind, const RepositoryKey &key) const
     return it == kt->second.end() ? nullptr : &it->second;
 }
 
-int
-SharedRepository::attachments() const
-{
-    MutexLock lock(_mu);
-    return _live;
-}
-
-int
-SharedRepository::totalAttachments() const
-{
-    MutexLock lock(_mu);
-    return static_cast<int>(_attachments.size());
-}
-
 void
 SharedRepository::handleStore(int id, const RepositoryKey &key,
                               const ResourceAllocation &allocation)
 {
     MutexLock lock(_mu);
     Attachment &a = attachment(id);
-    DEJAVU_ASSERT(a.live, "store through a detached attachment");
     ++a.stats.stores;
     _byKind[a.kind][key] = Entry{allocation, id};
     bump();
@@ -321,7 +264,6 @@ SharedRepository::handleLookup(int id, const RepositoryKey &key)
 {
     MutexLock lock(_mu);
     Attachment &a = attachment(id);
-    DEJAVU_ASSERT(a.live, "lookup through a detached attachment");
     ++a.stats.lookups;
     const Entry *entry = find(a.kind, key);
     if (!entry) {
@@ -336,12 +278,29 @@ SharedRepository::handleLookup(int id, const RepositoryKey &key)
     return entry->allocation;
 }
 
+std::optional<ResourceAllocation>
+SharedRepository::handlePeek(int id, const RepositoryKey &key) const
+{
+    MutexLock lock(_mu);
+    const Entry *entry = find(attachment(id).kind, key);
+    if (!entry)
+        return std::nullopt;
+    return entry->allocation;
+}
+
+std::size_t
+SharedRepository::handleEntries(int id) const
+{
+    MutexLock lock(_mu);
+    const auto it = _byKind.find(attachment(id).kind);
+    return it == _byKind.end() ? 0 : it->second.size();
+}
+
 void
 SharedRepository::handleClear(int id)
 {
     MutexLock lock(_mu);
     Attachment &a = attachment(id);
-    DEJAVU_ASSERT(a.live, "clear through a detached attachment");
     const auto kt = _byKind.find(a.kind);
     if (kt == _byKind.end())
         return;
@@ -360,49 +319,6 @@ SharedRepository::handleClear(int id)
         bump();
 }
 
-RepositoryStats
-SharedRepository::aggregateStats() const
-{
-    MutexLock lock(_mu);
-    RepositoryStats total;
-    for (const Attachment &a : _attachments) {
-        total.lookups += a.stats.lookups;
-        total.hits += a.stats.hits;
-        total.misses += a.stats.misses;
-        total.stores += a.stats.stores;
-    }
-    return total;
-}
-
-std::uint64_t
-SharedRepository::aggregateCrossHits() const
-{
-    MutexLock lock(_mu);
-    std::uint64_t total = 0;
-    for (const Attachment &a : _attachments)
-        total += a.crossHits;
-    return total;
-}
-
-std::uint64_t
-SharedRepository::aggregateReusedEntries() const
-{
-    MutexLock lock(_mu);
-    std::uint64_t total = 0;
-    for (const Attachment &a : _attachments)
-        total += a.reused.size();
-    return total;
-}
-
-double
-SharedRepository::hitRate() const
-{
-    const RepositoryStats total = aggregateStats();
-    if (total.lookups == 0)
-        return 0.0;
-    return static_cast<double>(total.hits) / total.lookups;
-}
-
 std::size_t
 SharedRepository::entries() const
 {
@@ -411,25 +327,6 @@ SharedRepository::entries() const
     for (const auto &[kind, table] : _byKind)
         total += table.size();
     return total;
-}
-
-std::size_t
-SharedRepository::entries(ServiceKind kind) const
-{
-    MutexLock lock(_mu);
-    const auto it = _byKind.find(kind);
-    return it == _byKind.end() ? 0 : it->second.size();
-}
-
-std::vector<ServiceKind>
-SharedRepository::kinds() const
-{
-    MutexLock lock(_mu);
-    std::vector<ServiceKind> out;
-    for (const auto &[kind, table] : _byKind)
-        if (!table.empty())
-            out.push_back(kind);
-    return out;
 }
 
 std::vector<RepositorySnapshot::Entry>
@@ -448,54 +345,6 @@ SharedRepository::collectKind(ServiceKind kind) const
                   return a.key < b.key;
               });
     return out;
-}
-
-std::vector<RepositoryKey>
-SharedRepository::keys(ServiceKind kind) const
-{
-    MutexLock lock(_mu);
-    std::vector<RepositoryKey> out;
-    for (const RepositorySnapshot::Entry &e : collectKind(kind))
-        out.push_back(e.key);
-    return out;
-}
-
-std::optional<ResourceAllocation>
-SharedRepository::peek(ServiceKind kind, const RepositoryKey &key) const
-{
-    MutexLock lock(_mu);
-    const Entry *entry = find(kind, key);
-    if (!entry)
-        return std::nullopt;
-    return entry->allocation;
-}
-
-std::string
-SharedRepository::toString() const
-{
-    MutexLock lock(_mu);
-    std::ostringstream os;
-    os << "shared-repository{";
-    bool firstKind = true;
-    for (const auto &[kind, table] : _byKind) {
-        if (table.empty())
-            continue;
-        if (!firstKind)
-            os << "; ";
-        firstKind = false;
-        os << serviceKindName(kind) << ": ";
-        bool first = true;
-        for (const RepositorySnapshot::Entry &e : collectKind(kind)) {
-            if (!first)
-                os << ", ";
-            first = false;
-            os << "(c" << e.key.classId << ",i"
-               << e.key.interferenceBucket << ")->"
-               << e.allocation.toString();
-        }
-    }
-    os << "}";
-    return os.str();
 }
 
 void

@@ -16,8 +16,8 @@
  *
  * Controllers do not own the cache; they hold a RepositoryHandle —
  * an attachment carrying the kind namespace plus per-attachment
- * hit/miss/store statistics (the aggregate across attachments is the
- * fleet-wide number benches report). Lookups see every attachment's
+ * hit/miss/store statistics (FleetExperiment sums them into the
+ * fleet-wide numbers benches report). Lookups see every attachment's
  * writes within the kind namespace — cross-service reuse, live.
  *
  * Thread safety: internally synchronized by one annotated Mutex,
@@ -54,7 +54,7 @@
 
 #include "common/thread_annotations.hh"
 #include "core/repository.hh"
-#include "services/service.hh"
+#include "services/service_kind.hh"
 
 namespace dejavu {
 
@@ -150,9 +150,6 @@ class RepositoryHandle
     /** The kind namespace this attachment reads and writes. */
     ServiceKind kind() const;
 
-    /** Diagnostic owner label given at attach time. */
-    std::string owner() const;
-
     /** The underlying repository (null when unattached). */
     SharedRepository *shared() { return _repo; }
     const SharedRepository *shared() const { return _repo; }
@@ -169,13 +166,8 @@ class RepositoryHandle
     /** Non-counting inspection of this attachment's view. */
     std::optional<ResourceAllocation> peek(const RepositoryKey &key) const;
 
-    bool contains(const RepositoryKey &key) const;
-
     /** Entries visible to this attachment's lookups. */
     std::size_t entries() const;
-
-    /** Visible keys, sorted (stable for reports and tests). */
-    std::vector<RepositoryKey> keys() const;
 
     /** Drop the entries this attachment wrote (a re-clustering
      *  invalidates *its* allocations, not its peers'). */
@@ -198,6 +190,8 @@ class RepositoryHandle
 
     double hitRate() const;
 
+    /** This kind's entries, sorted by key, as
+     *  "repository[kind]{(cC,iB)->allocation, ...}". */
     std::string toString() const;
 
   private:
@@ -265,49 +259,14 @@ class SharedRepository
     RepositorySnapshot snapshot(ServiceKind kind) const;
 
     /**
-     * Attach a controller with @p kind as its namespace. @p owner is
-     * a diagnostic label for per-attachment reports. Attachment ids
-     * are dense and never reused.
+     * Attach a controller with @p kind as its namespace. Attachment
+     * ids are dense and never reused; an attachment lasts as long as
+     * the repository.
      */
-    RepositoryHandle attach(ServiceKind kind, std::string owner = "");
+    RepositoryHandle attach(ServiceKind kind);
 
-    /** Detach @p handle (its entries stay; its stats keep counting
-     *  toward the aggregate). The handle becomes unattached. */
-    void detach(RepositoryHandle &handle);
-
-    /** Live (attached, not detached) attachments. */
-    int attachments() const;
-
-    /** All attachments ever made, detached included. */
-    int totalAttachments() const;
-
-    /** Sum of all attachments' statistics — the fleet-wide numbers. */
-    RepositoryStats aggregateStats() const;
-
-    /** Fleet-wide cross-attachment hits (peer-served reads). */
-    std::uint64_t aggregateCrossHits() const;
-
-    /** Fleet-wide distinct reused entries (tuner runs avoided). */
-    std::uint64_t aggregateReusedEntries() const;
-
-    /** Aggregate hit rate over every attachment's lookups. */
-    double hitRate() const;
-
-    /** Kind-level entry count (the union sharing exposes). */
+    /** Entries across every kind. */
     std::size_t entries() const;
-    std::size_t entries(ServiceKind kind) const;
-
-    /** Kinds with at least one kind-level entry, ascending. */
-    std::vector<ServiceKind> kinds() const;
-
-    /** Kind-level keys, sorted. */
-    std::vector<RepositoryKey> keys(ServiceKind kind) const;
-
-    /** Non-counting kind-level inspection. */
-    std::optional<ResourceAllocation> peek(ServiceKind kind,
-                                           const RepositoryKey &key) const;
-
-    std::string toString() const;
 
     /** @name Persistence (CSV: kind,class,bucket,instances,type) @{ */
     /** Serialize the kind-level tables; stats are not persisted.
@@ -344,13 +303,11 @@ class SharedRepository
     using Table =
         std::unordered_map<RepositoryKey, Entry, RepositoryKeyHash>;
 
-    /** Per-attachment state. Attachments are never destroyed (detach
-     *  only marks them dead), so ids stay valid. */
+    /** Per-attachment state. Attachments are never destroyed, so ids
+     *  stay valid. */
     struct Attachment
     {
         ServiceKind kind = ServiceKind::Generic;
-        std::string owner;
-        bool live = true;
         RepositoryStats stats;
         std::uint64_t crossHits = 0;
         /** Keys ever served to this attachment from a peer's write
@@ -363,6 +320,9 @@ class SharedRepository
                      const ResourceAllocation &allocation);
     std::optional<ResourceAllocation> handleLookup(
         int id, const RepositoryKey &key);
+    std::optional<ResourceAllocation> handlePeek(
+        int id, const RepositoryKey &key) const;
+    std::size_t handleEntries(int id) const;
     void handleClear(int id);
     /** @} */
 
@@ -374,7 +334,7 @@ class SharedRepository
         REQUIRES(_mu);
 
     /** All of @p kind's entries, sorted by key (the shared
-     *  implementation behind keys/save/snapshot/toString). */
+     *  implementation behind save and snapshot). */
     std::vector<RepositorySnapshot::Entry>
     collectKind(ServiceKind kind) const REQUIRES(_mu);
 
@@ -386,7 +346,6 @@ class SharedRepository
     std::map<ServiceKind, Table> _byKind GUARDED_BY(_mu);
     /** Indexed by attachment id. */
     mutable std::vector<Attachment> _attachments GUARDED_BY(_mu);
-    int _live GUARDED_BY(_mu) = 0;
     /** The latest snapshot handed out per kind. */
     mutable std::map<ServiceKind, RepositorySnapshot> _snapshots
         GUARDED_BY(_mu);

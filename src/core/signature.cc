@@ -1,6 +1,5 @@
 #include "core/signature.hh"
 
-#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -61,19 +60,6 @@ SignatureSchema::toString() const
     }
     os << "}";
     return os.str();
-}
-
-double
-WorkloadSignature::distanceTo(const WorkloadSignature &other) const
-{
-    DEJAVU_ASSERT(values.size() == other.values.size(),
-                  "signature dimension mismatch");
-    double d = 0.0;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const double diff = values[i] - other.values[i];
-        d += diff * diff;
-    }
-    return std::sqrt(d);
 }
 
 } // namespace dejavu

@@ -3,7 +3,7 @@
  * Workload signatures (§3.3): "an ordered N-tuple WS = {m1, ..., mN}"
  * of automatically selected low-level metrics, normalized by sampling
  * time. A SignatureSchema records *which* of the candidate metrics
- * form the signature; a WorkloadSignature is one concrete tuple.
+ * form the signature.
  */
 
 #ifndef DEJAVU_CORE_SIGNATURE_HH
@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "counters/monitor.hh"
+#include "counters/metric_sample.hh"
 
 namespace dejavu {
 
@@ -56,19 +56,6 @@ class SignatureSchema
   private:
     std::vector<int> _indices;
     std::vector<std::string> _names;
-};
-
-/**
- * One concrete signature observation.
- */
-struct WorkloadSignature
-{
-    std::vector<double> values;   ///< Selected metrics, per-second.
-    SimTime collectedAt = 0;
-
-    /** Euclidean distance between two signatures (standardize before
-     *  calling if attribute scales differ). */
-    double distanceTo(const WorkloadSignature &other) const;
 };
 
 } // namespace dejavu

@@ -1,7 +1,5 @@
 #include "counters/hpc_event.hh"
 
-#include <unordered_map>
-
 #include "common/logging.hh"
 
 namespace dejavu {
@@ -36,22 +34,6 @@ hpcEventName(HpcEvent event)
     const int idx = static_cast<int>(event);
     DEJAVU_ASSERT(idx >= 0 && idx < kNumHpcEvents, "event out of range");
     return kNames[static_cast<std::size_t>(idx)];
-}
-
-HpcEvent
-hpcEventByName(const std::string &name)
-{
-    static const auto byName = [] {
-        std::unordered_map<std::string, int> m;
-        m.reserve(static_cast<std::size_t>(kNumHpcEvents));
-        for (int i = 0; i < kNumHpcEvents; ++i)
-            m[kNames[static_cast<std::size_t>(i)]] = i;
-        return m;
-    }();
-    auto it = byName.find(name);
-    if (it == byName.end())
-        fatal("unknown HPC event name: ", name);
-    return static_cast<HpcEvent>(it->second);
 }
 
 const std::vector<HpcEvent> &

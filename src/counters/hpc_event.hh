@@ -95,9 +95,6 @@ constexpr int kNumHardwareEvents = 48;
 /** Event name as it appears in profiling tools / Table 1. */
 const std::string &hpcEventName(HpcEvent event);
 
-/** Reverse lookup by name; fatal() on unknown names. */
-HpcEvent hpcEventByName(const std::string &name);
-
 /** All catalogued events in index order. */
 const std::vector<HpcEvent> &allHpcEvents();
 

@@ -21,20 +21,10 @@
 
 #include "common/sim_time.hh"
 #include "counters/counter_model.hh"
+#include "counters/metric_sample.hh"
 #include "services/service.hh"
 
 namespace dejavu {
-
-/**
- * One profiling observation: all candidate metrics, already
- * normalized to per-second rates.
- */
-struct MetricSample
-{
-    std::vector<double> values;  ///< Indexed like allHpcEvents().
-    SimTime collectedAt = 0;
-    double offeredRate = 0.0;    ///< Rate seen by the profiling host.
-};
 
 /**
  * Collects metric samples from the profiling environment.

@@ -167,7 +167,7 @@ FleetExperiment::addService(const std::string &name, Service &service,
                   "with ", it->second.toString(), " and '", name,
                   "' wants ", config.slo.toString(), "; align "
                   "the SLOs or use private repositories");
-        controller.attachRepository(*_sharedRepo, name);
+        controller.attachRepository(*_sharedRepo);
     }
 
     _fleet.addService(name, service, controller, profilingSlot);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace dejavu {
 
@@ -98,31 +96,6 @@ Dataset::project(const std::vector<int> &attributes) const
         out.add(std::move(values), _labels[static_cast<std::size_t>(i)]);
     }
     return out;
-}
-
-std::pair<Dataset, Dataset>
-Dataset::split(double trainFraction, std::uint64_t seed) const
-{
-    DEJAVU_ASSERT(trainFraction > 0.0 && trainFraction < 1.0,
-                  "train fraction must be in (0, 1)");
-    std::vector<int> order(static_cast<std::size_t>(size()));
-    std::iota(order.begin(), order.end(), 0);
-    Rng rng(seed);
-    // Fisher-Yates with our deterministic RNG.
-    for (int i = size() - 1; i > 0; --i)
-        std::swap(order[static_cast<std::size_t>(i)],
-                  order[static_cast<std::size_t>(rng.uniformInt(0, i))]);
-    const int trainCount = std::max(
-        1, static_cast<int>(trainFraction * size()));
-    Dataset train(_attributeNames), test(_attributeNames);
-    for (int i = 0; i < size(); ++i) {
-        const int idx = order[static_cast<std::size_t>(i)];
-        if (i < trainCount)
-            train.add(instance(idx), label(idx));
-        else
-            test.add(instance(idx), label(idx));
-    }
-    return {std::move(train), std::move(test)};
 }
 
 void

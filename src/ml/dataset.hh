@@ -54,11 +54,6 @@ class Dataset
     /** New dataset keeping only the given attribute indices. */
     Dataset project(const std::vector<int> &attributes) const;
 
-    /** Split into (train, test) with the given train fraction,
-     *  shuffling deterministically with @p seed. */
-    std::pair<Dataset, Dataset> split(double trainFraction,
-                                      std::uint64_t seed) const;
-
   private:
     std::vector<std::string> _attributeNames;
     std::vector<std::vector<double>> _instances;

@@ -320,32 +320,4 @@ DecisionTree::depth() const
     return depthOf(_root.get());
 }
 
-void
-DecisionTree::renderNode(const Node *node, int indent,
-                         const std::vector<std::string> &attrNames,
-                         std::string &out) const
-{
-    const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-    if (node->leaf) {
-        out += pad + ": class " + std::to_string(node->majority) + " (" +
-            std::to_string(node->total) + ")\n";
-        return;
-    }
-    const std::string &attr =
-        attrNames[static_cast<std::size_t>(node->attribute)];
-    out += pad + attr + " <= " + std::to_string(node->threshold) + "\n";
-    renderNode(node->left.get(), indent + 1, attrNames, out);
-    out += pad + attr + " > " + std::to_string(node->threshold) + "\n";
-    renderNode(node->right.get(), indent + 1, attrNames, out);
-}
-
-std::string
-DecisionTree::toText(const std::vector<std::string> &attrNames) const
-{
-    DEJAVU_ASSERT(_root != nullptr, "classifier not trained");
-    std::string out;
-    renderNode(_root.get(), 0, attrNames, out);
-    return out;
-}
-
 } // namespace dejavu

@@ -48,9 +48,6 @@ class DecisionTree : public Classifier
     int depth() const;
     /** @} */
 
-    /** Render the tree in J48's indented text format. */
-    std::string toText(const std::vector<std::string> &attrNames) const;
-
     /**
      * J48's pessimistic added-error estimate: the expected extra
      * errors on top of @p e observed errors among @p n instances at
@@ -92,9 +89,6 @@ class DecisionTree : public Classifier
     int countNodes(const Node *node) const;
     int countLeaves(const Node *node) const;
     int depthOf(const Node *node) const;
-    void renderNode(const Node *node, int indent,
-                    const std::vector<std::string> &attrNames,
-                    std::string &out) const;
 };
 
 } // namespace dejavu

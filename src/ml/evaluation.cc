@@ -18,24 +18,6 @@ accuracy(const Classifier &classifier, const Dataset &test)
     return static_cast<double>(correct) / test.size();
 }
 
-std::vector<std::vector<int>>
-confusionMatrix(const Classifier &classifier, const Dataset &test)
-{
-    DEJAVU_ASSERT(!test.empty(), "empty test set");
-    const int nc = test.numClasses();
-    std::vector<std::vector<int>> matrix(
-        static_cast<std::size_t>(nc),
-        std::vector<int>(static_cast<std::size_t>(nc), 0));
-    for (int i = 0; i < test.size(); ++i) {
-        const int truth = test.label(i);
-        const int pred = classifier.predict(test.instance(i)).label;
-        if (truth >= 0 && truth < nc && pred >= 0 && pred < nc)
-            ++matrix[static_cast<std::size_t>(truth)]
-                    [static_cast<std::size_t>(pred)];
-    }
-    return matrix;
-}
-
 double
 crossValidate(
     const std::function<std::unique_ptr<Classifier>()> &makeClassifier,

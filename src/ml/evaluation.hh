@@ -1,8 +1,8 @@
 /**
  * @file
- * Classifier evaluation utilities: accuracy, confusion matrices and
- * k-fold cross-validation, used by the tests and by the signature-
- * selection diagnostics.
+ * Classifier evaluation utilities: accuracy and k-fold
+ * cross-validation, used by the tests and by the signature-selection
+ * diagnostics.
  */
 
 #ifndef DEJAVU_ML_EVALUATION_HH
@@ -18,10 +18,6 @@ namespace dejavu {
 
 /** Fraction of test instances classified correctly. */
 double accuracy(const Classifier &classifier, const Dataset &test);
-
-/** Row = true class, column = predicted class. */
-std::vector<std::vector<int>> confusionMatrix(const Classifier &classifier,
-                                              const Dataset &test);
 
 /**
  * Stratified-ish k-fold cross validation (plain round-robin folds

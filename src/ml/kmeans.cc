@@ -490,34 +490,6 @@ KMeans::runAuto(const Dataset &data)
     // same pairwise distances; built once here, freed on return.
     const Workspace ws = workspaceOf(data);
 
-    if (_config.criterion == AutoKCriterion::ExplainedVariance) {
-        // Total within-cluster scatter at k=1 (variance * n).
-        const FlatMatrix &points = ws.points;
-        const std::size_t dim = points.cols();
-        std::vector<double> mean(dim, 0.0);
-        for (std::size_t i = 0; i < points.rows(); ++i) {
-            const double *x = points.row(i);
-            for (std::size_t d = 0; d < dim; ++d)
-                mean[d] += x[d];
-        }
-        for (double &m : mean)
-            m /= data.size();
-        double total = 0.0;
-        for (std::size_t i = 0; i < points.rows(); ++i)
-            total += rowSquaredDistance(points.row(i), mean.data(), dim);
-        if (total <= 1e-300)  // all points identical
-            return bestOf(ws, kMin, _rng, _config);
-
-        Clustering last;
-        for (int k = kMin; k <= kMax; ++k) {
-            last = bestOf(ws, k, _rng, _config);
-            const double explained = 1.0 - last.inertia / total;
-            if (explained >= _config.varianceExplained)
-                return last;
-        }
-        return last;  // never reached the target: most classes wins
-    }
-
     Clustering best;
     double bestScore = -2.0;
     for (int k = kMin; k <= kMax; ++k) {

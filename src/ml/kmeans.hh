@@ -34,17 +34,6 @@ struct Clustering
     std::vector<int> medoids;
 };
 
-/** How runAuto() chooses the number of clusters. */
-enum class AutoKCriterion
-{
-    /** Smallest k explaining >= varianceExplained of total variance:
-     *  matches DejaVu's goal of the *fewest* classes that are still
-     *  tight enough to share one allocation per class. */
-    ExplainedVariance,
-    /** Maximize mean silhouette (with a small per-class penalty). */
-    Silhouette,
-};
-
 /**
  * Lloyd's algorithm with k-means++ seeding.
  */
@@ -57,11 +46,6 @@ class KMeans
         int restarts = 4;       ///< Best-of-N restarts per k.
         int autoKMin = 2;
         int autoKMax = 8;
-        AutoKCriterion criterion = AutoKCriterion::Silhouette;
-        /** Variance-explained target for that criterion (robust only
-         *  when the attributes are mostly informative; noisy
-         *  dimensions make the target unreachable). */
-        double varianceExplained = 0.92;
     };
 
     explicit KMeans(Rng rng);

@@ -79,13 +79,6 @@ MetricsRegistry::histogram(const std::string &name)
     return *entry(name, Kind::Histogram).histogram;
 }
 
-std::size_t
-MetricsRegistry::size() const
-{
-    MutexLock lock(_mu);
-    return _entries.size();
-}
-
 void
 MetricsRegistry::writeKv(std::ostream &os) const
 {

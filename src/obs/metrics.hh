@@ -1,14 +1,13 @@
 /**
  * @file
- * MetricsRegistry: one namespace for every counter in the tree.
+ * MetricsRegistry: a named handle space of counters, gauges and
+ * latency histograms. Hot paths hold a reference (registration is the
+ * only name lookup) and do one relaxed `fetch_add`, never a lock.
  *
- * Sim summaries, the profiling work-queue `Stats`, and the serving
- * daemon's hot-path counters historically each had their own ad-hoc
- * struct. The registry unifies them: a named handle space of
- * counters, gauges and latency histograms with the same
- * relaxed-atomic discipline the serving metrics pioneered — hot
- * paths hold a reference (registration is the only name lookup) and
- * do one relaxed `fetch_add`, never a lock.
+ * The serving daemon's counters (serving::Metrics) live here, and
+ * bench_fleet_tails publishes a fleet cell's summary into one for
+ * `--metrics-out`. The sim summaries and the profiling work-queue
+ * `Stats` are still their own structs.
  *
  * Naming convention: dotted lower-case paths, domain first —
  * `serving.samples`, `profiling.slots.signature`, `fleet.adaptations`,
@@ -204,8 +203,6 @@ class MetricsRegistry
     {
         gauge(name).set(v);
     }
-
-    std::size_t size() const;
 
     /** `name value` lines sorted by name; histograms expand to
      *  `_count`, `_p50_lo_ns`/`_p50_ns`, `_p99_lo_ns`/`_p99_ns`

@@ -124,14 +124,6 @@ TraceRecorder::eventCount() const
 }
 
 void
-TraceRecorder::clear()
-{
-    MutexLock lock(_mu);
-    _slabs.clear();
-    _dropped = 0;
-}
-
-void
 TraceRecorder::writeChromeJson(std::ostream &os) const
 {
     MutexLock lock(_mu);

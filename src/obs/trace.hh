@@ -170,9 +170,6 @@ class TraceRecorder
      */
     void writeChromeJson(std::ostream &os) const;
 
-    /** Drop all events (lanes and interned strings survive). */
-    void clear();
-
   private:
     enum class Phase : std::uint8_t
     {

@@ -170,12 +170,6 @@ slotPolicyFromName(const std::string &name)
           " (use fifo|sjf|slo-debt|adaptive)");
 }
 
-std::unique_ptr<ProfilingSlotScheduler>
-makeSlotScheduler(const std::string &name)
-{
-    return makeSlotScheduler(slotPolicyFromName(name));
-}
-
 const std::vector<std::string> &
 slotPolicyNames()
 {

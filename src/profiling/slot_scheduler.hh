@@ -182,10 +182,6 @@ std::unique_ptr<ProfilingSlotScheduler> makeSlotScheduler(
  *  (fatal otherwise). */
 SlotPolicy slotPolicyFromName(const std::string &name);
 
-/** Factory by name: "fifo" | "sjf" | "slo-debt" | "adaptive". */
-std::unique_ptr<ProfilingSlotScheduler> makeSlotScheduler(
-    const std::string &name);
-
 /** All built-in policy names, in SlotPolicy order (the three fixed
  *  disciplines, then "adaptive"). */
 const std::vector<std::string> &slotPolicyNames();

@@ -4,11 +4,6 @@
 
 namespace dejavu {
 
-DejaVuProxy::DejaVuProxy(Rng rng)
-    : DejaVuProxy(rng, Config())
-{
-}
-
 DejaVuProxy::DejaVuProxy(Rng rng, Config config)
     : _config(config), _rng(rng),
       _cache(config.answerCacheCapacity)
@@ -52,22 +47,8 @@ DejaVuProxy::onProductionRequest(const ProxiedRequest &request,
         // The duplicated request's clone reply is dropped to keep the
         // profiling transparent to the rest of the cluster.
         ++_stats.cloneRepliesDropped;
-        // Tag the mirrored copy with the interference bucket it was
-        // captured under (see setInterferenceBucket).
-        const auto bucket = static_cast<std::size_t>(_bucket);
-        if (_stats.mirroredByBucket.size() <= bucket)
-            _stats.mirroredByBucket.resize(bucket + 1);
-        ++_stats.mirroredByBucket[bucket];
     }
     return _config.perRequestOverheadMs;
-}
-
-void
-DejaVuProxy::setInterferenceBucket(int bucket)
-{
-    DEJAVU_ASSERT(bucket >= 0,
-                  "negative interference bucket: ", bucket);
-    _bucket = bucket;
 }
 
 bool
@@ -93,15 +74,6 @@ DejaVuProxy::networkOverheadFraction(int instances, double inboundShare)
     // 1/instances of the service's inbound traffic, which is
     // inboundShare of total traffic.
     return inboundShare / instances;
-}
-
-double
-DejaVuProxy::observedMirrorFraction() const
-{
-    if (_stats.productionRequests == 0)
-        return 0.0;
-    return static_cast<double>(_stats.mirroredRequests)
-        / _stats.productionRequests;
 }
 
 } // namespace dejavu

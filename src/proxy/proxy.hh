@@ -13,7 +13,6 @@
 #define DEJAVU_PROXY_PROXY_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/random.hh"
 #include "proxy/answer_cache.hh"
@@ -58,14 +57,8 @@ class DejaVuProxy
         std::uint64_t mirroredSessions = 0;
         std::uint64_t totalSessions = 0;
         std::uint64_t cloneRepliesDropped = 0;
-        /** Mirrored requests captured under each §3.6 interference
-         *  bucket (index = bucket, grown on demand): the profiling
-         *  side replays bucket-b traffic against the (class, b)
-         *  repository key, so the split must be observable. */
-        std::vector<std::uint64_t> mirroredByBucket;
     };
 
-    DejaVuProxy(Rng rng);
     DejaVuProxy(Rng rng, Config config);
 
     /**
@@ -88,20 +81,6 @@ class DejaVuProxy
     bool sessionSampled(std::uint64_t sessionId) const;
 
     /**
-     * §3.6 bucket tagging: the controller publishes its current
-     * interference bucket here on every transition
-     * (DejaVuController::attachProxy), and mirrored traffic is
-     * counted under that bucket from this call on — the classify
-     * path's (class, bucket) key and the replayed traffic stay
-     * aligned. Fatal on a negative bucket.
-     */
-    void setInterferenceBucket(int bucket);
-
-    /** The bucket incoming mirrored traffic is currently tagged
-     *  with (0 = no interference detected). */
-    int interferenceBucket() const { return _bucket; }
-
-    /**
      * Network overhead as a fraction of total service traffic for a
      * service with @p instances instances and the given inbound share
      * of total traffic (§4.4's example: 100 instances, 1:10 ratio →
@@ -109,9 +88,6 @@ class DejaVuProxy
      */
     static double networkOverheadFraction(int instances,
                                           double inboundShare = 0.1);
-
-    /** Fraction of requests actually mirrored so far. */
-    double observedMirrorFraction() const;
 
     const Stats &stats() const { return _stats; }
     AnswerCache &answerCache() { return _cache; }
@@ -126,7 +102,6 @@ class DejaVuProxy
     AnswerCache _cache;
     Stats _stats;
     std::uint64_t _sessionSalt;
-    int _bucket = 0;  ///< Current §3.6 interference bucket tag.
 };
 
 } // namespace dejavu

@@ -21,6 +21,7 @@
 #include "common/random.hh"
 #include "common/sim_time.hh"
 #include "services/perf_model.hh"
+#include "services/service_kind.hh"
 #include "services/slo.hh"
 #include "sim/allocation.hh"
 #include "sim/cluster.hh"
@@ -30,18 +31,6 @@
 namespace dejavu {
 
 class EventQueue;
-
-/** Coarse service family; the counter simulator keys its response
- *  surfaces on this (different services stress different units). */
-enum class ServiceKind { KeyValue, SpecWeb, Rubis, Generic, Ycsb };
-
-/** Stable lowercase name of a service kind ("keyvalue" | "specweb" |
- *  "rubis" | "generic" | "ycsb") — the kind column of repository CSVs
- *  and the namespace label of shared-repository reports. */
-const char *serviceKindName(ServiceKind kind);
-
-/** Parse a name produced by serviceKindName(); fatal() otherwise. */
-ServiceKind serviceKindFromName(const std::string &name);
 
 /**
  * Base class for Cassandra-, SPECweb- and RUBiS-like service models.

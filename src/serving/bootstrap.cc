@@ -102,13 +102,12 @@ widenRepository(SharedRepository &repo, ServiceKind kind,
 {
     DEJAVU_ASSERT(firstClassId >= 0 && classes >= 0 && buckets >= 1,
                   "bad widen arguments");
-    RepositoryHandle handle = repo.attach(kind, "synthetic-widen");
+    RepositoryHandle handle = repo.attach(kind);
     for (int c = 0; c < classes; ++c) {
         for (int b = 0; b < buckets; ++b)
             handle.store(RepositoryKey{firstClassId + c, b},
                          allocation);
     }
-    repo.detach(handle);
 }
 
 } // namespace serving

@@ -74,8 +74,7 @@ class ServingClient
     AnswerMsg decide(const std::vector<double> &metricValues);
 
     /** Publish this session's interference-bucket transition
-     *  (fire-and-forget): the client tags its own lookups, the way
-     *  DejaVuProxy::setInterferenceBucket tags mirrored traffic. */
+     *  (fire-and-forget): later lookups use that bucket's entries. */
     void publishBucket(int bucket);
 
     /** Close the session (frees the daemon-side admission slot). */

@@ -58,8 +58,8 @@ struct Session
 
     /** @name Externally synchronized (single driving connection) @{ */
     /** Current §3.6 interference bucket (Bucket frames set it;
-     *  answers reset it exactly as DejaVuController::setBucket
-     *  does). */
+     *  answers reset it exactly as the controller resets its
+     *  own). */
     int bucket = 0;
     /** This kind's immutable repository table, shared with every
      *  other session of the kind; refreshed when

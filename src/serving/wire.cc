@@ -271,14 +271,6 @@ encodeSampleInto(WireFrame &out, std::uint32_t sessionId,
     }
 }
 
-WireFrame
-encodeSample(const SampleMsg &msg)
-{
-    WireFrame out;
-    encodeSampleInto(out, msg.sessionId, msg.seq, msg.values);
-    return out;
-}
-
 bool
 decodeSampleInto(const WireFrame &frame, SampleMsg &msg)
 {
@@ -304,15 +296,6 @@ decodeSampleInto(const WireFrame &frame, SampleMsg &msg)
     return true;
 }
 
-std::optional<SampleMsg>
-decodeSample(const WireFrame &frame)
-{
-    SampleMsg msg;
-    if (!decodeSampleInto(frame, msg))
-        return std::nullopt;
-    return msg;
-}
-
 void
 encodeAnswerInto(WireFrame &out, const AnswerMsg &msg)
 {
@@ -331,14 +314,6 @@ encodeAnswerInto(WireFrame &out, const AnswerMsg &msg)
     storeLe32(p + 27,
               static_cast<std::uint32_t>(msg.allocation.instances));
     p[31] = static_cast<std::uint8_t>(msg.allocation.type);
-}
-
-WireFrame
-encodeAnswer(const AnswerMsg &msg)
-{
-    WireFrame out;
-    encodeAnswerInto(out, msg);
-    return out;
 }
 
 std::optional<AnswerMsg>

@@ -39,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "services/service.hh"
+#include "services/service_kind.hh"
 #include "sim/allocation.hh"
 
 namespace dejavu {
@@ -142,8 +142,6 @@ std::optional<MsgType> frameType(const WireFrame &frame);
 /** @name Encoders (always succeed) @{ */
 WireFrame encodeHello(const HelloMsg &msg);
 WireFrame encodeHelloAck(const HelloAckMsg &msg);
-WireFrame encodeSample(const SampleMsg &msg);
-WireFrame encodeAnswer(const AnswerMsg &msg);
 WireFrame encodeBucket(const BucketMsg &msg);
 WireFrame encodeBye(const ByeMsg &msg);
 /** @} */
@@ -151,7 +149,6 @@ WireFrame encodeBye(const ByeMsg &msg);
 /** @name Decoders (nullopt on malformed input; never fatal) @{ */
 std::optional<HelloMsg> decodeHello(const WireFrame &frame);
 std::optional<HelloAckMsg> decodeHelloAck(const WireFrame &frame);
-std::optional<SampleMsg> decodeSample(const WireFrame &frame);
 std::optional<AnswerMsg> decodeAnswer(const WireFrame &frame);
 std::optional<BucketMsg> decodeBucket(const WireFrame &frame);
 std::optional<ByeMsg> decodeBye(const WireFrame &frame);
@@ -165,8 +162,7 @@ std::optional<ByeMsg> decodeBye(const WireFrame &frame);
  * allocating fresh ones, so after warm-up the whole
  * encode -> serve -> decode round trip performs no allocation (the
  * serving-layer analogue of the classifier's FlatMatrix scratch
- * path). Byte-for-byte identical output to the allocating forms,
- * which remain for setup traffic and tests.
+ * path). Sample and Answer frames have no allocating form.
  * @{
  */
 /** Encode a Sample without materializing a SampleMsg: @p out is

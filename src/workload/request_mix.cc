@@ -160,16 +160,4 @@ ycsbReadLatest()
     };
 }
 
-std::vector<RequestMix>
-allMixes()
-{
-    return {
-        cassandraUpdateHeavy(), cassandraReadHeavy(), cassandraBalanced(),
-        specwebBanking(), specwebEcommerce(), specwebSupport(),
-        rubisBrowsing(), rubisBidding(),
-        ycsbUpdateHeavy(), ycsbReadHeavy(), ycsbReadOnly(),
-        ycsbReadLatest(),
-    };
-}
-
 } // namespace dejavu

@@ -77,9 +77,6 @@ RequestMix ycsbReadLatest();
 
 /** @} */
 
-/** All catalogued mixes (used by sweeps and tests). */
-std::vector<RequestMix> allMixes();
-
 /** @} */
 
 /**

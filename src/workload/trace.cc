@@ -43,28 +43,4 @@ LoadTrace::at(int day, int hour) const
     return at(static_cast<std::size_t>(day) * 24 + hour);
 }
 
-LoadTrace
-LoadTrace::slice(std::size_t firstHour, std::size_t count) const
-{
-    DEJAVU_ASSERT(firstHour < _load.size(), "slice start out of range");
-    const std::size_t end = std::min(firstHour + count, _load.size());
-    std::vector<double> sub(_load.begin() + firstHour,
-                            _load.begin() + end);
-    // Note: re-normalizes to the slice's own peak by construction;
-    // scale through the original peak when that matters.
-    LoadTrace out;
-    out._name = _name + "[" + std::to_string(firstHour) + ".." +
-        std::to_string(end) + ")";
-    out._load = std::move(sub);
-    return out;
-}
-
-double
-LoadTrace::peak() const
-{
-    if (_load.empty())
-        return 0.0;
-    return *std::max_element(_load.begin(), _load.end());
-}
-
 } // namespace dejavu

@@ -50,15 +50,6 @@ class LoadTrace
     /** All samples. */
     const std::vector<double> &samples() const { return _load; }
 
-    /**
-     * Slice out [firstHour, firstHour+count) as a new trace
-     * (used to separate the learning day from the reuse days).
-     */
-    LoadTrace slice(std::size_t firstHour, std::size_t count) const;
-
-    /** Peak (= 1 after normalization unless the trace is empty). */
-    double peak() const;
-
   private:
     std::string _name;
     std::vector<double> _load;

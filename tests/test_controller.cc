@@ -63,42 +63,26 @@ TEST_F(ControllerTest, SharedRepositoryReusesPeerClassTunings)
     SharedRepository repo;
     DejaVuController first(service, profiler, config(), Rng(9));
     EXPECT_FALSE(first.sharesRepository());
-    first.attachRepository(repo, "first");
+    first.attachRepository(repo);
     EXPECT_TRUE(first.sharesRepository());
     const auto ra = first.learn(learningSet());
     EXPECT_EQ(ra.classesReused, 0);  // nothing to reuse yet
 
     DejaVuController second(service, profiler, config(), Rng(13));
-    second.attachRepository(repo, "second");
+    second.attachRepository(repo);
     const auto rb = second.learn(learningSet());
     // Canonical class labels + the shared kind namespace: the
     // second same-kind controller reuses the first one's tunings
     // (both have >= 3 classes, so >= 3 probes hit).
     EXPECT_GE(rb.classesReused, 3);
     EXPECT_GT(second.repository().crossHits(), 0u);
-    EXPECT_EQ(repo.aggregateCrossHits(),
-              second.repository().crossHits());
+    // Every cross hit in the repository is the second's.
+    EXPECT_EQ(first.repository().crossHits(), 0u);
 
     // Both controllers still answer workload changes normally.
     const auto decision =
         second.onWorkloadChange({cassandraUpdateHeavy(), 9000.0});
     EXPECT_GE(decision.classId, -1);
-}
-
-TEST_F(ControllerTest, DetachReturnsToPrivateRepository)
-{
-    SharedRepository repo;
-    DejaVuController dv(service, profiler, config(), Rng(9));
-    dv.attachRepository(repo);
-    EXPECT_EQ(repo.attachments(), 1);
-    dv.detachRepository();
-    EXPECT_FALSE(dv.sharesRepository());
-    // The live-attachment count stays truthful after the detach.
-    EXPECT_EQ(repo.attachments(), 0);
-    dv.learn(learningSet());
-    // Nothing leaked into the shared repository after the detach.
-    EXPECT_EQ(repo.entries(), 0u);
-    EXPECT_GT(dv.repository().entries(), 0u);
 }
 
 TEST_F(ControllerTest, AttachAfterLearnIsFatal)
@@ -107,6 +91,16 @@ TEST_F(ControllerTest, AttachAfterLearnIsFatal)
     DejaVuController dv(service, profiler, config(), Rng(9));
     dv.learn(learningSet());
     EXPECT_DEATH(dv.attachRepository(repo), "after learn");
+}
+
+TEST_F(ControllerTest, AttachTwiceIsFatal)
+{
+    SharedRepository first;
+    SharedRepository second;
+    DejaVuController dv(service, profiler, config(), Rng(9));
+    dv.attachRepository(first);
+    EXPECT_DEATH(dv.attachRepository(second),
+                 "attachRepository called twice");
 }
 
 TEST_F(ControllerTest, ClassAllocationsGrowWithLoad)
@@ -212,6 +206,7 @@ TEST_F(ControllerTest, InterferenceFeedbackAddsResources)
     ASSERT_TRUE(reaction.has_value());
     EXPECT_EQ(reaction->kind,
               DejaVuController::DecisionKind::InterferenceAdjust);
+    EXPECT_GT(dv.interferenceBucket(), 0);
     EXPECT_GT(reaction->allocation.instances, base.allocation.instances);
     // The interference-aware entry is now cached.
     EXPECT_GT(dv.repository().entries(),

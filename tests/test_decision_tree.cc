@@ -116,15 +116,6 @@ TEST(DecisionTree, MultiClassSplits)
     EXPECT_EQ(tree.predict({2.5}).label, 2);
 }
 
-TEST(DecisionTree, ToTextMentionsAttribute)
-{
-    const Dataset train = thresholdData(100, 15);
-    DecisionTree tree;
-    tree.train(train);
-    const std::string text = tree.toText({"x", "junk"});
-    EXPECT_NE(text.find("x <="), std::string::npos);
-}
-
 TEST(DecisionTree, NormalInverseAccuracy)
 {
     // Known quantiles of the standard normal.

@@ -33,30 +33,6 @@ TEST(Evaluation, PerfectAccuracyOnSeparableData)
     EXPECT_GT(accuracy(tree, d), 0.98);
 }
 
-TEST(Evaluation, ConfusionMatrixDiagonalDominates)
-{
-    const Dataset d = easyData(200, 5);
-    DecisionTree tree;
-    tree.train(d);
-    const auto m = confusionMatrix(tree, d);
-    ASSERT_EQ(m.size(), 2u);
-    EXPECT_GT(m[0][0], m[0][1]);
-    EXPECT_GT(m[1][1], m[1][0]);
-}
-
-TEST(Evaluation, ConfusionMatrixTotals)
-{
-    const Dataset d = easyData(100, 7);
-    NaiveBayes nb;
-    nb.train(d);
-    const auto m = confusionMatrix(nb, d);
-    int total = 0;
-    for (const auto &row : m)
-        for (int c : row)
-            total += c;
-    EXPECT_EQ(total, d.size());
-}
-
 TEST(Evaluation, CrossValidationHighOnEasyData)
 {
     const Dataset d = easyData(300, 9);

@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for the extension features: re-clustering (§3.5), trace CSV
- * I/O, the Kingfisher-style cost-aware tuner (§5), and batch-workload
+ * Tests for the extension features: re-clustering (§3.5), the
+ * Kingfisher-style cost-aware tuner (§5), and batch-workload
  * interference diagnosis (§3.7).
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/batch.hh"
 #include "core/controller.hh"
@@ -17,8 +15,6 @@
 #include "services/keyvalue_service.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
-#include "workload/trace_io.hh"
-#include "workload/trace_library.hh"
 
 namespace dejavu {
 namespace {
@@ -95,8 +91,10 @@ TEST_F(RelearnTest, RelearnRebuildsRepository)
     dv.relearn();
     // One entry per (possibly different) class, all baseline buckets.
     EXPECT_GE(dv.repository().entries(), beforeKeys);
-    for (const auto &key : dv.repository().keys())
-        EXPECT_EQ(key.interferenceBucket, 0);
+    const RepositoryHandle &repo = dv.repository();
+    const RepositorySnapshot snap = repo.shared()->snapshot(repo.kind());
+    for (const RepositorySnapshot::Entry &entry : snap.all())
+        EXPECT_EQ(entry.key.interferenceBucket, 0);
 }
 
 TEST_F(RelearnTest, RelearnBeforeLearnDies)
@@ -121,55 +119,6 @@ TEST_F(RelearnTest, PolicyAutoRelearnClosesTheLoop)
     policy.onWorkloadChange({cassandraUpdateHeavy(), 40100.0});
     EXPECT_EQ(policy.unknownWorkloadEvents(), 3);
     EXPECT_FALSE(dv.relearnRecommended());
-}
-
-// --------------------------------------------------------------------
-// Trace CSV I/O.
-// --------------------------------------------------------------------
-
-TEST(TraceIo, RoundTrip)
-{
-    const LoadTrace original = makeMessengerTrace();
-    std::stringstream buffer;
-    writeTraceCsv(buffer, original);
-    const LoadTrace parsed = readTraceCsv(buffer, "roundtrip");
-    ASSERT_EQ(parsed.hours(), original.hours());
-    for (std::size_t h = 0; h < parsed.hours(); ++h)
-        EXPECT_NEAR(parsed.at(h), original.at(h), 1e-9);
-}
-
-TEST(TraceIo, ParsesHeaderCommentsAndBlanks)
-{
-    std::istringstream in(
-        "hour,load\n"
-        "# a comment\n"
-        "0,10\n"
-        "\n"
-        "1,20\n"
-        "2,5\n");
-    const LoadTrace t = readTraceCsv(in, "test");
-    ASSERT_EQ(t.hours(), 3u);
-    EXPECT_DOUBLE_EQ(t.at(1), 1.0);   // normalized peak
-    EXPECT_DOUBLE_EQ(t.at(0), 0.5);
-    EXPECT_DOUBLE_EQ(t.at(2), 0.25);
-}
-
-TEST(TraceIoDeath, RejectsMalformedInput)
-{
-    std::istringstream garbage("0;10\n");
-    EXPECT_EXIT(readTraceCsv(garbage, "bad"),
-                ::testing::ExitedWithCode(1), "expected");
-    std::istringstream nan("0,banana\n");
-    EXPECT_EXIT(readTraceCsv(nan, "bad"),
-                ::testing::ExitedWithCode(1), "unparsable");
-    std::istringstream negative("0,-3\n");
-    EXPECT_EXIT(readTraceCsv(negative, "bad"),
-                ::testing::ExitedWithCode(1), "negative");
-    std::istringstream empty("# nothing\n");
-    EXPECT_EXIT(readTraceCsv(empty, "bad"),
-                ::testing::ExitedWithCode(1), "no samples");
-    EXPECT_EXIT(readTraceCsv("/no/such/file.csv"),
-                ::testing::ExitedWithCode(1), "cannot open");
 }
 
 // --------------------------------------------------------------------

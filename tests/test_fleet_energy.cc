@@ -278,16 +278,15 @@ TEST(ProfilingHostPoolDeath, RejectsMisuse)
 
 TEST(SlotSchedulerPolicy, FactoryByNameMatchesEnum)
 {
-    EXPECT_EQ(makeSlotScheduler("fifo")->name(), "fifo");
-    EXPECT_EQ(makeSlotScheduler("sjf")->name(), "sjf");
-    EXPECT_EQ(makeSlotScheduler("slo-debt")->name(), "slo-debt");
-    EXPECT_EQ(makeSlotScheduler("adaptive")->name(), "adaptive");
+    for (const char *name : {"fifo", "sjf", "slo-debt", "adaptive"})
+        EXPECT_EQ(makeSlotScheduler(slotPolicyFromName(name))->name(),
+                  name);
     EXPECT_EQ(slotPolicyNames().size(), 4u);
 }
 
 TEST(SlotSchedulerPolicyDeath, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(makeSlotScheduler("lifo"),
+    EXPECT_EXIT(slotPolicyFromName("lifo"),
                 ::testing::ExitedWithCode(1), "unknown slot policy");
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -460,15 +461,29 @@ TEST_F(FleetExperimentTest, SharedRepositoryReusesPeerLearnings)
     const SharedRepository &repo =
         *stack->experiment->sharedRepository();
     // 6 members, 3 kinds: members 4-6 learn after a same-kind peer,
-    // so learning-phase cross hits must have happened.
-    EXPECT_GT(repo.aggregateCrossHits(), 0u);
-    EXPECT_EQ(repo.attachments(), 6);
-    // All three kind namespaces are populated and disjoint.
-    EXPECT_EQ(repo.kinds().size(), 3u);
+    // so learning-phase cross hits must have happened. Every member
+    // holds its own attachment to the one repository.
+    std::uint64_t crossHits = 0;
+    std::set<int> attachments;
+    for (const auto &member : stack->members) {
+        const RepositoryHandle &handle = member->controller->repository();
+        EXPECT_EQ(handle.shared(), &repo);
+        attachments.insert(handle.id());
+        crossHits += handle.crossHits();
+    }
+    EXPECT_GT(crossHits, 0u);
+    EXPECT_EQ(attachments.size(), 6u);
+    // All three kind namespaces are populated and disjoint, and no
+    // other kind is.
+    std::size_t kindEntries = 0;
     for (const ServiceKind kind :
          {ServiceKind::KeyValue, ServiceKind::SpecWeb,
-          ServiceKind::Rubis})
-        EXPECT_GT(repo.entries(kind), 0u);
+          ServiceKind::Rubis}) {
+        const std::size_t entries = repo.snapshot(kind).entries();
+        EXPECT_GT(entries, 0u);
+        kindEntries += entries;
+    }
+    EXPECT_EQ(repo.entries(), kindEntries);
 
     const auto results = stack->experiment->run();
     for (const auto &sr : results)

@@ -84,20 +84,7 @@ TEST(KMeans, AutoKFindsThreeBlobs)
     KMeans::Config cfg;
     cfg.autoKMin = 2;
     cfg.autoKMax = 6;
-    cfg.criterion = AutoKCriterion::Silhouette;
     KMeans km(Rng(13), cfg);
-    EXPECT_EQ(km.runAuto(d).k, 3);
-}
-
-TEST(KMeans, AutoKExplainedVarianceFindsThreeBlobs)
-{
-    const Dataset d = blobs(25, 15);
-    KMeans::Config cfg;
-    cfg.autoKMin = 2;
-    cfg.autoKMax = 6;
-    cfg.criterion = AutoKCriterion::ExplainedVariance;
-    cfg.varianceExplained = 0.95;
-    KMeans km(Rng(17), cfg);
     EXPECT_EQ(km.runAuto(d).k, 3);
 }
 
@@ -175,28 +162,21 @@ TEST(KMeans, RunSilhouetteIsTheReferenceBitForBit)
 TEST(KMeans, AutoKSilhouetteIsTheReferenceBitForBit)
 {
     // runAuto() shares one distance matrix across every k; the
-    // silhouette it reports must be the reference's, bit for bit,
-    // under both criteria.
+    // silhouette it reports must be the reference's, bit for bit.
     const std::vector<Dataset> piles = {blobs(25, 11), blobs(25, 15),
                                         blobs(20, 31), learningPile(41),
                                         learningPile(43)};
-    for (const AutoKCriterion criterion :
-         {AutoKCriterion::Silhouette,
-          AutoKCriterion::ExplainedVariance}) {
-        for (std::size_t p = 0; p < piles.size(); ++p) {
-            const Dataset &d = piles[p];
-            KMeans::Config cfg;
-            cfg.autoKMin = 3;
-            cfg.autoKMax = 6;
-            cfg.criterion = criterion;
-            KMeans km(Rng(45), cfg);
-            const Clustering r = km.runAuto(d);
-            EXPECT_GT(r.silhouette, 0.0) << "pile " << p;
-            EXPECT_EQ(r.silhouette,
-                      KMeans::meanSilhouette(d, r.assignment, r.k))
-                << "pile " << p << " criterion "
-                << static_cast<int>(criterion);
-        }
+    for (std::size_t p = 0; p < piles.size(); ++p) {
+        const Dataset &d = piles[p];
+        KMeans::Config cfg;
+        cfg.autoKMin = 3;
+        cfg.autoKMax = 6;
+        KMeans km(Rng(45), cfg);
+        const Clustering r = km.runAuto(d);
+        EXPECT_GT(r.silhouette, 0.0) << "pile " << p;
+        EXPECT_EQ(r.silhouette,
+                  KMeans::meanSilhouette(d, r.assignment, r.k))
+            << "pile " << p;
     }
 }
 
@@ -221,27 +201,6 @@ class ReferenceKMeans
     {
         const int kMin = _config.autoKMin;
         const int kMax = std::min(_config.autoKMax, data.size() - 1);
-        if (_config.criterion == AutoKCriterion::ExplainedVariance) {
-            std::vector<double> mean(
-                static_cast<std::size_t>(data.numAttributes()), 0.0);
-            for (int i = 0; i < data.size(); ++i)
-                for (std::size_t d = 0; d < mean.size(); ++d)
-                    mean[d] += data.instance(i)[d];
-            for (double &m : mean)
-                m /= data.size();
-            double total = 0.0;
-            for (int i = 0; i < data.size(); ++i)
-                total += KMeans::squaredDistance(data.instance(i), mean);
-            if (total <= 1e-300)
-                return bestOf(data, kMin);
-            Clustering last;
-            for (int k = kMin; k <= kMax; ++k) {
-                last = bestOf(data, k);
-                if (1.0 - last.inertia / total >= _config.varianceExplained)
-                    return last;
-            }
-            return last;
-        }
         Clustering best;
         double bestScore = -2.0;
         for (int k = kMin; k <= kMax; ++k) {
@@ -432,20 +391,13 @@ TEST(KMeans, LloydMatchesTheReferenceBitForBit)
                 expectSameClustering(km.run(data, k), ref.run(data, k),
                                      at + " k=" + std::to_string(k));
             }
-            for (const AutoKCriterion criterion :
-                 {AutoKCriterion::Silhouette,
-                  AutoKCriterion::ExplainedVariance}) {
-                KMeans::Config autoCfg = cfg;
-                autoCfg.autoKMin = std::min(3, data.size() - 1);
-                autoCfg.autoKMax = 6;
-                autoCfg.criterion = criterion;
-                KMeans autoKm(Rng(53), autoCfg);
-                ReferenceKMeans autoRef(Rng(53), autoCfg);
-                expectSameClustering(
-                    autoKm.runAuto(data), autoRef.runAuto(data),
-                    at + " auto criterion "
-                        + std::to_string(static_cast<int>(criterion)));
-            }
+            KMeans::Config autoCfg = cfg;
+            autoCfg.autoKMin = std::min(3, data.size() - 1);
+            autoCfg.autoKMax = 6;
+            KMeans autoKm(Rng(53), autoCfg);
+            ReferenceKMeans autoRef(Rng(53), autoCfg);
+            expectSameClustering(autoKm.runAuto(data),
+                                 autoRef.runAuto(data), at + " auto");
         }
     }
 }

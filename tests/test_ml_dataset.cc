@@ -58,27 +58,6 @@ TEST(Dataset, ProjectKeepsLabelsAndOrder)
     EXPECT_EQ(p.label(1), 1);
 }
 
-TEST(Dataset, SplitCoversAllInstances)
-{
-    Dataset d({"x"});
-    for (int i = 0; i < 100; ++i)
-        d.add({static_cast<double>(i)}, i % 3);
-    const auto [train, test] = d.split(0.7, 42);
-    EXPECT_EQ(train.size() + test.size(), 100);
-    EXPECT_EQ(train.size(), 70);
-}
-
-TEST(Dataset, SplitIsDeterministic)
-{
-    Dataset d({"x"});
-    for (int i = 0; i < 50; ++i)
-        d.add({static_cast<double>(i)}, 0);
-    const auto [a1, b1] = d.split(0.5, 7);
-    const auto [a2, b2] = d.split(0.5, 7);
-    for (int i = 0; i < a1.size(); ++i)
-        EXPECT_DOUBLE_EQ(a1.instance(i)[0], a2.instance(i)[0]);
-}
-
 TEST(DatasetDeath, WidthMismatch)
 {
     Dataset d({"x", "y"});

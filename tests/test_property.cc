@@ -316,7 +316,6 @@ TEST_P(KMeansProperty, AutoKMatchesPlantedClusters)
     KMeans::Config cfg;
     cfg.autoKMin = 2;
     cfg.autoKMax = 8;
-    cfg.criterion = AutoKCriterion::Silhouette;
     KMeans km(Rng(19), cfg);
     EXPECT_EQ(km.runAuto(d).k, planted);
 }

@@ -63,7 +63,7 @@ TEST(AnswerCache, ClearEmptiesCache)
 TEST(Proxy, SessionSamplingIsSticky)
 {
     // A session is either always mirrored or never (§3.2.1).
-    DejaVuProxy proxy(Rng(3));
+    DejaVuProxy proxy(Rng(3), DejaVuProxy::Config());
     for (std::uint64_t s = 0; s < 50; ++s) {
         const bool first = proxy.sessionSampled(s);
         for (int rep = 0; rep < 5; ++rep)
@@ -86,7 +86,7 @@ TEST(Proxy, SampleFractionRoughlyRespected)
 
 TEST(Proxy, ProductionOverheadConstantWhenProfiling)
 {
-    DejaVuProxy proxy(Rng(7));
+    DejaVuProxy proxy(Rng(7), DejaVuProxy::Config());
     const double overhead =
         proxy.onProductionRequest({1, 0xabc, false}, 7);
     EXPECT_DOUBLE_EQ(overhead, 3.0);  // §4.4's ~3 ms
@@ -109,7 +109,10 @@ TEST(Proxy, MirroredFractionTracksSampling)
     DejaVuProxy proxy(Rng(11), cfg);
     for (std::uint64_t s = 0; s < 4000; ++s)
         proxy.onProductionRequest({s, s * 31, false}, s);
-    EXPECT_NEAR(proxy.observedMirrorFraction(), 0.25, 0.03);
+    const DejaVuProxy::Stats &stats = proxy.stats();
+    EXPECT_NEAR(static_cast<double>(stats.mirroredRequests)
+                    / stats.productionRequests,
+                0.25, 0.03);
 }
 
 TEST(Proxy, ProfilerRepliesResolveFromCache)

@@ -114,26 +114,6 @@ TEST(Rng, GaussianParameterized)
     EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 
-TEST(Rng, ExponentialMeanMatchesRate)
-{
-    Rng rng(31);
-    double sum = 0.0;
-    const int n = 100000;
-    for (int i = 0; i < n; ++i) {
-        const double e = rng.exponential(4.0);
-        EXPECT_GE(e, 0.0);
-        sum += e;
-    }
-    EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
-TEST(Rng, LognormalIsPositive)
-{
-    Rng rng(37);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_GT(rng.lognormal(0.0, 0.5), 0.0);
-}
-
 TEST(Rng, BernoulliFrequency)
 {
     Rng rng(41);

@@ -19,7 +19,7 @@ namespace {
 struct PrivateRepo
 {
     SharedRepository shared;
-    RepositoryHandle repo = shared.attach(ServiceKind::Generic, "svc");
+    RepositoryHandle repo = shared.attach(ServiceKind::Generic);
 };
 
 TEST(Repository, StoreAndLookup)
@@ -83,11 +83,13 @@ TEST(Repository, KeysSorted)
     r.repo.store({2, 0}, {1, InstanceType::Large});
     r.repo.store({0, 1}, {1, InstanceType::Large});
     r.repo.store({0, 0}, {1, InstanceType::Large});
-    const auto keys = r.repo.keys();
-    ASSERT_EQ(keys.size(), 3u);
-    EXPECT_EQ(keys[0], (RepositoryKey{0, 0}));
-    EXPECT_EQ(keys[1], (RepositoryKey{0, 1}));
-    EXPECT_EQ(keys[2], (RepositoryKey{2, 0}));
+    const RepositorySnapshot snap =
+        r.shared.snapshot(ServiceKind::Generic);
+    const auto &entries = snap.all();
+    ASSERT_EQ(entries.size(), 3u);
+    EXPECT_EQ(entries[0].key, (RepositoryKey{0, 0}));
+    EXPECT_EQ(entries[1].key, (RepositoryKey{0, 1}));
+    EXPECT_EQ(entries[2].key, (RepositoryKey{2, 0}));
 }
 
 TEST(Repository, ClearDropsEntriesKeepsStats)
@@ -98,7 +100,7 @@ TEST(Repository, ClearDropsEntriesKeepsStats)
     r.repo.clear();
     EXPECT_EQ(r.repo.entries(), 0u);
     EXPECT_EQ(r.repo.stats().hits, 1u);  // history preserved
-    EXPECT_FALSE(r.repo.contains({0, 0}));
+    EXPECT_FALSE(r.repo.peek({0, 0}).has_value());
 }
 
 TEST(Repository, ToStringListsEntries)
@@ -120,13 +122,15 @@ TEST(Repository, SaveLoadRoundTrip)
     r.shared.save(out);
 
     std::istringstream in(out.str());
-    const SharedRepository loaded = SharedRepository::load(in);
+    SharedRepository loaded = SharedRepository::load(in);
     EXPECT_EQ(loaded.entries(), 2u);
-    EXPECT_EQ(*loaded.peek(ServiceKind::Generic, {0, 0}),
+    const RepositorySnapshot snap = loaded.snapshot(ServiceKind::Generic);
+    EXPECT_EQ(snap.find({0, 0}),
               (ResourceAllocation{4, InstanceType::Large}));
-    EXPECT_EQ(*loaded.peek(ServiceKind::Generic, {1, 2}),
+    EXPECT_EQ(snap.find({1, 2}),
               (ResourceAllocation{10, InstanceType::XLarge}));
-    EXPECT_EQ(loaded.aggregateStats().lookups, 0u);  // not persisted
+    // Not persisted.
+    EXPECT_EQ(loaded.attach(ServiceKind::Generic).stats().lookups, 0u);
 }
 
 TEST(Repository, LoadSkipsHeaderAndComments)
@@ -137,7 +141,8 @@ TEST(Repository, LoadSkipsHeaderAndComments)
         "2,1,4,m1.large\n");
     const SharedRepository repo = SharedRepository::load(in);
     EXPECT_EQ(repo.entries(), 1u);
-    EXPECT_EQ(repo.peek(ServiceKind::Generic, {2, 1})->instances, 4);
+    EXPECT_EQ(repo.snapshot(ServiceKind::Generic).find({2, 1})->instances,
+              4);
 }
 
 TEST(RepositoryDeathTest, LoadRejectsMalformedCells)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "workload/client_emulator.hh"
 #include "workload/request_mix.hh"
 
@@ -14,8 +18,17 @@ namespace {
 
 TEST(RequestMix, CatalogIsComplete)
 {
-    const auto mixes = allMixes();
-    EXPECT_EQ(mixes.size(), 12u);
+    const std::vector<RequestMix> mixes = {
+        cassandraUpdateHeavy(), cassandraReadHeavy(), cassandraBalanced(),
+        specwebBanking(), specwebEcommerce(), specwebSupport(),
+        rubisBrowsing(), rubisBidding(),
+        ycsbUpdateHeavy(), ycsbReadHeavy(), ycsbReadOnly(),
+        ycsbReadLatest(),
+    };
+    std::set<std::string> names;
+    for (const auto &m : mixes)
+        names.insert(m.name);
+    EXPECT_EQ(names.size(), 12u) << "every mix has its own name";
     for (const auto &m : mixes) {
         EXPECT_FALSE(m.name.empty());
         EXPECT_GE(m.readFraction, 0.0);

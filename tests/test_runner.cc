@@ -207,9 +207,10 @@ TEST_F(RunnerIntegration, FleetScenarioParsesSharingSuffix)
     EXPECT_EQ(shared->experiment->sharing(),
               RepositorySharing::Shared);
     ASSERT_NE(shared->experiment->sharedRepository(), nullptr);
-    EXPECT_EQ(shared->experiment->sharedRepository()->attachments(),
-              3);
     EXPECT_EQ(shared->members.size(), 3u);
+    for (const auto &member : shared->members)
+        EXPECT_EQ(member->controller->repository().shared(),
+                  shared->experiment->sharedRepository());
     EXPECT_EQ(shared->experiment->fleet().profilingHosts(), 2);
 
     // The sharing suffix composes with a missing host suffix, and

@@ -1,11 +1,10 @@
 /**
  * @file
  * Conformance suite for the scenario families the sim had never seen:
- * YCSB-style mixes, background-daemon co-runners, multi-level
- * interference bucket threading (controller -> proxy), and host-loss
- * fault injection. Pins digest determinism at 1/4/8 runner threads
- * per family, daemon duty-cycle mechanics, exact bucket publication,
- * and the no-orphaned-work invariant after host-loss schedules.
+ * YCSB-style mixes, background-daemon co-runners and host-loss fault
+ * injection. Pins digest determinism at 1/4/8 runner threads per
+ * family, daemon duty-cycle mechanics, and the no-orphaned-work
+ * invariant after host-loss schedules.
  */
 
 #include <gtest/gtest.h>
@@ -15,11 +14,7 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "core/controller.hh"
-#include "counters/profiler.hh"
 #include "experiments/runner.hh"
-#include "proxy/proxy.hh"
-#include "services/keyvalue_service.hh"
 #include "sim/cluster.hh"
 #include "sim/daemon.hh"
 #include "sim/event_queue.hh"
@@ -246,142 +241,6 @@ TEST(DaemonCoRunner, DisabledDaemonNeverTouchesVms)
     for (int i = 0; i < c.poolSize(); ++i)
         EXPECT_DOUBLE_EQ(c.vm(i).daemonTheft(), 0.0);
     EXPECT_EQ(daemon.scansCompleted(), 0u);
-}
-
-// --------------------------------------------------------------------
-// Controller -> proxy interference-bucket threading.
-// --------------------------------------------------------------------
-
-TEST(ProxyBucketTagging, MirroredTrafficCountedUnderCurrentBucket)
-{
-    // Rng(15)'s session salt samples 38 of the 200 session ids below
-    // (seed 11 would sample none — sampling is per-session stable).
-    DejaVuProxy proxy(Rng(15));
-    EXPECT_EQ(proxy.interferenceBucket(), 0);
-    auto pump = [&](std::uint64_t sessions) {
-        for (std::uint64_t s = 0; s < sessions; ++s)
-            for (std::uint64_t r = 0; r < 5; ++r)
-                proxy.onProductionRequest({s, s * 31 + r, false}, 7);
-    };
-
-    pump(200);
-    const auto &stats = proxy.stats();
-    ASSERT_GE(stats.mirroredByBucket.size(), 1u);
-    EXPECT_GT(stats.mirroredRequests, 0u);
-    EXPECT_EQ(stats.mirroredByBucket[0], stats.mirroredRequests);
-
-    // Escalate to bucket 2: the same session population mirrors the
-    // same requests, now tagged under the new bucket.
-    proxy.setInterferenceBucket(2);
-    const auto before = stats.mirroredRequests;
-    pump(200);
-    ASSERT_GE(stats.mirroredByBucket.size(), 3u);
-    EXPECT_EQ(stats.mirroredByBucket[2], stats.mirroredRequests - before);
-    EXPECT_EQ(stats.mirroredByBucket[2], stats.mirroredByBucket[0]);
-    EXPECT_EQ(stats.mirroredByBucket[1], 0u);
-
-    std::uint64_t total = 0;
-    for (const auto n : stats.mirroredByBucket)
-        total += n;
-    EXPECT_EQ(total, stats.mirroredRequests);
-}
-
-TEST(ProxyBucketTaggingDeath, NegativeBucketIsFatal)
-{
-    DejaVuProxy proxy(Rng(11));
-    EXPECT_DEATH(proxy.setInterferenceBucket(-1),
-                 "negative interference bucket");
-}
-
-class BucketThreadingTest : public ::testing::Test
-{
-  protected:
-    EventQueue queue;
-    Cluster cluster{queue, {}};
-    KeyValueService service{queue, cluster, Rng(3)};
-    ProfilerHost profiler{
-        service,
-        Monitor(service, CounterModel(ServiceKind::KeyValue, Rng(5))),
-        Rng(7)};
-
-    DejaVuController::Config config()
-    {
-        DejaVuController::Config cfg;
-        cfg.slo = Slo::latency(60.0);
-        cfg.searchSpace = scaleOutSearchSpace(10);
-        return cfg;
-    }
-
-    std::vector<Workload> learningSet()
-    {
-        std::vector<Workload> w;
-        for (double clients : {3000.0, 3500.0, 9000.0, 9500.0,
-                               20000.0, 21000.0, 33000.0, 34000.0})
-            w.push_back({cassandraUpdateHeavy(), clients});
-        return w;
-    }
-};
-
-TEST_F(BucketThreadingTest, ControllerPublishesEscalationToProxy)
-{
-    DejaVuController dv(service, profiler, config(), Rng(23));
-    DejaVuProxy proxy(Rng(15));
-    dv.learn(learningSet());
-    dv.attachProxy(&proxy);
-    EXPECT_EQ(proxy.interferenceBucket(), dv.interferenceBucket());
-    EXPECT_EQ(proxy.interferenceBucket(), 0);
-
-    const Workload w{cassandraUpdateHeavy(), 20000.0};
-    service.setWorkload(w);
-    dv.onWorkloadChange(w);
-    queue.runUntil(queue.now() + minutes(5));
-
-    // Co-located tenants appear; two violating samples trigger the
-    // §3.6 escalation, and the proxy must see the bucket transition.
-    for (int i = 0; i < cluster.poolSize(); ++i)
-        cluster.vm(i).setInterference(0.20);
-    Service::PerfSample bad;
-    bad.meanLatencyMs = service.meanLatencyMs();
-    bad.qosPercent = 99.0;
-    ASSERT_GT(bad.meanLatencyMs, 60.0);
-    (void)dv.onSloFeedback(bad);
-    const auto reaction = dv.onSloFeedback(bad);
-    ASSERT_TRUE(reaction.has_value());
-    EXPECT_EQ(reaction->kind,
-              DejaVuController::DecisionKind::InterferenceAdjust);
-    EXPECT_GT(dv.interferenceBucket(), 0);
-    EXPECT_EQ(proxy.interferenceBucket(), dv.interferenceBucket());
-}
-
-TEST_F(BucketThreadingTest, AttachLatePushesCurrentBucketAndDetaches)
-{
-    DejaVuController dv(service, profiler, config(), Rng(23));
-    dv.learn(learningSet());
-    const Workload w{cassandraUpdateHeavy(), 20000.0};
-    service.setWorkload(w);
-    dv.onWorkloadChange(w);
-    queue.runUntil(queue.now() + minutes(5));
-    for (int i = 0; i < cluster.poolSize(); ++i)
-        cluster.vm(i).setInterference(0.20);
-    Service::PerfSample bad;
-    bad.meanLatencyMs = service.meanLatencyMs();
-    bad.qosPercent = 99.0;
-    (void)dv.onSloFeedback(bad);
-    ASSERT_TRUE(dv.onSloFeedback(bad).has_value());
-    ASSERT_GT(dv.interferenceBucket(), 0);
-
-    // Attaching after the escalation pushes the current bucket at
-    // once (no transition needed)...
-    DejaVuProxy proxy(Rng(15));
-    dv.attachProxy(&proxy);
-    EXPECT_EQ(proxy.interferenceBucket(), dv.interferenceBucket());
-
-    // ...and a nullptr detach freezes the proxy's tag while the
-    // controller moves on.
-    const int tagged = proxy.interferenceBucket();
-    dv.attachProxy(nullptr);
-    dv.onWorkloadChange({cassandraUpdateHeavy(), 3000.0});
-    EXPECT_EQ(proxy.interferenceBucket(), tagged);
 }
 
 } // namespace

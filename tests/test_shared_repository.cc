@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the shared cross-service repository
- * (core/shared_repository.hh): attachment lifecycle, per-kind
- * namespace isolation, per-attachment/aggregate statistics,
+ * (core/shared_repository.hh): attachments, per-kind namespace
+ * isolation, per-attachment statistics and their fleet-wide sum,
  * persistence with the kind column (including the legacy 4-column
  * format), versioned snapshots and concurrent access.
  */
@@ -25,13 +25,48 @@ const ResourceAllocation kFourLarge{4, InstanceType::Large};
 const ResourceAllocation kSixLarge{6, InstanceType::Large};
 const ResourceAllocation kTenXL{10, InstanceType::XLarge};
 
+/** The fleet-wide numbers FleetExperiment reports: every
+ *  attachment's statistics summed. */
+RepositoryStats
+totalStats(const std::vector<RepositoryHandle> &handles)
+{
+    RepositoryStats total;
+    for (const RepositoryHandle &h : handles) {
+        const RepositoryStats s = h.stats();
+        total.lookups += s.lookups;
+        total.hits += s.hits;
+        total.misses += s.misses;
+        total.stores += s.stores;
+    }
+    return total;
+}
+
+std::uint64_t
+totalCrossHits(const std::vector<RepositoryHandle> &handles)
+{
+    std::uint64_t total = 0;
+    for (const RepositoryHandle &h : handles)
+        total += h.crossHits();
+    return total;
+}
+
+/** The keys of @p kind's current snapshot, in table order. */
+std::vector<RepositoryKey>
+snapshotKeys(const SharedRepository &repo, ServiceKind kind)
+{
+    std::vector<RepositoryKey> keys;
+    const RepositorySnapshot snap = repo.snapshot(kind);
+    for (const RepositorySnapshot::Entry &e : snap.all())
+        keys.push_back(e.key);
+    return keys;
+}
+
 TEST(SharedRepository, StoreAndLookupThroughHandle)
 {
     SharedRepository repo;
-    RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "svc-A");
+    RepositoryHandle h = repo.attach(ServiceKind::KeyValue);
     ASSERT_TRUE(h.attached());
     EXPECT_EQ(h.kind(), ServiceKind::KeyValue);
-    EXPECT_EQ(h.owner(), "svc-A");
 
     h.store({0, 0}, kFourLarge);
     const auto hit = h.lookup({0, 0});
@@ -53,12 +88,12 @@ TEST(SharedRepository, KindNamespaceIsolation)
     // The per-kind compatibility rule: a RUBiS-tuned allocation must
     // never serve a KeyValue lookup, even for identical keys.
     SharedRepository repo;
-    RepositoryHandle rubis = repo.attach(ServiceKind::Rubis, "rubis");
-    RepositoryHandle kv = repo.attach(ServiceKind::KeyValue, "kv");
+    RepositoryHandle rubis = repo.attach(ServiceKind::Rubis);
+    RepositoryHandle kv = repo.attach(ServiceKind::KeyValue);
 
     rubis.store({0, 0}, kTenXL);
     EXPECT_FALSE(kv.lookup({0, 0}).has_value());
-    EXPECT_FALSE(kv.contains({0, 0}));
+    EXPECT_FALSE(kv.peek({0, 0}).has_value());
     EXPECT_EQ(kv.entries(), 0u);
     ASSERT_TRUE(rubis.lookup({0, 0}).has_value());
 
@@ -66,16 +101,16 @@ TEST(SharedRepository, KindNamespaceIsolation)
     // Same key, both namespaces populated: each kind sees its own.
     EXPECT_EQ(*kv.lookup({0, 0}), kFourLarge);
     EXPECT_EQ(*rubis.lookup({0, 0}), kTenXL);
-    EXPECT_EQ(repo.entries(ServiceKind::Rubis), 1u);
-    EXPECT_EQ(repo.entries(ServiceKind::KeyValue), 1u);
+    EXPECT_EQ(rubis.entries(), 1u);
+    EXPECT_EQ(kv.entries(), 1u);
     EXPECT_EQ(repo.entries(), 2u);
 }
 
 TEST(SharedRepository, CrossServiceHitsCountTunerRunsAvoided)
 {
     SharedRepository repo;
-    RepositoryHandle a = repo.attach(ServiceKind::KeyValue, "svc-A");
-    RepositoryHandle b = repo.attach(ServiceKind::KeyValue, "svc-B");
+    RepositoryHandle a = repo.attach(ServiceKind::KeyValue);
+    RepositoryHandle b = repo.attach(ServiceKind::KeyValue);
 
     a.store({2, 1}, kSixLarge);
     // B's hit was served by A's write: one tuner run avoided.
@@ -92,23 +127,22 @@ TEST(SharedRepository, CrossServiceHitsCountTunerRunsAvoided)
     ASSERT_TRUE(b.lookup({2, 1}).has_value());
     EXPECT_EQ(b.crossHits(), 2u);
     EXPECT_EQ(b.reusedEntries(), 1u);
-    EXPECT_EQ(repo.aggregateCrossHits(), 2u);
-    EXPECT_EQ(repo.aggregateReusedEntries(), 1u);
+    EXPECT_EQ(totalCrossHits({a, b}), 2u);
+    EXPECT_EQ(a.reusedEntries() + b.reusedEntries(), 1u);
 }
 
 TEST(SharedRepository, ConcurrentAttachmentsKeepIndependentStats)
 {
     // Several attachments live at once: every attachment accounts
-    // its own traffic, the aggregate is the exact sum, and attach
+    // its own traffic, their sum is the fleet-wide total, and attach
     // order assigns dense ids.
     SharedRepository repo;
-    RepositoryHandle h0 = repo.attach(ServiceKind::KeyValue, "s0");
-    RepositoryHandle h1 = repo.attach(ServiceKind::KeyValue, "s1");
-    RepositoryHandle h2 = repo.attach(ServiceKind::SpecWeb, "s2");
+    RepositoryHandle h0 = repo.attach(ServiceKind::KeyValue);
+    RepositoryHandle h1 = repo.attach(ServiceKind::KeyValue);
+    RepositoryHandle h2 = repo.attach(ServiceKind::SpecWeb);
     EXPECT_EQ(h0.id(), 0);
     EXPECT_EQ(h1.id(), 1);
     EXPECT_EQ(h2.id(), 2);
-    EXPECT_EQ(repo.attachments(), 3);
 
     h0.store({0, 0}, kFourLarge);
     (void)h0.lookup({0, 0});  // hit (own)
@@ -125,19 +159,18 @@ TEST(SharedRepository, ConcurrentAttachmentsKeepIndependentStats)
     EXPECT_EQ(h1.crossHits(), 1u);
     EXPECT_EQ(h2.stats().misses, 1u);
 
-    const RepositoryStats total = repo.aggregateStats();
+    const RepositoryStats total = totalStats({h0, h1, h2});
     EXPECT_EQ(total.lookups, 4u);
     EXPECT_EQ(total.hits, 2u);
     EXPECT_EQ(total.misses, 2u);
     EXPECT_EQ(total.stores, 2u);
-    EXPECT_DOUBLE_EQ(repo.hitRate(), 0.5);
 }
 
 TEST(SharedRepository, ClearDropsOnlyOwnWrites)
 {
     SharedRepository repo;
-    RepositoryHandle a = repo.attach(ServiceKind::KeyValue, "svc-A");
-    RepositoryHandle b = repo.attach(ServiceKind::KeyValue, "svc-B");
+    RepositoryHandle a = repo.attach(ServiceKind::KeyValue);
+    RepositoryHandle b = repo.attach(ServiceKind::KeyValue);
 
     a.store({0, 0}, kFourLarge);
     b.store({1, 0}, kSixLarge);
@@ -145,17 +178,17 @@ TEST(SharedRepository, ClearDropsOnlyOwnWrites)
 
     a.clear();
     // A's write is gone; B's survives for both.
-    EXPECT_FALSE(a.contains({0, 0}));
-    EXPECT_TRUE(a.contains({1, 0}));
-    EXPECT_TRUE(b.contains({1, 0}));
-    EXPECT_EQ(repo.entries(ServiceKind::KeyValue), 1u);
+    EXPECT_FALSE(a.peek({0, 0}).has_value());
+    EXPECT_TRUE(a.peek({1, 0}).has_value());
+    EXPECT_TRUE(b.peek({1, 0}).has_value());
+    EXPECT_EQ(b.entries(), 1u);
 }
 
 TEST(SharedRepository, SaveLoadRoundTripWithKindColumn)
 {
     SharedRepository repo;
-    RepositoryHandle kv = repo.attach(ServiceKind::KeyValue, "kv");
-    RepositoryHandle web = repo.attach(ServiceKind::SpecWeb, "web");
+    RepositoryHandle kv = repo.attach(ServiceKind::KeyValue);
+    RepositoryHandle web = repo.attach(ServiceKind::SpecWeb);
     kv.store({0, 0}, kFourLarge);
     kv.store({1, 2}, kSixLarge);
     web.store({0, 0}, kTenXL);
@@ -172,14 +205,16 @@ TEST(SharedRepository, SaveLoadRoundTripWithKindColumn)
     std::istringstream in(out.str());
     SharedRepository loaded = SharedRepository::load(in);
     EXPECT_EQ(loaded.entries(), 3u);
-    EXPECT_EQ(*loaded.peek(ServiceKind::KeyValue, {1, 2}), kSixLarge);
-    EXPECT_EQ(*loaded.peek(ServiceKind::SpecWeb, {0, 0}), kTenXL);
+    EXPECT_EQ(loaded.snapshot(ServiceKind::KeyValue).find({1, 2}),
+              kSixLarge);
+    EXPECT_EQ(loaded.snapshot(ServiceKind::SpecWeb).find({0, 0}),
+              kTenXL);
     EXPECT_FALSE(
-        loaded.peek(ServiceKind::Rubis, {0, 0}).has_value());
+        loaded.snapshot(ServiceKind::Rubis).find({0, 0}).has_value());
 
     // Loaded entries have no writer: a fresh attachment's hits on
     // them count as cross-service reuse.
-    RepositoryHandle h = loaded.attach(ServiceKind::KeyValue, "new");
+    RepositoryHandle h = loaded.attach(ServiceKind::KeyValue);
     ASSERT_TRUE(h.lookup({0, 0}).has_value());
     EXPECT_EQ(h.crossHits(), 1u);
 }
@@ -196,9 +231,10 @@ TEST(SharedRepository, LegacyFourColumnLoadStillWorks)
     SharedRepository loaded = SharedRepository::load(
         in, SharedRepository::Mode::Shared, ServiceKind::Rubis);
     EXPECT_EQ(loaded.entries(), 2u);
-    EXPECT_EQ(*loaded.peek(ServiceKind::Rubis, {0, 0}), kFourLarge);
-    EXPECT_EQ(*loaded.peek(ServiceKind::Rubis, {1, 2}), kTenXL);
-    EXPECT_EQ(loaded.entries(ServiceKind::KeyValue), 0u);
+    const RepositorySnapshot rubis = loaded.snapshot(ServiceKind::Rubis);
+    EXPECT_EQ(rubis.find({0, 0}), kFourLarge);
+    EXPECT_EQ(rubis.find({1, 2}), kTenXL);
+    EXPECT_EQ(loaded.snapshot(ServiceKind::KeyValue).entries(), 0u);
 }
 
 TEST(SharedRepositoryDeathTest, LoadRejectsDuplicateRows)
@@ -222,23 +258,6 @@ TEST(SharedRepositoryDeathTest, LoadRejectsMalformedRows)
                 ::testing::ExitedWithCode(1), "kind");
 }
 
-TEST(SharedRepository, DetachKeepsEntriesAndAggregateStats)
-{
-    SharedRepository repo;
-    RepositoryHandle a = repo.attach(ServiceKind::KeyValue, "a");
-    RepositoryHandle b = repo.attach(ServiceKind::KeyValue, "b");
-    a.store({0, 0}, kFourLarge);
-    (void)a.lookup({0, 0});
-
-    repo.detach(a);
-    EXPECT_FALSE(a.attached());
-    EXPECT_EQ(repo.attachments(), 1);
-    EXPECT_EQ(repo.totalAttachments(), 2);
-    // The detached attachment's entries and statistics remain.
-    EXPECT_TRUE(b.contains({0, 0}));
-    EXPECT_EQ(repo.aggregateStats().lookups, 1u);
-}
-
 TEST(SharedRepositoryDeathTest, UnattachedHandleOpsAreFatal)
 {
     RepositoryHandle none;
@@ -251,21 +270,21 @@ TEST(SharedRepositoryDeathTest, UnattachedHandleOpsAreFatal)
 TEST(SharedRepository, KeysSortedAndToString)
 {
     SharedRepository repo;
-    RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "kv");
+    RepositoryHandle h = repo.attach(ServiceKind::KeyValue);
     h.store({2, 0}, kFourLarge);
     h.store({0, 1}, kFourLarge);
     h.store({0, 0}, kFourLarge);
-    const auto keys = h.keys();
+    const auto keys = snapshotKeys(repo, ServiceKind::KeyValue);
     ASSERT_EQ(keys.size(), 3u);
     EXPECT_EQ(keys[0], (RepositoryKey{0, 0}));
     EXPECT_EQ(keys[1], (RepositoryKey{0, 1}));
     EXPECT_EQ(keys[2], (RepositoryKey{2, 0}));
 
-    const std::string s = repo.toString();
-    EXPECT_NE(s.find("shared-repository{"), std::string::npos);
-    EXPECT_NE(s.find("keyvalue"), std::string::npos);
-    EXPECT_NE(h.toString().find("repository[keyvalue]"),
-              std::string::npos);
+    const std::string four = kFourLarge.toString();
+    EXPECT_EQ(h.toString(), "repository[keyvalue]{(c0,i0)->" + four +
+                                ", (c0,i1)->" + four + ", (c2,i0)->" +
+                                four + "}");
+    EXPECT_EQ(RepositoryHandle().toString(), "repository[unattached]{}");
 }
 
 TEST(SharedRepository, SaveBytesIndependentOfInsertionOrder)
@@ -279,14 +298,12 @@ TEST(SharedRepository, SaveBytesIndependentOfInsertionOrder)
         {7, 1}, {0, 0}, {3, 2}, {12, 0}, {1, 1}};
 
     SharedRepository forward;
-    RepositoryHandle hf =
-        forward.attach(ServiceKind::KeyValue, "svc");
+    RepositoryHandle hf = forward.attach(ServiceKind::KeyValue);
     for (const RepositoryKey &key : keys)
         hf.store(key, kFourLarge);
 
     SharedRepository backward;
-    RepositoryHandle hb =
-        backward.attach(ServiceKind::KeyValue, "svc");
+    RepositoryHandle hb = backward.attach(ServiceKind::KeyValue);
     for (auto it = keys.rbegin(); it != keys.rend(); ++it)
         hb.store(*it, kFourLarge);
 
@@ -296,7 +313,7 @@ TEST(SharedRepository, SaveBytesIndependentOfInsertionOrder)
     EXPECT_EQ(a.str(), b.str());
 
     // Sorted keys are the contract the bytes follow from.
-    const auto sorted = hf.keys();
+    const auto sorted = snapshotKeys(forward, ServiceKind::KeyValue);
     EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
 }
 
@@ -313,9 +330,7 @@ TEST(SharedRepository, ConcurrentStoresAndLookupsAggregateExactly)
     SharedRepository repo;
     std::vector<RepositoryHandle> handles(kHandles);
     for (std::size_t h = 0; h < kHandles; ++h)
-        handles[h] = repo.attach(ServiceKind::KeyValue,
-                                 "svc-" + std::to_string(h));
-    EXPECT_EQ(repo.attachments(), static_cast<int>(kHandles));
+        handles[h] = repo.attach(ServiceKind::KeyValue);
 
     parallelFor(kHandles, 8, [&handles](std::size_t h) {
         for (int i = 0; i < kPerHandle; ++i) {
@@ -325,33 +340,34 @@ TEST(SharedRepository, ConcurrentStoresAndLookupsAggregateExactly)
         }
     });
 
-    const RepositoryStats total = repo.aggregateStats();
+    const RepositoryStats total = totalStats(handles);
     EXPECT_EQ(total.stores, kHandles * kPerHandle);
     EXPECT_EQ(total.lookups, kHandles * kPerHandle);
     EXPECT_EQ(total.hits, kHandles * kPerHandle);
     EXPECT_EQ(total.misses, 0u);
     // Workers only read their own writes: no cross-service reuse.
-    EXPECT_EQ(repo.aggregateCrossHits(), 0u);
+    EXPECT_EQ(totalCrossHits(handles), 0u);
     EXPECT_EQ(repo.entries(), kHandles * kPerHandle);
 }
 
 TEST(SharedRepository, ConcurrentReadersDuringWrites)
 {
     // Writers fill disjoint key ranges while readers hammer the
-    // whole-repository read surface (peek, keys, entries, stats,
-    // toString, save). The reads' *values* are racy by design — the
-    // assertions only pin what must hold at any instant — but every
-    // access must be data-race-free, which the TSan leg checks.
+    // read surface (peek, entries, stats, toString, save). The
+    // reads' *values* are racy by design — the assertions only pin
+    // what must hold at any instant — but every access must be
+    // data-race-free, which the TSan leg checks.
     constexpr std::size_t kWriters = 4;
     constexpr int kPerWriter = 64;
 
     SharedRepository repo;
     std::vector<RepositoryHandle> handles(kWriters);
     for (std::size_t h = 0; h < kWriters; ++h)
-        handles[h] = repo.attach(ServiceKind::KeyValue,
-                                 "svc-" + std::to_string(h));
+        handles[h] = repo.attach(ServiceKind::KeyValue);
+    const RepositoryHandle reader = repo.attach(ServiceKind::KeyValue);
 
-    parallelFor(kWriters * 2, 8, [&repo, &handles](std::size_t w) {
+    parallelFor(kWriters * 2, 8,
+                [&repo, &handles, &reader](std::size_t w) {
         if (w < kWriters) {
             for (int i = 0; i < kPerWriter; ++i)
                 handles[w].store(
@@ -362,17 +378,16 @@ TEST(SharedRepository, ConcurrentReadersDuringWrites)
         const auto h = w - kWriters;
         for (int i = 0; i < kPerWriter; ++i) {
             const RepositoryKey key{static_cast<int>(h), i};
-            const auto seen =
-                repo.peek(ServiceKind::KeyValue, key);
+            const auto seen = reader.peek(key);
             if (seen) {
                 EXPECT_EQ(seen->instances, kSixLarge.instances);
             }
-            EXPECT_LE(repo.entries(),
+            EXPECT_LE(reader.entries(),
                       kWriters * static_cast<std::size_t>(
                                      kPerWriter));
-            EXPECT_LE(repo.aggregateStats().stores,
-                      kWriters * static_cast<std::uint64_t>(
-                                     kPerWriter));
+            EXPECT_LE(handles[h].stats().stores,
+                      static_cast<std::uint64_t>(kPerWriter));
+            EXPECT_FALSE(reader.toString().empty());
             std::ostringstream sink;
             repo.save(sink);
         }
@@ -380,7 +395,7 @@ TEST(SharedRepository, ConcurrentReadersDuringWrites)
 
     EXPECT_EQ(repo.entries(),
               kWriters * static_cast<std::size_t>(kPerWriter));
-    EXPECT_EQ(repo.aggregateStats().stores,
+    EXPECT_EQ(totalStats(handles).stores,
               kWriters * static_cast<std::uint64_t>(kPerWriter));
 }
 
@@ -388,7 +403,7 @@ TEST(SharedRepository, VersionAdvancesOnEveryStoreAndClear)
 {
     SharedRepository repo;
     const std::uint64_t v0 = repo.version();
-    RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "svc");
+    RepositoryHandle h = repo.attach(ServiceKind::KeyValue);
     h.store({0, 0}, kFourLarge);
     const std::uint64_t v1 = repo.version();
     EXPECT_GT(v1, v0);
@@ -402,7 +417,7 @@ TEST(SharedRepository, VersionAdvancesOnEveryStoreAndClear)
 TEST(SharedRepository, SnapshotIsFrozenSortedAndVersioned)
 {
     SharedRepository repo;
-    RepositoryHandle h = repo.attach(ServiceKind::KeyValue, "svc");
+    RepositoryHandle h = repo.attach(ServiceKind::KeyValue);
     for (int c = 0; c < 30; ++c)
         h.store({c, c % 3}, kFourLarge);
 
@@ -410,7 +425,7 @@ TEST(SharedRepository, SnapshotIsFrozenSortedAndVersioned)
         repo.snapshot(ServiceKind::KeyValue);
     EXPECT_EQ(snap.kind(), ServiceKind::KeyValue);
     EXPECT_EQ(snap.version(), repo.version());
-    EXPECT_EQ(snap.entries(), repo.entries(ServiceKind::KeyValue));
+    EXPECT_EQ(snap.entries(), h.entries());
     EXPECT_TRUE(std::is_sorted(
         snap.all().begin(), snap.all().end(),
         [](const RepositorySnapshot::Entry &x,
@@ -465,8 +480,7 @@ TEST(SharedRepository, ConcurrentStoresWithSnapshotReaders)
     SharedRepository repo;
     std::vector<RepositoryHandle> handles(kWorkers);
     for (std::size_t h = 0; h < kWorkers; ++h)
-        handles[h] = repo.attach(ServiceKind::KeyValue,
-                                 "svc-" + std::to_string(h));
+        handles[h] = repo.attach(ServiceKind::KeyValue);
 
     parallelFor(kWorkers, 8, [&handles, &repo](std::size_t h) {
         if (h % 2 == 0) {
@@ -504,8 +518,7 @@ TEST(SharedRepository, SnapshotHoldsExactlyItsVersion)
     SharedRepository repo;
     std::vector<RepositoryHandle> handles;
     for (int w = 0; w < kWriters; ++w)
-        handles.push_back(repo.attach(ServiceKind::KeyValue,
-                                      "svc-" + std::to_string(w)));
+        handles.push_back(repo.attach(ServiceKind::KeyValue));
 
     std::atomic<int> writing{kWriters};
     std::atomic<std::uint64_t> taken{0};

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for signature schema and tuples (core/signature.hh).
+ * Unit tests for the signature schema (core/signature.hh).
  */
 
 #include <gtest/gtest.h>
@@ -49,21 +49,6 @@ TEST(SignatureSchemaDeath, NarrowVector)
     SignatureSchema schema({1}, {"a", "b"});
     EXPECT_DEATH(schema.extract(std::vector<double>{1.0}),
                  "too narrow");
-}
-
-TEST(WorkloadSignature, EuclideanDistance)
-{
-    WorkloadSignature a{{0.0, 0.0}, 0};
-    WorkloadSignature b{{3.0, 4.0}, 0};
-    EXPECT_DOUBLE_EQ(a.distanceTo(b), 5.0);
-    EXPECT_DOUBLE_EQ(a.distanceTo(a), 0.0);
-}
-
-TEST(WorkloadSignatureDeath, DimensionMismatch)
-{
-    WorkloadSignature a{{1.0}, 0};
-    WorkloadSignature b{{1.0, 2.0}, 0};
-    EXPECT_DEATH(a.distanceTo(b), "mismatch");
 }
 
 } // namespace

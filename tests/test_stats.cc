@@ -43,40 +43,6 @@ TEST(RunningStats, KnownMoments)
     EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesCombined)
-{
-    RunningStats a, b, combined;
-    for (int i = 0; i < 50; ++i) {
-        const double x = i * 0.37 - 3.0;
-        combined.add(x);
-        if (i % 2)
-            a.add(x);
-        else
-            b.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_NEAR(a.mean(), combined.mean(), 1e-12);
-    EXPECT_NEAR(a.variance(), combined.variance(), 1e-10);
-    EXPECT_DOUBLE_EQ(a.min(), combined.min());
-    EXPECT_DOUBLE_EQ(a.max(), combined.max());
-}
-
-TEST(RunningStats, MergeWithEmpty)
-{
-    RunningStats a, empty;
-    a.add(1.0);
-    a.add(3.0);
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-
-    RunningStats c;
-    c.merge(a);
-    EXPECT_EQ(c.count(), 2u);
-    EXPECT_DOUBLE_EQ(c.mean(), 2.0);
-}
-
 TEST(RunningStats, ClearResets)
 {
     RunningStats s;

@@ -17,7 +17,8 @@ namespace {
 TEST(LoadTrace, NormalizesToUnitPeak)
 {
     LoadTrace t("t", {2.0, 4.0, 1.0});
-    EXPECT_DOUBLE_EQ(t.peak(), 1.0);
+    EXPECT_DOUBLE_EQ(
+        *std::max_element(t.samples().begin(), t.samples().end()), 1.0);
     EXPECT_DOUBLE_EQ(t.at(0), 0.5);
     EXPECT_DOUBLE_EQ(t.at(1), 1.0);
     EXPECT_DOUBLE_EQ(t.at(2), 0.25);
@@ -46,15 +47,6 @@ TEST(LoadTrace, DayHourIndexing)
     EXPECT_DOUBLE_EQ(t.at(1, 1), 1.0);
     EXPECT_DOUBLE_EQ(t.at(0, 1), 0.5);
     EXPECT_EQ(t.daysCovered(), 2);
-}
-
-TEST(LoadTrace, SlicePreservesValues)
-{
-    LoadTrace t("t", {1.0, 2.0, 4.0, 3.0});
-    LoadTrace s = t.slice(1, 2);
-    EXPECT_EQ(s.hours(), 2u);
-    EXPECT_DOUBLE_EQ(s.at(0), 0.5);   // 2.0 / 4.0 from original
-    EXPECT_DOUBLE_EQ(s.at(1), 1.0);   // 4.0 / 4.0
 }
 
 TEST(TraceLibrary, SevenDayTraces)

@@ -437,15 +437,34 @@ def collect_files(paths):
     return sorted(files.items())
 
 
+def discard_stdout():
+    """Point stdout at /dev/null (the Python docs' SIGPIPE note):
+    later writes, and the flush at exit, then succeed silently."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def emit(text=""):
+    """print() that outlives a reader who closed the pipe early
+    (``determinism_lint.py src | head -1``): the rest of the output
+    is discarded and the run finishes, so the exit status still tells
+    findings (1) from a clean tree (0)."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        discard_stdout()
+
+
 def run_lint(paths):
     failures = 0
     for path, module in collect_files(paths):
         for line, rule, detail in lint_file(path, module=module):
             failures += 1
-            print(f"{path}:{line}: [{rule}] {detail} "
-                  f"(suppress: // lint-allow({rule}): <reason>)")
+            emit(f"{path}:{line}: [{rule}] {detail} "
+                 f"(suppress: // lint-allow({rule}): <reason>)")
     if failures:
-        print(f"\n{failures} determinism-lint finding(s)")
+        emit(f"\n{failures} determinism-lint finding(s)")
         return 1
     return 0
 
@@ -470,14 +489,14 @@ def run_self_test(corpus_dir):
         checked += len(expect_set)
         for line, rule in sorted(expect_set - found_set):
             mismatches += 1
-            print(f"MISSED  {path}:{line}: seeded [{rule}] violation "
-                  f"not caught")
+            emit(f"MISSED  {path}:{line}: seeded [{rule}] violation "
+                 f"not caught")
         for line, rule in sorted(found_set - expect_set):
             mismatches += 1
-            print(f"SPURIOUS {path}:{line}: unexpected [{rule}] "
-                  f"finding")
-    print(f"self-test: {len(files)} corpus file(s), {checked} seeded "
-          f"violation(s), {mismatches} mismatch(es)")
+            emit(f"SPURIOUS {path}:{line}: unexpected [{rule}] "
+                 f"finding")
+    emit(f"self-test: {len(files)} corpus file(s), {checked} seeded "
+         f"violation(s), {mismatches} mismatch(es)")
     return 1 if mismatches else 0
 
 
@@ -508,4 +527,9 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        discard_stdout()
+    sys.exit(status)
