@@ -20,9 +20,12 @@
  *    handoff); "socket" round-trips every frame over dejavud's
  *    AF_UNIX front-end, one SocketClient per client thread, each
  *    connection served by its own worker thread (the deployed daemon
- *    shape; it prices the syscalls and the thread handoff). Its one
- *    cell runs 2 client threads, so 2 clients and 2 workers share 4
- *    cores, as in perfbench's serve-socket workload.
+ *    shape; it prices the syscalls and the thread handoff). Its two
+ *    cells send 100 sessions over 2 connections, so 2 clients and 2
+ *    workers share 4 cores, as in perfbench's serve-socket workload,
+ *    and over 8, so 16 threads do: both ends of a closed loop poll
+ *    before they block, and this cell shows whether the poll still
+ *    yields the cores the other threads need.
  *
  * Latency is measured client-side around the full
  * encode->serve->decode round trip (exact percentiles, every 8th op
@@ -362,9 +365,12 @@ main(int argc, char **argv)
             cells.push_back(runCell(*bootstrap, pools, savedRepo,
                                     sessions, clients, "direct",
                                     opsTotal));
-    // One socket cell: the same lookups paying the transport.
-    cells.push_back(runCell(*bootstrap, pools, savedRepo, 100, 2,
-                            "socket", opsTotal));
+    // The same lookups paying the transport: 2 connections, as in
+    // perfbench's serve-socket, and 8, whose 16 client and worker
+    // threads outnumber the cores.
+    for (int clients : {2, 8})
+        cells.push_back(runCell(*bootstrap, pools, savedRepo, 100,
+                                clients, "socket", opsTotal));
 
     Table table({"sessions", "clients", "mode", "ops",
                  "lookups_per_s", "p50_us", "p99_us", "p999_us",

@@ -34,10 +34,8 @@ ServingClient::roundTrip(const WireFrame &frame, bool expectReply)
                   "serving socket send failed");
     if (!expectReply)
         return;
-    std::optional<WireFrame> reply = _socket->receive();
-    DEJAVU_ASSERT(reply.has_value(),
+    DEJAVU_ASSERT(_socket->receive(_reply),
                   "serving socket closed while awaiting a reply");
-    _reply = std::move(*reply);
 }
 
 bool
@@ -68,8 +66,8 @@ ServingClient::decide(const std::vector<double> &metricValues)
                   "decide() on an unconnected serving client");
     const std::uint32_t seq = _seq++;
     // Hot path: encode into the member scratch (no SampleMsg, no
-    // fresh frame) — in direct mode the reply lands in its scratch
-    // too, so a lookup allocates nothing once the capacities are warm.
+    // fresh frame) — the reply lands in its scratch too, so a lookup
+    // allocates nothing once the capacities are warm.
     encodeSampleInto(_request, _session, seq, metricValues);
     roundTrip(_request, /*expectReply=*/true);
     const std::optional<AnswerMsg> answer = decodeAnswer(_reply);

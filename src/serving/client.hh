@@ -90,8 +90,9 @@ class ServingClient
     std::uint32_t _session = HelloAckMsg::kRejected;
     std::uint32_t _seq = 0;
     /** Scratch frames: decide() encodes into _request, and every
-     *  reply lands in _reply, so a steady-state direct lookup
-     *  allocates nothing (see the wire codec's *Into variants).
+     *  reply lands in _reply (served into it, or received straight
+     *  into it), so a steady-state lookup allocates nothing on either
+     *  transport (see the wire codec's *Into variants).
      *  Single-thread use per the session contract. */
     WireFrame _request;
     WireFrame _reply;

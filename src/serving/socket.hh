@@ -9,6 +9,21 @@
  * worker per connection keeps the session contract for free — a
  * connection *is* a session's driving thread.
  *
+ * The ends wait for a frame by polling, then blocking: they try
+ * non-blocking reads, yielding the core between empty attempts, for a
+ * fixed window of ~50 us, and only then sleep in a blocking read().
+ * Bytes within the window spare the waiting thread its wake-up, and
+ * the two wake-ups of a blocking round trip (worker, then client) were
+ * most of its time. A client polls for every reply, which always
+ * follows its send; a worker polls for the next request only while
+ * its connection runs a closed loop (its last wait ended within the
+ * window), so a client that sends at its own pace, as a live service
+ * does, costs the daemon no poll. Either way a poll costs at most one
+ * window of CPU per frame. The yield keeps a poll from starving the
+ * peer when threads outnumber cores. After warm-up a round trip
+ * allocates nothing on either end: the worker reuses one request and
+ * one reply frame, and the client one send buffer.
+ *
  * Failure semantics (docs/SERVING.md): a framing error poisons only
  * that connection (it is dropped; the daemon keeps serving), and so
  * does a peer that hangs up before reading its replies (the write
@@ -25,7 +40,7 @@
 #define DEJAVU_SERVING_SOCKET_HH
 
 #include <atomic>
-#include <optional>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,8 +106,9 @@ class SocketServer
 };
 
 /**
- * Client side of the AF_UNIX stream: connect, send frames, block on
- * replies. One instance per session-driving thread.
+ * Client side of the AF_UNIX stream: connect, send frames, wait for
+ * replies (poll, then block; see the file comment). One instance per
+ * session-driving thread.
  */
 class SocketClient
 {
@@ -109,15 +125,18 @@ class SocketClient
     /** Write one framed message; false on a broken connection. */
     bool send(const WireFrame &frame);
 
-    /** Block for the next frame; nullopt on EOF/error (the
-     *  connection is dead afterwards). */
-    std::optional<WireFrame> receive();
+    /** Wait for the next frame and copy it into @p frame (capacity
+     *  kept); false on EOF/error (the connection is dead afterwards,
+     *  and @p frame is unspecified). */
+    bool receive(WireFrame &frame);
 
     void close();
 
   private:
     int _fd = -1;
     FrameReader _reader;
+    /** The stream form of the frame being sent, reused per send. */
+    std::vector<std::uint8_t> _sendBytes;
 };
 
 } // namespace serving

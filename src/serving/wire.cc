@@ -409,25 +409,25 @@ FrameReader::feed(const std::uint8_t *data, std::size_t size)
     _buffer.insert(_buffer.end(), data, data + size);
 }
 
-std::optional<WireFrame>
-FrameReader::next()
+bool
+FrameReader::next(WireFrame &frame)
 {
     if (_error)
-        return std::nullopt;
+        return false;
     const std::size_t avail = _buffer.size() - _consumed;
     if (avail < 4)
-        return std::nullopt;
+        return false;
     const std::uint8_t *p = _buffer.data() + _consumed;
     const std::uint32_t len = loadLe32(p);
     if (len > kMaxFrameBytes) {
         _error = true;  // Stream framing cannot recover; drop peer.
-        return std::nullopt;
+        return false;
     }
     if (avail < 4 + std::size_t{len})
-        return std::nullopt;
-    WireFrame frame(p + 4, p + 4 + len);
+        return false;
+    frame.assign(p + 4, p + 4 + len);
     _consumed += 4 + std::size_t{len};
-    return frame;
+    return true;
 }
 
 } // namespace serving

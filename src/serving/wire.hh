@@ -184,7 +184,7 @@ void appendFramed(std::vector<std::uint8_t> &out,
 
 /**
  * Incremental frame reassembly for byte-stream transports: feed()
- * whatever arrived, then drain next() until it returns nullopt.
+ * whatever arrived, then drain next() until it returns false.
  * A length prefix over kMaxFrameBytes poisons the reader (error()
  * becomes true and next() never yields again) — the connection must
  * be dropped, since stream framing cannot resynchronize.
@@ -193,7 +193,11 @@ class FrameReader
 {
   public:
     void feed(const std::uint8_t *data, std::size_t size);
-    std::optional<WireFrame> next();
+    /** Copy the next whole frame into @p frame (overwritten, capacity
+     *  kept, so a reused frame allocates nothing once warm).
+     *  @return false, @p frame untouched, when no whole frame is
+     *  buffered or the reader is poisoned. */
+    bool next(WireFrame &frame);
     bool error() const { return _error; }
 
   private:

@@ -7,8 +7,9 @@
  * answer *bit-identical* allocations for the same sample stream, at
  * 1, 4 and 8 client threads, over the socket transport and across a
  * daemon restart (repository save()/load() round trip). Plus the
- * p99-budget fallback semantics, the admission gate and the socket
- * front-end's robustness against clients that misbehave.
+ * p99-budget fallback semantics, the admission gate, the socket
+ * front-end's robustness against clients that misbehave, and how the
+ * socket ends wait: a bounded poll that falls back to a blocking read.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -322,11 +324,12 @@ TEST(ServingWire, FrameReaderReassemblesSplitFrames)
     // Feed the byte stream in awkward 3-byte slices.
     FrameReader reader;
     std::vector<WireFrame> frames;
+    WireFrame frame;
     for (std::size_t off = 0; off < stream.size(); off += 3) {
         reader.feed(stream.data() + off,
                     std::min<std::size_t>(3, stream.size() - off));
-        while (std::optional<WireFrame> frame = reader.next())
-            frames.push_back(std::move(*frame));
+        while (reader.next(frame))
+            frames.push_back(frame);
     }
     ASSERT_EQ(frames.size(), 2u);
     EXPECT_EQ(frames[0], one);
@@ -342,14 +345,15 @@ TEST(ServingWire, FrameReaderPoisonsOnOversizedLength)
         stream.push_back(static_cast<std::uint8_t>(evil >> (8 * i)));
     FrameReader reader;
     reader.feed(stream.data(), stream.size());
-    EXPECT_FALSE(reader.next().has_value());
+    WireFrame frame;
+    EXPECT_FALSE(reader.next(frame));
     EXPECT_TRUE(reader.error());
 
     // A poisoned reader never recovers, even on valid input.
     std::vector<std::uint8_t> good;
     appendFramed(good, encodeBye({1}));
     reader.feed(good.data(), good.size());
-    EXPECT_FALSE(reader.next().has_value());
+    EXPECT_FALSE(reader.next(frame));
     EXPECT_TRUE(reader.error());
 }
 
@@ -825,6 +829,61 @@ fdOpen(int fd)
     return ::fcntl(fd, F_GETFD) != -1;
 }
 
+/** The AF_UNIX address of @p path. */
+sockaddr_un
+unixAddress(const std::string &path)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    return addr;
+}
+
+/** A raw stream connected to @p path; -1 on failure. */
+int
+rawConnect(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const sockaddr_un addr = unixAddress(path);
+    if (fd >= 0
+        && ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                     sizeof addr)
+            != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/** Writes all of @p size bytes at @p data to @p fd. */
+bool
+sendBytes(int fd, const std::uint8_t *data, std::size_t size)
+{
+    while (size > 0) {
+        const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+        if (n <= 0)
+            return false;
+        data += n;
+        size -= static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/** Reads @p fd through @p reader until @p frame holds a whole frame;
+ *  false on EOF or error. */
+bool
+readFrame(int fd, FrameReader &reader, WireFrame &frame)
+{
+    while (!reader.next(frame)) {
+        std::uint8_t buffer[256];
+        const ssize_t n = ::read(fd, buffer, sizeof buffer);
+        if (n <= 0)
+            return false;
+        reader.feed(buffer, static_cast<std::size_t>(n));
+    }
+    return true;
+}
+
 TEST(ServingSocket, StopLeavesRecycledDescriptorNumbersAlone)
 {
     // A worker closes its connection's fd when the client leaves; the
@@ -947,14 +1006,8 @@ TEST(ServingSocket, PeerHangingUpBeforeItsRepliesLeavesTheDaemonUp)
     for (int i = 0; i < 3000; ++i)
         appendFramed(stream, encodeHello(hello));
 
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = rawConnect(path);
     ASSERT_GE(fd, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof addr),
-              0);
     // Hang up the receiving side before sending, so the daemon's very
     // first reply meets a peer that is gone, however the threads run.
     ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
@@ -985,6 +1038,159 @@ TEST(ServingSocket, PeerHangingUpBeforeItsRepliesLeavesTheDaemonUp)
     transport.close();
     socket.stop();
     EXPECT_EQ(server->metrics().wireErrors.value(), 0u);
+}
+
+TEST(ServingSocket, IdleConnectionsStopPolling)
+{
+    // A worker polls for the next request for one bounded window at
+    // most: connections that go quiet must sleep, not spin. Four
+    // workers polling without end would burn about four cores' worth
+    // of CPU time over the silence.
+    ServingWorld &w = world();
+    constexpr int kConnections = 4;
+    auto server = freshServer(kConnections);
+    const std::string path = testSocketPath("idle");
+    SocketServer socket(*server, path);
+    ASSERT_TRUE(socket.start());
+    std::vector<std::unique_ptr<SocketClient>> transports;
+    std::vector<ServingClient> clients;
+    clients.reserve(kConnections);
+    for (int c = 0; c < kConnections; ++c) {
+        transports.push_back(std::make_unique<SocketClient>(path));
+        clients.emplace_back(*transports.back());
+        ASSERT_TRUE(clients.back().hello(w.kinds[0], w.fallbacks[0],
+                                         "idle"));
+    }
+
+    const std::clock_t cpuStart = std::clock();
+    const auto wallStart = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const double cpuSec =
+        static_cast<double>(std::clock() - cpuStart) / CLOCKS_PER_SEC;
+    const double wallSec = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - wallStart).count();
+    EXPECT_LT(cpuSec, 0.25 * wallSec)
+        << "idle connections used " << cpuSec << " s of CPU in "
+        << wallSec << " s";
+
+    for (ServingClient &client : clients)
+        client.bye();
+    for (auto &transport : transports)
+        transport->close();
+    socket.stop();
+}
+
+TEST(ServingSocket, RequestSplitAcrossAPauseIsAnsweredLikeDirect)
+{
+    // A worker polls for a request only briefly, if at all, then
+    // blocks in read(): a Sample whose second half arrives 20 ms
+    // after its first must reach serve() whole, and be answered as a
+    // direct call answers it.
+    ServingWorld &w = world();
+    auto server = freshServer(2);
+    const std::string path = testSocketPath("split-request");
+    SocketServer socket(*server, path);
+    ASSERT_TRUE(socket.start());
+    const int fd = rawConnect(path);
+    ASSERT_GE(fd, 0);
+
+    HelloMsg hello;
+    hello.kind = w.kinds[0];
+    hello.fallback = w.fallbacks[0];
+    hello.owner = "split";
+    std::vector<std::uint8_t> stream;
+    appendFramed(stream, encodeHello(hello));
+    ASSERT_TRUE(sendBytes(fd, stream.data(), stream.size()));
+    FrameReader reader;
+    WireFrame frame;
+    ASSERT_TRUE(readFrame(fd, reader, frame));
+    const std::optional<HelloAckMsg> ack = decodeHelloAck(frame);
+    ASSERT_TRUE(ack.has_value() && ack->accepted());
+
+    const std::vector<double> &values = w.samples[0][0].values;
+    WireFrame sample;
+    encodeSampleInto(sample, ack->sessionId, 7, values);
+    stream.clear();
+    appendFramed(stream, sample);
+    const std::size_t half = stream.size() / 2;
+    ASSERT_TRUE(sendBytes(fd, stream.data(), half));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(sendBytes(fd, stream.data() + half,
+                          stream.size() - half));
+    ASSERT_TRUE(readFrame(fd, reader, frame));
+    const std::optional<AnswerMsg> answer = decodeAnswer(frame);
+    ASSERT_TRUE(answer.has_value());
+
+    // Byte for byte the answer a direct client gets, but for the
+    // session id and sequence number it echoes.
+    ServingClient direct(*server);
+    ASSERT_TRUE(direct.hello(w.kinds[0], w.fallbacks[0], "direct"));
+    AnswerMsg expected = direct.decide(values);
+    direct.bye();
+    expected.sessionId = ack->sessionId;
+    expected.seq = 7;
+    WireFrame expectedFrame;
+    encodeAnswerInto(expectedFrame, expected);
+    EXPECT_EQ(frame, expectedFrame);
+    EXPECT_TRUE(digestOf(*answer) == w.simDigests[0][0]);
+
+    ::close(fd);
+    socket.stop();
+    EXPECT_EQ(server->metrics().wireErrors.value(), 0u);
+}
+
+TEST(ServingSocket, ReplySplitAcrossAPauseReachesTheClient)
+{
+    // SocketClient polls for its reply only briefly, then blocks in
+    // read(): a reply whose second half arrives 20 ms after its first
+    // must come out whole, and the peer's hang-up must end the
+    // connection.
+    const std::string path = testSocketPath("split-reply");
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    ::unlink(path.c_str());
+    const sockaddr_un addr = unixAddress(path);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr *>(&addr),
+                     sizeof addr),
+              0);
+    ASSERT_EQ(::listen(listener, 1), 0);
+    SocketClient transport(path);
+    ASSERT_TRUE(transport.connected());
+    const int peer = ::accept(listener, nullptr, nullptr);
+    ::close(listener);
+    ::unlink(path.c_str());
+    ASSERT_GE(peer, 0);
+
+    AnswerMsg answer;
+    answer.sessionId = 3;
+    answer.seq = 9;
+    answer.classId = 2;
+    answer.certaintyBits = 0x3fe8000000000000ull;
+    answer.bucketUsed = 1;
+    answer.allocation = {4, InstanceType::Large};
+    WireFrame sent;
+    encodeAnswerInto(sent, answer);
+    std::vector<std::uint8_t> stream;
+    appendFramed(stream, sent);
+    const std::size_t half = stream.size() / 2;
+    bool wrote = false;
+    std::thread replier([&] {
+        wrote = sendBytes(peer, stream.data(), half);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        wrote = wrote
+            && sendBytes(peer, stream.data() + half,
+                         stream.size() - half);
+    });
+    WireFrame received;
+    const bool got = transport.receive(received);
+    replier.join();
+    EXPECT_TRUE(wrote);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(received, sent);
+
+    ::close(peer);
+    EXPECT_FALSE(transport.receive(received));
+    EXPECT_FALSE(transport.connected());
 }
 
 TEST(ServingSocket, FinishedWorkersAreReaped)

@@ -19,7 +19,8 @@ linter bans nondeterminism *sources* statically:
     measurements (peak RSS, bench wall time, wall-domain trace
     lanes) live in the stats helpers and the obs wall-clock shim.
 ``sleep``
-    ``std::this_thread`` (sleeps / yields) — timing-dependent
+    ``std::this_thread`` (sleeps / yields) and the POSIX
+    ``sched_yield`` / ``usleep`` / ``nanosleep`` — timing-dependent
     scheduling has no place in a deterministic simulator.
 ``raw-new``
     raw ``new`` expressions — ownership goes through
@@ -104,10 +105,15 @@ RULES = {
                    "common/stats.* or obs/wall_clock.*",
     },
     "sleep": {
-        "patterns": [r"\bstd\s*::\s*this_thread\b"],
+        "patterns": [
+            r"\bstd\s*::\s*this_thread\b",
+            r"\bsched_yield\s*\(",
+            r"\busleep\s*\(",
+            r"\bnanosleep\s*\(",
+        ],
         "allowed": [],
-        "message": "std::this_thread sleep/yield; deterministic code "
-                   "must not depend on host scheduling",
+        "message": "sleep/yield; deterministic code must not depend "
+                   "on host scheduling",
     },
     "raw-new": {
         "patterns": [r"\bnew\b"],

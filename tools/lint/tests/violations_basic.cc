@@ -8,6 +8,10 @@
 #include <random>
 #include <thread>
 
+#include <sched.h>
+#include <time.h>
+#include <unistd.h>
+
 int
 seededRngViolations()
 {
@@ -28,9 +32,13 @@ seededClockViolations()
 }
 
 void
-seededSleepViolation()
+seededSleepViolations()
 {
     std::this_thread::sleep_for(std::chrono::seconds(1));  // expect(sleep)
+    sched_yield();                                         // expect(sleep)
+    ::usleep(1000);                                        // expect(sleep)
+    const timespec pause{0, 1000};
+    nanosleep(&pause, nullptr);                            // expect(sleep)
 }
 
 int *
