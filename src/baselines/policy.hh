@@ -39,6 +39,22 @@ class ProvisioningPolicy
     virtual void onMonitorTick(const Service::PerfSample &sample)
     { (void)sample; }
 
+    /**
+     * The member-local half of onMonitorTick(), run in a monitor
+     * drain's observe phase, possibly on a worker thread: it may read
+     * and write only this policy's own service and state (no events,
+     * repository or fleet calls). It either handles the tick exactly
+     * as onMonitorTick() would and returns false, or changes nothing
+     * and returns true — the tick must act: onMonitorTick() then runs
+     * on the run thread, in due order. A policy that does not declare
+     * the split acts on every tick.
+     */
+    virtual bool observeMonitorTick(const Service::PerfSample &sample)
+    {
+        (void)sample;
+        return true;
+    }
+
     /** Per-change adaptation latencies recorded so far (seconds). */
     const std::vector<double> &adaptationTimesSec() const
     { return _adaptationTimesSec; }

@@ -353,6 +353,21 @@ DejaVuController::decideInternal(const MetricSample &sample,
     return decision;
 }
 
+bool
+DejaVuController::observeSloFeedback(const Service::PerfSample &sample)
+{
+    if (!_learned || !_config.interferenceDetection || _lastClassId < 0)
+        return false;
+    // Satisfied with no bucket open: onSloFeedback() only resets the
+    // streak (maybeDeescalate() has nothing to step down from).
+    if (_currentBucket != 0
+        || !_config.slo.satisfied(sample.meanLatencyMs,
+                                  sample.qosPercent))
+        return true;
+    _violationStreak = 0;
+    return false;
+}
+
 std::optional<DejaVuController::Decision>
 DejaVuController::onSloFeedback(const Service::PerfSample &sample)
 {

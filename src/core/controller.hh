@@ -238,6 +238,16 @@ class DejaVuController
         const Service::PerfSample &sample);
 
     /**
+     * The member-local subset of onSloFeedback(), for a monitor
+     * drain's observe phase: a sample that needs no reaction (the
+     * SLO holds and no interference bucket is open, or feedback is
+     * off) is handled exactly as onSloFeedback() would handle it.
+     * @return false then; true when the sample needs
+     *         onSloFeedback(), in which case nothing changed.
+     */
+    bool observeSloFeedback(const Service::PerfSample &sample);
+
+    /**
      * @name Deferred tuning (profiling work-queue integration)
      *
      * By default a §3.6 cache miss runs the tuner inline, off the

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace dejavu {
 
@@ -73,6 +74,16 @@ unattached(const char *op)
     fatal("repository handle: ", op, "() on an unattached handle");
 }
 
+/** Which member reads or writes an entry first decides what the
+ *  others see, so repository traffic stays in the ordered half of a
+ *  drain: from member-local work it would depend on worker timing. */
+void
+checkOrdered(const char *op)
+{
+    DEJAVU_ASSERT(!inMemberLocalScope(), "repository handle: ", op,
+                  "() from member-local work");
+}
+
 } // namespace
 
 ServiceKind
@@ -90,6 +101,7 @@ RepositoryHandle::store(const RepositoryKey &key,
 {
     if (!attached())
         unattached("store");
+    checkOrdered("store");
     _repo->handleStore(_id, key, allocation);
 }
 
@@ -98,6 +110,7 @@ RepositoryHandle::lookup(const RepositoryKey &key)
 {
     if (!attached())
         unattached("lookup");
+    checkOrdered("lookup");
     return _repo->handleLookup(_id, key);
 }
 
@@ -106,6 +119,7 @@ RepositoryHandle::peek(const RepositoryKey &key) const
 {
     if (!attached())
         unattached("peek");
+    checkOrdered("peek");
     return _repo->handlePeek(_id, key);
 }
 
@@ -114,6 +128,7 @@ RepositoryHandle::entries() const
 {
     if (!attached())
         unattached("entries");
+    checkOrdered("entries");
     return _repo->handleEntries(_id);
 }
 
@@ -122,6 +137,7 @@ RepositoryHandle::clear()
 {
     if (!attached())
         unattached("clear");
+    checkOrdered("clear");
     _repo->handleClear(_id);
 }
 

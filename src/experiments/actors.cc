@@ -87,10 +87,7 @@ MetricsRecorder::MetricsRecorder(Simulation &sim, Service &service,
     driver.addListener([this](int hour, const Workload &w) {
         onChange(hour, w);
     });
-    sampler.addListener(member,
-                        [this](int hour, const Service::PerfSample &s) {
-                            onTick(hour, s);
-                        });
+    sampler.addListener(member, static_cast<TickListener &>(*this));
 }
 
 void

@@ -9,10 +9,11 @@
  *    aggregate a case-study figure needs.
  *
  * Monitor samples come from the run's one FleetSampler
- * (experiments/sampler.hh), and the member's ProvisioningPolicy
- * reacts to changes and samples through plain listeners, so a run is
- * `2N + 2` actors: a driver and a recorder per service, the sampler
- * and the DejaVuFleet that owns the profiling host pool.
+ * (experiments/sampler.hh) through TickListeners, split into a
+ * member-local observe() and an ordered act(); the member's
+ * ProvisioningPolicy reacts to changes through a plain listener. A
+ * run is `2N + 2` actors: a driver and a recorder per service, the
+ * sampler and the DejaVuFleet that owns the profiling host pool.
  */
 
 #ifndef DEJAVU_EXPERIMENTS_ACTORS_HH
@@ -33,6 +34,35 @@
 namespace dejavu {
 
 class FleetSampler;
+
+/**
+ * A monitor-sample listener split for FleetSampler's parallel drain:
+ * observe() is the member-local half, act() the ordered half (see
+ * sampler.hh). One listener serves one member.
+ */
+class TickListener
+{
+  public:
+    virtual ~TickListener() = default;
+
+    /**
+     * The member-local half, run in a drain's observe phase on the
+     * member's worker, inside a MemberLocalScope: it reads and writes
+     * only its own member's state. It either handles the tick and
+     * returns false, or changes nothing and returns true: the tick
+     * must act. The default acts on every tick.
+     */
+    virtual bool observe(int hour, const Service::PerfSample &sample)
+    {
+        (void)hour;
+        (void)sample;
+        return true;
+    }
+
+    /** The ordered half: handles a tick that must act, on the run
+     *  thread, in due order. */
+    virtual void act(int hour, const Service::PerfSample &sample) = 0;
+};
 
 /**
  * Applies the hourly trace workload to a service and notifies
@@ -90,9 +120,12 @@ class TraceDriver : public Actor
 
 /**
  * Accumulates the per-tick series and reuse-window aggregates of an
- * ExperimentResult for one service.
+ * ExperimentResult for one service. Its ticks are member-local: a
+ * drain observes them on the member's worker unless a listener
+ * before it acts, in which case it records after that listener, in
+ * order.
  */
-class MetricsRecorder : public Actor
+class MetricsRecorder : public Actor, private TickListener
 {
   public:
     struct Config
@@ -144,6 +177,14 @@ class MetricsRecorder : public Actor
   private:
     void onChange(int hour, const Workload &workload);
     void onTick(int hour, const Service::PerfSample &sample);
+
+    bool observe(int hour, const Service::PerfSample &sample) override
+    {
+        onTick(hour, sample);
+        return false;
+    }
+    void act(int hour, const Service::PerfSample &sample) override
+    { onTick(hour, sample); }
 
     /** Arena stream roles; one stream per plotted series. */
     enum Series

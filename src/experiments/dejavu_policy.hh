@@ -32,6 +32,8 @@ class DejaVuPolicy : public ProvisioningPolicy
 
     void onWorkloadChange(const Workload &workload) override;
     void onMonitorTick(const Service::PerfSample &sample) override;
+    bool observeMonitorTick(const Service::PerfSample &sample) override
+    { return _controller.observeSloFeedback(sample); }
 
     DejaVuController &controller() { return _controller; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "sim/simulation.hh"
 
 namespace dejavu {
@@ -114,6 +115,8 @@ void
 DejaVuFleet::requestAdaptation(const std::string &name,
                                const Workload &workload)
 {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "adaptation requested from member-local work");
     const std::size_t idx = memberIndex(name);
     Member &member = _members[idx];
     WorkItem item;
@@ -271,6 +274,8 @@ DejaVuFleet::onTunerCancelled(std::size_t memberIdx,
 void
 DejaVuFleet::noteSloViolation(std::size_t member)
 {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "SLO debt noted from member-local work");
     DEJAVU_ASSERT(member < _members.size(), "unknown fleet member ",
                   member);
     _members[member].sloDebt += 1.0;
@@ -279,6 +284,8 @@ DejaVuFleet::noteSloViolation(std::size_t member)
 double
 DejaVuFleet::sloDebt(const std::string &name) const
 {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "SLO debt read from member-local work");
     return _members[memberIndex(name)].sloDebt;
 }
 

@@ -23,7 +23,8 @@ sameSlo(const Slo &a, const Slo &b)
 
 } // namespace
 
-class FleetExperiment::PoolRoute : public ProvisioningPolicy
+class FleetExperiment::PoolRoute : public ProvisioningPolicy,
+                                   public TickListener
 {
   public:
     PoolRoute(DejaVuFleet &fleet, const Member &member,
@@ -52,6 +53,21 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
             _fleet.noteSloViolation(_fleetIndex);
     }
 
+    /** Most ticks need neither: the SLO holds, so no debt, and the
+     *  controller has no interference bucket open. */
+    bool observeMonitorTick(const Service::PerfSample &sample) override
+    {
+        return !_slo.satisfied(sample.meanLatencyMs, sample.qosPercent)
+            || _controller.observeSloFeedback(sample);
+    }
+
+    /** The route is its member's tick listener itself: a fleet's hot
+     *  drain loop reaches it without an adapter object in between. */
+    bool observe(int, const Service::PerfSample &sample) override
+    { return observeMonitorTick(sample); }
+    void act(int, const Service::PerfSample &sample) override
+    { onMonitorTick(sample); }
+
     DejaVuController &controller() const { return _controller; }
 
     /** @name Pool statistics, filled by the fleet's listener @{ */
@@ -67,6 +83,21 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy
     Slo _slo;
     DejaVuController &_controller;
     std::size_t _fleetIndex;  ///< DejaVuFleet::memberIndex(_name).
+};
+
+/** Any other policy's ticks, through an adapter. */
+class FleetExperiment::PolicyTicks : public TickListener
+{
+  public:
+    explicit PolicyTicks(ProvisioningPolicy &policy) : _policy(policy) {}
+
+    bool observe(int, const Service::PerfSample &sample) override
+    { return _policy.observeMonitorTick(sample); }
+    void act(int, const Service::PerfSample &sample) override
+    { _policy.onMonitorTick(sample); }
+
+  private:
+    ProvisioningPolicy &_policy;
 };
 
 FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
@@ -101,6 +132,13 @@ FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
 }
 
 FleetExperiment::~FleetExperiment() = default;
+
+void
+FleetExperiment::setTrace(obs::TraceRecorder *trace)
+{
+    _trace = trace;
+    _fleet.setTrace(trace);
+}
 
 FleetExperiment::Member &
 FleetExperiment::addMember(const std::string &name, Service &service,
@@ -230,10 +268,13 @@ FleetExperiment::run()
                 if (hour >= reuseStartHour)
                     policy.onWorkloadChange(w);
             });
-        _sampler->addListener(
-            index, [&policy](int, const Service::PerfSample &s) {
-                policy.onMonitorTick(s);
-            });
+        if (m.route) {
+            _sampler->addListener(index,
+                                  static_cast<TickListener &>(*m.route));
+        } else {
+            m.ticks = std::make_unique<PolicyTicks>(policy);
+            _sampler->addListener(index, *m.ticks);
+        }
 
         m.recorder = std::make_unique<MetricsRecorder>(
             _sim, service, m.trace, *m.driver, *_sampler, index,
@@ -250,7 +291,16 @@ FleetExperiment::run()
                                          m.arrivalOffset));
     }
 
+    // The drains' pool lives for this run only; one worker needs none.
+    std::unique_ptr<WorkerPool> pool;
+    if (_drainWorkers > 1) {
+        pool = std::make_unique<WorkerPool>(_drainWorkers);
+        _sampler->setPool(pool.get());
+    }
+    _sampler->setTrace(_trace);
     _sim.runUntil(horizon);
+    _sampler->setPool(nullptr);
+    pool.reset();
 
     std::vector<ServiceResult> results;
     results.reserve(_members.size());

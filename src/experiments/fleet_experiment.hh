@@ -164,6 +164,15 @@ class FleetExperiment
     /** Fleet-wide adaptation-time tails; valid after run(). */
     FleetSummary summary() const;
 
+    /**
+     * Attach a trace recorder (docs/OBSERVABILITY.md): the fleet's
+     * pool and adaptation lanes (DejaVuFleet::setTrace) plus, per
+     * monitor drain, wall-time `drain.observe` and `drain.act` spans
+     * on a `phase/run` lane. Observation only; digests are unchanged.
+     * Null detaches.
+     */
+    void setTrace(obs::TraceRecorder *trace);
+
     /** The underlying fleet actor (host pool, slot scheduling, debt). */
     DejaVuFleet &fleet() { return _fleet; }
     const DejaVuFleet &fleet() const { return _fleet; }
@@ -183,9 +192,17 @@ class FleetExperiment
     { return _sharedRepo.get(); }
 
   private:
+    /** FleetStack::learnAll(n) hands the stack's worker count to the
+     *  monitor drains (_drainWorkers); nothing else sets it. */
+    friend struct FleetStack;
+
     /** A controller member's policy: routes workload changes through
      *  the profiling host pool and keeps its pool statistics. */
     class PoolRoute;
+
+    /** A non-route member policy's monitor ticks, split for the
+     *  drain. */
+    class PolicyTicks;
 
     /** One hosted service's actors. */
     struct Member
@@ -198,6 +215,7 @@ class FleetExperiment
         ProvisioningExperiment::Config config;
         SimTime arrivalOffset = 0;  ///< Jittered trace-hour offset.
         std::unique_ptr<TraceDriver> driver;
+        std::unique_ptr<PolicyTicks> ticks;  ///< Null for a route.
         std::unique_ptr<MetricsRecorder> recorder;
     };
 
@@ -232,6 +250,9 @@ class FleetExperiment
      *  fleet's member table; lookups go through
      *  DejaVuFleet::memberIndex(). */
     std::vector<std::unique_ptr<PoolRoute>> _routes;
+    /** Workers the monitor drains run on (a pool held for run()). */
+    int _drainWorkers = 1;
+    obs::TraceRecorder *_trace = nullptr;
     bool _ran = false;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel experiment engine: fans (scenario x policy x seed) cells
- * across a std::thread pool. Every cell builds its own Simulation from
+ * across a worker pool. Every cell builds its own Simulation from
  * its seed, so results are bit-identical at any thread count — the
  * merged result vector is ordered by the input cell order, never by
  * completion order. This is what turns the paper's one-figure-at-a-
@@ -82,7 +82,8 @@ class ExperimentRunner
 
     explicit ExperimentRunner(Config config = Config());
 
-    /** Worker threads the next sweep will use. */
+    /** Worker threads the next sweep asks for (the pool starts at
+     *  most one per hardware thread). */
     int threads() const { return _threads; }
 
     /**

@@ -264,7 +264,7 @@ FleetStack::attachTrace(obs::TraceRecorder &recorder)
 {
     trace = &recorder;
     if (experiment)
-        experiment->fleet().setTrace(&recorder);
+        experiment->setTrace(&recorder);
 }
 
 void
@@ -285,6 +285,9 @@ FleetStack::learnAll(int threads)
 {
     DEJAVU_ASSERT(experiment, "fleet stack not fully wired");
     DEJAVU_ASSERT(threads >= 1, "learnAll needs >= 1 thread");
+    // The stack's one worker count: the run's monitor drains use it
+    // too.
+    experiment->_drainWorkers = threads;
 
     // Member-local half: profile + cluster + train, touching only the
     // member's own profiler/RNG/model state. Each member's prepare is

@@ -146,20 +146,23 @@ struct FleetStack
     /**
      * Attach a trace recorder (docs/OBSERVABILITY.md): sim-time
      * lanes for the profiling pool and per-service adaptations (via
-     * DejaVuFleet::setTrace), plus wall-time `learn.prepare` /
-     * `learn.finalize` spans from learnAll(). Recording observes
-     * only — digests are byte-identical with and without it.
+     * FleetExperiment::setTrace), plus wall-time `learn.prepare` /
+     * `learn.finalize` spans from learnAll() and `drain.observe` /
+     * `drain.act` spans from the run. Recording observes only —
+     * digests are byte-identical with and without it.
      */
     void attachTrace(obs::TraceRecorder &recorder);
 
     /**
      * Run every member's learning phase on its day-1 workloads.
-     * @p threads > 1 runs the member-local half (profiling,
-     * clustering, classifier training — see
-     * DejaVuController::prepareLearning) across that many worker
-     * threads; the repository probe/tuner/store half then always runs
-     * sequentially in member order, so results are bit-identical at
-     * any thread count (including shared-repository fleets).
+     * @p threads is the stack's worker count. Above 1, the
+     * member-local half of learning (profiling, clustering,
+     * classifier training — see DejaVuController::prepareLearning)
+     * runs across that many workers, and so will the observe phase of
+     * the run's monitor drains (FleetSampler); the repository
+     * probe/tuner/store half and every drain's acts run sequentially
+     * in member order, so results are bit-identical at any worker
+     * count (including shared-repository fleets).
      */
     void learnAll(int threads = 1);
 

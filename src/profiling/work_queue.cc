@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "sim/simulation.hh"
 
 namespace dejavu {
@@ -34,21 +35,28 @@ ProfilingWorkQueue::setTrace(obs::TraceRecorder *trace)
 ProfilingWorkQueue::Item &
 ProfilingWorkQueue::itemRef(WorkItemId id)
 {
-    DEJAVU_ASSERT(id < _items.size(), "no such work item: ", id);
-    return _items[static_cast<std::size_t>(id)];
+    DEJAVU_ASSERT(id < _states.size(), "no such work item: ", id);
+    DEJAVU_ASSERT(_states[static_cast<std::size_t>(id)]
+                          == ItemState::Queued
+                      || _states[static_cast<std::size_t>(id)]
+                          == ItemState::Granted,
+                  "work item ", id, " already finished");
+    return _live[_liveSlot[static_cast<std::size_t>(id)]];
 }
 
-const ProfilingWorkQueue::Item &
-ProfilingWorkQueue::itemRef(WorkItemId id) const
+void
+ProfilingWorkQueue::retire(WorkItemId id)
 {
-    DEJAVU_ASSERT(id < _items.size(), "no such work item: ", id);
-    return _items[static_cast<std::size_t>(id)];
+    const std::uint32_t slot = _liveSlot[static_cast<std::size_t>(id)];
+    _live[slot] = Item{};
+    _freeSlots.push_back(slot);
 }
 
 ProfilingWorkQueue::ItemState
 ProfilingWorkQueue::state(WorkItemId id) const
 {
-    return itemRef(id).state;
+    DEJAVU_ASSERT(id < _states.size(), "no such work item: ", id);
+    return _states[static_cast<std::size_t>(id)];
 }
 
 std::size_t
@@ -56,14 +64,14 @@ ProfilingWorkQueue::orphanedItems() const
 {
     // Every Granted item must belong to a live (non-failed) grant
     // still parked on some host.
-    std::vector<char> claimed(_items.size(), 0);
+    std::vector<char> claimed(_states.size(), 0);
     for (const auto &grant : _active)
         if (grant)
             for (const WorkItemId id : grant->members)
                 claimed[static_cast<std::size_t>(id)] = 1;
     std::size_t orphans = 0;
-    for (std::size_t i = 0; i < _items.size(); ++i)
-        if (_items[i].state == ItemState::Granted && !claimed[i])
+    for (std::size_t i = 0; i < _states.size(); ++i)
+        if (_states[i] == ItemState::Granted && !claimed[i])
             ++orphans;
     return orphans;
 }
@@ -80,11 +88,13 @@ ProfilingWorkQueue::waitingItems() const
 WorkItemId
 ProfilingWorkQueue::submit(WorkItem item, RunFn run, CancelFn onCancel)
 {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "profiling work submitted from member-local work");
     DEJAVU_ASSERT(item.duration >= 0, "negative work duration");
     DEJAVU_ASSERT(item.kind == WorkKind::Signature
                       || item.kind == WorkKind::Tuner,
                   "unknown work kind");
-    item.id = static_cast<WorkItemId>(_items.size());
+    item.id = static_cast<WorkItemId>(_states.size());
     item.seq = _nextSeq++;
     item.requestedAt = now();
     if (item.kind == WorkKind::Signature)
@@ -99,10 +109,18 @@ ProfilingWorkQueue::submit(WorkItem item, RunFn run, CancelFn onCancel)
             now(), obs::TraceRecorder::kNoDetail, item.id);
 
     const WorkItemId id = item.id;
-    _items.push_back(
-        {std::move(item), std::move(run), std::move(onCancel),
-         ItemState::Queued});
-    Item &stored = _items.back();
+    std::uint32_t slot;
+    if (_freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(_live.size());
+        _live.emplace_back();
+    } else {
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
+    }
+    _states.push_back(ItemState::Queued);
+    _liveSlot.push_back(slot);
+    Item &stored = _live[slot];
+    stored = {std::move(item), std::move(run), std::move(onCancel)};
 
     // Same-key batching: a shareable signature collection submitted
     // while an equivalent one is still waiting joins that batch
@@ -194,18 +212,18 @@ ProfilingWorkQueue::dispatch()
         state->host = grant.host;
         state->startedAt = now();
         state->occupancy = view[grant.request].slotDuration;
-        state->dynamic =
-            itemRef(state->members.front()).info.dynamicDuration;
+        const WorkItem &leader = itemRef(state->members.front()).info;
+        state->kind = leader.kind;
+        state->dynamic = leader.dynamicDuration;
         DEJAVU_ASSERT(!state->dynamic || state->members.size() == 1,
                       "dynamic-duration work must not batch");
 
         for (const WorkItemId id : state->members) {
-            Item &member = itemRef(id);
-            member.state = ItemState::Granted;
+            _states[static_cast<std::size_t>(id)] = ItemState::Granted;
             // The granted member's accumulated debt is spent:
             // prioritization starts over after it gets a host.
             if (_debtSpend)
-                _debtSpend(member.info);
+                _debtSpend(itemRef(id).info);
         }
 
         _active[state->host] = state;
@@ -242,7 +260,8 @@ ProfilingWorkQueue::runGrant(const std::shared_ptr<GrantState> &grant)
     bool anyLive = false;
     for (const WorkItemId id : grant->members)
         anyLive = anyLive
-            || itemRef(id).state == ItemState::Granted;
+            || _states[static_cast<std::size_t>(id)]
+                == ItemState::Granted;
     if (!anyLive) {
         // Every member was cancelled between grant and slot start:
         // free the host without consuming the slot.
@@ -255,9 +274,8 @@ ProfilingWorkQueue::runGrant(const std::shared_ptr<GrantState> &grant)
     }
 
     if (_trace) {
-        const Item &leader = itemRef(grant->members.front());
         _trace->begin(_hostLanes[grant->host],
-                      leader.info.kind == WorkKind::Signature
+                      grant->kind == WorkKind::Signature
                           ? "slot.signature"
                           : "slot.tuner",
                       grant->startedAt,
@@ -268,14 +286,18 @@ ProfilingWorkQueue::runGrant(const std::shared_ptr<GrantState> &grant)
     bool first = true;
     SimTime actual = grant->occupancy;
     for (const WorkItemId id : grant->members) {
-        Item &member = itemRef(id);
-        if (member.state != ItemState::Granted)
+        ItemState &state = _states[static_cast<std::size_t>(id)];
+        if (state != ItemState::Granted)
             continue;  // cancelled while its batch waited to start
-        member.state = ItemState::Done;
-        // Copies, not references: the run callback may submit new
-        // work and grow _items, which would dangle both.
+        // Out of the live table before the work runs: the callback
+        // may submit new work, which may take this slot (the closures
+        // and the item's facts leave with it, so a finished item
+        // keeps only its state byte).
+        Item &member = itemRef(id);
         const WorkItem info = member.info;
-        const RunFn run = member.run;
+        const RunFn run = std::move(member.run);
+        state = ItemState::Done;
+        retire(id);
         WorkGrant wg;
         wg.item = &info;
         wg.host = grant->host;
@@ -283,15 +305,6 @@ ProfilingWorkQueue::runGrant(const std::shared_ptr<GrantState> &grant)
         wg.slotDuration = first ? grant->occupancy : 0;
         wg.coalesced = !first;
         const SimTime reported = run ? run(wg) : info.duration;
-        // Re-fetch (the callback may have grown _items) and release
-        // the closures: a finished item's payload — captured
-        // workloads and controller hooks — would otherwise live
-        // until queue destruction.
-        {
-            Item &done = itemRef(id);
-            done.run = nullptr;
-            done.onCancel = nullptr;
-        }
         if (first) {
             if (grant->dynamic) {
                 DEJAVU_ASSERT(reported >= 0,
@@ -352,23 +365,26 @@ ProfilingWorkQueue::removeQueued(WorkItemId id)
 bool
 ProfilingWorkQueue::cancelItem(WorkItemId id, WorkCancelReason reason)
 {
-    Item &target = itemRef(id);
-    switch (target.state) {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "profiling work cancelled from member-local work");
+    DEJAVU_ASSERT(id < _states.size(), "no such work item: ", id);
+    ItemState &state = _states[static_cast<std::size_t>(id)];
+    switch (state) {
       case ItemState::Queued:
         removeQueued(id);
-        target.state = ItemState::Cancelled;
         ++_stats.cancelledQueued;
         break;
       case ItemState::Granted:
         // The slot-start event will see the cancellation, skip the
         // work and free the host (runGrant).
-        target.state = ItemState::Cancelled;
         ++_stats.cancelledGranted;
         break;
       case ItemState::Done:
       case ItemState::Cancelled:
         return false;
     }
+    Item &target = itemRef(id);
+    state = ItemState::Cancelled;
     if (target.info.kind == WorkKind::Tuner
         && reason == WorkCancelReason::Reuse)
         ++_stats.tunerCancelledForReuse;
@@ -384,15 +400,13 @@ ProfilingWorkQueue::cancelItem(WorkItemId id, WorkCancelReason reason)
         _trace->instant(_queueLane, name, now(),
                         obs::TraceRecorder::kNoDetail, id);
     }
-    // Copy before invoking: the callback may submit new work, and a
-    // grown _items vector would dangle the reference.
-    const CancelFn onCancel = target.onCancel;
-    target.run = nullptr;
-    target.onCancel = nullptr;
-    if (onCancel) {
-        const WorkItem info = target.info;
+    // Out of the live table before the callback runs: it may submit
+    // new work, which may take this slot.
+    const WorkItem info = target.info;
+    const CancelFn onCancel = std::move(target.onCancel);
+    retire(id);
+    if (onCancel)
         onCancel(info, reason);
-    }
     return true;
 }
 
@@ -413,7 +427,9 @@ ProfilingWorkQueue::failHost(std::size_t host)
         if (grant && grant->startedAt <= now()) {
             bool ran = false;
             for (const WorkItemId id : grant->members)
-                ran = ran || itemRef(id).state == ItemState::Done;
+                ran = ran
+                    || _states[static_cast<std::size_t>(id)]
+                        == ItemState::Done;
             if (ran)
                 _trace->end(_hostLanes[host], now());
         }
@@ -429,7 +445,7 @@ ProfilingWorkQueue::failHost(std::size_t host)
     if (grant->release != kInvalidEvent)
         Actor::cancel(grant->release);
     for (const WorkItemId id : grant->members)
-        if (itemRef(id).state == ItemState::Granted
+        if (_states[static_cast<std::size_t>(id)] == ItemState::Granted
             && cancelItem(id, WorkCancelReason::HostLost))
             ++_stats.cancelledHostLost;
 }
@@ -451,16 +467,16 @@ ProfilingWorkQueue::cancelWhere(
     const std::function<bool(const WorkItem &)> &pred,
     WorkCancelReason reason)
 {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "profiling work cancelled from member-local work");
     // Submission (id) order keeps multi-item cancellations
-    // deterministic regardless of queue position.
+    // deterministic regardless of queue position or live slot.
     std::vector<WorkItemId> doomed;
-    for (WorkItemId id = 0; id < _items.size(); ++id) {
-        const Item &candidate = itemRef(id);
-        if ((candidate.state == ItemState::Queued
-             || candidate.state == ItemState::Granted)
+    for (const Item &candidate : _live)
+        if (candidate.info.id != kInvalidWorkItem
             && pred(candidate.info))
-            doomed.push_back(id);
-    }
+            doomed.push_back(candidate.info.id);
+    std::sort(doomed.begin(), doomed.end());
     std::size_t cancelled = 0;
     for (const WorkItemId id : doomed)
         if (cancelItem(id, reason))

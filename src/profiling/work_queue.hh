@@ -56,7 +56,7 @@ class ProfilingWorkQueue : public Actor
 {
   public:
     /** Lifecycle of a submitted item. */
-    enum class ItemState
+    enum class ItemState : std::uint8_t
     {
         Queued,     ///< Waiting for a host (possibly in a batch).
         Granted,    ///< Host assigned; run callback not yet fired.
@@ -214,7 +214,7 @@ class ProfilingWorkQueue : public Actor
     /** Scheduler-visible queue entries (a batch counts once). */
     std::size_t waitingEntries() const { return _waiting.size(); }
     /** Items ever submitted. */
-    std::size_t submitted() const { return _items.size(); }
+    std::size_t submitted() const { return _states.size(); }
     /** Items stranded in Granted state with no live grant — must be
      *  zero at all times (failHost cancels a dead host's members
      *  synchronously); exposed for host-loss conformance checks. */
@@ -225,12 +225,13 @@ class ProfilingWorkQueue : public Actor
     /** @} */
 
   private:
+    /** A live (Queued or Granted) item; a free slot has an invalid
+     *  info.id. */
     struct Item
     {
         WorkItem info;
         RunFn run;
         CancelFn onCancel;
-        ItemState state = ItemState::Queued;
     };
 
     /** One scheduler-visible queue position: a batch of >= 1 items
@@ -248,6 +249,7 @@ class ProfilingWorkQueue : public Actor
     struct GrantState
     {
         std::vector<WorkItemId> members;
+        WorkKind kind = WorkKind::Signature;  ///< The leader's.
         std::size_t host = 0;
         SimTime startedAt = 0;
         SimTime occupancy = 0;  ///< Fixed occupancy (batch maximum).
@@ -258,8 +260,12 @@ class ProfilingWorkQueue : public Actor
         bool failed = false;
     };
 
+    /** The live item @p id (fatal once it finished). */
     Item &itemRef(WorkItemId id);
-    const Item &itemRef(WorkItemId id) const;
+
+    /** Move @p id out of the live table: it reached Done or
+     *  Cancelled, and only its state byte stays. */
+    void retire(WorkItemId id);
 
     /** The scheduler view of one entry: the leader's identity, the
      *  batch's longest duration, the members' summed (refreshed)
@@ -279,7 +285,16 @@ class ProfilingWorkQueue : public Actor
     std::unique_ptr<ProfilingSlotScheduler> _scheduler;
     ProfilingHostPool _hosts;
     Coalescer _coalescer;
-    std::vector<Item> _items;  ///< Indexed by WorkItemId (dense).
+    /** Every submitted id's state, one byte each (ids are dense):
+     *  what state(), submitted() and orphanedItems() answer from
+     *  after an item left the live table. */
+    std::vector<ItemState> _states;
+    /** Live items only, in reused slots, so a long run keeps what is
+     *  still queued or granted, not every item it ever submitted. */
+    std::vector<Item> _live;
+    /** Per id, its slot in _live while it is live. */
+    std::vector<std::uint32_t> _liveSlot;
+    std::vector<std::uint32_t> _freeSlots;
     std::deque<Entry> _waiting;
     /** The active grant per host (null when idle) — what failHost()
      *  abandons when that host dies. */

@@ -7,6 +7,30 @@
 namespace dejavu {
 namespace serving {
 
+namespace {
+
+/** Scratch frames: decide() encodes into request, and every reply
+ *  lands in reply (served into it, or received straight into it), so
+ *  a steady-state lookup allocates nothing on either transport (see
+ *  the wire codec's *Into variants). A call uses them only while it
+ *  runs, on its own thread, so every client a thread drives shares
+ *  one pair: a thread serving 10k sessions holds two frames, not
+ *  20k. */
+struct Frames
+{
+    WireFrame request;
+    WireFrame reply;
+};
+
+Frames &
+threadFrames()
+{
+    thread_local Frames frames;
+    return frames;
+}
+
+} // namespace
+
 ServingClient::ServingClient(ServingServer &server)
     : _direct(&server)
 {
@@ -18,11 +42,12 @@ ServingClient::ServingClient(SocketClient &socket)
 }
 
 void
-ServingClient::roundTrip(const WireFrame &frame, bool expectReply)
+ServingClient::roundTrip(const WireFrame &frame, bool expectReply,
+                         WireFrame &reply)
 {
     if (_direct) {
         const bool replied =
-            _direct->serve(frame, monotonicNanos(), _reply);
+            _direct->serve(frame, monotonicNanos(), reply);
         DEJAVU_ASSERT(!expectReply || replied,
                       "serving server returned no reply to a "
                       "reply-bearing frame");
@@ -34,7 +59,7 @@ ServingClient::roundTrip(const WireFrame &frame, bool expectReply)
                   "serving socket send failed");
     if (!expectReply)
         return;
-    DEJAVU_ASSERT(_socket->receive(_reply),
+    DEJAVU_ASSERT(_socket->receive(reply),
                   "serving socket closed while awaiting a reply");
 }
 
@@ -49,8 +74,9 @@ ServingClient::hello(ServiceKind kind,
     msg.kind = kind;
     msg.fallback = fallback;
     msg.owner = owner;
-    roundTrip(encodeHello(msg), /*expectReply=*/true);
-    const std::optional<HelloAckMsg> ack = decodeHelloAck(_reply);
+    WireFrame &reply = threadFrames().reply;
+    roundTrip(encodeHello(msg), /*expectReply=*/true, reply);
+    const std::optional<HelloAckMsg> ack = decodeHelloAck(reply);
     DEJAVU_ASSERT(ack.has_value(),
                   "malformed HelloAck from serving server");
     if (!ack->accepted())
@@ -65,12 +91,13 @@ ServingClient::decide(const std::vector<double> &metricValues)
     DEJAVU_ASSERT(connected(),
                   "decide() on an unconnected serving client");
     const std::uint32_t seq = _seq++;
-    // Hot path: encode into the member scratch (no SampleMsg, no
+    // Hot path: encode into the thread's scratch (no SampleMsg, no
     // fresh frame) — the reply lands in its scratch too, so a lookup
     // allocates nothing once the capacities are warm.
-    encodeSampleInto(_request, _session, seq, metricValues);
-    roundTrip(_request, /*expectReply=*/true);
-    const std::optional<AnswerMsg> answer = decodeAnswer(_reply);
+    Frames &frames = threadFrames();
+    encodeSampleInto(frames.request, _session, seq, metricValues);
+    roundTrip(frames.request, /*expectReply=*/true, frames.reply);
+    const std::optional<AnswerMsg> answer = decodeAnswer(frames.reply);
     DEJAVU_ASSERT(answer.has_value(),
                   "malformed Answer from serving server");
     DEJAVU_ASSERT(answer->seq == seq,
@@ -87,7 +114,8 @@ ServingClient::publishBucket(int bucket)
     BucketMsg msg;
     msg.sessionId = _session;
     msg.bucket = bucket;
-    roundTrip(encodeBucket(msg), /*expectReply=*/false);
+    roundTrip(encodeBucket(msg), /*expectReply=*/false,
+              threadFrames().reply);
 }
 
 void
@@ -97,7 +125,8 @@ ServingClient::bye()
         return;
     ByeMsg msg;
     msg.sessionId = _session;
-    roundTrip(encodeBye(msg), /*expectReply=*/false);
+    roundTrip(encodeBye(msg), /*expectReply=*/false,
+              threadFrames().reply);
     _session = HelloAckMsg::kRejected;
 }
 

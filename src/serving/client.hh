@@ -82,20 +82,14 @@ class ServingClient
 
   private:
     /** Send @p frame; when @p expectReply, block for the reply and
-     *  leave it in _reply. */
-    void roundTrip(const WireFrame &frame, bool expectReply);
+     *  leave it in @p reply. */
+    void roundTrip(const WireFrame &frame, bool expectReply,
+                   WireFrame &reply);
 
     ServingServer *_direct = nullptr;
     SocketClient *_socket = nullptr;
     std::uint32_t _session = HelloAckMsg::kRejected;
     std::uint32_t _seq = 0;
-    /** Scratch frames: decide() encodes into _request, and every
-     *  reply lands in _reply (served into it, or received straight
-     *  into it), so a steady-state lookup allocates nothing on either
-     *  transport (see the wire codec's *Into variants).
-     *  Single-thread use per the session contract. */
-    WireFrame _request;
-    WireFrame _reply;
 };
 
 } // namespace serving

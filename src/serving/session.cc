@@ -1,5 +1,7 @@
 #include "serving/session.hh"
 
+#include <vector>
+
 #include "common/stats.hh"
 
 namespace dejavu {
@@ -23,8 +25,11 @@ answerSample(Session &session, const DecisionModel &model,
         metrics.snapshotRefreshes.inc();
     }
 
+    // Per-thread classify scratch: used only inside this call, so
+    // every session the thread answers shares its capacity.
+    thread_local std::vector<double> scratch;
     const ClassifierEngine::Outcome outcome =
-        classifySample(model, msg.values, session.scratch);
+        classifySample(model, msg.values, scratch);
     const ServingAnswer answer = decideAllocation(
         outcome, session.bucket,
         [&session](const RepositoryKey &key) {

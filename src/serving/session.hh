@@ -14,10 +14,12 @@
  *
  * The hot path per Sample is: refresh the cached RepositorySnapshot
  * iff the repository version moved, classify with the no-allocation
- * scratch path, walk the snapshot with serving::decideAllocation, and
- * stamp the latency against the budget. No lock is taken anywhere on
- * this path — the only synchronization is the atomic version() read —
- * which is how lookups keep serving while peers store.
+ * path into a per-thread scratch (a classify uses it only inside one
+ * call, so sessions need none of their own), walk the snapshot with
+ * serving::decideAllocation, and stamp the latency against the
+ * budget. No lock is taken anywhere on this path — the only
+ * synchronization is the atomic version() read — which is how
+ * lookups keep serving while peers store.
  */
 
 #ifndef DEJAVU_SERVING_SESSION_HH
@@ -26,7 +28,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/decision.hh"
 #include "core/shared_repository.hh"
@@ -65,8 +66,6 @@ struct Session
      *  other session of the kind; refreshed when
      *  SharedRepository::version() moves. */
     RepositorySnapshot snapshot;
-    /** Classifier scratch (the PR-6 no-allocation classify path). */
-    std::vector<double> scratch;
     /** Samples answered over the session's lifetime. */
     std::uint64_t answered = 0;
     /** Lazily created `session/<id>` trace lane (server.cc) — only

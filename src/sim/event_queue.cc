@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace dejavu {
 
@@ -16,6 +17,8 @@ EventQueue::reserve(std::size_t slots)
 EventId
 EventQueue::allocSlot()
 {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "event scheduled from member-local work");
     if (_slots.empty())
         _slots.emplace_back();  // slot 0 stays dead: kInvalidEvent.
     std::uint32_t index;
@@ -87,6 +90,8 @@ EventQueue::schedulePeriodic(SimTime first, SimTime period, Callback fn,
 bool
 EventQueue::cancel(EventId id)
 {
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "event cancelled from member-local work");
     if (!isPending(id))
         return false;
     // Any heap entry the event still owns goes stale (its generation

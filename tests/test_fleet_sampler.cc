@@ -2,16 +2,20 @@
  * @file
  * Tests for the batched sampling engine every run samples through
  * (FleetSampler) and the parallel learning split: a pinned sample
- * schedule, jittered chain offsets, and bit-identical learnAll() at
- * any thread count.
+ * schedule, jittered chain offsets, bit-identical learnAll() at any
+ * thread count, and drains split across workers that compute the
+ * same bytes as one worker.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "baselines/rightscale.hh"
 #include "common/logging.hh"
 #include "experiments/runner.hh"
 #include "experiments/sampler.hh"
@@ -180,6 +184,194 @@ TEST_F(SamplerIntegration, ParallelLearningBitIdentical)
     const std::string digest1 = digestFor(1);
     EXPECT_EQ(digest1, digestFor(4));
     EXPECT_EQ(digest1, digestFor(8));
+}
+
+// --------------------------------------------------------------------
+// Split drains: every member observes on its share's worker, acts run
+// in due order on the run thread, and the outcome is the same bytes
+// at any worker count.
+// --------------------------------------------------------------------
+
+/** Fold @p value's bits into the 64-bit FNV-1a @p fold. */
+void
+foldBits(std::uint64_t &fold, double value)
+{
+    fold = (fold ^ bitsOf(value)) * 0x100000001b3ULL;
+}
+
+/** Everything a run computed, down to the bits: the sweep row, the
+ *  event count and every member's aggregates and series. */
+std::string
+runDigest(FleetStack &stack)
+{
+    const auto results = stack.experiment->run();
+    std::vector<FleetCellResult> rows{
+        {SweepCell{"drain", "policy", 42},
+         stack.experiment->summary()}};
+    std::string digest = fleetSweepCsv(rows);
+    char line[256];
+    std::snprintf(line, sizeof line, "events %llu\n",
+                  static_cast<unsigned long long>(
+                      stack.sim->queue().executed()));
+    digest += line;
+    for (const auto &member : results) {
+        const ExperimentResult &r = member.result;
+        std::uint64_t series = 0xcbf29ce484222325ULL;
+        for (const auto *points :
+             {&r.latencyMs, &r.qosPercent, &r.instances,
+              &r.computeUnits, &r.loadFraction})
+            for (const SeriesPoint &p : *points) {
+                foldBits(series, p.timeHours);
+                foldBits(series, p.value);
+            }
+        std::snprintf(line, sizeof line,
+                      "%s %a %a %a %a %a %a %a %d %zu %016llx\n",
+                      member.name.c_str(), r.sloViolationFraction,
+                      r.meanLatencyMs, r.meanQosPercent, r.costDollars,
+                      r.energyKwh, r.maxEnergyKwh, r.adaptationSec.mean(),
+                      member.adaptations, r.latencyMs.size(),
+                      static_cast<unsigned long long>(series));
+        digest += line;
+    }
+    return digest;
+}
+
+class DrainSplit : public QuietLogs
+{
+  protected:
+    /** Digests of @p build's fleet learned and run at 1, 4 and 8
+     *  workers; the 4-worker run's drains must have split. */
+    template <typename Build>
+    void expectSameBytesAtAnyWorkerCount(Build build)
+    {
+        std::string digests[3];
+        const int workers[3] = {1, 4, 8};
+        for (int i = 0; i < 3; ++i) {
+            std::unique_ptr<FleetStack> stack = build();
+            stack->learnAll(workers[i]);
+            stack->startInjectors();
+            digests[i] = runDigest(*stack);
+            const int ran = stack->experiment->sampler()
+                                ->peakDrainWorkers();
+            if (workers[i] == 1) {
+                EXPECT_EQ(ran, 1);
+            } else if (workers[i] == 4
+                       && std::thread::hardware_concurrency() >= 2) {
+                EXPECT_GT(ran, 1)
+                    << "no drain split across the pool's workers";
+            }
+        }
+        EXPECT_EQ(digests[0], digests[1]) << "1 vs 4 workers";
+        EXPECT_EQ(digests[0], digests[2]) << "1 vs 8 workers";
+    }
+};
+
+TEST_F(DrainSplit, YcsbFleetWithFaultsMatchesAtAnyWorkerCount)
+{
+    // fleet-ycsb-faults' shape at a tenth of its size, plus §4.3
+    // interference, so interference buckets open and their ticks act.
+    expectSameBytesAtAnyWorkerCount([] {
+        return makeFleetScenario(
+            "fleet-ycsb-40-h8+interference+daemons+hostloss", 42,
+            SlotPolicy::ShortestJobFirst);
+    });
+}
+
+TEST_F(DrainSplit, JitteredSharedSeriesFleetMatchesAtAnyWorkerCount)
+{
+    // A 2 µs jitter spread puts the members on two arrival instants,
+    // 1 µs apart: each member's timeline (chain ends, reuse window,
+    // billing horizon) is offset, and the drains stay big enough to
+    // split. Series recording is on, so every tick's points count.
+    expectSameBytesAtAnyWorkerCount([] {
+        ScenarioOptions options;
+        options.seed = 42;
+        options.days = 2;
+        FleetBuilder builder(options);
+        builder.profilingHosts(2)
+            .shareRepository(RepositorySharing::Shared)
+            .recordSeries(true)
+            .arrivalJitter(7, 2);
+        builder.add(ServiceKind::KeyValue, 22)
+            .add(ServiceKind::SpecWeb, 21)
+            .add(ServiceKind::Rubis, 21);
+        return builder.build();
+    });
+}
+
+/** A fleet stack plus one RightScale member on its simulation. */
+struct RightScaleBeside
+{
+    std::unique_ptr<FleetStack> stack;
+    std::unique_ptr<Cluster> cluster;
+    std::unique_ptr<KeyValueService> service;
+    std::unique_ptr<RightScalePolicy> policy;
+};
+
+TEST_F(DrainSplit, RightScaleMemberBesideControllersMatches)
+{
+    // RightScale declares no split: every one of its ticks acts (and
+    // may resize its cluster), and its recorder then runs after it.
+    std::vector<std::unique_ptr<RightScaleBeside>> keep;
+    expectSameBytesAtAnyWorkerCount([&keep] {
+        ScenarioOptions options;
+        options.seed = 42;
+        options.days = 2;
+        auto run = std::make_unique<RightScaleBeside>();
+        run->stack = makeCassandraFleet(40, options);
+        Simulation &sim = *run->stack->sim;
+        run->cluster = std::make_unique<Cluster>(sim.queue(),
+                                                 Cluster::Config{});
+        run->service = std::make_unique<KeyValueService>(
+            sim.queue(), *run->cluster, Rng(11));
+        run->policy = std::make_unique<RightScalePolicy>(
+            *run->service, Rng(13), RightScalePolicy::Config{});
+        const FleetMember &first = *run->stack->members.front();
+        run->stack->experiment->addService(
+            "rightscale", *run->service, *run->policy, first.trace,
+            first.experimentConfig);
+        std::unique_ptr<FleetStack> stack = std::move(run->stack);
+        keep.push_back(std::move(run));
+        return stack;
+    });
+}
+
+/** A member whose observe phase schedules an event. */
+class SchedulingListener : public TickListener
+{
+  public:
+    explicit SchedulingListener(Simulation &sim) : _sim(sim) {}
+
+    bool observe(int, const Service::PerfSample &) override
+    {
+        _sim.queue().scheduleAfter(seconds(1), [] {});
+        return false;
+    }
+    void act(int, const Service::PerfSample &) override {}
+
+  private:
+    Simulation &_sim;
+};
+
+TEST(DrainSplitDeathTest, ObservePhaseRejectsEventScheduling)
+{
+    // The member-local guard: an observe() that schedules an event
+    // would make the outcome depend on which worker got there first.
+    EXPECT_DEATH(
+        {
+            setLogLevel(LogLevel::Silent);
+            const LoadTrace trace = scenarioTrace("messenger", 1, 42);
+            Simulation sim;
+            ServiceHarness harness(sim, trace, 7, 1);
+            FleetSampler sampler(sim);
+            const std::size_t index = sampler.registerService(
+                *harness.service, *harness.driver,
+                FleetSampler::Cadence{});
+            SchedulingListener listener(sim);
+            sampler.addListener(index, listener);
+            sim.runUntil(hours(1));
+        },
+        "event scheduled from member-local work");
 }
 
 } // namespace

@@ -1,16 +1,19 @@
 /**
  * @file
- * Unit tests for the shared fan-out primitive (common/parallel.hh)
- * and the concurrency contracts documented on SeriesArena
- * (common/arena.hh). The multi-threaded cases here are deliberately
- * racy-looking workloads — they are the ones the ThreadSanitizer CI
- * leg runs to prove the contracts hold.
+ * Unit tests for the worker pool and the fan-out built on it
+ * (common/parallel.hh) and the concurrency contracts documented on
+ * SeriesArena (common/arena.hh). The multi-threaded cases here are
+ * deliberately racy-looking workloads — they are the ones the
+ * ThreadSanitizer CI leg runs to prove the contracts hold.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <thread>
 #include <vector>
 
 #include "common/arena.hh"
@@ -54,6 +57,68 @@ TEST(ParallelFor, PerIndexSlotsMatchSequentialAtAnyThreadCount)
         });
         EXPECT_EQ(got, sequential) << threads << " threads";
     }
+}
+
+TEST(WorkerPool, RunsEachShareOnItsOwnWorker)
+{
+    WorkerPool pool(4);
+    const int hw = static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+    EXPECT_EQ(pool.workers(), std::min(4, hw));
+    for (int shares = 1; shares <= pool.workers(); ++shares) {
+        std::vector<std::thread::id> ranOn(
+            static_cast<std::size_t>(shares));
+        pool.run(shares, [&ranOn](int s) {
+            ranOn[static_cast<std::size_t>(s)] =
+                std::this_thread::get_id();
+        });
+        EXPECT_EQ(pool.lastRunWorkers(), shares);
+        EXPECT_EQ(ranOn[0], std::this_thread::get_id())
+            << "share 0 runs on the calling thread";
+        std::sort(ranOn.begin(), ranOn.end());
+        EXPECT_EQ(std::adjacent_find(ranOn.begin(), ranOn.end()),
+                  ranOn.end())
+            << "two shares ran on one worker";
+    }
+}
+
+TEST(WorkerPool, NeverStartsMoreWorkersThanHardwareThreads)
+{
+    const int hw = static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+    EXPECT_EQ(WorkerPool(hw + 3).workers(), hw);
+    EXPECT_EQ(WorkerPool(0).workers(), 1);
+}
+
+TEST(WorkerPool, MemberLocalRunsFlagEveryWorker)
+{
+    WorkerPool pool(4);
+    std::vector<int> flagged(static_cast<std::size_t>(pool.workers()));
+    pool.run(pool.workers(), [&flagged](int s) {
+        flagged[static_cast<std::size_t>(s)] = inMemberLocalScope();
+    }, /*memberLocal=*/true);
+    for (int f : flagged)
+        EXPECT_EQ(f, 1);
+    EXPECT_FALSE(inMemberLocalScope()) << "the caller's flag leaked";
+    pool.run(pool.workers(), [&flagged](int s) {
+        flagged[static_cast<std::size_t>(s)] = inMemberLocalScope();
+    });
+    for (int f : flagged)
+        EXPECT_EQ(f, 0);
+}
+
+TEST(WorkerPool, WakesWorkersThatBlockedBetweenRuns)
+{
+    // Runs back to back find the workers polling; a pause longer than
+    // the poll window finds them blocked. Both must run every share.
+    WorkerPool pool(4);
+    std::atomic<int> total{0};
+    for (int run = 0; run < 200; ++run) {
+        if (run % 50 == 49)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        pool.run(pool.workers(), [&total](int) { total.fetch_add(1); });
+    }
+    EXPECT_EQ(total.load(), 200 * pool.workers());
 }
 
 TEST(SeriesArena, AppendAndReadBack)

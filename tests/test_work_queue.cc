@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -353,6 +355,62 @@ TEST_F(WorkQueueTest, CancelWhereSweepsMatchingItems)
     EXPECT_EQ(queue.stats().tunerSlots, 1u);
     ASSERT_EQ(runs.size(), 2u);
     EXPECT_EQ(runs[1].owner, 2u);
+}
+
+TEST_F(WorkQueueTest, FinishedItemsDropTheirPayloadButKeepTheirState)
+{
+    // A finished item leaves the live table: its run and cancel
+    // closures (and what they captured) are released when it reaches
+    // Done or Cancelled, while state(), submitted() and
+    // orphanedItems() still answer for every id. Run and cancel
+    // callbacks that submit new work reuse the freed slots.
+    Simulation sim(1);
+    ProfilingWorkQueue queue(sim, nullptr, 1);
+    const auto payload = std::make_shared<int>(0);
+    std::vector<WorkItemId> chained;
+    std::function<SimTime(const ProfilingWorkQueue::WorkGrant &)> chain;
+    chain = [&](const ProfilingWorkQueue::WorkGrant &grant) {
+        if (chained.size() < 5)
+            chained.push_back(queue.submit(
+                signatureItem(chained.size(), -1),
+                [&chain, payload](const ProfilingWorkQueue::WorkGrant &g) {
+                    return chain(g);
+                }));
+        return grant.item->duration;
+    };
+    const WorkItemId first = queue.submit(
+        signatureItem(0, -1),
+        [&chain, payload](const ProfilingWorkQueue::WorkGrant &g) {
+            return chain(g);
+        });
+    const WorkItemId doomed = queue.submit(
+        tunerItem(1, 3, 1),
+        [payload](const ProfilingWorkQueue::WorkGrant &) {
+            return SimTime{0};
+        },
+        [&](const WorkItem &, WorkCancelReason) {
+            chained.push_back(queue.submit(
+                signatureItem(9, -1),
+                [&chain, payload](const ProfilingWorkQueue::WorkGrant &g) {
+                    return chain(g);
+                }));
+        });
+    EXPECT_EQ(payload.use_count(), 3);
+    EXPECT_TRUE(queue.cancelItem(doomed));
+    sim.runUntil(hours(1));
+
+    EXPECT_EQ(payload.use_count(), 1)
+        << "a finished item still holds its closures";
+    EXPECT_EQ(queue.submitted(), 2u + chained.size());
+    EXPECT_EQ(queue.state(first),
+              ProfilingWorkQueue::ItemState::Done);
+    EXPECT_EQ(queue.state(doomed),
+              ProfilingWorkQueue::ItemState::Cancelled);
+    for (const WorkItemId id : chained)
+        EXPECT_EQ(queue.state(id), ProfilingWorkQueue::ItemState::Done);
+    EXPECT_FALSE(queue.cancelItem(first));
+    EXPECT_EQ(queue.orphanedItems(), 0u);
+    EXPECT_EQ(queue.stats().signatureSlots, 1u + chained.size());
 }
 
 TEST_F(WorkQueueTest, DebtHooksRefreshAndSpend)
