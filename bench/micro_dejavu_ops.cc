@@ -23,6 +23,7 @@
 #include "ml/decision_tree.hh"
 #include "ml/feature_selection.hh"
 #include "ml/kmeans.hh"
+#include "profiling/work_queue.hh"
 #include "services/keyvalue_service.hh"
 #include "services/rubis_service.hh"
 #include "services/specweb_service.hh"
@@ -30,6 +31,7 @@
 #include "serving/wire.hh"
 #include "sim/cluster.hh"
 #include "sim/event_queue.hh"
+#include "sim/simulation.hh"
 #include "workload/trace_library.hh"
 
 namespace dejavu {
@@ -504,6 +506,60 @@ BM_TraceRecorderAppend(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceRecorderAppend);
+
+/**
+ * One grant-and-release cycle of the profiling work queue at a fixed
+ * waiting depth (second argument: 8, 64 or 512 entries) under
+ * shortest-job-first (first argument /0) or SLO-debt-first (/1). One
+ * host; items carry cycling durations and 2 x depth owners, and every
+ * third submit puts its owner one violation deeper in debt. Each
+ * iteration submits one item and runs the next two events: the busy
+ * host's release, whose dispatch refreshes the waiting view's debts,
+ * picks and grants one entry, then that grant's slot start. The depth
+ * therefore stays put, and the time per iteration is the queue's
+ * per-grant cost at that depth.
+ */
+void
+BM_WorkQueueGrant(benchmark::State &state)
+{
+    const bool debtFirst = state.range(0) != 0;
+    const auto depth = static_cast<std::size_t>(state.range(1));
+    Simulation sim(1);
+    ProfilingWorkQueue queue(
+        sim,
+        makeSlotScheduler(debtFirst ? SlotPolicy::SloDebtFirst
+                                    : SlotPolicy::ShortestJobFirst),
+        1);
+    std::size_t next = 0;
+    const auto submitOne = [&] {
+        WorkItem item;
+        item.owner = next % (2 * depth);
+        item.duration = seconds(10 + static_cast<SimTime>(next * 7 % 23));
+        if (next % 3 == 0)
+            queue.addDebt(item.owner, 1.0);
+        ++next;
+        queue.submit(item, [](const ProfilingWorkQueue::WorkGrant &g) {
+            return g.item->duration;
+        });
+    };
+    // The first item takes the host at once; run its slot start so
+    // only its release is pending.
+    for (std::size_t i = 0; i <= depth; ++i)
+        submitOne();
+    sim.queue().step();
+    for (auto _ : state) {
+        submitOne();
+        // The release, whose dispatch grants one entry, then that
+        // grant's slot start.
+        benchmark::DoNotOptimize(sim.queue().step());
+        benchmark::DoNotOptimize(sim.queue().step());
+    }
+    if (queue.waitingEntries() != depth)
+        state.SkipWithError("waiting depth drifted");
+    state.SetLabel(debtFirst ? "slo-debt" : "sjf");
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WorkQueueGrant)->ArgsProduct({{0, 1}, {8, 64, 512}});
 
 } // namespace
 } // namespace dejavu

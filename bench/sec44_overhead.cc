@@ -174,7 +174,8 @@ main()
         }
         const Workload change{cassandraUpdateHeavy(), 12200.0};
         for (int s = 0; s < n; ++s)
-            fleet.requestAdaptation("svc" + std::to_string(s), change);
+            fleet.requestAdaptation(
+                fleet.memberIndex("svc" + std::to_string(s)), change);
         sim.runUntil(hours(1));
 
         fleetTable.addRow({

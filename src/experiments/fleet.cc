@@ -18,14 +18,6 @@ DejaVuFleet::DejaVuFleet(
                  sharedRepository)
 {
     DEJAVU_ASSERT(_defaultSlot > 0, "slot duration must be positive");
-    // Slot policies see each waiting item's owner debt as of *now*,
-    // and a grant spends the owner's accumulated debt.
-    _workQueue.setDebtProbe([this](const WorkItem &item) {
-        return _members[item.owner].sloDebt;
-    });
-    _workQueue.setDebtSpend([this](const WorkItem &item) {
-        _members[item.owner].sloDebt = 0.0;
-    });
 }
 
 void
@@ -40,8 +32,7 @@ DejaVuFleet::addService(const std::string &name, Service &service,
     const std::size_t idx = _members.size();
     _memberIndex.emplace(name, idx);
     _members.push_back({name, &service, &controller,
-                        profilingSlot > 0 ? profilingSlot : _defaultSlot,
-                        0.0});
+                        profilingSlot > 0 ? profilingSlot : _defaultSlot});
     // The controller's §3.6 tuner sequences become pool work instead
     // of running inline off-pool.
     controller.setTuningDeferral(
@@ -100,7 +91,7 @@ DejaVuFleet::complete(const CompletedAdaptation &done)
                         ::InterferenceAdjust)
             name = "adapt.interference";
         _trace->complete(
-            memberLane(memberIndex(done.service)), name,
+            memberLane(done.member), name,
             done.requestedAt, done.totalAdaptation(),
             obs::TraceRecorder::kNoDetail,
             done.decision.classId >= 0
@@ -112,18 +103,16 @@ DejaVuFleet::complete(const CompletedAdaptation &done)
 }
 
 void
-DejaVuFleet::requestAdaptation(const std::string &name,
-                               const Workload &workload)
+DejaVuFleet::requestAdaptation(std::size_t idx, const Workload &workload)
 {
     DEJAVU_ASSERT(!inMemberLocalScope(),
                   "adaptation requested from member-local work");
-    const std::size_t idx = memberIndex(name);
+    DEJAVU_ASSERT(idx < _members.size(), "unknown fleet member ", idx);
     Member &member = _members[idx];
     WorkItem item;
     item.kind = WorkKind::Signature;
     item.owner = idx;
     item.duration = member.slotDuration;
-    item.sloDebt = member.sloDebt;
     item.key.serviceKind = member.service->kind();
     // The reuse key is only worth computing when batching can use
     // it (the class prediction is RNG-free: a noise-free expected
@@ -139,7 +128,7 @@ DejaVuFleet::requestAdaptation(const std::string &name,
             const ProfilingWorkQueue::WorkGrant &grant) -> SimTime {
             Member &m = _members[idx];
             CompletedAdaptation entry;
-            entry.service = m.name;
+            entry.member = idx;
             entry.requestedAt = grant.item->requestedAt;
             entry.profilingStartedAt = grant.startedAt;
             entry.slotDuration = grant.slotDuration;
@@ -165,7 +154,6 @@ DejaVuFleet::submitTunerWork(std::size_t memberIdx, int classId,
     item.owner = memberIdx;
     item.duration = estimate;
     item.dynamicDuration = true;  // linear search stops early
-    item.sloDebt = member.sloDebt;
     item.key = {member.service->kind(), classId, bucket};
     _workQueue.submit(
         item,
@@ -184,7 +172,7 @@ DejaVuFleet::runTunerGrant(std::size_t memberIdx,
 {
     Member &member = _members[memberIdx];
     CompletedAdaptation entry;
-    entry.service = member.name;
+    entry.member = memberIdx;
     entry.requestedAt = grant.item->requestedAt;
     entry.profilingStartedAt = grant.startedAt;
     entry.host = grant.host;
@@ -253,7 +241,7 @@ DejaVuFleet::onTunerCancelled(std::size_t memberIdx,
             if (_trace)
                 _trace->instant(memberLane(memberIdx), "repo.adopt", now());
             CompletedAdaptation entry;
-            entry.service = member.name;
+            entry.member = memberIdx;
             entry.requestedAt = item.requestedAt;
             entry.profilingStartedAt = now();
             entry.slotDuration = 0;  // no slot consumed
@@ -278,7 +266,7 @@ DejaVuFleet::noteSloViolation(std::size_t member)
                   "SLO debt noted from member-local work");
     DEJAVU_ASSERT(member < _members.size(), "unknown fleet member ",
                   member);
-    _members[member].sloDebt += 1.0;
+    _workQueue.addDebt(member, 1.0);
 }
 
 double
@@ -286,7 +274,7 @@ DejaVuFleet::sloDebt(const std::string &name) const
 {
     DEJAVU_ASSERT(!inMemberLocalScope(),
                   "SLO debt read from member-local work");
-    return _members[memberIndex(name)].sloDebt;
+    return _workQueue.debtOf(memberIndex(name));
 }
 
 } // namespace dejavu

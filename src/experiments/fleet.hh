@@ -50,7 +50,7 @@ class DejaVuFleet : public Actor
      *  none: a long run's records would grow without bound). */
     struct CompletedAdaptation
     {
-        std::string service;
+        std::size_t member = 0;  ///< The service's memberIndex().
         SimTime requestedAt = 0;
         SimTime profilingStartedAt = 0;  ///< After any queueing.
         /** Host occupancy this work consumed: the granted slot for
@@ -106,19 +106,19 @@ class DejaVuFleet : public Actor
                     SimTime profilingSlot = 0);
 
     /**
-     * A workload change arrived for @p name: submit a signature-
-     * collection work item to the pool queue and run the controller
-     * when the scheduler grants it a slot. Listeners see the decision
-     * once processed (advance the simulation past the slot start).
+     * A workload change arrived for member @p member (its
+     * memberIndex()): submit a signature-collection work item to the
+     * pool queue and run the controller when the scheduler grants it
+     * a slot. Listeners see the decision once processed (advance the
+     * simulation past the slot start).
      */
-    void requestAdaptation(const std::string &name,
-                           const Workload &workload);
+    void requestAdaptation(std::size_t member, const Workload &workload);
 
     /**
      * Record one SLO-violating production sample for member @p member
-     * (its memberIndex()). Debt accumulates until the member's next
-     * profiling slot is granted; the SLO-debt-first policy
-     * prioritizes the deepest debtor.
+     * (its memberIndex()) in the work queue's SLO-debt ledger. Debt
+     * accumulates until the member's next profiling slot is granted;
+     * the SLO-debt-first policy prioritizes the deepest debtor.
      */
     void noteSloViolation(std::size_t member);
 
@@ -186,7 +186,7 @@ class DejaVuFleet : public Actor
     const ProfilingWorkQueue &workQueue() const { return _workQueue; }
 
     /** Current SLO debt of a member (violating samples since its last
-     *  granted slot). */
+     *  granted slot), read from the work queue's ledger. */
     double sloDebt(const std::string &name) const;
 
     /** Largest queueing delay any adaptation has paid so far. */
@@ -199,7 +199,6 @@ class DejaVuFleet : public Actor
         Service *service;
         DejaVuController *controller;
         SimTime slotDuration;
-        double sloDebt = 0.0;
     };
 
     /** Fold one completed adaptation into the running max, trace it

@@ -30,7 +30,7 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy,
     PoolRoute(DejaVuFleet &fleet, const Member &member,
               std::size_t fleetIndex, DejaVuController &controller)
         : ProvisioningPolicy(*member.service), _fleet(fleet),
-          _name(member.name), _slo(member.config.slo),
+          _slo(member.config.slo),
           _controller(controller), _fleetIndex(fleetIndex)
     {}
 
@@ -40,7 +40,7 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy,
     /** Reuse-window changes queue for a profiling slot rather than
      *  reaching the controller directly. */
     void onWorkloadChange(const Workload &workload) override
-    { _fleet.requestAdaptation(_name, workload); }
+    { _fleet.requestAdaptation(_fleetIndex, workload); }
 
     /** Production SLO feedback (§3.6 interference path) stays
      *  service-local; it needs no profiling slot. Violations also
@@ -79,10 +79,9 @@ class FleetExperiment::PoolRoute : public ProvisioningPolicy,
 
   private:
     DejaVuFleet &_fleet;
-    std::string _name;
     Slo _slo;
     DejaVuController &_controller;
-    std::size_t _fleetIndex;  ///< DejaVuFleet::memberIndex(_name).
+    std::size_t _fleetIndex;  ///< DejaVuFleet::memberIndex(name).
 };
 
 /** Any other policy's ticks, through an adapter. */
@@ -112,13 +111,12 @@ FleetExperiment::FleetExperiment(Simulation &sim, SimTime profilingSlot,
         _sharedRepo = std::make_unique<SharedRepository>();
     // Charge every completed adaptation — including its host-pool
     // queueing delay (§3.3) — to the service that requested it, and
-    // keep its two times for the fleet-wide tails. The fleet's
-    // name-to-index map is authoritative (members register in
-    // lockstep), and memberIndex() is fatal on a miss: an unknown
-    // name here is a wiring bug, not a condition to skip.
+    // keep its two times for the fleet-wide tails. A record carries
+    // its fleet member index, which is also its route's index:
+    // members and routes register in lockstep (addService).
     _fleet.addListener(
         [this](const DejaVuFleet::CompletedAdaptation &entry) {
-            PoolRoute &route = *_routes[_fleet.memberIndex(entry.service)];
+            PoolRoute &route = *_routes[entry.member];
             const double queueSec = toSeconds(entry.queueDelay());
             const double totalSec = toSeconds(entry.totalAdaptation());
             _queueDelaySec.add(queueSec);

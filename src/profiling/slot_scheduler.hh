@@ -12,7 +12,10 @@
  * picks from covers *all* pool demand: signature collections and
  * queued tuner experiment sequences alike (one ProfilingRequest per
  * queue entry; a coalesced batch of same-class signature collections
- * is one entry carrying its earliest arrival and summed debt).
+ * is one entry carrying its leader's arrival, its longest duration and
+ * its members' summed debt). The work queue keeps that view between
+ * grants and refreshes its debts from its SLO-debt ledger before each
+ * pick, so a policy reads every debtor's debt as of now.
  */
 
 #ifndef DEJAVU_PROFILING_SLOT_SCHEDULER_HH

@@ -15,6 +15,10 @@
  * burns a host (ADARES's argument that adaptive resource management
  * lives or dies on the cost of its measurement loop, applied to the
  * paper's profiling machines).
+ *
+ * An item names its owner but carries no SLO debt: the work queue
+ * keeps one debt per owner (ProfilingWorkQueue::addDebt) and reads it
+ * into the scheduler's waiting view before each pick.
  */
 
 #ifndef DEJAVU_PROFILING_WORK_ITEM_HH
@@ -109,7 +113,6 @@ struct WorkItem
     /** True when the real occupancy is only known after the work ran
      *  (tuner sequences stop at the first adequate allocation). */
     bool dynamicDuration = false;
-    double sloDebt = 0.0;      ///< Owner's SLO debt, refreshed at pick.
 
     std::string toString() const;
 };

@@ -8,6 +8,24 @@
 
 namespace dejavu {
 
+namespace {
+
+/** The scheduler's view of an entry that @p leader leads, lasting as
+ *  long as the leader's own work (a batch may last longer); the queue
+ *  fills in the debt before each pick. */
+ProfilingRequest
+requestFor(const WorkItem &leader)
+{
+    ProfilingRequest request;
+    request.member = leader.owner;
+    request.seq = leader.seq;
+    request.requestedAt = leader.requestedAt;
+    request.slotDuration = leader.duration;
+    return request;
+}
+
+} // namespace
+
 ProfilingWorkQueue::ProfilingWorkQueue(
     Simulation &sim, std::unique_ptr<ProfilingSlotScheduler> scheduler,
     int hosts, bool coalesceSignatures, std::string name)
@@ -122,17 +140,24 @@ ProfilingWorkQueue::submit(WorkItem item, RunFn run, CancelFn onCancel)
     Item &stored = _live[slot];
     stored = {std::move(item), std::move(run), std::move(onCancel)};
 
+    coverOwner(stored.info.owner);
+
     // Same-key batching: a shareable signature collection submitted
     // while an equivalent one is still waiting joins that batch
     // instead of demanding its own slot.
-    if (_coalescer.eligible(stored.info)) {
+    const bool coalescable = _coalescer.eligible(stored.info);
+    if (coalescable) {
         const WorkItemId leader =
             _coalescer.leaderFor(stored.info.key);
         if (leader != kInvalidWorkItem) {
-            for (auto &entry : _waiting) {
-                if (entry.members.front() != leader)
+            for (std::size_t e = 0; e < _waiting.size(); ++e) {
+                if (_waiting[e].members.front() != leader)
                     continue;
-                entry.members.push_back(id);
+                _waiting[e].members.push_back(id);
+                // The batch occupies one slot as long as its longest
+                // member.
+                SimTime &duration = _view[e].slotDuration;
+                duration = std::max(duration, stored.info.duration);
                 _coalescer.noteFanOut(stored.info.key);
                 if (_trace)
                     _trace->instant(_queueLane, "coalesce.join", now(),
@@ -143,55 +168,58 @@ ProfilingWorkQueue::submit(WorkItem item, RunFn run, CancelFn onCancel)
             fatal("coalescer points at a batch that left the queue: ",
                   stored.info.key.toString());
         }
-        _waiting.push_back({{id}, true});
         _coalescer.open(stored.info);
-    } else {
-        _waiting.push_back({{id}, false});
     }
+    _waiting.push_back({{id}, coalescable});
+    _view.push_back(requestFor(stored.info));
     dispatch();
     return id;
 }
 
-ProfilingRequest
-ProfilingWorkQueue::viewOf(Entry &entry)
+void
+ProfilingWorkQueue::coverOwner(std::size_t owner)
 {
-    // Refresh each member's debt so the scheduler sees the debtor's
-    // state *now*, not at enqueue time; a batch carries its members'
-    // summed debt (granting it serves them all).
-    ProfilingRequest request;
-    const Item &leader = itemRef(entry.members.front());
-    request.member = leader.info.owner;
-    request.seq = leader.info.seq;
-    request.requestedAt = leader.info.requestedAt;
-    double debt = 0.0;
-    SimTime duration = 0;
-    for (const WorkItemId id : entry.members) {
-        Item &member = itemRef(id);
-        if (_debtProbe)
-            member.info.sloDebt = _debtProbe(member.info);
-        debt += member.info.sloDebt;
-        duration = std::max(duration, member.info.duration);
+    if (owner >= _debt.size())
+        _debt.resize(owner + 1, 0.0);
+}
+
+void
+ProfilingWorkQueue::addDebt(std::size_t owner, double amount)
+{
+    DEJAVU_ASSERT(!inMemberLocalScope(),
+                  "SLO debt added from member-local work");
+    coverOwner(owner);
+    _debt[owner] += amount;
+}
+
+void
+ProfilingWorkQueue::refreshDebts()
+{
+    // Only the debts can have changed since the last pick: the rest
+    // of the view moves with its entries. The leader's owner is the
+    // view's own, so a single-member entry reads no item.
+    auto request = _view.begin();
+    for (const Entry &entry : _waiting) {
+        double debt = 0.0;
+        debt += _debt[request->member];
+        for (std::size_t m = 1; m < entry.members.size(); ++m)
+            debt += _debt[itemRef(entry.members[m]).info.owner];
+        (request++)->sloDebt = debt;
     }
-    request.slotDuration = duration;
-    request.sloDebt = debt;
-    return request;
 }
 
 void
 ProfilingWorkQueue::dispatch()
 {
     // Grant until the pool or the queue is exhausted. The scheduler
-    // sees a fresh view each iteration: every grant shrinks the
-    // waiting list and removes the granted host from the free list,
+    // sees a current view each iteration: every grant removes its
+    // entry from the waiting view and its host from the free list,
     // and each granted member's debt is spent before the next pick.
     while (_hosts.anyFree() && !_waiting.empty()) {
-        std::vector<ProfilingRequest> view;
-        view.reserve(_waiting.size());
-        for (auto &entry : _waiting)
-            view.push_back(viewOf(entry));
+        refreshDebts();
         const std::vector<std::size_t> freeHosts = _hosts.freeHosts();
-        const SlotGrant grant = _scheduler->grant(view, freeHosts);
-        DEJAVU_ASSERT(grant.request < view.size(), "scheduler '",
+        const SlotGrant grant = _scheduler->grant(_view, freeHosts);
+        DEJAVU_ASSERT(grant.request < _view.size(), "scheduler '",
                       _scheduler->name(), "' picked out of range: ",
                       grant.request);
         DEJAVU_ASSERT(std::find(freeHosts.begin(), freeHosts.end(),
@@ -199,9 +227,12 @@ ProfilingWorkQueue::dispatch()
                       "scheduler '", _scheduler->name(),
                       "' granted a busy or unknown host: ", grant.host);
 
+        const SimTime occupancy = _view[grant.request].slotDuration;
         Entry entry = std::move(_waiting[grant.request]);
         _waiting.erase(_waiting.begin()
                        + static_cast<std::ptrdiff_t>(grant.request));
+        _view.erase(_view.begin()
+                    + static_cast<std::ptrdiff_t>(grant.request));
         if (entry.coalescable)
             _coalescer.close(itemRef(entry.members.front()).info.key);
 
@@ -211,7 +242,7 @@ ProfilingWorkQueue::dispatch()
         state->members = std::move(entry.members);
         state->host = grant.host;
         state->startedAt = now();
-        state->occupancy = view[grant.request].slotDuration;
+        state->occupancy = occupancy;
         const WorkItem &leader = itemRef(state->members.front()).info;
         state->kind = leader.kind;
         state->dynamic = leader.dynamicDuration;
@@ -220,10 +251,9 @@ ProfilingWorkQueue::dispatch()
 
         for (const WorkItemId id : state->members) {
             _states[static_cast<std::size_t>(id)] = ItemState::Granted;
-            // The granted member's accumulated debt is spent:
+            // The granted member's owner has its debt spent:
             // prioritization starts over after it gets a host.
-            if (_debtSpend)
-                _debtSpend(itemRef(id).info);
+            _debt[itemRef(id).info.owner] = 0.0;
         }
 
         _active[state->host] = state;
@@ -353,10 +383,20 @@ ProfilingWorkQueue::removeQueued(WorkItemId id)
                 _coalescer.close(itemRef(id).info.key);
             _waiting.erase(_waiting.begin()
                            + static_cast<std::ptrdiff_t>(e));
-        } else if (wasLeader && entry.coalescable) {
+            _view.erase(_view.begin() + static_cast<std::ptrdiff_t>(e));
+            return;
+        }
+        // The batch goes on without @p id: its first remaining member
+        // leads it, and it lasts as long as its longest remaining
+        // member.
+        ProfilingRequest &request = _view[e];
+        request = requestFor(itemRef(entry.members.front()).info);
+        for (const WorkItemId member : entry.members)
+            request.slotDuration = std::max(
+                request.slotDuration, itemRef(member).info.duration);
+        if (wasLeader && entry.coalescable)
             _coalescer.promote(itemRef(id).info.key,
                                entry.members.front());
-        }
         return;
     }
     fatal("queued work item ", id, " not found in any entry");

@@ -30,6 +30,15 @@
  *    after its linear search stops, so its run callback returns the
  *    actual occupancy and the host is released then. Signature items
  *    keep a fixed-duration release, scheduled at grant time.
+ *
+ * The queue keeps the scheduler's waiting view itself: one
+ * ProfilingRequest per waiting entry, updated where an entry changes
+ * (submit, coalesce join, cancellation, grant) rather than rebuilt
+ * for every grant. It also owns the SLO-debt ledger, one value per
+ * owner: addDebt() deepens an owner's debt, a grant spends the debt
+ * of every granted member's owner, and before each pick the queue
+ * refreshes only the entries' debts from the ledger, so the policies
+ * still see each debtor's debt as of now.
  */
 
 #ifndef DEJAVU_PROFILING_WORK_QUEUE_HH
@@ -123,15 +132,6 @@ class ProfilingWorkQueue : public Actor
     using CancelFn =
         std::function<void(const WorkItem &, WorkCancelReason)>;
 
-    /** Refreshes an item's SLO debt when the scheduler view is
-     *  built (so policies see the debtor's state *now*, not at
-     *  enqueue time). */
-    using DebtProbe = std::function<double(const WorkItem &)>;
-
-    /** Spends an item's debt when it is granted (prioritization
-     *  starts over once it gets a host). */
-    using DebtSpend = std::function<void(const WorkItem &)>;
-
     /** @p scheduler defaults to FIFO when null; @p hosts is the §3.3
      *  pool size M; @p coalesceSignatures enables same-key batching
      *  (callers gate it on repository sharing — fanning one
@@ -142,9 +142,6 @@ class ProfilingWorkQueue : public Actor
         std::unique_ptr<ProfilingSlotScheduler> scheduler,
         int hosts, bool coalesceSignatures = false,
         std::string name = "profiling-work-queue");
-
-    void setDebtProbe(DebtProbe fn) { _debtProbe = std::move(fn); }
-    void setDebtSpend(DebtSpend fn) { _debtSpend = std::move(fn); }
 
     /**
      * Attach a trace recorder (docs/OBSERVABILITY.md): the queue
@@ -202,6 +199,15 @@ class ProfilingWorkQueue : public Actor
     /** Bring a dead host back (idle) and dispatch waiting work to it.
      *  Fatal if the host is not dead. */
     void restoreHost(std::size_t host);
+
+    /** Deepen @p owner's SLO debt by @p amount (a violating sample
+     *  adds 1) until a grant serves one of its items; its waiting
+     *  entries see the new debt at the next pick. */
+    void addDebt(std::size_t owner, double amount);
+
+    /** @p owner's current SLO debt (0 for an owner never in debt). */
+    double debtOf(std::size_t owner) const
+    { return owner < _debt.size() ? _debt[owner] : 0.0; }
 
     /** @name Introspection @{ */
     const ProfilingSlotScheduler &scheduler() const
@@ -267,10 +273,12 @@ class ProfilingWorkQueue : public Actor
      *  Cancelled, and only its state byte stays. */
     void retire(WorkItemId id);
 
-    /** The scheduler view of one entry: the leader's identity, the
-     *  batch's longest duration, the members' summed (refreshed)
-     *  debt. */
-    ProfilingRequest viewOf(Entry &entry);
+    /** Grow the debt ledger to cover @p owner. */
+    void coverOwner(std::size_t owner);
+
+    /** Refresh every waiting entry's debt from the ledger: a batch
+     *  carries its members' summed debt, added in member order. */
+    void refreshDebts();
 
     /** Grant free hosts to the scheduler's picks until the pool is
      *  exhausted or the queue drains. */
@@ -296,12 +304,17 @@ class ProfilingWorkQueue : public Actor
     std::vector<std::uint32_t> _liveSlot;
     std::vector<std::uint32_t> _freeSlots;
     std::deque<Entry> _waiting;
+    /** The scheduler's view of _waiting, index for index: each
+     *  entry's leader (owner, seq, request time), its members'
+     *  longest duration and their summed debt (fresh at each pick). */
+    std::vector<ProfilingRequest> _view;
+    /** SLO debt per owner, covering every owner ever submitted or
+     *  put in debt. */
+    std::vector<double> _debt;
     /** The active grant per host (null when idle) — what failHost()
      *  abandons when that host dies. */
     std::vector<std::shared_ptr<GrantState>> _active;
     std::uint64_t _nextSeq = 0;
-    DebtProbe _debtProbe;
-    DebtSpend _debtSpend;
     Stats _stats;
     obs::TraceRecorder *_trace = nullptr;
     obs::LaneId _queueLane = 0;

@@ -302,9 +302,9 @@ TEST_F(FleetTest, ConcurrentRequestsQueueForTheProfiler)
     fleet.addService("C", *s3.service, *s3.controller);
 
     const Workload w{cassandraUpdateHeavy(), 12200.0};
-    fleet.requestAdaptation("A", w);
-    fleet.requestAdaptation("B", w);
-    fleet.requestAdaptation("C", w);
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);
+    fleet.requestAdaptation(fleet.memberIndex("C"), w);
     queue.runUntil(minutes(5));
 
     ASSERT_EQ(completed.size(), 3u);
@@ -329,9 +329,9 @@ TEST_F(FleetTest, SpacedRequestsPayNoQueueing)
     fleet.addService("B", *s2.service, *s2.controller);
 
     const Workload w{cassandraUpdateHeavy(), 3100.0};
-    fleet.requestAdaptation("A", w);
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);
     queue.runUntil(minutes(1));
-    fleet.requestAdaptation("B", w);
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);
     queue.runUntil(minutes(2));
 
     ASSERT_EQ(completed.size(), 2u);
@@ -347,8 +347,8 @@ TEST_F(FleetTest, TotalAdaptationIncludesQueueDelay)
     fleet.addService("A", *s1.service, *s1.controller);
     fleet.addService("B", *s2.service, *s2.controller);
     const Workload w{cassandraUpdateHeavy(), 25500.0};
-    fleet.requestAdaptation("A", w);
-    fleet.requestAdaptation("B", w);
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);
     queue.runUntil(minutes(5));
     ASSERT_EQ(completed.size(), 2u);
     EXPECT_GT(completed[1].totalAdaptation(),
@@ -368,17 +368,17 @@ TEST_F(FleetTest, ShortestJobFirstReordersWaitingRequests)
     fleet.addService("C", *s3.service, *s3.controller, seconds(5));
 
     const Workload w{cassandraUpdateHeavy(), 12200.0};
-    fleet.requestAdaptation("A", w);
-    fleet.requestAdaptation("B", w);
-    fleet.requestAdaptation("C", w);
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);
+    fleet.requestAdaptation(fleet.memberIndex("C"), w);
     queue.runUntil(minutes(5));
 
     // A takes the free host on arrival; C's 5 s job then jumps B's
     // 20 s job.
     ASSERT_EQ(completed.size(), 3u);
-    EXPECT_EQ(completed[0].service, "A");
-    EXPECT_EQ(completed[1].service, "C");
-    EXPECT_EQ(completed[2].service, "B");
+    EXPECT_EQ(completed[0].member, fleet.memberIndex("A"));
+    EXPECT_EQ(completed[1].member, fleet.memberIndex("C"));
+    EXPECT_EQ(completed[2].member, fleet.memberIndex("B"));
     EXPECT_EQ(completed[0].profilingStartedAt, 0);
     EXPECT_EQ(completed[1].profilingStartedAt, seconds(30));
     EXPECT_EQ(completed[2].profilingStartedAt, seconds(35));
@@ -405,17 +405,17 @@ TEST_F(FleetTest, SloDebtFirstGrantsDeepestDebtor)
     EXPECT_EQ(fleet.sloDebt("C"), 3.0);
 
     const Workload w{cassandraUpdateHeavy(), 12200.0};
-    fleet.requestAdaptation("A", w);
-    fleet.requestAdaptation("B", w);
-    fleet.requestAdaptation("C", w);
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);
+    fleet.requestAdaptation(fleet.memberIndex("C"), w);
     queue.runUntil(minutes(5));
 
     // A takes the free host on arrival; then C (debt 3) beats B
     // (debt 1).
     ASSERT_EQ(completed.size(), 3u);
-    EXPECT_EQ(completed[0].service, "A");
-    EXPECT_EQ(completed[1].service, "C");
-    EXPECT_EQ(completed[2].service, "B");
+    EXPECT_EQ(completed[0].member, fleet.memberIndex("A"));
+    EXPECT_EQ(completed[1].member, fleet.memberIndex("C"));
+    EXPECT_EQ(completed[2].member, fleet.memberIndex("B"));
     // Granted members' debt is spent.
     EXPECT_EQ(fleet.sloDebt("B"), 0.0);
     EXPECT_EQ(fleet.sloDebt("C"), 0.0);
@@ -436,10 +436,10 @@ TEST_F(FleetTest, HostPoolRunsSlotsConcurrently)
     fleet.addService("C", *s3.service, *s3.controller);
 
     const Workload w{cassandraUpdateHeavy(), 12200.0};
-    fleet.requestAdaptation("A", w);
-    fleet.requestAdaptation("B", w);
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);
     EXPECT_EQ(fleet.busyHosts(), 2);
-    fleet.requestAdaptation("C", w);
+    fleet.requestAdaptation(fleet.memberIndex("C"), w);
     EXPECT_EQ(fleet.waiting(), 1u);
     queue.runUntil(minutes(5));
 
@@ -484,9 +484,9 @@ TEST_F(FleetTest, PoolSizedToBurstPaysNoQueueing)
     fleet.addService("C", *s3.service, *s3.controller);
 
     const Workload w{cassandraUpdateHeavy(), 12200.0};
-    fleet.requestAdaptation("A", w);
-    fleet.requestAdaptation("B", w);
-    fleet.requestAdaptation("C", w);
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);
+    fleet.requestAdaptation(fleet.memberIndex("C"), w);
     EXPECT_EQ(fleet.busyHosts(), 3);
     queue.runUntil(minutes(5));
 
@@ -514,21 +514,21 @@ TEST_F(FleetTest, GrantReleaseInterleavingReusesFreedHosts)
     fleet.addService("D", *s4.service, *s4.controller, seconds(5));
 
     const Workload w{cassandraUpdateHeavy(), 12200.0};
-    fleet.requestAdaptation("A", w);  // host 0, 0..5 s
-    fleet.requestAdaptation("B", w);  // host 1, 0..30 s
-    fleet.requestAdaptation("C", w);  // waits for host 0 at 5 s
-    fleet.requestAdaptation("D", w);  // then host 0 again at 10 s
+    fleet.requestAdaptation(fleet.memberIndex("A"), w);  // host 0, 0..5 s
+    fleet.requestAdaptation(fleet.memberIndex("B"), w);  // host 1, 0..30 s
+    fleet.requestAdaptation(fleet.memberIndex("C"), w);  // waits for host 0 at 5 s
+    fleet.requestAdaptation(fleet.memberIndex("D"), w);  // then host 0 again at 10 s
     queue.runUntil(minutes(5));
 
     ASSERT_EQ(completed.size(), 4u);
-    EXPECT_EQ(completed[2].service, "C");
+    EXPECT_EQ(completed[2].member, fleet.memberIndex("C"));
     EXPECT_EQ(completed[2].host, 0u);
     EXPECT_EQ(completed[2].profilingStartedAt, seconds(5));
-    EXPECT_EQ(completed[3].service, "D");
+    EXPECT_EQ(completed[3].member, fleet.memberIndex("D"));
     EXPECT_EQ(completed[3].host, 0u);
     EXPECT_EQ(completed[3].profilingStartedAt, seconds(10));
     // B's long slot kept host 1 busy throughout.
-    EXPECT_EQ(completed[1].service, "B");
+    EXPECT_EQ(completed[1].member, fleet.memberIndex("B"));
     EXPECT_EQ(completed[1].host, 1u);
     EXPECT_EQ(fleet.slotsGranted(), 4u);
 }
@@ -546,7 +546,8 @@ TEST_F(FleetTest, UnknownServiceIsFatal)
 {
     DejaVuFleet fleet(sim);
     EXPECT_EXIT(fleet.requestAdaptation(
-                    "ghost", {cassandraUpdateHeavy(), 1.0}),
+                    fleet.memberIndex("ghost"),
+                    {cassandraUpdateHeavy(), 1.0}),
                 ::testing::ExitedWithCode(1), "unknown service");
 }
 

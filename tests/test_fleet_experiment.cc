@@ -761,14 +761,14 @@ TEST_F(FleetExperimentTest, ServicesKeepIndependentAllocations)
 // phase computes — sampling, capacity, control — moves one of them.
 // --------------------------------------------------------------------
 
+/** Learn and run @p stack, a seed-42 cell of @p scenario, and digest
+ *  its outcome. */
 std::string
-goldenRunDigest(const std::string &scenario)
+runDigest(FleetStack &stack, const std::string &scenario)
 {
-    auto stack = makeFleetScenario(scenario, 42,
-                                   SlotPolicy::ShortestJobFirst);
-    stack->learnAll();
-    stack->startInjectors();
-    const auto results = stack->experiment->run();
+    stack.learnAll();
+    stack.startInjectors();
+    const auto results = stack.experiment->run();
     double sloViolationPct = 0.0;
     double savingsPct = 0.0;
     for (const auto &r : results) {
@@ -778,15 +778,24 @@ goldenRunDigest(const std::string &scenario)
     sloViolationPct /= static_cast<double>(results.size());
     savingsPct /= static_cast<double>(results.size());
     const std::vector<FleetCellResult> rows{
-        {SweepCell{scenario, "sjf", 42}, stack->experiment->summary()}};
+        {SweepCell{scenario, stack.experiment->fleet().scheduler().name(),
+                   42},
+         stack.experiment->summary()}};
     const std::string csv = fleetSweepCsv(rows);
     char means[128];
     std::snprintf(means, sizeof means,
                   "events,%llu\nslo_violation_pct,%a\nsavings_pct,%a\n",
                   static_cast<unsigned long long>(
-                      stack->sim->queue().executed()),
+                      stack.sim->queue().executed()),
                   sloViolationPct, savingsPct);
     return csv.substr(csv.find('\n') + 1) + means;
+}
+
+std::string
+goldenRunDigest(const std::string &scenario,
+                SlotPolicy policy = SlotPolicy::ShortestJobFirst)
+{
+    return runDigest(*makeFleetScenario(scenario, 42, policy), scenario);
 }
 
 TEST_F(FleetExperimentTest, GoldenRunMixedSharedFleet)
@@ -809,6 +818,75 @@ TEST_F(FleetExperimentTest, GoldenRunYcsbFleetWithFaults)
               "events,5257\n"
               "slo_violation_pct,0x1.b91c71c71c71dp+2\n"
               "savings_pct,0x1.9ea18a0ce512bp+5\n");
+}
+
+// --------------------------------------------------------------------
+// Contended-pool goldens: forty YCSB members with daemons and host
+// loss on two profiling hosts keep a deep backlog, so each slot policy
+// grants in a different order and the four rows differ. They pin what
+// every policy picks from the work queue's waiting view; a view that
+// keeps a stale duration or debt moves them.
+// --------------------------------------------------------------------
+
+const char *const kContendedPool = "fleet-ycsb-40-h2+daemons+hostloss";
+
+TEST_F(FleetExperimentTest, GoldenRunContendedPoolFifo)
+{
+    EXPECT_EQ(goldenRunDigest(kContendedPool, SlotPolicy::Fifo),
+              "fleet-ycsb-40-h2+daemons+hostloss,fifo,42,40,2,private,"
+              "1109,1889,82.266,0,0,0,225.000,1986.000,3553.380,"
+              "3555.000,265.050,2526.000,3810.840,3900.000,wq,960,149,"
+              "0,0,0\n"
+              "events,14772\n"
+              "slo_violation_pct,0x1.a271c71c71c72p+2\n"
+              "savings_pct,0x1.91fae04b3ebbp+5\n");
+}
+
+TEST_F(FleetExperimentTest, GoldenRunContendedPoolSjf)
+{
+    EXPECT_EQ(goldenRunDigest(kContendedPool,
+                              SlotPolicy::ShortestJobFirst),
+              "fleet-ycsb-40-h2+daemons+hostloss,sjf,42,40,2,private,"
+              "1105,1865,82.145,0,0,0,210.000,585.000,4403.760,"
+              "12870.000,250.050,774.000,4925.040,13230.000,wq,960,145,"
+              "0,0,0\n"
+              "events,14673\n"
+              "slo_violation_pct,0x1.9cffffffffffep+2\n"
+              "savings_pct,0x1.92835f0ad8c8fp+5\n");
+}
+
+TEST_F(FleetExperimentTest, GoldenRunContendedPoolSloDebt)
+{
+    EXPECT_EQ(goldenRunDigest(kContendedPool, SlotPolicy::SloDebtFirst),
+              "fleet-ycsb-40-h2+daemons+hostloss,slo-debt,42,40,2,"
+              "private,1107,1849,82.369,0,0,0,225.000,2815.500,"
+              "4580.940,5280.000,280.050,2911.500,4626.495,5290.050,wq,"
+              "960,147,0,0,0\n"
+              "events,14626\n"
+              "slo_violation_pct,0x1.a4aaaaaaaaaaap+2\n"
+              "savings_pct,0x1.92e9a0ce51295p+5\n");
+}
+
+TEST_F(FleetExperimentTest, GoldenRunContendedPoolAdaptive)
+{
+    auto stack =
+        makeFleetScenario(kContendedPool, 42, SlotPolicy::Adaptive);
+    EXPECT_EQ(runDigest(*stack, kContendedPool),
+              "fleet-ycsb-40-h2+daemons+hostloss,adaptive,42,40,2,"
+              "private,1102,1837,83.288,0,0,0,210.000,2340.000,"
+              "4123.485,4335.000,265.050,2579.753,4133.535,4695.000,wq,"
+              "960,142,0,0,0\n"
+              "events,14631\n"
+              "slo_violation_pct,0x1.94c71c71c71c6p+2\n"
+              "savings_pct,0x1.91d7608f3553p+5\n");
+    // The cell stays contended enough that every delegate is
+    // consulted: FIFO while the queue is short, SJF in bursts, and
+    // SLO-debt-first while violators wait.
+    const auto &sched = dynamic_cast<const AdaptiveSlotScheduler &>(
+        stack->experiment->fleet().scheduler());
+    EXPECT_GT(sched.fifoPicks(), 0u);
+    EXPECT_GT(sched.sjfPicks(), 0u);
+    EXPECT_GT(sched.debtPicks(), 0u);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Tests for the unified profiling work queue: typed work items
  * (signature + tuner) arbitrated by one slot scheduler, same-key
  * batching through the Coalescer with N-way result fan-out, dynamic
- * tuner occupancy, and cancellation — while queued, during grant
- * (granted but not started), and en masse via cancelWhere.
+ * tuner occupancy, cancellation — while queued, during grant
+ * (granted but not started), and en masse via cancelWhere — and the
+ * waiting view and SLO-debt ledger the queue keeps between grants.
  */
 
 #include <gtest/gtest.h>
@@ -413,29 +414,156 @@ TEST_F(WorkQueueTest, FinishedItemsDropTheirPayloadButKeepTheirState)
     EXPECT_EQ(queue.stats().signatureSlots, 1u + chained.size());
 }
 
-TEST_F(WorkQueueTest, DebtHooksRefreshAndSpend)
+TEST_F(WorkQueueTest, DebtLedgerRefreshesAndIsSpentAtGrant)
 {
     Simulation sim(1);
-    // SLO-debt policy with live debt injected through the probe: the
+    // SLO-debt policy with debt put on the queue's ledger: the
     // deepest debtor jumps the queue, and the grant spends its debt.
     ProfilingWorkQueue queue(
         sim, makeSlotScheduler(SlotPolicy::SloDebtFirst), 1);
-    std::vector<double> debt{0.0, 5.0, 1.0};
     std::vector<Ran> runs;
-    queue.setDebtProbe([&debt](const WorkItem &item) {
-        return debt[item.owner];
-    });
-    queue.setDebtSpend([&debt](const WorkItem &item) {
-        debt[item.owner] = 0.0;
-    });
+    queue.addDebt(1, 1.0);
+    queue.addDebt(2, 5.0);
     queue.submit(signatureItem(0, 0, 0, seconds(30)), recorder(runs));
     queue.submit(signatureItem(1, 1), recorder(runs));
     queue.submit(signatureItem(2, 2), recorder(runs));
+    EXPECT_DOUBLE_EQ(queue.debtOf(2), 5.0);
+    EXPECT_DOUBLE_EQ(queue.debtOf(7), 0.0);  // never in debt
     sim.runUntil(minutes(5));
     ASSERT_EQ(runs.size(), 3u);
-    EXPECT_EQ(runs[1].owner, 1u);  // deepest debtor first
+    EXPECT_EQ(runs[1].owner, 2u);  // deepest debtor first
+    EXPECT_EQ(runs[2].owner, 1u);
+    EXPECT_DOUBLE_EQ(queue.debtOf(2), 0.0);  // spent at grant
+    EXPECT_DOUBLE_EQ(queue.debtOf(1), 0.0);
+}
+
+// --------------------------------------------------------------------
+// The kept waiting view: the queue updates each entry's scheduler view
+// where the entry changes instead of rebuilding it per grant. Each test
+// below puts competing entries on one busy host, so a view that missed
+// an update grants in a different order.
+// --------------------------------------------------------------------
+
+TEST_F(WorkQueueTest, CoalesceJoinThatLengthensABatchMovesItBehind)
+{
+    Simulation sim(1);
+    ProfilingWorkQueue queue(
+        sim, makeSlotScheduler(SlotPolicy::ShortestJobFirst), 1,
+        /*coalesce=*/true);
+    std::vector<Ran> runs;
+    queue.submit(signatureItem(9, -1, 0, seconds(30)), recorder(runs));
+    queue.submit(signatureItem(0, 1, 0, seconds(10)), recorder(runs));
+    queue.submit(signatureItem(1, 2, 0, seconds(15)), recorder(runs));
+    // Joining class 1's batch makes it a 20 s slot, longer than
+    // class 2's 15 s one.
+    queue.submit(signatureItem(2, 1, 0, seconds(20)), recorder(runs));
+    EXPECT_EQ(queue.waitingEntries(), 2u);
+    sim.runUntil(minutes(5));
+
+    ASSERT_EQ(runs.size(), 4u);
+    EXPECT_EQ(runs[1].owner, 1u);
+    EXPECT_EQ(runs[1].startedAt, seconds(30));
+    EXPECT_EQ(runs[2].owner, 0u);
+    EXPECT_EQ(runs[2].startedAt, seconds(45));
+    EXPECT_EQ(runs[2].slotDuration, seconds(20));
+    EXPECT_EQ(runs[3].owner, 2u);
+    EXPECT_TRUE(runs[3].coalesced);
+}
+
+TEST_F(WorkQueueTest, CancelledLeaderHandsTheBatchTheNextMembersSeq)
+{
+    Simulation sim(1);
+    ProfilingWorkQueue queue(sim, makeSlotScheduler(SlotPolicy::Fifo),
+                             1, /*coalesce=*/true);
+    std::vector<Ran> runs;
+    queue.submit(signatureItem(9, -1, 0, seconds(30)), recorder(runs));
+    const WorkItemId leader =
+        queue.submit(signatureItem(0, 1), recorder(runs));
+    queue.submit(signatureItem(1, 2), recorder(runs));
+    queue.submit(signatureItem(2, 1), recorder(runs));  // joins
+    // Without its leader, class 1's batch arrived after class 2's
+    // entry.
+    EXPECT_TRUE(queue.cancelItem(leader));
+    sim.runUntil(minutes(5));
+
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs[1].owner, 1u);
     EXPECT_EQ(runs[2].owner, 2u);
-    EXPECT_DOUBLE_EQ(debt[1], 0.0);  // spent at grant
+    EXPECT_EQ(runs[2].startedAt, seconds(40));
+    EXPECT_FALSE(runs[2].coalesced);  // it leads the batch now
+}
+
+TEST_F(WorkQueueTest, CancelledLeaderHandsTheBatchItsLongestRemainder)
+{
+    Simulation sim(1);
+    ProfilingWorkQueue queue(
+        sim, makeSlotScheduler(SlotPolicy::ShortestJobFirst), 1,
+        /*coalesce=*/true);
+    std::vector<Ran> runs;
+    queue.submit(signatureItem(9, -1, 0, seconds(30)), recorder(runs));
+    const WorkItemId leader = queue.submit(
+        signatureItem(0, 1, 0, seconds(30)), recorder(runs));
+    queue.submit(signatureItem(1, 2, 0, seconds(20)), recorder(runs));
+    queue.submit(signatureItem(2, 1, 0, seconds(10)), recorder(runs));
+    // Without its 30 s leader, class 1's batch is a 10 s slot,
+    // shorter than class 2's 20 s one.
+    EXPECT_TRUE(queue.cancelItem(leader));
+    sim.runUntil(minutes(5));
+
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs[1].owner, 2u);
+    EXPECT_EQ(runs[1].slotDuration, seconds(10));
+    EXPECT_EQ(runs[2].owner, 1u);
+    EXPECT_EQ(runs[2].startedAt, seconds(40));
+}
+
+TEST_F(WorkQueueTest, AddedDebtReordersWaitingEntriesInPlace)
+{
+    Simulation sim(1);
+    ProfilingWorkQueue queue(
+        sim, makeSlotScheduler(SlotPolicy::SloDebtFirst), 1);
+    std::vector<Ran> runs;
+    queue.submit(signatureItem(9, -1, 0, seconds(30)), recorder(runs));
+    queue.submit(signatureItem(0, 1), recorder(runs));
+    queue.submit(signatureItem(1, 2), recorder(runs));
+    // Both waited debt-free; owner 1 falls into debt while waiting.
+    queue.addDebt(1, 1.0);
+    sim.runUntil(minutes(5));
+
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs[1].owner, 1u);
+    EXPECT_EQ(runs[2].owner, 0u);
+    EXPECT_DOUBLE_EQ(queue.debtOf(1), 0.0);
+}
+
+TEST_F(WorkQueueTest, CoalescedGrantSpendsEveryMembersDebt)
+{
+    Simulation sim(1);
+    ProfilingWorkQueue queue(
+        sim, makeSlotScheduler(SlotPolicy::SloDebtFirst), 1,
+        /*coalesce=*/true);
+    std::vector<Ran> runs;
+    queue.submit(signatureItem(9, -1, 0, seconds(30)), recorder(runs));
+    queue.submit(signatureItem(0, 1), recorder(runs));
+    queue.submit(signatureItem(1, 2), recorder(runs));
+    queue.submit(signatureItem(2, 1), recorder(runs));  // joins
+    queue.addDebt(0, 2.0);
+    queue.addDebt(1, 4.0);
+    queue.addDebt(2, 3.0);
+    queue.addDebt(5, 1.0);  // owns no waiting item
+    sim.runUntil(minutes(5));
+
+    // Class 1's batch carries its members' summed debt (5), deeper
+    // than owner 1's 4, and its grant spends both members' debt.
+    ASSERT_EQ(runs.size(), 4u);
+    EXPECT_EQ(runs[1].owner, 0u);
+    EXPECT_EQ(runs[2].owner, 2u);
+    EXPECT_TRUE(runs[2].coalesced);
+    EXPECT_EQ(runs[3].owner, 1u);
+    EXPECT_DOUBLE_EQ(queue.debtOf(0), 0.0);
+    EXPECT_DOUBLE_EQ(queue.debtOf(2), 0.0);
+    EXPECT_DOUBLE_EQ(queue.debtOf(1), 0.0);
+    EXPECT_DOUBLE_EQ(queue.debtOf(5), 1.0);
 }
 
 } // namespace
